@@ -85,10 +85,6 @@ func (r *Recommender) PrepareJointFromArtifact(path string, pruneK, shards int) 
 	if err != nil {
 		return err
 	}
-	r.taEngine = eng
-	r.taPruneK = pruneK
-	r.resetLive()
-	r.taSet = eng.Set()     // non-nil only for one shard
-	r.taIndex = eng.Index() // likewise
+	r.installEngine(eng, pruneK)
 	return nil
 }

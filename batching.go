@@ -3,40 +3,31 @@ package ebsn
 import (
 	"fmt"
 
-	"ebsn/internal/ta"
 	"ebsn/internal/vecmath"
 )
 
 // EnableQuantizedQueries packs int8 mirrors of the joint candidate
-// space and routes subsequent joint queries — single, sharded and
-// batched — through the quantized search path: approximate int8
-// affinity passes over 4x-smaller candidate storage, with the top n·4
-// survivors re-ranked against the exact float32 rows (see
-// ta.PackQuantized). The quantized path is approximate; its recall@10
-// against the exact ranking is gated ≥ 0.99 in CI. Requires a prepared
-// joint index or engine (PrepareJoint / PrepareJointSharded) and must
-// be serialized with other mutating calls.
+// space and routes subsequent joint queries — single, batched,
+// constrained and the base tier of live ones — through the quantized
+// search path: approximate int8 affinity passes over 4x-smaller
+// candidate storage, with the top n·4 survivors re-ranked against the
+// exact float32 rows (see ta.PackQuantized). The quantized path is
+// approximate; its recall@10 against the exact ranking is gated ≥ 0.99
+// in CI. The mode belongs to the prepared engine: it requires one
+// (PrepareJoint / PrepareJointSharded / PrepareJointFromArtifact), a
+// re-prepare starts exact again, and a compaction inherits it from the
+// engine it folds. Must be serialized with other mutating calls.
 func (r *Recommender) EnableQuantizedQueries() error {
-	if r.taEngine == nil && r.taIndex == nil {
+	if r.taEngine == nil {
 		return fmt.Errorf("ebsn: no joint index prepared; call PrepareJoint or PrepareJointSharded first")
 	}
-	if r.taEngine != nil {
-		if err := r.taEngine.EnableQuantized(); err != nil {
-			return err
-		}
-	}
-	if r.taSet != nil && !r.taSet.Quantized() {
-		// Monolithic index prepared separately from the engine (or no
-		// engine at all).
-		r.taSet.PackQuantized()
-	}
-	r.taQuantized = true
-	return nil
+	return r.taEngine.EnableQuantized()
 }
 
 // QuantizedQueries reports whether joint queries route through the
-// int8-quantized candidate mirrors.
-func (r *Recommender) QuantizedQueries() bool { return r.taQuantized }
+// int8-quantized candidate mirrors — the prepared engine's mode, so a
+// re-prepare resets it.
+func (r *Recommender) QuantizedQueries() bool { return r.taEngine != nil && r.taEngine.Quantized() }
 
 // TopEventPartnersBatch answers TopEventPartners for many users with
 // one index traversal per batch: the affinity passes run as matrix
@@ -52,7 +43,7 @@ func (r *Recommender) TopEventPartnersBatch(users []int32, n int) ([][]PairRecom
 
 // TopEventPartnersBatchStats is TopEventPartnersBatch plus the batched
 // scatter-gather decomposition. When no engine has been prepared it
-// builds a one-shard engine with the default pruning, like the sharded
+// builds a one-shard engine with the default pruning, like the
 // single-query path.
 func (r *Recommender) TopEventPartnersBatchStats(users []int32, n int) ([][]PairRecommendation, EngineBatchStats, error) {
 	if n <= 0 {
@@ -63,19 +54,8 @@ func (r *Recommender) TopEventPartnersBatchStats(users []int32, n int) ([][]Pair
 			return nil, EngineBatchStats{}, fmt.Errorf("ebsn: user %d out of range [0,%d)", u, r.dataset.NumUsers)
 		}
 	}
-	if r.taEngine == nil {
-		k := len(r.split.TestEvents) / 20
-		if k < 1 {
-			k = 1
-		}
-		if err := r.PrepareJointSharded(k, 1); err != nil {
-			return nil, EngineBatchStats{}, err
-		}
-		if r.taQuantized {
-			if err := r.taEngine.EnableQuantized(); err != nil {
-				return nil, EngineBatchStats{}, err
-			}
-		}
+	if err := r.ensureEngine(); err != nil {
+		return nil, EngineBatchStats{}, err
 	}
 	vecs := make([][]float32, len(users))
 	exclude := make([]int32, len(users))
@@ -89,15 +69,7 @@ func (r *Recommender) TopEventPartnersBatchStats(users []int32, n int) ([][]Pair
 	}
 	out := make([][]PairRecommendation, len(users))
 	for j, rs := range res {
-		prs := make([]PairRecommendation, 0, len(rs))
-		for _, rr := range rs {
-			prs = append(prs, PairRecommendation{
-				Event:   r.split.TestEvents[rr.Event],
-				Partner: rr.Partner,
-				Score:   rr.Score,
-			})
-		}
-		out[j] = prs
+		out[j] = r.basePairs(rs)
 	}
 	return out, stats, nil
 }
@@ -199,10 +171,4 @@ func growF32(buf []float32, n int) []float32 {
 		return make([]float32, n)
 	}
 	return buf[:n]
-}
-
-// quantizedJointQuery reports whether the monolithic single-query path
-// should use the quantized index walk for the given set.
-func (r *Recommender) quantizedJointQuery(set *ta.CandidateSet) bool {
-	return r.taQuantized && set != nil && set.Quantized()
 }

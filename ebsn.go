@@ -239,11 +239,13 @@ type PairRecommendation struct {
 //
 // Concurrency: query methods (TopEvents, TopEventsBatch,
 // TopEventPartners, Explain, the evaluation methods) are safe to call
-// from multiple goroutines once the structures they use exist. Methods
-// that build state lazily or mutate it — PrepareJoint, FoldInEvent's
-// first call, IngestColdEvent, CompactLiveEvents — must be serialized by
-// the caller; a service typically calls PrepareJoint once at startup and
-// funnels ingestion through one goroutine.
+// from multiple goroutines once the structures they use exist: with a
+// joint engine prepared, no query method writes the Recommender. Methods
+// that build state lazily or mutate it — the PrepareJoint family, a joint
+// query before any of them, FoldInEvent's first call, IngestColdEvent,
+// CompactLiveEvents — must be serialized by the caller; a service
+// typically calls PrepareJoint once at startup and funnels ingestion
+// through one goroutine.
 type Recommender struct {
 	cfg     Config
 	dataset *ebsnet.Dataset
@@ -251,33 +253,22 @@ type Recommender struct {
 	graphs  *ebsnet.Graphs
 	model   *core.Model
 
-	// Lazily built TA machinery for the joint task.
-	taIndex  *ta.FastIndex
-	taSet    *ta.CandidateSet
-	taPruneK int
-
-	// Sharded scatter-gather engine (PrepareJointSharded). With one
-	// shard it doubles as the monolithic index above; with more, the
-	// monolithic index remains a separate lazily built structure that
-	// only the live-ingestion path needs.
+	// Joint-query state. taEngine is the only holder of a built index:
+	// the scatter-gather engine over the frozen embeddings (one shard
+	// unless PrepareJointSharded asked for more), built with taPruneK.
 	taEngine *engine.Engine
-
-	// taQuantized routes joint queries through the int8-quantized
-	// candidate mirrors (EnableQuantizedQueries).
-	taQuantized bool
+	taPruneK int
 
 	// Lazily captured snapshot for fold-in scoring; the model is frozen
 	// after Build/Open, so one capture suffices.
 	snap *core.Snapshot
 
 	// Live-ingestion state (serving.go): the mutable delta tier absorbing
-	// ingested events, plus the live base it overlays — the plain engine
-	// or index until a compaction forks a private fold (taLive*), so the
-	// frozen structures the non-live query paths use are never mutated.
+	// ingested events, and the engine it overlays once a compaction has
+	// forked a private fold — until then taEngine itself, which is never
+	// mutated.
 	taDelta      *ta.Delta
 	taLiveEngine *engine.Engine
-	taLiveSet    *ta.CandidateSet
-	taLiveIdx    *ta.FastIndex
 	liveEvents   int
 }
 
@@ -363,40 +354,23 @@ func (r *Recommender) Model() *core.Model { return r.model }
 // top n. These are exactly the events the paper's recommendation service
 // would surface: future events with no attendance history.
 func (r *Recommender) TopEvents(user int32, n int) ([]Recommendation, error) {
+	if err := r.checkUserN(user, n); err != nil {
+		return nil, err
+	}
+	return r.selectTopEvents(n, nil, func(_ int, x int32) float32 {
+		return r.model.ScoreUserEvent(user, x)
+	}), nil
+}
+
+// checkUserN validates the (user, n) pair every ranking query takes.
+func (r *Recommender) checkUserN(user int32, n int) error {
 	if int(user) < 0 || int(user) >= r.dataset.NumUsers {
-		return nil, fmt.Errorf("ebsn: user %d out of range [0,%d)", user, r.dataset.NumUsers)
+		return fmt.Errorf("ebsn: user %d out of range [0,%d)", user, r.dataset.NumUsers)
 	}
 	if n <= 0 {
-		return nil, fmt.Errorf("ebsn: n must be positive")
+		return fmt.Errorf("ebsn: n must be positive")
 	}
-	type se struct {
-		x int32
-		s float32
-	}
-	best := make([]se, 0, n)
-	for _, x := range r.split.TestEvents {
-		s := r.model.ScoreUserEvent(user, x)
-		if len(best) < n {
-			best = append(best, se{x, s})
-			up := len(best) - 1
-			for up > 0 && best[up].s > best[up-1].s {
-				best[up], best[up-1] = best[up-1], best[up]
-				up--
-			}
-		} else if s > best[n-1].s {
-			best[n-1] = se{x, s}
-			up := n - 1
-			for up > 0 && best[up].s > best[up-1].s {
-				best[up], best[up-1] = best[up-1], best[up]
-				up--
-			}
-		}
-	}
-	out := make([]Recommendation, len(best))
-	for i, e := range best {
-		out[i] = Recommendation{Event: e.x, Score: e.s}
-	}
-	return out, nil
+	return nil
 }
 
 // jointVectors extracts the cold-event and partner embedding rows the
@@ -415,44 +389,18 @@ func (r *Recommender) jointVectors() (events, partners [][]float32) {
 
 // PrepareJoint builds the transformed candidate space and TA index for
 // joint event-partner recommendation, pruning to each partner's top
-// pruneK test events (0 keeps the full space). It is called implicitly by
-// TopEventPartners but exposed so services can pay the build cost at
-// startup. A sharded engine prepared by PrepareJointSharded is left in
-// place: both serve the same frozen embeddings, and the monolithic
-// index is what the live-ingestion delta builds on.
-func (r *Recommender) PrepareJoint(pruneK int) error {
-	events, partners := r.jointVectors()
-	set, err := ta.BuildCandidates(events, partners, ta.BuildConfig{TopKEvents: pruneK, Workers: r.cfg.Threads})
-	if err != nil {
-		return err
-	}
-	r.taSet = set
-	r.taIndex = ta.NewFastIndex(set)
-	r.taPruneK = pruneK
-	// A rebuilt candidate space invalidates the live-ingestion delta;
-	// callers re-ingest (or compact before re-preparing).
-	r.resetLive()
-	return nil
-}
-
-// resetLive clears the live-ingestion tiers; a re-prepared candidate
-// space orphans them.
-func (r *Recommender) resetLive() {
-	r.taDelta = nil
-	r.taLiveEngine = nil
-	r.taLiveSet = nil
-	r.taLiveIdx = nil
-}
+// pruneK test events (0 keeps the full space) — a one-shard
+// PrepareJointSharded. It is called implicitly by TopEventPartners but
+// exposed so services can pay the build cost at startup.
+func (r *Recommender) PrepareJoint(pruneK int) error { return r.PrepareJointSharded(pruneK, 1) }
 
 // PrepareJointSharded builds the scatter-gather engine over the joint
 // candidate space with the given partner-range shard count (values < 1
-// mean 1) and the same pruning semantics as PrepareJoint. With one
-// shard the engine's candidate set and index double as the monolithic
-// ones, so the TopEventPartners* family keeps working without a second
-// build; with more shards the monolithic structures are cleared and
-// rebuilt lazily only if a non-live monolithic query path needs them.
-// Live ingestion overlays the engine directly: the delta tier covers
-// every partner, and compaction folds it into all shards (Engine.Fold).
+// mean 1). The engine answers every joint query — plain, batched,
+// constrained, and the base tier of live ones. Re-preparing replaces the
+// engine wholesale: the new one answers exactly (EnableQuantizedQueries
+// must be called again) and the live-ingestion tiers are dropped, so
+// callers re-ingest (or compact before re-preparing).
 func (r *Recommender) PrepareJointSharded(pruneK, shards int) error {
 	events, partners := r.jointVectors()
 	eng, err := engine.Build(events, partners, engine.Config{
@@ -463,16 +411,31 @@ func (r *Recommender) PrepareJointSharded(pruneK, shards int) error {
 	if err != nil {
 		return err
 	}
-	r.taEngine = eng
-	r.taPruneK = pruneK
-	r.resetLive()
-	r.taSet = eng.Set()     // non-nil only for one shard
-	r.taIndex = eng.Index() // likewise
+	r.installEngine(eng, pruneK)
 	return nil
 }
 
-// EngineShards reports the shard count of the prepared scatter-gather
-// engine, 0 when PrepareJointSharded has not run.
+// installEngine makes eng the joint engine and drops the live tiers a
+// previous engine carried.
+func (r *Recommender) installEngine(eng *engine.Engine, pruneK int) {
+	r.taEngine, r.taPruneK = eng, pruneK
+	r.taDelta, r.taLiveEngine = nil, nil
+}
+
+// ensureEngine builds a one-shard engine with the default pruning — 5%
+// of test events per partner, the point where Figure 7 shows the
+// approximation ratio reaching ~1 — when none has been prepared. Like
+// the Prepare calls it must be serialized by the caller; with an engine
+// in place it writes nothing.
+func (r *Recommender) ensureEngine() error {
+	if r.taEngine != nil {
+		return nil
+	}
+	return r.PrepareJoint(max(len(r.split.TestEvents)/20, 1))
+}
+
+// EngineShards reports the shard count of the prepared engine, 0 when
+// none has been prepared yet.
 func (r *Recommender) EngineShards() int {
 	if r.taEngine == nil {
 		return 0
@@ -480,102 +443,62 @@ func (r *Recommender) EngineShards() int {
 	return r.taEngine.Shards()
 }
 
-// TopEventPartnersSharded is TopEventPartners answered by the sharded
-// scatter-gather engine. Results are bit-identical to the monolithic
-// path for every shard count (the engine's exactness property test
-// pins this).
-func (r *Recommender) TopEventPartnersSharded(user int32, n int) ([]PairRecommendation, error) {
-	out, _, err := r.TopEventPartnersShardedStats(user, n)
-	return out, err
-}
-
-// TopEventPartnersShardedStats is TopEventPartnersSharded plus the
-// scatter-gather decomposition: aggregated TA counters, the per-shard
-// breakdown, and the prepass/merge/critical-path timings a serving
-// layer renders as span stages and shard metrics. When no engine has
-// been prepared it builds a one-shard engine with the default pruning.
-func (r *Recommender) TopEventPartnersShardedStats(user int32, n int) ([]PairRecommendation, EngineStats, error) {
-	if int(user) < 0 || int(user) >= r.dataset.NumUsers {
-		return nil, EngineStats{}, fmt.Errorf("ebsn: user %d out of range [0,%d)", user, r.dataset.NumUsers)
-	}
-	if n <= 0 {
-		return nil, EngineStats{}, fmt.Errorf("ebsn: n must be positive")
-	}
-	if r.taEngine == nil {
-		k := len(r.split.TestEvents) / 20
-		if k < 1 {
-			k = 1
-		}
-		if err := r.PrepareJointSharded(k, 1); err != nil {
-			return nil, EngineStats{}, err
-		}
-	}
-	res, stats, err := r.taEngine.Search(r.model.UserVec(user), n, user)
-	if err != nil {
-		return nil, stats, err
-	}
-	out := make([]PairRecommendation, 0, len(res))
-	for _, rr := range res {
-		out = append(out, PairRecommendation{
-			Event:   r.split.TestEvents[rr.Event],
-			Partner: rr.Partner,
-			Score:   rr.Score,
-		})
-	}
-	return out, stats, nil
-}
-
 // TopEventPartners returns the top-n event-partner pairs for the user via
 // the TA index over the transformed space. Event IDs in the result are
 // dataset event IDs; partners are user IDs.
 func (r *Recommender) TopEventPartners(user int32, n int) ([]PairRecommendation, error) {
-	out, _, err := r.TopEventPartnersStats(user, n)
+	out, _, err := r.jointSearch(user, n, nil)
 	return out, err
 }
 
 // TopEventPartnersStats is TopEventPartners plus the TA work counters for
-// the query — what a serving layer aggregates into its metrics.
+// the query, aggregated over the engine's shards.
 func (r *Recommender) TopEventPartnersStats(user int32, n int) ([]PairRecommendation, SearchStats, error) {
-	if int(user) < 0 || int(user) >= r.dataset.NumUsers {
-		return nil, SearchStats{}, fmt.Errorf("ebsn: user %d out of range [0,%d)", user, r.dataset.NumUsers)
+	out, es, err := r.jointSearch(user, n, nil)
+	return out, es.Agg, err
+}
+
+// TopEventPartnersSharded is TopEventPartners under its older name: every
+// joint query is answered by the engine, and results are bit-identical
+// for every shard count (the engine's exactness property test pins
+// this).
+func (r *Recommender) TopEventPartnersSharded(user int32, n int) ([]PairRecommendation, error) {
+	return r.TopEventPartners(user, n)
+}
+
+// TopEventPartnersShardedStats is TopEventPartners plus the
+// scatter-gather decomposition: aggregated TA counters, the per-shard
+// breakdown, and the prepass/merge/critical-path timings a serving
+// layer renders as span stages and shard metrics.
+func (r *Recommender) TopEventPartnersShardedStats(user int32, n int) ([]PairRecommendation, EngineStats, error) {
+	return r.jointSearch(user, n, nil)
+}
+
+// jointSearch answers one joint query from the base engine (building the
+// default one when none is prepared), restricted to pred-allowed events
+// when pred is non-nil.
+func (r *Recommender) jointSearch(user int32, n int, pred EventPredicate) ([]PairRecommendation, EngineStats, error) {
+	if err := r.checkUserN(user, n); err != nil {
+		return nil, EngineStats{}, err
 	}
-	if n <= 0 {
-		return nil, SearchStats{}, fmt.Errorf("ebsn: n must be positive")
+	if err := r.ensureEngine(); err != nil {
+		return nil, EngineStats{}, err
 	}
-	if r.taIndex == nil {
-		// Default pruning: 5% of test events per partner, the point where
-		// Figure 7 shows the approximation ratio reaching ~1.
-		k := len(r.split.TestEvents) / 20
-		if k < 1 {
-			k = 1
-		}
-		if err := r.PrepareJoint(k); err != nil {
-			return nil, SearchStats{}, err
-		}
+	res, stats, err := r.taEngine.SearchPred(r.model.UserVec(user), n, user, pred)
+	if err != nil {
+		return nil, stats, err
 	}
-	// Pooled scratch keeps the TA working set allocation-free; the raw
-	// results alias it, so they are converted before the scratch is
-	// returned.
-	sc := ta.GetScratch()
-	defer ta.PutScratch(sc)
-	var (
-		res   []ta.Result
-		stats SearchStats
-	)
-	if r.quantizedJointQuery(r.taSet) {
-		res, stats = r.taIndex.TopNExcludingQuantizedScratch(r.model.UserVec(user), n, user, sc)
-	} else {
-		res, stats = r.taIndex.TopNExcludingScratch(r.model.UserVec(user), n, user, sc)
+	return r.basePairs(res), stats, nil
+}
+
+// basePairs converts base-tier results — event indices into the test
+// events — to dataset IDs.
+func (r *Recommender) basePairs(res []ta.Result) []PairRecommendation {
+	out := make([]PairRecommendation, len(res))
+	for i, rr := range res {
+		out[i] = PairRecommendation{Event: r.split.TestEvents[rr.Event], Partner: rr.Partner, Score: rr.Score}
 	}
-	out := make([]PairRecommendation, 0, len(res))
-	for _, rr := range res {
-		out = append(out, PairRecommendation{
-			Event:   r.split.TestEvents[rr.Event],
-			Partner: rr.Partner,
-			Score:   rr.Score,
-		})
-	}
-	return out, stats, nil
+	return out
 }
 
 // LoadDatasetCSV imports a dataset directory written by SaveDatasetCSV.

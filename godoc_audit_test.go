@@ -10,15 +10,35 @@ package ebsn
 // staticcheck): DTO field meaning lives in the type comment and json
 // tags, and fields whose semantics are subtle carry comments by
 // convention, not mechanical force.
+//
+// The same walk pins the exported surface: every exported identifier of
+// apiPackages, with its signature (and, for structs, its exported
+// fields — each one is a knob), is listed in testdata/api.golden, so
+// adding, removing or re-typing a name is a reviewed line in the diff.
+// `go test -run TestExportedAPIMatchesGolden -update .` regenerates it.
 
 import (
+	"bytes"
+	"flag"
 	"fmt"
 	"go/ast"
 	"go/parser"
+	"go/printer"
 	"go/token"
+	"os"
+	"sort"
 	"strings"
 	"testing"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/api.golden from the source")
+
+// apiPackages lists the directories whose exported surface is pinned by
+// testdata/api.golden: the facade, the serving layer, and the two
+// internal packages the benchmark compiles against.
+var apiPackages = []string{".", "serve", "internal/ta", "internal/engine"}
+
+const apiGolden = "testdata/api.golden"
 
 // auditedPackages lists the directories (relative to the repo root)
 // whose exported API must be fully documented. New packages should be
@@ -35,18 +55,30 @@ var auditedPackages = []string{
 	"internal/workload",
 }
 
+// parseLibrary parses dir's non-test, non-main packages.
+func parseLibrary(t *testing.T, dir string) (*token.FileSet, []*ast.Package) {
+	t.Helper()
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []*ast.Package
+	for name, pkg := range pkgs {
+		if name != "main" {
+			out = append(out, pkg)
+		}
+	}
+	return fset, out
+}
+
 func TestExportedIdentifiersAreDocumented(t *testing.T) {
 	for _, dir := range auditedPackages {
 		t.Run(dir, func(t *testing.T) {
-			fset := token.NewFileSet()
-			pkgs, err := parser.ParseDir(fset, dir, nil, parser.ParseComments)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for name, pkg := range pkgs {
-				if strings.HasSuffix(name, "_test") || name == "main" {
-					continue
-				}
+			fset, pkgs := parseLibrary(t, dir)
+			for _, pkg := range pkgs {
 				for _, miss := range auditPackage(fset, pkg) {
 					t.Error(miss)
 				}
@@ -55,16 +87,117 @@ func TestExportedIdentifiersAreDocumented(t *testing.T) {
 	}
 }
 
+func TestExportedAPIMatchesGolden(t *testing.T) {
+	var lines []string
+	for _, dir := range apiPackages {
+		fset, pkgs := parseLibrary(t, dir)
+		for _, pkg := range pkgs {
+			for _, f := range pkg.Files {
+				for _, decl := range f.Decls {
+					for _, l := range apiDecl(fset, decl) {
+						lines = append(lines, dir+": "+l)
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(lines)
+	got := strings.Join(lines, "\n") + "\n"
+	if *updateGolden {
+		if err := os.WriteFile(apiGolden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(apiGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	have := map[string]bool{}
+	for _, l := range strings.Split(string(want), "\n") {
+		have[l] = true
+	}
+	for _, l := range lines {
+		if !have[l] {
+			t.Errorf("not in %s: %s", apiGolden, l)
+		}
+		delete(have, l)
+	}
+	for l := range have {
+		if l != "" {
+			t.Errorf("gone from the source: %s", l)
+		}
+	}
+	t.Errorf("exported API differs from %s; review the change, then rerun with -update", apiGolden)
+}
+
+// apiDecl renders the exported identifiers one declaration introduces,
+// one line each: functions and methods with their signatures, types
+// with their definition (structs and interfaces member by member),
+// consts and vars by name.
+func apiDecl(fset *token.FileSet, decl ast.Decl) []string {
+	src := func(n any) string {
+		var buf bytes.Buffer
+		printer.Fprint(&buf, fset, n)
+		return strings.Join(strings.Fields(buf.String()), " ")
+	}
+	var out []string
+	members := func(owner string, list *ast.FieldList) {
+		for _, fld := range list.List {
+			if len(fld.Names) == 0 {
+				out = append(out, owner+" embeds "+src(fld.Type))
+			}
+			for _, n := range fld.Names {
+				if n.IsExported() {
+					out = append(out, owner+"."+n.Name+" "+src(fld.Type))
+				}
+			}
+		}
+	}
+	switch d := decl.(type) {
+	case *ast.FuncDecl:
+		if d.Name.IsExported() && exportedRecv(d) {
+			out = append(out, src(&ast.FuncDecl{Recv: d.Recv, Name: d.Name, Type: d.Type}))
+		}
+	case *ast.GenDecl:
+		for _, spec := range d.Specs {
+			switch s := spec.(type) {
+			case *ast.TypeSpec:
+				if !s.Name.IsExported() {
+					continue
+				}
+				switch tt := s.Type.(type) {
+				case *ast.StructType:
+					out = append(out, "type "+s.Name.Name+" struct")
+					members("field "+s.Name.Name, tt.Fields)
+				case *ast.InterfaceType:
+					out = append(out, "type "+s.Name.Name+" interface")
+					members("method "+s.Name.Name, tt.Methods)
+				default:
+					out = append(out, "type "+src(&ast.TypeSpec{Name: s.Name, Assign: s.Assign, Type: s.Type}))
+				}
+			case *ast.ValueSpec:
+				for _, n := range s.Names {
+					if n.IsExported() {
+						out = append(out, d.Tok.String()+" "+n.Name)
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
 // auditPackage returns one message per documentation gap in pkg:
 // a missing package comment, or an exported declaration (function,
 // method, type, const/var group, struct field) without a doc comment.
 func auditPackage(fset *token.FileSet, pkg *ast.Package) []string {
 	var missing []string
 	hasPkgDoc := false
-	for fname, f := range pkg.Files {
-		if strings.HasSuffix(fname, "_test.go") {
-			continue
-		}
+	for _, f := range pkg.Files {
 		if f.Doc != nil && strings.TrimSpace(f.Doc.Text()) != "" {
 			hasPkgDoc = true
 		}

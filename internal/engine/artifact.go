@@ -40,15 +40,10 @@ func OpenArtifact(path string, fingerprint uint64) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{k: art.K(), nPartners: art.Partners(), art: art}
-	e.pool.New = func() any { return &fanoutScratch{} }
-	for i, seg := range art.Segments() {
-		sh := &localShard{set: seg.Set, idx: seg.Idx, lo: seg.Lo, hi: seg.Hi}
-		e.pairs += sh.Pairs()
-		e.shards = append(e.shards, sh)
-		if i == 0 {
-			e.affSet = seg.Set
-		}
+	e := newEngine(art.K(), art.Partners())
+	e.art = art
+	for _, seg := range art.Segments() {
+		e.addShard(&localShard{set: seg.Set, idx: seg.Idx, lo: seg.Lo, hi: seg.Hi})
 	}
 	return e, nil
 }

@@ -124,21 +124,20 @@ func TestArtifactEngineFold(t *testing.T) {
 
 	// One delta event with candidate pairs across the partner space.
 	delta := randomVecs(src, 1, 6)
-	var pairs []ta.Candidate
-	var cross []float32
+	view := ta.DeltaView{Events: delta}
 	for u := 0; u < len(partners); u += 5 {
 		var c float32
 		for d := 0; d < 6; d++ {
 			c += delta[0][d] * partners[u][d]
 		}
-		pairs = append(pairs, ta.Candidate{Event: 0, Partner: int32(u)})
-		cross = append(cross, c)
+		view.Pairs = append(view.Pairs, ta.Candidate{Event: 0, Partner: int32(u)})
+		view.Cross = append(view.Cross, c)
 	}
-	wantFold, err := built.Fold(delta, pairs, cross, 2)
+	wantFold, err := built.Fold(view, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotFold, err := mapped.Fold(delta, pairs, cross, 2)
+	gotFold, err := mapped.Fold(view, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -148,12 +148,7 @@ func Build(events, partners [][]float32, cfg Config) (*Engine, error) {
 	if ns > len(partners) {
 		ns = len(partners)
 	}
-	e := &Engine{
-		k:         len(events[0]),
-		nPartners: len(partners),
-		shards:    make([]Shard, 0, ns),
-	}
-	e.pool.New = func() any { return &fanoutScratch{} }
+	e := newEngine(len(events[0]), len(partners))
 	for i := 0; i < ns; i++ {
 		lo := i * len(partners) / ns
 		hi := (i + 1) * len(partners) / ns
@@ -168,14 +163,27 @@ func Build(events, partners [][]float32, cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("engine: shard %d build: %w", i, err)
 		}
 		idx := ta.NewFastIndexWorkers(set, cfg.Workers)
-		sh := &localShard{set: set, idx: idx, lo: int32(lo), hi: int32(hi)}
-		e.pairs += sh.Pairs()
-		e.shards = append(e.shards, sh)
-		if i == 0 {
-			e.affSet = set
-		}
+		e.addShard(&localShard{set: set, idx: idx, lo: int32(lo), hi: int32(hi)})
 	}
 	return e, nil
+}
+
+// newEngine returns an engine with no shards yet; Build, Fold and
+// OpenArtifact fill it in partner-range order through addShard.
+func newEngine(k, nPartners int) *Engine {
+	e := &Engine{k: k, nPartners: nPartners}
+	e.pool.New = func() any { return &fanoutScratch{} }
+	return e
+}
+
+// addShard appends the next shard; the first one's set serves the
+// shared event-affinity prepass.
+func (e *Engine) addShard(sh *localShard) {
+	if len(e.shards) == 0 {
+		e.affSet = sh.set
+	}
+	e.pairs += sh.Pairs()
+	e.shards = append(e.shards, sh)
 }
 
 // EnableQuantized packs every shard's int8 candidate mirrors and routes
@@ -200,59 +208,59 @@ func (e *Engine) EnableQuantized() error {
 // Quantized reports whether queries route through the int8 path.
 func (e *Engine) Quantized() bool { return e.quantized }
 
-// Fold builds a new engine covering this one's candidate space plus a
-// delta of ingested events, without mutating the original: each shard's
-// event list gains the delta events (replicated, as Build replicates),
-// and each delta pair lands on the shard owning its partner with the
-// pair's Event index rebased past the shard's base events and its
-// Partner translated to the shard-local space. Row headers are copied
-// before the per-shard index builds re-alias them into fresh packed
-// storage, so the original engine keeps answering queries while the
-// fold runs — the engine half of the copy-on-write compaction
-// (ta.FoldDelta is the monolithic half, and the two stay bit-identical
-// shard-by-shard because the appended pairs keep their arrival order
-// and cross terms). pairs[i].Event indexes events; partners are global
-// IDs. workers bounds each shard's index-build parallelism. A quantized
-// engine folds into a quantized engine: the new shards re-pack their
-// int8 mirrors over the extended event list.
-func (e *Engine) Fold(events [][]float32, pairs []ta.Candidate, cross []float32, workers int) (*Engine, error) {
-	if len(pairs) != len(cross) {
-		return nil, fmt.Errorf("engine: fold pair/cross length mismatch: %d vs %d", len(pairs), len(cross))
+// NewDelta creates the live-ingestion tier for this engine: a delta
+// over every partner, pruned to topK pairs per arriving event. A
+// one-shard engine shares its packed partner rows with the delta; with
+// more shards no single set covers every partner, so the delta packs its
+// own copy of the rows.
+func (e *Engine) NewDelta(topK int) (*ta.Delta, error) {
+	if len(e.shards) == 1 {
+		return ta.NewDeltaForSet(e.affSet, topK), nil
 	}
-	ne := &Engine{k: e.k, nPartners: e.nPartners, shards: make([]Shard, 0, len(e.shards)), quantized: e.quantized}
-	ne.pool.New = func() any { return &fanoutScratch{} }
+	rows := make([][]float32, 0, e.nPartners)
+	for i, sh := range e.shards {
+		ls, ok := sh.(*localShard)
+		if !ok {
+			return nil, fmt.Errorf("engine: shard %d (%T) has no local partner rows", i, sh)
+		}
+		rows = append(rows, ls.set.Partners...)
+	}
+	return ta.NewDelta(rows, topK)
+}
+
+// Fold builds a new engine covering this one's candidate space plus a
+// delta view of ingested events, without mutating the original: every
+// shard folds (ta.FoldDelta) the view's events — replicated, as Build
+// replicates — and the view's pairs whose partner it owns, translated to
+// the shard-local partner space. The original engine keeps answering
+// queries while the fold runs — the copy-on-write compaction. The view's
+// partners are global IDs. workers bounds each shard's index-build
+// parallelism. The fold inherits this engine's query mode: a quantized
+// engine folds into a quantized engine, its new shards re-packing their
+// int8 mirrors over the extended event list.
+func (e *Engine) Fold(v ta.DeltaView, workers int) (*Engine, error) {
+	if len(v.Pairs) != len(v.Cross) {
+		return nil, fmt.Errorf("engine: fold pair/cross length mismatch: %d vs %d", len(v.Pairs), len(v.Cross))
+	}
+	ne := newEngine(e.k, e.nPartners)
+	ne.quantized = e.quantized
 	for i, sh := range e.shards {
 		ls, ok := sh.(*localShard)
 		if !ok {
 			return nil, fmt.Errorf("engine: shard %d (%T) does not support local folds", i, sh)
 		}
-		nb := len(ls.set.Events)
-		ev := make([][]float32, nb+len(events))
-		copy(ev, ls.set.Events)
-		copy(ev[nb:], events)
-		ps := make([][]float32, len(ls.set.Partners))
-		copy(ps, ls.set.Partners)
-		np := make([]ta.Candidate, len(ls.set.Pairs), len(ls.set.Pairs)+len(pairs))
-		copy(np, ls.set.Pairs)
-		nc := make([]float32, len(ls.set.Cross), len(ls.set.Cross)+len(cross))
-		copy(nc, ls.set.Cross)
-		for j, p := range pairs {
+		sv := ta.DeltaView{Events: v.Events}
+		for j, p := range v.Pairs {
 			if p.Partner >= ls.lo && p.Partner < ls.hi {
-				np = append(np, ta.Candidate{Event: p.Event + int32(nb), Partner: p.Partner - ls.lo})
-				nc = append(nc, cross[j])
+				sv.Pairs = append(sv.Pairs, ta.Candidate{Event: p.Event, Partner: p.Partner - ls.lo})
+				sv.Cross = append(sv.Cross, v.Cross[j])
 			}
 		}
-		set := &ta.CandidateSet{K: e.k, Events: ev, Partners: ps, Pairs: np, Cross: nc}
-		idx := ta.NewFastIndexWorkers(set, workers)
+		set, idx := ta.FoldDelta(ls.set, sv, workers)
 		if ne.quantized {
 			set.PackQuantized()
 		}
-		nsh := &localShard{set: set, idx: idx, lo: ls.lo, hi: ls.hi}
-		ne.pairs += nsh.Pairs()
-		ne.shards = append(ne.shards, nsh)
-		if i == 0 {
-			ne.affSet = set
-		}
+		ne.addShard(&localShard{set: set, idx: idx, lo: ls.lo, hi: ls.hi})
 	}
 	return ne, nil
 }
@@ -273,20 +281,8 @@ func (e *Engine) K() int { return e.k }
 // Partners returns the global partner count.
 func (e *Engine) Partners() int { return e.nPartners }
 
-// Set returns shard 0's candidate set when the engine is monolithic
-// (one shard) — the seam the live-ingestion delta (ta.Dynamic) builds
-// on, which needs a set covering every partner. Multi-shard engines
-// return nil.
-func (e *Engine) Set() *ta.CandidateSet {
-	if len(e.shards) == 1 {
-		return e.affSet
-	}
-	return nil
-}
-
-// Index returns shard 0's FastIndex when the engine is monolithic (one
-// shard); nil otherwise. With Set it lets a one-shard engine stand in
-// for the plain monolithic index without a second build.
+// Index returns shard 0's FastIndex when the engine has one shard — the
+// index every query of that engine walks; nil otherwise.
 func (e *Engine) Index() *ta.FastIndex {
 	if len(e.shards) == 1 {
 		if ls, ok := e.shards[0].(*localShard); ok {
@@ -336,14 +332,7 @@ type Stats struct {
 // are freshly allocated and owned by the caller; latency-critical
 // callers use SearchInto to reuse both.
 func (e *Engine) Search(userVec []float32, n int, exclude int32) ([]ta.Result, Stats, error) {
-	out, stats, err := e.SearchInto(userVec, n, exclude, nil, nil)
-	if err != nil {
-		return nil, stats, err
-	}
-	owned := make([]ShardStats, len(stats.Shards))
-	copy(owned, stats.Shards)
-	stats.Shards = owned
-	return out, stats, nil
+	return e.SearchPred(userVec, n, exclude, nil)
 }
 
 // SearchPred is Search restricted to predicate-allowed events: the
@@ -393,11 +382,7 @@ func (e *Engine) SearchIntoPred(userVec []float32, n int, exclude int32, pred ta
 	// shards. The quantized pass is shard-invariant too — the int8
 	// event mirrors are derived from replicated rows.
 	t0 := time.Now()
-	if e.quantized {
-		fs.aff = e.affSet.EventAffinitiesQuantized(userVec, fs.aff, &fs.psc)
-	} else {
-		fs.aff = e.affSet.EventAffinities(userVec, fs.aff)
-	}
+	fs.aff = e.affSet.EventAffinities(userVec, fs.aff, e.quantized, &fs.psc)
 	stats.Prepass = time.Since(t0)
 
 	ns := len(e.shards)

@@ -36,6 +36,12 @@ func monolithic(t *testing.T, events, partners [][]float32, topK int) *ta.FastIn
 	return ta.NewFastIndex(set)
 }
 
+// monoSearch answers one query from the unsharded reference index into
+// fresh storage.
+func monoSearch(f *ta.FastIndex, userVec []float32, n int, exclude int32, pred ta.EventPredicate) ([]ta.Result, ta.SearchStats) {
+	return f.Search(ta.Query{Vec: userVec, N: n, Exclude: exclude, Pred: pred}, new(ta.Scratch))
+}
+
 func assertBitIdentical(t *testing.T, label string, want, got []ta.Result) {
 	t.Helper()
 	if len(want) != len(got) {
@@ -85,7 +91,7 @@ func TestShardedBitIdenticalToMonolithic(t *testing.T) {
 					userVec := randomVecs(src, 1, sh.k)[0]
 					n := 1 + src.Intn(sh.nu*2)
 					exclude := int32(src.Intn(sh.nu+2)) - 1
-					want, wantStats := mono.TopNExcluding(userVec, n, exclude)
+					want, wantStats := monoSearch(mono, userVec, n, exclude, nil)
 					got, stats, err := e.Search(userVec, n, exclude)
 					if err != nil {
 						t.Fatal(err)
@@ -143,7 +149,7 @@ func TestShardedTiesAtBoundary(t *testing.T) {
 			// n values chosen to land inside tie classes, not on their
 			// edges.
 			for _, n := range []int{1, 5, 17, 50, 100} {
-				want, _ := mono.TopNExcluding(userVec, n, -1)
+				want, _ := monoSearch(mono, userVec, n, -1, nil)
 				got, _, err := e.Search(userVec, n, -1)
 				if err != nil {
 					t.Fatal(err)
@@ -168,7 +174,7 @@ func TestShardedExclusion(t *testing.T) {
 	}
 	userVec := randomVecs(src, 1, 7)[0]
 	for u := int32(-1); u < 30; u++ {
-		want, _ := mono.TopNExcluding(userVec, 12, u)
+		want, _ := monoSearch(mono, userVec, 12, u, nil)
 		got, _, err := e.Search(userVec, 12, u)
 		if err != nil {
 			t.Fatal(err)
@@ -261,7 +267,7 @@ func TestConcurrentFanout(t *testing.T) {
 				uv := queries[(g*25+q)%len(queries)]
 				n := 1 + (g+q)%15
 				exclude := int32((g + q) % 41)
-				want, _ := mono.TopNExcluding(uv, n, exclude)
+				want, _ := monoSearch(mono, uv, n, exclude, nil)
 				got, stats, err := e.Search(uv, n, exclude)
 				if err != nil {
 					errs <- err.Error()

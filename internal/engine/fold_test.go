@@ -54,7 +54,7 @@ func TestFoldBitIdenticalToMonolithicFold(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			folded, err := e.Fold(view.Events, view.Pairs, view.Cross, 2)
+			folded, err := e.Fold(view, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,7 +67,7 @@ func TestFoldBitIdenticalToMonolithicFold(t *testing.T) {
 			for q, u := range queries {
 				n := 1 + src.Intn(sh.nu*2)
 				exclude := int32(src.Intn(sh.nu+2)) - 1
-				want, _ := refIdx.TopNExcluding(u, n, exclude)
+				want, _ := monoSearch(refIdx, u, n, exclude, nil)
 				got, _, err := folded.Search(u, n, exclude)
 				if err != nil {
 					t.Fatal(err)

@@ -22,7 +22,7 @@ func randomPred(src *rng.Source, nEvents int, selectivity float64) ta.EventPredi
 // result sizes and exclusions — including ties constructed exactly at
 // the filter boundary via duplicated event rows — the engine's
 // constrained answer must be bit-identical to the monolithic
-// filter-then-rank oracle (TopNExcludingPred, itself oracle-gated in
+// filter-then-rank oracle (FastIndex.Search, itself oracle-gated in
 // internal/ta against the exhaustive reference).
 func TestShardedPredicateBitIdenticalToOracle(t *testing.T) {
 	shapes := []struct {
@@ -55,7 +55,7 @@ func TestShardedPredicateBitIdenticalToOracle(t *testing.T) {
 					u := randomVecs(src, 1, sh.k)[0]
 					for _, n := range []int{1, 5, 12} {
 						for _, exclude := range []int32{-1, int32(src.Uint64() % uint64(sh.nu))} {
-							want, _ := mono.TopNExcludingPred(u, n, exclude, pred)
+							want, _ := monoSearch(mono, u, n, exclude, pred)
 							got, stats, err := e.SearchPred(u, n, exclude, pred)
 							if err != nil {
 								t.Fatal(err)

@@ -24,8 +24,8 @@ type Request struct {
 	// so in-process shards skip the shard-invariant half of the work; a
 	// transport moving requests across processes may omit it and let the
 	// shard recompute, trading bandwidth for compute, never correctness.
-	// When Quantized is set the pass carries the approximate affinities
-	// (ta.EventAffinitiesQuantized), which are likewise shard-invariant.
+	// When Quantized is set the pass carries the approximate affinities,
+	// which are likewise shard-invariant.
 	EventAff []float32
 	// Quantized routes the shard search through its int8 candidate
 	// mirrors (the shard must have been packed via PackQuantized — the
@@ -128,20 +128,14 @@ func (s *localShard) Search(req Request) (Response, error) {
 	}
 	sc := ta.GetScratch()
 	defer ta.PutScratch(sc)
-	var (
-		res   []ta.Result
-		stats ta.SearchStats
-	)
-	switch {
-	case req.Quantized && req.Pred != nil:
-		res, stats = s.idx.TopNExcludingQuantizedPredAffScratch(req.UserVec, req.EventAff, req.N, exclude, req.Pred, sc)
-	case req.Quantized:
-		res, stats = s.idx.TopNExcludingQuantizedAffScratch(req.UserVec, req.EventAff, req.N, exclude, sc)
-	case req.Pred != nil:
-		res, stats = s.idx.TopNExcludingPredAffScratch(req.UserVec, req.EventAff, req.N, exclude, req.Pred, sc)
-	default:
-		res, stats = s.idx.TopNExcludingAffScratch(req.UserVec, req.EventAff, req.N, exclude, sc)
-	}
+	res, stats := s.idx.Search(ta.Query{
+		Vec:       req.UserVec,
+		N:         req.N,
+		Exclude:   exclude,
+		EventAff:  req.EventAff,
+		Pred:      req.Pred,
+		Quantized: req.Quantized,
+	}, sc)
 	// The raw results alias the scratch; copy them out (into the
 	// caller's buffer when offered) translating partners to global IDs.
 	// Local IDs are offset by a constant, so the canonical order — which

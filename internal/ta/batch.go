@@ -12,10 +12,10 @@ import (
 // affinity passes over the packed event and partner rows — across B
 // users via the matrix-panel kernels (vecmath.DotPanel and its int8
 // twin). The bound-heap walk still runs per user: it is cheap relative
-// to the passes and inherently data-dependent. Because DotPanel is
-// bit-identical to repeated Dot calls, a batched query returns exactly
-// the results the same users would get sequentially, tie ordering
-// included.
+// to the passes and inherently data-dependent — and it is the same walk
+// a single Search runs. Because DotPanel is bit-identical to repeated
+// Dot calls, a batched query returns exactly the results the same users
+// would get sequentially, tie ordering included.
 
 // BatchQuery describes one batched top-n request against a FastIndex.
 type BatchQuery struct {
@@ -99,6 +99,24 @@ func (c *CandidateSet) packQueries(users [][]float32, quantized bool, bsc *Batch
 	}
 }
 
+// panel fills dst (grown as needed) with the b×rows affinity panel of
+// the packed queries against one side of the space, user-major: the
+// batch twin of affinities, over the same kernels' panel forms.
+func (c *CandidateSet) panel(nb int, partners, quantized bool, dst []float32, bsc *BatchScratch) []float32 {
+	rows, data, q8, scale := c.side(partners)
+	dst = resizeF32(dst, nb*rows)
+	if !quantized {
+		vecmath.DotPanel(bsc.qs, nb, data, c.K, dst)
+		return dst
+	}
+	bsc.i32 = resizeSlice(bsc.i32, nb*rows)
+	vecmath.DotPanelI8(bsc.q8, nb, q8, c.K, bsc.i32)
+	for j := 0; j < nb; j++ {
+		scaleWidened(bsc.qscale[j], scale, bsc.i32[j*rows:(j+1)*rows], dst[j*rows:(j+1)*rows])
+	}
+	return dst
+}
+
 // EventAffinityPanel computes the b×|X| event-affinity panel for the
 // batch: row j holds Users[j]·Events[x] for every event, produced by
 // the same kernels as TopNBatch's internal pass so handing the panel
@@ -106,41 +124,26 @@ func (c *CandidateSet) packQueries(users [][]float32, quantized bool, bsc *Batch
 // The sharded engine calls this once per batch on its affinity set and
 // shares the panel across shards. The returned slice aliases bsc.
 func (c *CandidateSet) EventAffinityPanel(users [][]float32, quantized bool, bsc *BatchScratch) []float32 {
+	c.checkQuery(nil, quantized)
 	c.packQueries(users, quantized, bsc)
-	b, k, nx := len(users), c.K, len(c.Events)
-	bsc.aff = resizeF32(bsc.aff, b*nx)
-	if quantized {
-		if !c.quantized {
-			panic("ta: EventAffinityPanel quantized on unquantized set")
-		}
-		bsc.i32 = resizeSlice(bsc.i32, b*nx)
-		vecmath.DotPanelI8(bsc.q8, b, c.eventQ, k, bsc.i32)
-		for j := 0; j < b; j++ {
-			scaleWidened(bsc.qscale[j], c.eventScale, bsc.i32[j*nx:(j+1)*nx], bsc.aff[j*nx:(j+1)*nx])
-		}
-	} else {
-		vecmath.DotPanel(bsc.qs, b, c.eventData, k, bsc.aff)
-	}
+	bsc.aff = c.panel(len(users), eventSide, quantized, bsc.aff, bsc)
 	return bsc.aff
 }
 
 // TopNBatch answers every query in the batch against the index with one
-// panel pass per side of the space. Results and stats are per-user,
-// indexed like q.Users; both alias bsc and are valid only until its
-// next use. Per-user SearchStats count that user's walk (Elapsed
-// excludes the shared panel passes, which are amortized across the
-// batch). The exact path is bit-identical to issuing the queries
-// sequentially via TopNExcludingScratch.
+// panel pass per side of the space and one walk per lane — the walk
+// Search runs, so every lane is bit-identical to the same Query issued
+// alone. Results and stats are per-user, indexed like q.Users; both
+// alias bsc and are valid only until its next use. Per-user SearchStats
+// count that user's walk (Elapsed excludes the shared panel passes,
+// which are amortized across the batch).
 func (f *FastIndex) TopNBatch(q BatchQuery, bsc *BatchScratch) ([][]Result, []SearchStats) {
 	set := f.set
 	nb := len(q.Users)
 	if q.Exclude != nil && len(q.Exclude) != nb {
 		panic(fmt.Sprintf("ta: batch has %d users but %d excludes", nb, len(q.Exclude)))
 	}
-	if q.Quantized && !set.quantized {
-		panic("ta: quantized batch on a set without PackQuantized")
-	}
-	set.checkPred(q.Pred)
+	set.checkQuery(q.Pred, q.Quantized)
 	bsc.res = resizeSlice(bsc.res, nb)
 	bsc.stats = resizeSlice(bsc.stats, nb)
 	if nb == 0 {
@@ -150,7 +153,7 @@ func (f *FastIndex) TopNBatch(q BatchQuery, bsc *BatchScratch) ([][]Result, []Se
 	nx, nu, k := len(set.Events), len(set.Partners), set.K
 	aff := q.EventAff
 	if aff == nil {
-		aff = f.set.EventAffinityPanel(q.Users, q.Quantized, bsc)
+		aff = set.EventAffinityPanel(q.Users, q.Quantized, bsc)
 	} else {
 		if len(aff) != nb*nx {
 			panic(fmt.Sprintf("ta: event-affinity panel has %d entries, want %d", len(aff), nb*nx))
@@ -159,50 +162,22 @@ func (f *FastIndex) TopNBatch(q BatchQuery, bsc *BatchScratch) ([][]Result, []Se
 		// the quantized re-rank need them.
 		set.packQueries(q.Users, q.Quantized, bsc)
 	}
-
-	// Partner-affinity panel, shared across the batch.
-	bsc.bp = resizeF32(bsc.bp, nb*nu)
-	if q.Quantized {
-		bsc.i32 = resizeSlice(bsc.i32, nb*nu)
-		vecmath.DotPanelI8(bsc.q8, nb, set.partnerQ, k, bsc.i32)
-		for j := 0; j < nb; j++ {
-			scaleWidened(bsc.qscale[j], set.partnerScale, bsc.i32[j*nu:(j+1)*nu], bsc.bp[j*nu:(j+1)*nu])
-		}
-	} else {
-		vecmath.DotPanel(bsc.qs, nb, set.partnerData, k, bsc.bp)
-	}
+	bsc.bp = set.panel(nb, partnerSide, q.Quantized, bsc.bp, bsc)
 
 	nc := len(set.Pairs)
-	n := q.N
-	if n > nc {
-		n = nc
-	}
-	if n < 0 {
-		n = 0
-	}
+	n := max(min(q.N, nc), 0)
 	bsc.out = resizeSlice(bsc.out, nb*n)
 	for j := 0; j < nb; j++ {
 		start := time.Now()
 		stats := SearchStats{Candidates: nc}
 		var res []Result
-		if n > 0 && nc > 0 {
+		if n > 0 {
 			exclude := int32(-1)
 			if q.Exclude != nil {
 				exclude = q.Exclude[j]
 			}
-			a := aff[j*nx : (j+1)*nx]
-			b := bsc.bp[j*nu : (j+1)*nu]
-			dst := bsc.out[j*n : j*n : j*n+n]
-			switch {
-			case q.Quantized && q.Pred != nil:
-				res = f.walkQuantizedPred(bsc.qs[j*k:(j+1)*k], a, b, n, exclude, q.Pred, &bsc.per, &stats, dst)
-			case q.Quantized:
-				res = f.walkQuantized(bsc.qs[j*k:(j+1)*k], a, b, n, exclude, &bsc.per, &stats, dst)
-			case q.Pred != nil:
-				res = f.walkTopNPred(a, b, n, exclude, q.Pred, &bsc.per, &stats, dst)
-			default:
-				res = f.walkTopN(a, b, n, exclude, &bsc.per, &stats, dst)
-			}
+			res = f.walk(bsc.qs[j*k:(j+1)*k], aff[j*nx:(j+1)*nx], bsc.bp[j*nu:(j+1)*nu],
+				n, exclude, q.Pred, q.Quantized, &bsc.per, &stats, bsc.out[j*n:j*n:j*n+n])
 		}
 		stats.Elapsed = time.Since(start)
 		bsc.res[j] = res

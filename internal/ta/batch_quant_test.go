@@ -61,19 +61,7 @@ func TestTopNBatchBitIdenticalToSequential(t *testing.T) {
 func TestTopNBatchTieOrdering(t *testing.T) {
 	src := rng.New(518)
 	k := 6
-	events := randomVecs(src, 12, k, true)
-	partners := randomVecs(src, 10, k, true)
-	// Duplicate rows: events 0–3 identical, partners 0–2 identical.
-	for i := 1; i <= 3; i++ {
-		copy(events[i], events[0])
-	}
-	for u := 1; u <= 2; u++ {
-		copy(partners[u], partners[0])
-	}
-	cs, err := BuildCandidates(events, partners, BuildConfig{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs := dupRowSet(t, src, k)
 	f := NewFastIndex(cs)
 	sc := GetScratch()
 	defer PutScratch(sc)

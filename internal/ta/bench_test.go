@@ -24,10 +24,10 @@ func benchSet(b *testing.B) *CandidateSet {
 }
 
 // BenchmarkTopNExcluding measures the serving hot path over a cold cache
-// of 256 rotating query vectors and rotating excluded partners.
-// "pooled" is the plain API (scratch from the sync.Pool, results
-// allocated for the caller); "scratch" is the caller-managed variant,
-// which must be allocation-free once the scratch is warm.
+// of 256 rotating query vectors. "pooled" is the plain TopN (scratch
+// from the sync.Pool, results allocated for the caller); "scratch" is
+// the caller-managed variant with rotating excluded partners, which
+// must be allocation-free once the scratch is warm.
 func BenchmarkTopNExcluding(b *testing.B) {
 	cs := benchSet(b)
 	f := NewFastIndex(cs)
@@ -38,7 +38,7 @@ func BenchmarkTopNExcluding(b *testing.B) {
 	b.Run("pooled", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			f.TopNExcluding(queries[i%len(queries)], 10, int32(i)%np)
+			f.TopN(queries[i%len(queries)], 10)
 		}
 	})
 	b.Run("scratch", func(b *testing.B) {

@@ -53,29 +53,11 @@ func oracleTopN(set *CandidateSet, userVec []float32, n int, exclude int32) []Re
 // across the delta/main boundary).
 func TestDynamicMergeMatchesOracleWithTies(t *testing.T) {
 	src := rng.New(881)
+	sc := GetScratch()
+	defer PutScratch(sc)
 	for _, topK := range []int{0, 5} {
-		events := randomVecs(src, 25, 6, true)
-		partners := randomVecs(src, 12, 6, true)
-		cs, err := BuildCandidates(events, partners, BuildConfig{TopKEvents: topK, Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dyn := NewDynamic(cs, topK)
-
-		// Delta arrivals: randoms plus exact duplicates — of a base event
-		// (tie across the tier boundary), of each other (tie inside the
-		// delta), and of the first delta arrival.
-		added := randomVecs(src, 3, 6, true)
-		added = append(added,
-			slices.Clone(events[4]),
-			slices.Clone(events[4]),
-			slices.Clone(added[0]),
-		)
-		for _, v := range added {
-			if err := dyn.AddEvent(v); err != nil {
-				t.Fatal(err)
-			}
-		}
+		dyn := tieTwoTier(t, src, topK)
+		cs := dyn.set
 
 		// The oracle ranks the folded space; FoldDelta appends delta
 		// events at baseEvents+i, the same effective index MergeTopN
@@ -86,9 +68,9 @@ func TestDynamicMergeMatchesOracleWithTies(t *testing.T) {
 		for q := 0; q < 25; q++ {
 			userVec := randomVecs(src, 1, 6, true)[0]
 			n := []int{1, 5, 17, len(folded.Pairs) + 5}[q%4]
-			exclude := int32(src.Intn(len(partners)+2)) - 1
+			exclude := int32(src.Intn(len(cs.Partners)+2)) - 1
 			want := oracleTopN(folded, userVec, n, exclude)
-			got, _ := dyn.TopNExcluding(userVec, n, exclude)
+			got, _ := dyn.TopNExcluding(userVec, n, exclude, sc)
 			if len(got) != len(want) {
 				t.Fatalf("topK=%d q=%d: %d results, want %d", topK, q, len(got), len(want))
 			}
@@ -112,14 +94,14 @@ func TestDynamicMergeMatchesOracleWithTies(t *testing.T) {
 
 // TestBackgroundCompactionBitIdenticalToRebuild runs the same arrivals
 // through the synchronous Rebuild and through the background
-// BeginCompact/Run/Install protocol — with queries and further ingests
+// View/FoldDelta/Advance protocol — with queries and further ingests
 // landing while the fold runs — and requires the resulting main tiers to
 // be bit-identical: set contents, index layout, and query answers.
 func TestBackgroundCompactionBitIdenticalToRebuild(t *testing.T) {
 	sync1 := buildSmallSet(t, 71, 40, 25, 8, 6, true)
 	back1 := buildSmallSet(t, 71, 40, 25, 8, 6, true)
-	syncDyn := NewDynamic(sync1, 6)
-	backDyn := NewDynamic(back1, 6)
+	syncDyn := newTwoTier(sync1, 6)
+	backDyn := newTwoTier(back1, 6)
 
 	src := rng.New(72)
 	added := randomVecs(src, 9, 8, true)
@@ -145,14 +127,16 @@ func TestBackgroundCompactionBitIdenticalToRebuild(t *testing.T) {
 
 	// Background path: capture, then fold on another goroutine while
 	// queries read the old tiers and the late arrivals are ingested.
-	c := backDyn.BeginCompact()
-	if c == nil {
-		t.Fatal("BeginCompact returned nil with a non-empty delta")
+	view := backDyn.delta.View()
+	if len(view.Events) != len(added) {
+		t.Fatalf("view captured %d events, want %d", len(view.Events), len(added))
 	}
+	var foldedSet *CandidateSet
+	var foldedIdx *FastIndex
 	ran := make(chan struct{})
 	go func() {
 		defer close(ran)
-		c.Run(3)
+		foldedSet, foldedIdx = FoldDelta(backDyn.set, view, 3)
 	}()
 	for _, v := range late {
 		if err := backDyn.AddEvent(v); err != nil {
@@ -165,10 +149,11 @@ func TestBackgroundCompactionBitIdenticalToRebuild(t *testing.T) {
 		}
 	}
 	<-ran
-	backDyn.Install(c)
+	backDyn.set, backDyn.idx = foldedSet, foldedIdx
+	backDyn.delta.Advance(view)
 
 	// Late arrivals must have survived the install as residual delta.
-	if got := backDyn.DeltaEvents(); got != len(late) {
+	if got := backDyn.delta.Events(); got != len(late) {
 		t.Fatalf("residual delta events = %d, want %d", got, len(late))
 	}
 
@@ -195,9 +180,12 @@ func TestBackgroundCompactionBitIdenticalToRebuild(t *testing.T) {
 	}
 
 	// And the merged live answers agree, residual delta included.
+	sc, sc2 := GetScratch(), GetScratch()
+	defer PutScratch(sc)
+	defer PutScratch(sc2)
 	for _, u := range queries {
-		want, _ := syncDyn.TopNExcluding(u, 12, 3)
-		got, _ := backDyn.TopNExcluding(u, 12, 3)
+		want, _ := syncDyn.TopNExcluding(u, 12, 3, sc)
+		got, _ := backDyn.TopNExcluding(u, 12, 3, sc2)
 		if !slices.Equal(want, got) {
 			t.Fatalf("post-install answers diverge:\n got %+v\nwant %+v", got, want)
 		}
@@ -205,13 +193,13 @@ func TestBackgroundCompactionBitIdenticalToRebuild(t *testing.T) {
 }
 
 // TestDynamicConcurrentIngestQueryCompact exercises the documented
-// locking pattern — queries under RLock, AddEvent/BeginCompact/Install
-// under Lock, Run with no lock — under -race: four query workers, one
-// ingester, and a compaction loop folding whatever has accumulated.
+// locking pattern — queries and View under RLock, AddEvent/Advance
+// under Lock, FoldDelta with no lock — under -race: four query workers,
+// one ingester, and a compaction loop folding whatever has accumulated.
 func TestDynamicConcurrentIngestQueryCompact(t *testing.T) {
 	const adds = 250
 	cs := buildSmallSet(t, 73, 30, 20, 6, 5, true)
-	dyn := NewDynamic(cs, 5)
+	dyn := newTwoTier(cs, 5)
 
 	var mu sync.RWMutex
 	stop := make(chan struct{})
@@ -231,7 +219,7 @@ func TestDynamicConcurrentIngestQueryCompact(t *testing.T) {
 				}
 				u := randomVecs(src, 1, 6, true)[0]
 				mu.RLock()
-				res, _ := dyn.TopNExcludingScratch(u, 8, int32(src.Intn(20)), sc)
+				res, _ := dyn.TopNExcluding(u, 8, int32(src.Intn(20)), sc)
 				if len(res) == 0 {
 					mu.RUnlock()
 					t.Error("query returned nothing")
@@ -266,16 +254,17 @@ func TestDynamicConcurrentIngestQueryCompact(t *testing.T) {
 				return
 			default:
 			}
-			mu.Lock()
-			c := dyn.BeginCompact()
-			mu.Unlock()
-			if c == nil {
+			mu.RLock()
+			base, view := dyn.set, dyn.delta.View()
+			mu.RUnlock()
+			if len(view.Events) == 0 {
 				runtime.Gosched()
 				continue
 			}
-			c.Run(2)
+			set, idx := FoldDelta(base, view, 2)
 			mu.Lock()
-			dyn.Install(c)
+			dyn.set, dyn.idx = set, idx
+			dyn.delta.Advance(view)
 			mu.Unlock()
 		}
 	}()

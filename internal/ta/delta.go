@@ -167,6 +167,13 @@ func (d *Delta) Advance(v DeltaView) {
 	d.folded += ke
 }
 
+// DynamicResult tags a Result with whether the event came from the delta
+// (its Event index then refers to arrival order, not the base set).
+type DynamicResult struct {
+	Result
+	FromDelta bool
+}
+
 // MergeTopN merges base — an exact top-n over some main index, in
 // canonical order — with an exhaustive scan of the delta, returning the
 // overall top n. baseEvents is the main index's event count: a delta
@@ -222,4 +229,34 @@ func (d *Delta) MergeTopN(base []Result, baseEvents int, userVec []float32, n in
 		merged = merged[:n]
 	}
 	return merged
+}
+
+// FoldDelta builds a fresh candidate set and index covering base plus
+// the delta view, without mutating either: event and partner row headers
+// are copied into new containers before the index build re-aliases them
+// into new packed storage, so queries over base (and appends to the
+// delta past the view) proceed concurrently while the fold runs. Delta
+// events are appended after the base events in arrival order — a delta
+// event at position i lands at index len(base.Events)+i, the same
+// effective index MergeTopN ranks it under — and their pairs keep the
+// cross terms computed at arrival, so answers are bit-identical before
+// and after a fold. The view's partner IDs index base.Partners (the
+// sharded engine hands each shard its own slice of the view). workers
+// bounds the index-build parallelism (0 = GOMAXPROCS, the
+// NewFastIndexWorkers default).
+func FoldDelta(base *CandidateSet, v DeltaView, workers int) (*CandidateSet, *FastIndex) {
+	nb := len(base.Events)
+	pairs := make([]Candidate, len(base.Pairs), len(base.Pairs)+len(v.Pairs))
+	copy(pairs, base.Pairs)
+	for _, p := range v.Pairs {
+		pairs = append(pairs, Candidate{Event: p.Event + int32(nb), Partner: p.Partner})
+	}
+	set := &CandidateSet{
+		K:        base.K,
+		Events:   slices.Concat(base.Events, v.Events),
+		Partners: slices.Clone(base.Partners),
+		Pairs:    pairs,
+		Cross:    slices.Concat(base.Cross, v.Cross),
+	}
+	return set, NewFastIndexWorkers(set, workers)
 }

@@ -8,9 +8,10 @@
 //
 // [BuildCandidates] materializes the transformed space as a
 // [CandidateSet]; [NewIndex] and [NewFastIndex] construct the static TA
-// indexes over it and [NewDynamic] wraps one with an appendable delta
-// for live-ingested events. Queries go through TopN/TopNExcluding and
-// report per-query work in [SearchStats] — sorted and random accesses,
+// indexes over it, a [Delta] collects live-ingested events beside one
+// ([Delta.MergeTopN] overlays it on a base answer) and [FoldDelta] folds
+// it in. Every production query is one [FastIndex.Search] of a [Query]
+// and reports its work in [SearchStats] — sorted and random accesses,
 // heap pops, candidates scored, and wall-clock time inside the index —
 // which the serve layer exports as Prometheus metrics and span attrs.
 //

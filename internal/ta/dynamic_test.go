@@ -1,18 +1,60 @@
 package ta
 
 import (
-	"bytes"
-	"path/filepath"
 	"testing"
 
 	"ebsn/internal/rng"
 	"ebsn/internal/vecmath"
 )
 
+// twoTier is the live-serving composition under test, built from the
+// package's own primitives the way the facade composes them over an
+// engine: a main index, the delta beside it, Search + MergeTopN to
+// answer, FoldDelta + Advance to compact.
+type twoTier struct {
+	set   *CandidateSet
+	idx   *FastIndex
+	delta *Delta
+}
+
+func newTwoTier(set *CandidateSet, topK int) *twoTier {
+	idx := NewFastIndex(set) // packs the set; the delta shares its rows
+	return &twoTier{set: set, idx: idx, delta: NewDeltaForSet(set, topK)}
+}
+
+func (d *twoTier) AddEvent(vec []float32) error { return d.delta.AddEvent(vec) }
+func (d *twoTier) DeltaSize() int               { return d.delta.PairCount() }
+func (d *twoTier) NumEvents() int               { return len(d.set.Events) + d.delta.Events() }
+
+// TopNExcluding answers over both tiers; the results alias sc.
+func (d *twoTier) TopNExcluding(userVec []float32, n int, exclude int32, sc *Scratch) ([]DynamicResult, SearchStats) {
+	base, stats := d.idx.Search(Query{Vec: userVec, N: n, Exclude: exclude}, sc)
+	merged := d.delta.MergeTopN(base, len(d.set.Events), userVec, n, exclude, sc, &stats)
+	return merged, stats
+}
+
+// TopN is TopNExcluding with no exclusion, in a caller-owned slice.
+func (d *twoTier) TopN(userVec []float32, n int) ([]DynamicResult, SearchStats) {
+	sc := GetScratch()
+	defer PutScratch(sc)
+	res, stats := d.TopNExcluding(userVec, n, -1, sc)
+	return append([]DynamicResult(nil), res...), stats
+}
+
+// Rebuild folds the whole delta into a fresh main tier.
+func (d *twoTier) Rebuild() {
+	v := d.delta.View()
+	if len(v.Events) == 0 {
+		return
+	}
+	d.set, d.idx = FoldDelta(d.set, v, 0)
+	d.delta.Advance(v)
+}
+
 func TestDynamicMatchesStaticBeforeAdds(t *testing.T) {
 	cs := buildSmallSet(t, 41, 30, 20, 6, 0, true)
 	idx := NewIndex(cs)
-	dyn := NewDynamic(cs, 0)
+	dyn := newTwoTier(cs, 0)
 	src := rng.New(42)
 	u := randomVecs(src, 1, 6, true)[0]
 	static, _ := idx.TopN(u, 8)
@@ -32,7 +74,7 @@ func TestDynamicMatchesStaticBeforeAdds(t *testing.T) {
 
 func TestDynamicAddEventSurfacesInResults(t *testing.T) {
 	cs := buildSmallSet(t, 43, 20, 15, 6, 0, false)
-	dyn := NewDynamic(cs, 0)
+	dyn := newTwoTier(cs, 0)
 	src := rng.New(44)
 	u := randomVecs(src, 1, 6, false)[0]
 
@@ -58,7 +100,7 @@ func TestDynamicAddEventSurfacesInResults(t *testing.T) {
 
 func TestDynamicTopKPruning(t *testing.T) {
 	cs := buildSmallSet(t, 45, 20, 12, 6, 0, true)
-	dyn := NewDynamic(cs, 4)
+	dyn := newTwoTier(cs, 4)
 	src := rng.New(46)
 	vec := randomVecs(src, 1, 6, true)[0]
 	if err := dyn.AddEvent(vec); err != nil {
@@ -96,7 +138,7 @@ func TestDynamicTopKPruning(t *testing.T) {
 
 func TestDynamicRebuildFoldsDelta(t *testing.T) {
 	cs := buildSmallSet(t, 47, 15, 10, 4, 0, true)
-	dyn := NewDynamic(cs, 0)
+	dyn := newTwoTier(cs, 0)
 	src := rng.New(48)
 	u := randomVecs(src, 1, 4, true)[0]
 	added := randomVecs(src, 3, 4, true)
@@ -135,7 +177,7 @@ func TestAddEventCopiesCallerVector(t *testing.T) {
 	// mutation silently corrupted delta scoring and the post-Rebuild
 	// candidate set.
 	cs := buildSmallSet(t, 61, 20, 15, 6, 0, false)
-	dyn := NewDynamic(cs, 0)
+	dyn := newTwoTier(cs, 0)
 	src := rng.New(62)
 	u := randomVecs(src, 1, 6, false)[0]
 
@@ -174,81 +216,8 @@ func TestAddEventCopiesCallerVector(t *testing.T) {
 
 func TestDynamicRejectsBadVector(t *testing.T) {
 	cs := buildSmallSet(t, 49, 10, 5, 4, 0, true)
-	dyn := NewDynamic(cs, 0)
+	dyn := newTwoTier(cs, 0)
 	if err := dyn.AddEvent([]float32{1, 2}); err == nil {
 		t.Fatal("wrong-length vector accepted")
-	}
-}
-
-func TestCandidateSetPersistRoundTrip(t *testing.T) {
-	cs := buildSmallSet(t, 51, 25, 15, 6, 5, true)
-	var buf bytes.Buffer
-	if err := cs.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeCandidateSet(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.K != cs.K || len(got.Pairs) != len(cs.Pairs) {
-		t.Fatalf("shape changed: K=%d pairs=%d", got.K, len(got.Pairs))
-	}
-	// Queries over the reloaded set must match exactly.
-	src := rng.New(52)
-	u := randomVecs(src, 1, 6, true)[0]
-	a := cs.BruteForceTopN(u, 5)
-	b := got.BruteForceTopN(u, 5)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("rank %d differs after reload: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-	// And the rebuilt index agrees too.
-	idx := NewIndex(got)
-	c, _ := idx.TopN(u, 5)
-	for i := range a {
-		if !approxEqual(a[i].Score, c[i].Score) {
-			t.Fatalf("index rank %d differs after reload", i)
-		}
-	}
-}
-
-func TestCandidateSetFileRoundTrip(t *testing.T) {
-	cs := buildSmallSet(t, 53, 10, 8, 4, 0, false)
-	path := filepath.Join(t.TempDir(), "cands.gob")
-	if err := cs.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadCandidateSetFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Pairs) != len(cs.Pairs) {
-		t.Fatal("pair count changed")
-	}
-}
-
-func TestDecodeRejectsGarbageAndMalformed(t *testing.T) {
-	if _, err := DecodeCandidateSet(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	// Malformed: pair referencing a missing event.
-	cs := buildSmallSet(t, 55, 5, 4, 4, 0, true)
-	cs.Pairs[0].Event = 99
-	var buf bytes.Buffer
-	if err := cs.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeCandidateSet(&buf); err == nil {
-		t.Fatal("out-of-range pair accepted")
-	}
-	// Repair for other tests sharing the fixture seed (none do, but keep
-	// the set consistent).
-	cs.Pairs[0].Event = 0
-}
-
-func TestLoadCandidateSetMissingFile(t *testing.T) {
-	if _, err := LoadCandidateSetFile(filepath.Join(t.TempDir(), "nope.gob")); err == nil {
-		t.Fatal("missing file accepted")
 	}
 }

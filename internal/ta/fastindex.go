@@ -1,6 +1,7 @@
 package ta
 
 import (
+	"slices"
 	"time"
 
 	"ebsn/internal/vecmath"
@@ -38,7 +39,7 @@ type FastIndex struct {
 	// order holds pair indices grouped by partner via a counting sort;
 	// partnerStart[u] .. partnerStart[u+1] delimit partner u's pairs
 	// within it. The indirection makes the index independent of the
-	// set's pair ordering (Dynamic.Rebuild appends out of order).
+	// set's pair ordering (FoldDelta appends out of order).
 	order        []int32
 	partnerStart []int32
 	// maxCross[u] is max over u's candidate pairs of the cross term.
@@ -147,110 +148,144 @@ func NewFastIndexWorkers(set *CandidateSet, workers int) *FastIndex {
 	return f
 }
 
-// TopN returns the exact top-n event-partner pairs for the user vector,
-// descending by score, with access statistics. RandomAccesses counts
-// exactly the pairs whose score was materialized; SortedAccesses counts
-// the partner bounds consumed from the lazy heap.
-func (f *FastIndex) TopN(userVec []float32, n int) ([]Result, SearchStats) {
-	return f.TopNExcluding(userVec, n, -1)
+// Query is one top-n search against a FastIndex: the fields are the
+// whole difference between the exact, constrained, quantized and
+// engine-fed variants of the same walk. Scores are exact float32 in
+// every case; a Quantized query is approximate only in which pairs
+// survive to be scored (see quant.go).
+type Query struct {
+	// Vec is the querying user's embedding (length K).
+	Vec []float32
+	// N is the number of results wanted.
+	N int
+	// Exclude is one partner to leave out of the results — the serving
+	// path excludes the querying user, whose self-pairs would otherwise
+	// crowd the top of the list (u·u is a squared norm and u's own
+	// candidate events score u·x twice). Negative excludes no one; note
+	// the zero value excludes partner 0.
+	Exclude int32
+	// EventAff optionally carries the per-event affinity pass
+	// Vec·Events[x] precomputed by CandidateSet.EventAffinities with the
+	// same Quantized setting on a set with identical event rows. The
+	// sharded engine computes it once per query and shares it across
+	// shards — events are replicated per shard, so recomputing it per
+	// shard would undo the partitioning of the per-query work. It always
+	// covers every event; Pred only gates which entries the walk may
+	// select. Nil means compute it here.
+	EventAff []float32
+	// Pred optionally restricts results to predicate-allowed events (see
+	// EventPredicate). Nil means unrestricted.
+	Pred EventPredicate
+	// Quantized runs the affinity passes over the int8 mirrors and
+	// re-ranks the survivors exactly; the set must have been packed with
+	// PackQuantized.
+	Quantized bool
 }
 
-// TopNExcluding is TopN with one partner excluded from the results — the
-// serving path excludes the querying user, whose self-pairs would
-// otherwise crowd the top of the list (u·u is a squared norm and u's own
-// candidate events score u·x twice). Pass a negative ID to exclude no one.
-func (f *FastIndex) TopNExcluding(userVec []float32, n int, exclude int32) ([]Result, SearchStats) {
-	sc := GetScratch()
-	defer PutScratch(sc)
-	return f.topNExcluding(userVec, nil, n, exclude, sc, nil)
-}
-
-// TopNExcludingScratch is TopNExcluding with caller-managed scratch:
-// every per-query buffer, including the returned slice, comes from sc,
-// so a warmed scratch makes the query allocation-free. The results alias
-// sc and are valid only until its next use.
-func (f *FastIndex) TopNExcludingScratch(userVec []float32, n int, exclude int32, sc *Scratch) ([]Result, SearchStats) {
-	res, stats := f.topNExcluding(userVec, nil, n, exclude, sc, sc.out[:0])
-	sc.out = res[:0]
-	return res, stats
-}
-
-// TopNExcludingAffScratch is TopNExcludingScratch with the per-event
-// affinity pass precomputed: eventAff[x] must be userVec·Events[x] for
-// every event of the candidate set, produced by the same kernel
-// (vecmath.DotBatch over packed rows) so scores stay bit-identical to
-// the self-computing variants. The sharded engine computes the pass once
-// per query and shares it across every shard — the event side of the
-// space is replicated per shard, so recomputing it per shard would undo
-// the partitioning of the per-query work (see internal/engine).
-func (f *FastIndex) TopNExcludingAffScratch(userVec, eventAff []float32, n int, exclude int32, sc *Scratch) ([]Result, SearchStats) {
-	res, stats := f.topNExcluding(userVec, eventAff, n, exclude, sc, sc.out[:0])
-	sc.out = res[:0]
-	return res, stats
-}
-
-func (f *FastIndex) topNExcluding(userVec, eventAff []float32, n int, exclude int32, sc *Scratch, dst []Result) ([]Result, SearchStats) {
+// Search answers q: the top-n pairs in canonical order (Result.Outranks)
+// with access statistics. RandomAccesses counts exactly the pairs whose
+// score was materialized; SortedAccesses counts the partner bounds
+// consumed from the lazy heap. Every per-query buffer, including the
+// returned slice, comes from sc, so a warmed scratch makes the query
+// allocation-free; the results alias sc and are valid only until its
+// next use. Fewer than n results come back when fewer non-excluded,
+// predicate-allowed pairs exist.
+func (f *FastIndex) Search(q Query, sc *Scratch) ([]Result, SearchStats) {
 	start := time.Now()
 	set := f.set
-	nc := len(set.Pairs)
-	stats := SearchStats{Candidates: nc}
-	if n <= 0 || nc == 0 {
+	set.checkQuery(q.Pred, q.Quantized)
+	stats := SearchStats{Candidates: len(set.Pairs)}
+	n := min(q.N, len(set.Pairs))
+	if n <= 0 {
 		return nil, stats
 	}
-	if n > nc {
-		n = nc
-	}
-
 	// Per-query event and partner affinities, streamed over the packed
-	// rows. A caller that already holds the event pass hands it in and
-	// only the partner pass runs here.
-	a := eventAff
+	// rows; a caller that already holds the event pass hands it in.
+	a := q.EventAff
 	if a == nil {
-		sc.a = resizeF32(sc.a, len(set.Events))
+		sc.a = set.affinities(q.Vec, eventSide, q.Quantized, sc.a, sc)
 		a = sc.a
-		vecmath.DotBatch(userVec, set.eventData, set.K, a)
 	}
-	nu := len(set.Partners)
-	sc.b = resizeF32(sc.b, nu)
-	b := sc.b
-	vecmath.DotBatch(userVec, set.partnerData, set.K, b)
-
-	res := f.walkTopN(a, b, n, exclude, sc, &stats, dst)
+	sc.b = set.affinities(q.Vec, partnerSide, q.Quantized, sc.b, sc)
+	res := f.walk(q.Vec, a, sc.b, n, q.Exclude, q.Pred, q.Quantized, sc, &stats, sc.out[:0])
+	sc.out = res[:0]
 	stats.Elapsed = time.Since(start)
 	return res, stats
 }
 
-// walkTopN runs the bound-heap walk over precomputed affinities: a[x] =
-// a(x) per event, b[u] = b(u') per partner. It is the shared core of
-// the single-query and batched exact paths — both hand it affinities
-// produced by the same accumulation order (DotBatch and DotPanel are
-// bit-identical), so batched results match sequential ones bit for bit,
-// tie ordering included. Results are drained into dst in canonical
-// order; stats accumulates the access counts.
-func (f *FastIndex) walkTopN(a, b []float32, n int, exclude int32, sc *Scratch, stats *SearchStats, dst []Result) []Result {
+// TopN is Search for callers without a scratch: the exact unconstrained
+// top n with no partner excluded, in a freshly allocated slice.
+func (f *FastIndex) TopN(userVec []float32, n int) ([]Result, SearchStats) {
+	sc := GetScratch()
+	defer PutScratch(sc)
+	res, stats := f.Search(Query{Vec: userVec, N: n, Exclude: -1}, sc)
+	return slices.Clone(res), stats
+}
+
+// TopNExcludingScratch is the exact unconstrained Search. It and the two
+// names below are positional spellings the benchmark harness compiles
+// against; new callers build a Query.
+func (f *FastIndex) TopNExcludingScratch(userVec []float32, n int, exclude int32, sc *Scratch) ([]Result, SearchStats) {
+	return f.Search(Query{Vec: userVec, N: n, Exclude: exclude}, sc)
+}
+
+// TopNExcludingPredScratch is the exact Search under a predicate.
+func (f *FastIndex) TopNExcludingPredScratch(userVec []float32, n int, exclude int32, pred EventPredicate, sc *Scratch) ([]Result, SearchStats) {
+	return f.Search(Query{Vec: userVec, N: n, Exclude: exclude, Pred: pred}, sc)
+}
+
+// TopNExcludingQuantizedScratch is the unconstrained Quantized Search.
+func (f *FastIndex) TopNExcludingQuantizedScratch(userVec []float32, n int, exclude int32, sc *Scratch) ([]Result, SearchStats) {
+	return f.Search(Query{Vec: userVec, N: n, Exclude: exclude, Quantized: true}, sc)
+}
+
+// walk runs the bound-heap walk over precomputed affinities — a[x] per
+// event, b[u] per partner — and drains the top n into dst in canonical
+// order; stats accumulates the access counts. It is the core of Search
+// and of every TopNBatch lane: both hand it affinities produced by the
+// same accumulation order (DotBatch and DotPanel are bit-identical), so
+// batched results match sequential ones bit for bit, ties included.
+//
+// pred, when non-nil, is pushed into the walk: amax ranges over allowed
+// events only — so every partner bound is at most its unconstrained
+// value and the stop fires no later than it would with the slack bound —
+// and disallowed pairs are skipped without materializing a score. With
+// quantized set, a and b are approximate: the walk keeps n·quantOverfetch
+// survivors under them and vec re-scores those against the float32 rows,
+// in the exact walk's operand order, so a survivor's final score is
+// bit-identical to what the exact walk assigns the same pair.
+func (f *FastIndex) walk(vec, a, b []float32, n int, exclude int32, pred EventPredicate, quantized bool, sc *Scratch, stats *SearchStats, dst []Result) []Result {
 	set := f.set
+	h := &sc.results
+	*h = (*h)[:0]
 	var amax float32
+	allowed := false
 	for x, v := range a {
-		if x == 0 || v > amax {
-			amax = v
+		if (pred == nil || pred[x]) && (!allowed || v > amax) {
+			amax, allowed = v, true
 		}
+	}
+	if !allowed {
+		return h.drainDescending(dst) // predicate allows no events
+	}
+	keep := n
+	if quantized {
+		keep = min(n*quantOverfetch, len(set.Pairs))
 	}
 
 	// Lazy selection: heapify the partner bounds in O(|U|) and pop only
 	// as many as the threshold stop actually consumes.
-	nu := len(set.Partners)
 	bounds := sc.bounds[:0]
-	for u := 0; u < nu; u++ {
-		if f.partnerStart[u] == f.partnerStart[u+1] {
-			continue // partner contributes no candidates
+	for u := range set.Partners {
+		if f.partnerStart[u] != f.partnerStart[u+1] { // else no candidates
+			bounds = append(bounds, partnerBound{int32(u), b[u] + amax + f.maxCross[u]})
 		}
-		bounds = append(bounds, partnerBound{int32(u), b[u] + amax + f.maxCross[u]})
 	}
 	sc.bounds = bounds
 	heapifyBounds(bounds)
 
-	h := &sc.results
-	*h = (*h)[:0]
+	surv := &sc.cands
+	*surv = (*surv)[:0]
 	for len(bounds) > 0 {
 		top := bounds[0]
 		// Strictly greater, not ≥: a remaining pair whose score exactly
@@ -260,8 +295,8 @@ func (f *FastIndex) walkTopN(a, b []float32, n int, exclude int32, sc *Scratch, 
 		// amax and maxCross simultaneously — rare enough that the extra
 		// partner scans are noise, and exactness under ties is what the
 		// sharded engine's merge depends on.
-		if len(*h) == n && (*h)[0].Score > top.bound {
-			break // no remaining partner can beat the current top n
+		if len(*surv) == keep && (*surv)[0].r.Score > top.bound {
+			break // no remaining partner can beat the current survivors
 		}
 		last := len(bounds) - 1
 		bounds[0] = bounds[last]
@@ -277,16 +312,80 @@ func (f *FastIndex) walkTopN(a, b []float32, n int, exclude int32, sc *Scratch, 
 		bu := b[u]
 		for oi := f.partnerStart[u]; oi < f.partnerStart[u+1]; oi++ {
 			i := f.order[oi]
+			x := set.Pairs[i].Event
+			if pred != nil && !pred[x] {
+				continue // filtered before scoring: no random access
+			}
 			stats.RandomAccesses++
-			r := Result{set.Pairs[i].Event, u, a[set.Pairs[i].Event] + bu + set.Cross[i]}
-			if len(*h) < n {
-				h.push(r)
-			} else if r.Outranks((*h)[0]) {
-				h.replaceMin(r)
+			c := cand{i, Result{x, u, a[x] + bu + set.Cross[i]}}
+			if len(*surv) < keep {
+				surv.push(c)
+			} else if c.r.Outranks((*surv)[0].r) {
+				surv.replaceMin(c)
 			}
 		}
 	}
+
+	for _, c := range *surv {
+		r := c.r
+		if quantized {
+			r.Score = vecmath.Dot(vec, set.Events[r.Event]) + vecmath.Dot(vec, set.Partners[r.Partner]) + set.Cross[c.i]
+		}
+		if len(*h) < n {
+			h.push(r)
+		} else if r.Outranks((*h)[0]) {
+			h.replaceMin(r)
+		}
+	}
 	return h.drainDescending(dst)
+}
+
+// cand is one walk survivor: the canonical-order key under the walk's
+// (exact or approximate) score plus the pair index the exact re-rank
+// needs.
+type cand struct {
+	i int32
+	r Result
+}
+
+// candHeap is a min-heap of survivors in the canonical order of their
+// walk scores, mirroring resultHeap.
+type candHeap []cand
+
+// push adds c, sifting up.
+func (h *candHeap) push(c cand) {
+	*h = append(*h, c)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !s[p].r.Outranks(s[i].r) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+}
+
+// replaceMin overwrites the root with c and sifts down.
+func (h candHeap) replaceMin(c cand) {
+	h[0] = c
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		m := i
+		if l < len(h) && h[m].r.Outranks(h[l].r) {
+			m = l
+		}
+		if r < len(h) && h[m].r.Outranks(h[r].r) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }
 
 // heapifyBounds establishes the max-heap invariant on bound.

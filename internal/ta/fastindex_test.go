@@ -123,7 +123,7 @@ func TestFastIndexExcluding(t *testing.T) {
 	src := rng.New(72)
 	u := randomVecs(src, 1, 6, true)[0]
 	const exclude = int32(3)
-	res, _ := f.TopNExcluding(u, 8, exclude)
+	res, _ := f.Search(Query{Vec: u, N: 8, Exclude: exclude}, new(Scratch))
 	if len(res) != 8 {
 		t.Fatalf("got %d results", len(res))
 	}

@@ -1,11 +1,6 @@
 package ta
 
-import (
-	"fmt"
-	"time"
-
-	"ebsn/internal/vecmath"
-)
+import "fmt"
 
 // Constrained queries push an event filter *into* the threshold walk
 // instead of post-filtering its output. Post-filtering an exact top-n is
@@ -25,11 +20,10 @@ import (
 
 // EventPredicate restricts a top-n search to a subset of the candidate
 // set's events: entry x reports whether event x (in candidate-set event
-// indices) may appear in results. A nil predicate means unrestricted,
-// and every predicate-taking variant with a nil predicate returns
-// results bit-identical to its unconstrained counterpart — same pairs,
-// same score bits, same tie order. A non-nil predicate's length must
-// equal the candidate set's event count.
+// indices) may appear in results. A nil predicate means unrestricted; a
+// predicate allowing every event returns results bit-identical to nil —
+// same pairs, same score bits, same tie order. A non-nil predicate's
+// length must equal the candidate set's event count.
 type EventPredicate []bool
 
 // Selectivity returns the allowed-event fraction in [0, 1]; a nil
@@ -50,292 +44,14 @@ func (p EventPredicate) Selectivity() float64 {
 	return float64(allowed) / float64(len(p))
 }
 
-// checkPred panics when a non-nil predicate's length does not cover the
-// set's events — the one shape error a caller can make.
-func (c *CandidateSet) checkPred(pred EventPredicate) {
+// checkQuery panics on the two shape errors a caller can make: a non-nil
+// predicate that does not cover the set's events, and a quantized query
+// on a set without int8 mirrors.
+func (c *CandidateSet) checkQuery(pred EventPredicate, quantized bool) {
 	if pred != nil && len(pred) != len(c.Events) {
 		panic(fmt.Sprintf("ta: predicate has %d entries, want %d events", len(pred), len(c.Events)))
 	}
-}
-
-// TopNExcludingPred is TopNExcluding restricted to predicate-allowed
-// events. Results are the exact top n among pairs whose event the
-// predicate allows, in canonical order; fewer than n are returned when
-// fewer allowed pairs exist. A nil predicate is bit-identical to
-// TopNExcluding.
-func (f *FastIndex) TopNExcludingPred(userVec []float32, n int, exclude int32, pred EventPredicate) ([]Result, SearchStats) {
-	sc := GetScratch()
-	defer PutScratch(sc)
-	return f.topNExcludingPred(userVec, nil, n, exclude, pred, sc, nil)
-}
-
-// TopNExcludingPredScratch is TopNExcludingPred with caller-managed
-// scratch; results alias sc like TopNExcludingScratch.
-func (f *FastIndex) TopNExcludingPredScratch(userVec []float32, n int, exclude int32, pred EventPredicate, sc *Scratch) ([]Result, SearchStats) {
-	res, stats := f.topNExcludingPred(userVec, nil, n, exclude, pred, sc, sc.out[:0])
-	sc.out = res[:0]
-	return res, stats
-}
-
-// TopNExcludingPredAffScratch is TopNExcludingPredScratch with the
-// event-affinity pass precomputed. The pass covers *all* events (it is
-// the same shard-invariant prepass the unconstrained engine shares), so
-// one prepass serves constrained and unconstrained queries alike; the
-// predicate only gates which entries the walk may select.
-func (f *FastIndex) TopNExcludingPredAffScratch(userVec, eventAff []float32, n int, exclude int32, pred EventPredicate, sc *Scratch) ([]Result, SearchStats) {
-	res, stats := f.topNExcludingPred(userVec, eventAff, n, exclude, pred, sc, sc.out[:0])
-	sc.out = res[:0]
-	return res, stats
-}
-
-func (f *FastIndex) topNExcludingPred(userVec, eventAff []float32, n int, exclude int32, pred EventPredicate, sc *Scratch, dst []Result) ([]Result, SearchStats) {
-	if pred == nil {
-		return f.topNExcluding(userVec, eventAff, n, exclude, sc, dst)
-	}
-	f.set.checkPred(pred)
-	start := time.Now()
-	set := f.set
-	nc := len(set.Pairs)
-	stats := SearchStats{Candidates: nc}
-	if n <= 0 || nc == 0 {
-		return nil, stats
-	}
-	if n > nc {
-		n = nc
-	}
-
-	a := eventAff
-	if a == nil {
-		sc.a = resizeF32(sc.a, len(set.Events))
-		a = sc.a
-		vecmath.DotBatch(userVec, set.eventData, set.K, a)
-	}
-	nu := len(set.Partners)
-	sc.b = resizeF32(sc.b, nu)
-	b := sc.b
-	vecmath.DotBatch(userVec, set.partnerData, set.K, b)
-
-	res := f.walkTopNPred(a, b, n, exclude, pred, sc, &stats, dst)
-	stats.Elapsed = time.Since(start)
-	return res, stats
-}
-
-// walkTopNPred is walkTopN with the predicate pushed into the walk: amax
-// ranges over allowed events only — so every partner bound is at most
-// its unconstrained value, and the threshold stop fires no later than it
-// would with the slack bound — and disallowed pairs are skipped inside
-// the per-partner scan without materializing a score. With a predicate allowing every event the walk
-// degenerates to walkTopN's behaviour exactly (amax and all scores are
-// computed from identical operands in identical order).
-func (f *FastIndex) walkTopNPred(a, b []float32, n int, exclude int32, pred EventPredicate, sc *Scratch, stats *SearchStats, dst []Result) []Result {
-	set := f.set
-	var amax float32
-	any := false
-	for x, v := range a {
-		if !pred[x] {
-			continue
-		}
-		if !any || v > amax {
-			amax, any = v, true
-		}
-	}
-	h := &sc.results
-	*h = (*h)[:0]
-	if !any {
-		return h.drainDescending(dst) // predicate allows no events
-	}
-
-	nu := len(set.Partners)
-	bounds := sc.bounds[:0]
-	for u := 0; u < nu; u++ {
-		if f.partnerStart[u] == f.partnerStart[u+1] {
-			continue
-		}
-		bounds = append(bounds, partnerBound{int32(u), b[u] + amax + f.maxCross[u]})
-	}
-	sc.bounds = bounds
-	heapifyBounds(bounds)
-
-	for len(bounds) > 0 {
-		top := bounds[0]
-		// Same strictly-greater stop as walkTopN: exactness under ties is
-		// what the sharded merge and the oracle property test rely on.
-		if len(*h) == n && (*h)[0].Score > top.bound {
-			break
-		}
-		last := len(bounds) - 1
-		bounds[0] = bounds[last]
-		bounds = bounds[:last]
-		if last > 0 {
-			siftDownBounds(bounds, 0)
-		}
-		stats.SortedAccesses++
-		if top.u == exclude {
-			continue
-		}
-		u := top.u
-		bu := b[u]
-		for oi := f.partnerStart[u]; oi < f.partnerStart[u+1]; oi++ {
-			i := f.order[oi]
-			x := set.Pairs[i].Event
-			if !pred[x] {
-				continue // filtered before scoring: no random access
-			}
-			stats.RandomAccesses++
-			r := Result{x, u, a[x] + bu + set.Cross[i]}
-			if len(*h) < n {
-				h.push(r)
-			} else if r.Outranks((*h)[0]) {
-				h.replaceMin(r)
-			}
-		}
-	}
-	return h.drainDescending(dst)
-}
-
-// TopNExcludingQuantizedPredScratch is TopNExcludingQuantizedScratch
-// restricted to predicate-allowed events: the approximate walk skips
-// disallowed pairs (so every survivor is allowed) and the exact re-rank
-// proceeds unchanged. A nil predicate is bit-identical to the
-// unconstrained quantized variant.
-func (f *FastIndex) TopNExcludingQuantizedPredScratch(userVec []float32, n int, exclude int32, pred EventPredicate, sc *Scratch) ([]Result, SearchStats) {
-	res, stats := f.topNQuantizedPred(userVec, nil, n, exclude, pred, sc, sc.out[:0])
-	sc.out = res[:0]
-	return res, stats
-}
-
-// TopNExcludingQuantizedPredAffScratch is the quantized predicate
-// variant with the approximate event-affinity pass precomputed (the
-// engine's shared prepass; it covers all events, like the exact one).
-func (f *FastIndex) TopNExcludingQuantizedPredAffScratch(userVec, eventAff []float32, n int, exclude int32, pred EventPredicate, sc *Scratch) ([]Result, SearchStats) {
-	res, stats := f.topNQuantizedPred(userVec, eventAff, n, exclude, pred, sc, sc.out[:0])
-	sc.out = res[:0]
-	return res, stats
-}
-
-func (f *FastIndex) topNQuantizedPred(userVec, eventAff []float32, n int, exclude int32, pred EventPredicate, sc *Scratch, dst []Result) ([]Result, SearchStats) {
-	if pred == nil {
-		return f.topNQuantized(userVec, eventAff, n, exclude, sc, dst)
-	}
-	f.set.checkPred(pred)
-	start := time.Now()
-	set := f.set
-	if !set.quantized {
+	if quantized && !c.quantized {
 		panic("ta: quantized query on a set without PackQuantized")
 	}
-	nc := len(set.Pairs)
-	stats := SearchStats{Candidates: nc}
-	if n <= 0 || nc == 0 {
-		return nil, stats
-	}
-	if n > nc {
-		n = nc
-	}
-
-	qscale := set.quantizeQuery(userVec, sc)
-	a := eventAff
-	if a == nil {
-		sc.a = resizeF32(sc.a, len(set.Events))
-		sc.i32 = resizeSlice(sc.i32, len(set.Events))
-		vecmath.DotBatchI8(sc.q8, set.eventQ, set.K, sc.i32)
-		scaleWidened(qscale, set.eventScale, sc.i32, sc.a)
-		a = sc.a
-	}
-	nu := len(set.Partners)
-	sc.b = resizeF32(sc.b, nu)
-	sc.i32 = resizeSlice(sc.i32, nu)
-	vecmath.DotBatchI8(sc.q8, set.partnerQ, set.K, sc.i32)
-	scaleWidened(qscale, set.partnerScale, sc.i32, sc.b)
-
-	res := f.walkQuantizedPred(userVec, a, sc.b, n, exclude, pred, sc, &stats, dst)
-	stats.Elapsed = time.Since(start)
-	return res, stats
-}
-
-// walkQuantizedPred is walkQuantized with the predicate pushed into the
-// approximate walk: amax over allowed events only, disallowed pairs
-// skipped before entering the survivor heap. The exact re-rank then sees
-// only allowed survivors, so its output respects the predicate by
-// construction.
-func (f *FastIndex) walkQuantizedPred(userVec []float32, a, b []float32, n int, exclude int32, pred EventPredicate, sc *Scratch, stats *SearchStats, dst []Result) []Result {
-	set := f.set
-	m := n * quantOverfetch
-	if nc := len(set.Pairs); m > nc {
-		m = nc
-	}
-	var amax float32
-	any := false
-	for x, v := range a {
-		if !pred[x] {
-			continue
-		}
-		if !any || v > amax {
-			amax, any = v, true
-		}
-	}
-	h := &sc.results
-	*h = (*h)[:0]
-	if !any {
-		return h.drainDescending(dst)
-	}
-
-	nu := len(set.Partners)
-	bounds := sc.bounds[:0]
-	for u := 0; u < nu; u++ {
-		if f.partnerStart[u] == f.partnerStart[u+1] {
-			continue
-		}
-		bounds = append(bounds, partnerBound{int32(u), b[u] + amax + f.maxCross[u]})
-	}
-	sc.bounds = bounds
-	heapifyBounds(bounds)
-
-	qh := &sc.qcands
-	*qh = (*qh)[:0]
-	for len(bounds) > 0 {
-		top := bounds[0]
-		if len(*qh) == m && (*qh)[0].r.Score > top.bound {
-			break
-		}
-		last := len(bounds) - 1
-		bounds[0] = bounds[last]
-		bounds = bounds[:last]
-		if last > 0 {
-			siftDownBounds(bounds, 0)
-		}
-		stats.SortedAccesses++
-		if top.u == exclude {
-			continue
-		}
-		u := top.u
-		bu := b[u]
-		for oi := f.partnerStart[u]; oi < f.partnerStart[u+1]; oi++ {
-			i := f.order[oi]
-			x := set.Pairs[i].Event
-			if !pred[x] {
-				continue
-			}
-			stats.RandomAccesses++
-			r := Result{x, u, a[x] + bu + set.Cross[i]}
-			if len(*qh) < m {
-				qh.push(quantCand{i, r})
-			} else if r.Outranks((*qh)[0].r) {
-				qh.replaceMin(quantCand{i, r})
-			}
-		}
-	}
-
-	// Exact re-rank of the allowed survivors, identical to walkQuantized.
-	for _, qc := range *qh {
-		i := qc.i
-		pair := set.Pairs[i]
-		bu := vecmath.Dot(userVec, set.Partners[pair.Partner])
-		r := Result{pair.Event, pair.Partner, vecmath.Dot(userVec, set.Events[pair.Event]) + bu + set.Cross[i]}
-		if len(*h) < n {
-			h.push(r)
-		} else if r.Outranks((*h)[0]) {
-			h.replaceMin(r)
-		}
-	}
-	return h.drainDescending(dst)
 }

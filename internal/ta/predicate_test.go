@@ -108,27 +108,14 @@ func TestPredicateBitIdenticalToOracle(t *testing.T) {
 func TestPredicateTiesAtFilterBoundary(t *testing.T) {
 	src := rng.New(4242)
 	k := 6
-	base := randomVecs(src, 8, k, true)
-	// Events come in identical pairs: event 2j and 2j+1 share a row, so
-	// every (event, partner) score ties exactly across the twins.
-	events := make([][]float32, 0, 16)
-	for _, v := range base {
-		dup := make([]float32, k)
-		copy(dup, v)
-		events = append(events, v, dup)
-	}
-	partners := randomVecs(src, 12, k, true)
-	cs, err := BuildCandidates(events, partners, BuildConfig{TopKEvents: 0, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs := twinEventSet(t, src, k)
 	f := NewFastIndex(cs)
 	sc := GetScratch()
 	defer PutScratch(sc)
 
 	// Ban the even twin of each pair: the allowed odd twin ties the
 	// banned one's score exactly.
-	pred := make(EventPredicate, len(events))
+	pred := make(EventPredicate, len(cs.Events))
 	for x := range pred {
 		pred[x] = x%2 == 1
 	}
@@ -192,10 +179,10 @@ func TestPredicateQuantized(t *testing.T) {
 		pred := randomPred(src, 40, 0.3)
 		plain, _ := f.TopNExcludingQuantizedScratch(u, 10, -1, sc)
 		want := append([]Result(nil), plain...)
-		gotNil, _ := f.TopNExcludingQuantizedPredScratch(u, 10, -1, nil, sc)
+		gotNil, _ := f.Search(Query{Vec: u, N: 10, Exclude: -1, Quantized: true}, sc)
 		resultsBitIdentical(t, want, gotNil)
 
-		got, _ := f.TopNExcludingQuantizedPredScratch(u, 10, -1, pred, sc)
+		got, _ := f.Search(Query{Vec: u, N: 10, Exclude: -1, Pred: pred, Quantized: true}, sc)
 		for _, r := range got {
 			if !pred[r.Event] {
 				t.Fatalf("trial=%d: quantized result event %d violates predicate", trial, r.Event)

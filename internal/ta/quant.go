@@ -1,72 +1,18 @@
 package ta
 
-import (
-	"time"
-
-	"ebsn/internal/vecmath"
-)
-
 // Quantized query path: the affinity passes run over the int8 mirrors
 // built by PackQuantized (a quarter of the float32 memory traffic), the
-// bound-heap walk collects the top n·quantOverfetch survivors under the
-// approximate scores, and the survivors are re-ranked against the exact
-// float32 rows. The walk is exact *with respect to the approximate
-// scores* — the partner bounds are built from the same approximate
-// affinities they bound — so the only error source is quantization
-// displacing a true top-n pair below the survivor cut, which the
-// recall@10 ≥ 0.99 CI gate bounds empirically.
+// bound-heap walk (FastIndex.walk) collects the top n·quantOverfetch
+// survivors under the approximate scores, and the survivors are
+// re-ranked against the exact float32 rows. The walk is exact *with
+// respect to the approximate scores* — the partner bounds are built from
+// the same approximate affinities they bound — so the only error source
+// is quantization displacing a true top-n pair below the survivor cut,
+// which the recall@10 ≥ 0.99 CI gate bounds empirically.
 
 // quantOverfetch is how many times n the approximate walk keeps for the
 // exact re-rank.
 const quantOverfetch = 4
-
-// quantCand is one approximate-walk survivor: the canonical-order key
-// under the approximate score plus the pair index the exact re-rank
-// needs.
-type quantCand struct {
-	i int32
-	r Result
-}
-
-// quantHeap is a min-heap of survivors in the canonical order of their
-// approximate scores, mirroring resultHeap.
-type quantHeap []quantCand
-
-// push adds c, sifting up.
-func (h *quantHeap) push(c quantCand) {
-	*h = append(*h, c)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !s[p].r.Outranks(s[i].r) {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
-}
-
-// replaceMin overwrites the root with c and sifts down.
-func (h quantHeap) replaceMin(c quantCand) {
-	h[0] = c
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(h) && h[m].r.Outranks(h[l].r) {
-			m = l
-		}
-		if r < len(h) && h[m].r.Outranks(h[r].r) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-}
 
 // scaleWidened reconstructs approximate affinities from widened integer
 // dots: dst[i] = (qscale·scales[i])·float32(v[i]). Every quantized path
@@ -76,161 +22,4 @@ func scaleWidened(qscale float32, scales []float32, v []int32, dst []float32) {
 	for i := range dst {
 		dst[i] = (qscale * scales[i]) * float32(v[i])
 	}
-}
-
-// quantizeQuery quantizes userVec into sc.q8 and returns its scale.
-func (c *CandidateSet) quantizeQuery(userVec []float32, sc *Scratch) float32 {
-	sc.q8 = resizeSlice(sc.q8, c.K)
-	return vecmath.QuantizeRow(userVec, sc.q8)
-}
-
-// EventAffinitiesQuantized is EventAffinities over the int8 mirrors:
-// approximate a[x] reconstructed from the widening dot and the per-row
-// scales, into dst (grown as needed). The engine's shared prepass uses
-// it when quantized queries are enabled; handing the result to
-// TopNExcludingQuantizedAffScratch yields the same scores the shard
-// would compute itself. Requires PackQuantized; panics otherwise.
-func (c *CandidateSet) EventAffinitiesQuantized(userVec, dst []float32, sc *Scratch) []float32 {
-	if !c.quantized {
-		panic("ta: EventAffinitiesQuantized on unquantized set")
-	}
-	dst = resizeF32(dst, len(c.Events))
-	qscale := c.quantizeQuery(userVec, sc)
-	sc.i32 = resizeSlice(sc.i32, len(c.Events))
-	vecmath.DotBatchI8(sc.q8, c.eventQ, c.K, sc.i32)
-	scaleWidened(qscale, c.eventScale, sc.i32, dst)
-	return dst
-}
-
-// TopNExcludingQuantizedScratch is TopNExcludingScratch over the
-// quantized mirrors: approximate affinities select n·quantOverfetch
-// survivors, which are re-ranked exactly. The set must have been packed
-// with PackQuantized. Results alias sc like the exact variant.
-func (f *FastIndex) TopNExcludingQuantizedScratch(userVec []float32, n int, exclude int32, sc *Scratch) ([]Result, SearchStats) {
-	res, stats := f.topNQuantized(userVec, nil, n, exclude, sc, sc.out[:0])
-	sc.out = res[:0]
-	return res, stats
-}
-
-// TopNExcludingQuantizedAffScratch is TopNExcludingQuantizedScratch
-// with the approximate event-affinity pass precomputed (the sharded
-// engine computes it once per query via EventAffinitiesQuantized and
-// shares it across shards).
-func (f *FastIndex) TopNExcludingQuantizedAffScratch(userVec, eventAff []float32, n int, exclude int32, sc *Scratch) ([]Result, SearchStats) {
-	res, stats := f.topNQuantized(userVec, eventAff, n, exclude, sc, sc.out[:0])
-	sc.out = res[:0]
-	return res, stats
-}
-
-func (f *FastIndex) topNQuantized(userVec, eventAff []float32, n int, exclude int32, sc *Scratch, dst []Result) ([]Result, SearchStats) {
-	start := time.Now()
-	set := f.set
-	if !set.quantized {
-		panic("ta: quantized query on a set without PackQuantized")
-	}
-	nc := len(set.Pairs)
-	stats := SearchStats{Candidates: nc}
-	if n <= 0 || nc == 0 {
-		return nil, stats
-	}
-	if n > nc {
-		n = nc
-	}
-
-	qscale := set.quantizeQuery(userVec, sc)
-	a := eventAff
-	if a == nil {
-		sc.a = resizeF32(sc.a, len(set.Events))
-		sc.i32 = resizeSlice(sc.i32, len(set.Events))
-		vecmath.DotBatchI8(sc.q8, set.eventQ, set.K, sc.i32)
-		scaleWidened(qscale, set.eventScale, sc.i32, sc.a)
-		a = sc.a
-	}
-	nu := len(set.Partners)
-	sc.b = resizeF32(sc.b, nu)
-	sc.i32 = resizeSlice(sc.i32, nu)
-	vecmath.DotBatchI8(sc.q8, set.partnerQ, set.K, sc.i32)
-	scaleWidened(qscale, set.partnerScale, sc.i32, sc.b)
-
-	res := f.walkQuantized(userVec, a, sc.b, n, exclude, sc, &stats, dst)
-	stats.Elapsed = time.Since(start)
-	return res, stats
-}
-
-// walkQuantized is walkTopN's approximate twin: the same bound-heap
-// walk over approximate affinities keeping m = n·quantOverfetch
-// survivors (with their pair indices), followed by an exact re-rank of
-// the survivors against the float32 rows. The exact re-scoring uses the
-// same operand order as the exact walk, so a survivor's final score is
-// bit-identical to what the exact path would assign the same pair.
-func (f *FastIndex) walkQuantized(userVec []float32, a, b []float32, n int, exclude int32, sc *Scratch, stats *SearchStats, dst []Result) []Result {
-	set := f.set
-	m := n * quantOverfetch
-	if nc := len(set.Pairs); m > nc {
-		m = nc
-	}
-	var amax float32
-	for x, v := range a {
-		if x == 0 || v > amax {
-			amax = v
-		}
-	}
-	nu := len(set.Partners)
-	bounds := sc.bounds[:0]
-	for u := 0; u < nu; u++ {
-		if f.partnerStart[u] == f.partnerStart[u+1] {
-			continue
-		}
-		bounds = append(bounds, partnerBound{int32(u), b[u] + amax + f.maxCross[u]})
-	}
-	sc.bounds = bounds
-	heapifyBounds(bounds)
-
-	qh := &sc.qcands
-	*qh = (*qh)[:0]
-	for len(bounds) > 0 {
-		top := bounds[0]
-		if len(*qh) == m && (*qh)[0].r.Score > top.bound {
-			break
-		}
-		last := len(bounds) - 1
-		bounds[0] = bounds[last]
-		bounds = bounds[:last]
-		if last > 0 {
-			siftDownBounds(bounds, 0)
-		}
-		stats.SortedAccesses++
-		if top.u == exclude {
-			continue
-		}
-		u := top.u
-		bu := b[u]
-		for oi := f.partnerStart[u]; oi < f.partnerStart[u+1]; oi++ {
-			i := f.order[oi]
-			stats.RandomAccesses++
-			r := Result{set.Pairs[i].Event, u, a[set.Pairs[i].Event] + bu + set.Cross[i]}
-			if len(*qh) < m {
-				qh.push(quantCand{i, r})
-			} else if r.Outranks((*qh)[0].r) {
-				qh.replaceMin(quantCand{i, r})
-			}
-		}
-	}
-
-	// Exact re-rank: score every survivor against the float32 rows and
-	// keep the canonical top n.
-	h := &sc.results
-	*h = (*h)[:0]
-	for _, qc := range *qh {
-		i := qc.i
-		pair := set.Pairs[i]
-		bu := vecmath.Dot(userVec, set.Partners[pair.Partner])
-		r := Result{pair.Event, pair.Partner, vecmath.Dot(userVec, set.Events[pair.Event]) + bu + set.Cross[i]}
-		if len(*h) < n {
-			h.push(r)
-		} else if r.Outranks((*h)[0]) {
-			h.replaceMin(r)
-		}
-	}
-	return h.drainDescending(dst)
 }

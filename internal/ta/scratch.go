@@ -4,13 +4,13 @@ import "sync"
 
 // Scratch owns every per-query buffer of the TA hot paths: the affinity
 // arrays and lazy bound heap of FastIndex, the rotated query, cursors
-// and epoch-stamped seen set of the Fagin Index, the result heap, and
-// the reusable result slices the ...Scratch query variants return. A
+// and epoch-stamped seen set of the Fagin Index, the result heaps, and
+// the reusable result slices Search and MergeTopN return. A
 // warmed Scratch makes steady-state queries allocation-free.
 //
 // A Scratch is not safe for concurrent use; take one per query from
 // GetScratch (a sync.Pool) and return it with PutScratch. Results
-// returned by the ...Scratch query variants alias its buffers and are
+// returned by queries that take a Scratch alias its buffers and are
 // valid only until the Scratch's next use.
 type Scratch struct {
 	// FastIndex state.
@@ -25,14 +25,14 @@ type Scratch struct {
 	seen    []uint32 // epoch stamps per candidate (replaces a map)
 	epoch   uint32
 
-	// Quantized query state: the int8-quantized query, its scale's
-	// widening dot results, and the approximate-walk survivor heap the
-	// exact re-rank consumes.
-	q8     []int8
-	i32    []int32
-	qcands quantHeap
+	// Quantized query state: the int8-quantized query and its widening
+	// dot results.
+	q8  []int8
+	i32 []int32
 
-	// Shared result state.
+	// Shared result state: the walk's survivor heap, the top-n heap it
+	// is drained through, and the output slices.
+	cands   candHeap
 	results resultHeap
 	out     []Result
 	dout    []DynamicResult

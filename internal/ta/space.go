@@ -24,7 +24,7 @@ type Candidate struct {
 // Partners[u] row into them, so the per-query affinity passes stream
 // sequential memory (vecmath.DotBatch) instead of chasing one pointer
 // per row. The index constructors pack automatically; a set mutated
-// afterwards (Dynamic.Rebuild appends events) is re-packed on the next
+// afterwards is re-packed on the next
 // index build.
 type CandidateSet struct {
 	K        int
@@ -90,8 +90,7 @@ func packRows(rows [][]float32, k int, prev []float32) []float32 {
 // scale[i]·float32(q[i*K+j]). Candidate storage for the approximate
 // walk drops to a quarter of the float32 footprint; the exact rows stay
 // resident for re-ranking. Calls Pack first, so it subsumes it; like
-// Pack it must not run concurrently with queries. A set that is
-// re-packed after mutation (Dynamic.Rebuild) is re-quantized too.
+// Pack it must not run concurrently with queries.
 func (c *CandidateSet) PackQuantized() {
 	if c.mapped && c.quantized {
 		// Artifact-decoded mirrors are already current, and recomputing
@@ -119,16 +118,51 @@ func (c *CandidateSet) Quantized() bool { return c.quantized }
 // Dims returns the transformed-space dimensionality 2K+1.
 func (c *CandidateSet) Dims() int { return 2*c.K + 1 }
 
-// EventAffinities computes the per-event affinity pass a[x] = userVec·
-// Events[x] for every event into dst (grown as needed) and returns it.
-// It runs the same kernel over the same packed storage as the index
-// queries (vecmath.DotBatch), so handing the result to
-// FastIndex.TopNExcludingAffScratch yields bit-identical scores. The set
-// must be packed (any index constructor packs it).
-func (c *CandidateSet) EventAffinities(userVec, dst []float32) []float32 {
-	dst = resizeF32(dst, len(c.Events))
-	vecmath.DotBatch(userVec, c.eventData, c.K, dst)
+// The two sides of the space, as side's argument.
+const (
+	eventSide   = false
+	partnerSide = true
+)
+
+// side returns one side of the space: its row count, packed float32
+// rows, int8 mirrors and per-row scales.
+func (c *CandidateSet) side(partners bool) (rows int, data []float32, q8 []int8, scale []float32) {
+	if partners {
+		return len(c.Partners), c.partnerData, c.partnerQ, c.partnerScale
+	}
+	return len(c.Events), c.eventData, c.eventQ, c.eventScale
+}
+
+// affinities fills dst (grown as needed) with userVec·row for every row
+// of one side of the space: streamed over the packed float32 rows, or —
+// quantized — reconstructed from the widening int8 dot and the per-row
+// scales. It is the one affinity pass behind Search, the engine's
+// shared prepass and (as a panel) TopNBatch.
+func (c *CandidateSet) affinities(userVec []float32, partners, quantized bool, dst []float32, sc *Scratch) []float32 {
+	rows, data, q8, scale := c.side(partners)
+	dst = resizeF32(dst, rows)
+	if !quantized {
+		vecmath.DotBatch(userVec, data, c.K, dst)
+		return dst
+	}
+	sc.q8 = resizeSlice(sc.q8, c.K)
+	qscale := vecmath.QuantizeRow(userVec, sc.q8)
+	sc.i32 = resizeSlice(sc.i32, rows)
+	vecmath.DotBatchI8(sc.q8, q8, c.K, sc.i32)
+	scaleWidened(qscale, scale, sc.i32, dst)
 	return dst
+}
+
+// EventAffinities computes the per-event affinity pass a[x] = userVec·
+// Events[x] into dst (grown as needed) and returns it — over the int8
+// mirrors when quantized (PackQuantized required; sc holds the
+// quantized query), else over the packed float32 rows (sc unused). It
+// is the pass Search runs itself, so handing the result back in via
+// Query.EventAff yields bit-identical scores. The set must be packed
+// (any index constructor packs it).
+func (c *CandidateSet) EventAffinities(userVec, dst []float32, quantized bool, sc *Scratch) []float32 {
+	c.checkQuery(nil, quantized)
+	return c.affinities(userVec, eventSide, quantized, dst, sc)
 }
 
 // Point materializes the transformed point of pair i (mostly for tests).
@@ -141,8 +175,8 @@ func (c *CandidateSet) Point(i int) []float32 {
 	return p
 }
 
-// Query materializes the transformed query point q_u = (u, u, 1).
-func Query(userVec []float32) []float32 {
+// QueryPoint materializes the transformed query point q_u = (u, u, 1).
+func QueryPoint(userVec []float32) []float32 {
 	k := len(userVec)
 	q := make([]float32, 2*k+1)
 	copy(q[:k], userVec)

@@ -42,7 +42,7 @@ func TestSpaceTransformIdentity(t *testing.T) {
 	cs := buildSmallSet(t, 1, 20, 15, 8, 0, true)
 	src := rng.New(2)
 	u := randomVecs(src, 1, 8, true)[0]
-	q := Query(u)
+	q := QueryPoint(u)
 	for i := range cs.Pairs {
 		direct := cs.Score(u, i)
 		transformed := vecmath.Dot(q, cs.Point(i))
@@ -57,7 +57,7 @@ func TestSpaceTransformIdentityProperty(t *testing.T) {
 		cs := buildSmallSet(t, seed, 10, 8, 4, 0, true)
 		src := rng.New(seed ^ 0xabc)
 		u := randomVecs(src, 1, 4, true)[0]
-		q := Query(u)
+		q := QueryPoint(u)
 		for i := range cs.Pairs {
 			if !approxEqual(cs.Score(u, i), vecmath.Dot(q, cs.Point(i))) {
 				return false
@@ -239,7 +239,7 @@ func TestBruteForceEdgeCases(t *testing.T) {
 
 func TestQueryShape(t *testing.T) {
 	u := []float32{1, 2, 3}
-	q := Query(u)
+	q := QueryPoint(u)
 	want := []float32{1, 2, 3, 1, 2, 3, 1}
 	if len(q) != len(want) {
 		t.Fatalf("query length %d", len(q))

@@ -10,8 +10,8 @@ import (
 )
 
 // TestShardedServerMatchesMonolithic warms a multi-shard server and
-// checks the /v1/partners answers are bit-identical to the facade's
-// monolithic path, and that the fan-out shows up in spans and metrics:
+// checks the /v1/partners answers are bit-identical to a one-shard
+// engine's, and that the fan-out shows up in spans and metrics:
 // per-shard stages, the shards attr, the engine-shards gauge, and the
 // shard-labeled counter/histogram families.
 func TestShardedServerMatchesMonolithic(t *testing.T) {
@@ -26,14 +26,18 @@ func TestShardedServerMatchesMonolithic(t *testing.T) {
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
+	// The one-shard reference: a clone of the same embeddings, which
+	// builds its own default engine on first use.
+	ref, err := rec.WithSnapshot(rec.Model().Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for user := int32(0); user < 6; user++ {
 		var resp RankingResponse
 		if r := getJSON(t, srv, "/v1/partners?user="+strconv.Itoa(int(user))+"&n=7", &resp); r.StatusCode != 200 {
 			t.Fatalf("/v1/partners user %d = %d", user, r.StatusCode)
 		}
-		// The monolithic reference: TopEventPartnersStats builds its own
-		// unsharded index on first use and leaves the engine in place.
-		want, _, err := rec.TopEventPartnersStats(user, 7)
+		want, _, err := ref.TopEventPartnersStats(user, 7)
 		if err != nil {
 			t.Fatal(err)
 		}

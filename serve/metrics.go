@@ -366,7 +366,7 @@ func (m *Metrics) RecordTA(s ebsn.SearchStats) {
 // -duration observation. Shard labels are the engine's shard indices, so
 // a skewed partner range shows up as one shard's histogram drifting
 // right. The aggregated TA counters are recorded separately via
-// RecordTA, exactly as on the monolithic path.
+// RecordTA.
 func (m *Metrics) RecordEngine(es ebsn.EngineStats) {
 	m.shardQueries.Inc()
 	for _, ss := range es.Shards {

@@ -27,10 +27,9 @@ type Config struct {
 	// full candidate space, > 0 is used as-is.
 	PruneK int
 	// Shards is the partner-range shard count of the scatter-gather
-	// query engine built by Warm and Reload (default 1 — a monolithic
-	// engine). Values above 1 fan each /v1/partners query out to
-	// per-shard TA searches running concurrently; answers are
-	// bit-identical for every setting.
+	// query engine built by Warm and Reload (default 1). Values above 1
+	// fan each /v1/partners query out to per-shard TA searches running
+	// concurrently; answers are bit-identical for every setting.
 	Shards int
 	// Quantized routes joint queries through int8-quantized candidate
 	// mirrors (EnableQuantizedQueries): ~4x smaller candidate storage
@@ -978,16 +977,10 @@ func (s *Server) handlePartners(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.servePairs(w, r, epPartners, func(rec *ebsn.Recommender, user int32, n int) ([]ebsn.PairRecommendation, ebsn.SearchStats, *ebsn.EngineStats, error) {
-		// Warm prepared the engine; answer through the scatter-gather
-		// path so the per-shard decomposition reaches spans and
-		// /metrics. The monolithic path remains as a fallback for a
-		// recommender warmed outside this server.
-		if rec.EngineShards() > 0 {
-			pairs, es, err := rec.TopEventPartnersShardedStats(user, n)
-			return pairs, es.Agg, &es, err
-		}
-		pairs, stats, err := rec.TopEventPartnersStats(user, n)
-		return pairs, stats, nil, err
+		// The scatter-gather stats carry the per-shard decomposition to
+		// spans and /metrics.
+		pairs, es, err := rec.TopEventPartnersShardedStats(user, n)
+		return pairs, es.Agg, &es, err
 	})
 }
 

@@ -85,34 +85,11 @@ func (r *Recommender) IngestColdEvent(words []string, venue int32, start time.Ti
 		return 0, err
 	}
 	if r.taDelta == nil {
-		if r.taEngine == nil && r.taIndex == nil {
-			// No base index yet: build the monolithic one with the usual
-			// 5% default pruning.
-			k := r.taPruneK
-			if k == 0 {
-				k = len(r.split.TestEvents) / 20
-				if k < 1 {
-					k = 1
-				}
-			}
-			if err := r.PrepareJoint(k); err != nil {
-				return 0, err
-			}
+		if err := r.ensureEngine(); err != nil {
+			return 0, err
 		}
-		if r.taSet != nil {
-			// Monolithic index (or one-shard engine): the delta shares its
-			// packed partner rows.
-			r.taDelta = ta.NewDeltaForSet(r.taSet, r.taPruneK)
-		} else {
-			// Multi-shard engine: no monolithic set exists, and the delta
-			// must cover every partner, so it packs its own copy of the
-			// partner rows. Queries overlay it on the engine's fan-out.
-			_, partners := r.jointVectors()
-			d, err := ta.NewDelta(partners, r.taPruneK)
-			if err != nil {
-				return 0, err
-			}
-			r.taDelta = d
+		if r.taDelta, err = r.taEngine.NewDelta(r.taPruneK); err != nil {
+			return 0, err
 		}
 	}
 	if err := r.taDelta.AddEvent(vec); err != nil {
@@ -133,57 +110,29 @@ func (r *Recommender) TopEventPartnersLive(user int32, n int) ([]PairRecommendat
 // TopEventPartnersLiveStats is TopEventPartnersLive plus the TA work
 // counters for the query.
 func (r *Recommender) TopEventPartnersLiveStats(user int32, n int) ([]PairRecommendation, SearchStats, error) {
-	if int(user) < 0 || int(user) >= r.dataset.NumUsers {
-		return nil, SearchStats{}, fmt.Errorf("ebsn: user %d out of range [0,%d)", user, r.dataset.NumUsers)
-	}
-	if n <= 0 {
-		return nil, SearchStats{}, fmt.Errorf("ebsn: n must be positive")
-	}
 	if r.taDelta == nil {
-		// Nothing ingested yet. Prefer the sharded engine when one is
-		// prepared — with shards > 1 there may be no monolithic index,
-		// and query paths must not build one (mutation is reserved for
-		// the serialized prepare/ingest calls).
-		if r.taEngine != nil {
-			out, es, err := r.TopEventPartnersShardedStats(user, n)
-			return out, es.Agg, err
-		}
-		return r.TopEventPartnersStats(user, n)
+		return r.TopEventPartnersStats(user, n) // nothing ingested yet
+	}
+	if err := r.checkUserN(user, n); err != nil {
+		return nil, SearchStats{}, err
 	}
 	// Two-tier query: exact top-n over the live base (the compacted fold
-	// when one was installed, else the plain engine or index), overlaid
-	// with an exhaustive scan of the delta. The raw results alias the
-	// pooled scratch and are converted before it is released.
+	// when one was installed, else the plain engine), overlaid with an
+	// exhaustive scan of the delta. The merged results alias the pooled
+	// scratch and are converted before it is released.
 	userVec := r.model.UserVec(user)
+	eng := r.liveEngine()
+	base, es, err := eng.Search(userVec, n, user)
+	if err != nil {
+		return nil, SearchStats{}, err
+	}
+	stats := es.Agg
 	sc := ta.GetScratch()
 	defer ta.PutScratch(sc)
-	var (
-		base       []ta.Result
-		stats      SearchStats
-		baseEvents int
-	)
-	if eng := r.liveEngine(); eng != nil {
-		res, es, err := eng.Search(userVec, n, user)
-		if err != nil {
-			return nil, SearchStats{}, err
-		}
-		base, stats, baseEvents = res, es.Agg, eng.NumEvents()
-	} else {
-		idx, set := r.taLiveIdx, r.taLiveSet
-		if idx == nil {
-			idx, set = r.taIndex, r.taSet
-		}
-		if r.quantizedJointQuery(set) {
-			base, stats = idx.TopNExcludingQuantizedScratch(userVec, n, user, sc)
-		} else {
-			base, stats = idx.TopNExcludingScratch(userVec, n, user, sc)
-		}
-		baseEvents = len(set.Events)
-	}
-	res := r.taDelta.MergeTopN(base, baseEvents, userVec, n, user, sc, &stats)
+	res := r.taDelta.MergeTopN(base, eng.NumEvents(), userVec, n, user, sc, &stats)
 
 	testN := len(r.split.TestEvents)
-	out := make([]PairRecommendation, 0, n)
+	out := make([]PairRecommendation, 0, len(res))
 	for _, rr := range res {
 		var event int32
 		switch {
@@ -201,16 +150,13 @@ func (r *Recommender) TopEventPartnersLiveStats(user int32, n int) ([]PairRecomm
 			event = r.split.TestEvents[rr.Event]
 		}
 		out = append(out, PairRecommendation{Event: event, Partner: rr.Partner, Score: rr.Score})
-		if len(out) == n {
-			break
-		}
 	}
 	return out, stats, nil
 }
 
 // liveEngine returns the engine the live path fans out over: the
 // compacted fork when a compaction has installed one, else the plain
-// engine, else nil (monolithic index deployment).
+// engine.
 func (r *Recommender) liveEngine() *engine.Engine {
 	if r.taLiveEngine != nil {
 		return r.taLiveEngine
@@ -224,28 +170,16 @@ func (r *Recommender) liveEngine() *engine.Engine {
 // held, and InstallCompaction swaps the result in under the writer lock
 // again — so queries never wait on a rebuild.
 type Compaction struct {
-	delta *ta.Delta
-	view  ta.DeltaView
-	// events is the delta-event count being folded.
-	events  int
+	delta   *ta.Delta
+	view    ta.DeltaView
 	workers int
-	// quantized carries the recommender's quantized-queries mode into
-	// the fold: the folded tier re-packs its int8 mirrors so the swap
-	// does not silently revert queries to the exact path.
-	quantized bool
-
-	// Exactly one base is set, matching the live tier being forked.
-	baseEngine *engine.Engine
-	baseSet    *ta.CandidateSet
-	baseIdx    *ta.FastIndex
-
-	newEngine *engine.Engine
-	newSet    *ta.CandidateSet
-	newIdx    *ta.FastIndex
+	// base is the live engine being forked; folded is Run's result. The
+	// fold inherits base's query mode (exact or quantized).
+	base, folded *engine.Engine
 }
 
 // Events returns the number of delta events the compaction folds.
-func (c *Compaction) Events() int { return c.events }
+func (c *Compaction) Events() int { return len(c.view.Events) }
 
 // BeginCompaction captures the pending delta as a compaction unit, or
 // nil when nothing is pending. Must be serialized with ingestion and
@@ -255,39 +189,15 @@ func (r *Recommender) BeginCompaction() *Compaction {
 	if r.taDelta == nil || r.taDelta.Events() == 0 {
 		return nil
 	}
-	c := &Compaction{
-		delta:     r.taDelta,
-		view:      r.taDelta.View(),
-		workers:   r.cfg.Threads,
-		quantized: r.taQuantized,
-	}
-	c.events = len(c.view.Events)
-	if eng := r.liveEngine(); eng != nil {
-		c.baseEngine = eng
-	} else if r.taLiveIdx != nil {
-		c.baseSet, c.baseIdx = r.taLiveSet, r.taLiveIdx
-	} else {
-		c.baseSet, c.baseIdx = r.taSet, r.taIndex
-	}
-	return c
+	return &Compaction{delta: r.taDelta, view: r.taDelta.View(), workers: r.cfg.Threads, base: r.liveEngine()}
 }
 
 // Run builds the folded tier — the expensive step, run on any goroutine
 // with no lock held; the old tiers keep serving meanwhile.
 func (c *Compaction) Run() error {
-	if c.baseEngine != nil {
-		eng, err := c.baseEngine.Fold(c.view.Events, c.view.Pairs, c.view.Cross, c.workers)
-		if err != nil {
-			return err
-		}
-		c.newEngine = eng
-		return nil
-	}
-	c.newSet, c.newIdx = ta.FoldDelta(c.baseSet, c.view, c.workers)
-	if c.quantized {
-		c.newSet.PackQuantized()
-	}
-	return nil
+	var err error
+	c.folded, err = c.base.Fold(c.view, c.workers)
+	return err
 }
 
 // InstallCompaction swaps the folded tier in as the live base and drops
@@ -303,11 +213,7 @@ func (r *Recommender) InstallCompaction(c *Compaction) error {
 	if r.taDelta != c.delta {
 		return fmt.Errorf("ebsn: compaction superseded: candidate space re-prepared while the fold ran")
 	}
-	if c.newEngine != nil {
-		r.taLiveEngine = c.newEngine
-	} else {
-		r.taLiveSet, r.taLiveIdx = c.newSet, c.newIdx
-	}
+	r.taLiveEngine = c.folded
 	r.taDelta.Advance(c.view)
 	return nil
 }

@@ -62,42 +62,29 @@ func (r *Recommender) CompileConstraint(c Constraint) (EventPredicate, int) {
 }
 
 // selectTopEvents runs the shared top-n selection over the test events
-// under an arbitrary scoring function: the same strict-> insertion the
-// unconstrained TopEvents uses, so ties keep first-seen (ascending
-// event) order across every scenario. skip, when non-nil, drops events
-// before scoring.
+// under an arbitrary scoring function: a strict-> insertion, so ties
+// keep first-seen (ascending event) order across TopEvents and every
+// scenario. skip, when non-nil, drops events before scoring.
 func (r *Recommender) selectTopEvents(n int, skip EventPredicate, score func(i int, x int32) float32) []Recommendation {
-	type se struct {
-		x int32
-		s float32
-	}
-	best := make([]se, 0, n)
+	best := make([]Recommendation, 0, n)
 	for i, x := range r.split.TestEvents {
 		if skip != nil && !skip[i] {
 			continue
 		}
 		s := score(i, x)
-		if len(best) < n {
-			best = append(best, se{x, s})
-			up := len(best) - 1
-			for up > 0 && best[up].s > best[up-1].s {
-				best[up], best[up-1] = best[up-1], best[up]
-				up--
-			}
-		} else if s > best[n-1].s {
-			best[n-1] = se{x, s}
-			up := n - 1
-			for up > 0 && best[up].s > best[up-1].s {
-				best[up], best[up-1] = best[up-1], best[up]
-				up--
-			}
+		switch {
+		case len(best) < n:
+			best = append(best, Recommendation{Event: x, Score: s})
+		case s > best[n-1].Score:
+			best[n-1] = Recommendation{Event: x, Score: s}
+		default:
+			continue
+		}
+		for up := len(best) - 1; up > 0 && best[up].Score > best[up-1].Score; up-- {
+			best[up], best[up-1] = best[up-1], best[up]
 		}
 	}
-	out := make([]Recommendation, len(best))
-	for i, e := range best {
-		out[i] = Recommendation{Event: e.x, Score: e.s}
-	}
-	return out
+	return best
 }
 
 // TopEventsConstrained is TopEvents restricted to events satisfying the
@@ -105,16 +92,10 @@ func (r *Recommender) selectTopEvents(n int, skip EventPredicate, score func(i i
 // result is the exact top n of the allowed subset (fewer when fewer
 // allowed events exist). A zero constraint is identical to TopEvents.
 func (r *Recommender) TopEventsConstrained(user int32, n int, c Constraint) ([]Recommendation, error) {
-	if int(user) < 0 || int(user) >= r.dataset.NumUsers {
-		return nil, fmt.Errorf("ebsn: user %d out of range [0,%d)", user, r.dataset.NumUsers)
-	}
-	if n <= 0 {
-		return nil, fmt.Errorf("ebsn: n must be positive")
+	if err := r.checkUserN(user, n); err != nil {
+		return nil, err
 	}
 	pred, _ := r.CompileConstraint(c)
-	if pred == nil {
-		return r.TopEvents(user, n)
-	}
 	return r.selectTopEvents(n, pred, func(_ int, x int32) float32 {
 		return r.model.ScoreUserEvent(user, x)
 	}), nil
@@ -133,58 +114,15 @@ func (r *Recommender) TopEventPartnersConstrained(user int32, n int, c Constrain
 }
 
 // TopEventPartnersConstrainedStats is TopEventPartnersConstrained plus
-// the TA work counters (the engine's aggregate when a sharded engine is
-// prepared).
+// the TA work counters, aggregated over the engine's shards.
 func (r *Recommender) TopEventPartnersConstrainedStats(user int32, n int, c Constraint) ([]PairRecommendation, SearchStats, error) {
-	if int(user) < 0 || int(user) >= r.dataset.NumUsers {
-		return nil, SearchStats{}, fmt.Errorf("ebsn: user %d out of range [0,%d)", user, r.dataset.NumUsers)
-	}
-	if n <= 0 {
-		return nil, SearchStats{}, fmt.Errorf("ebsn: n must be positive")
-	}
-	pred, _ := r.CompileConstraint(c)
-	if r.taEngine == nil && r.taIndex == nil {
-		k := len(r.split.TestEvents) / 20
-		if k < 1 {
-			k = 1
-		}
-		if err := r.PrepareJoint(k); err != nil {
-			return nil, SearchStats{}, err
-		}
-	}
-	var (
-		res   []ta.Result
-		stats SearchStats
-	)
-	// Deliberately the base tier, never liveEngine()/taLiveIdx: a
+	// Deliberately jointSearch's base engine, never liveEngine(): a
 	// compacted live tier holds folded live events past the test-event
 	// range, which the predicate (compiled over split.TestEvents) cannot
 	// cover.
-	if eng := r.taEngine; eng != nil {
-		r2, es, err := eng.SearchPred(r.model.UserVec(user), n, user, pred)
-		if err != nil {
-			return nil, SearchStats{}, err
-		}
-		res, stats = r2, es.Agg
-	} else {
-		idx, set := r.taIndex, r.taSet
-		sc := ta.GetScratch()
-		defer ta.PutScratch(sc)
-		if r.quantizedJointQuery(set) {
-			res, stats = idx.TopNExcludingQuantizedPredScratch(r.model.UserVec(user), n, user, pred, sc)
-		} else {
-			res, stats = idx.TopNExcludingPredScratch(r.model.UserVec(user), n, user, pred, sc)
-		}
-	}
-	out := make([]PairRecommendation, 0, len(res))
-	for _, rr := range res {
-		out = append(out, PairRecommendation{
-			Event:   r.split.TestEvents[rr.Event],
-			Partner: rr.Partner,
-			Score:   rr.Score,
-		})
-	}
-	return out, stats, nil
+	pred, _ := r.CompileConstraint(c)
+	out, es, err := r.jointSearch(user, n, pred)
+	return out, es.Agg, err
 }
 
 // GroupTopEvents recommends the top-n events for a group of users under
