@@ -277,6 +277,37 @@ func TestCoalescedConcurrentWithCompactionAndReload(t *testing.T) {
 			}
 		}
 	}()
+	// A hit waits for nobody, swaps or no swaps: warm a key, take the
+	// model's write lock and ask again. The answer must come while the
+	// lock is held — unless one of the swaps above moved the generation
+	// after the warm-up, which makes the request a miss that rightly
+	// queues behind the lock.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		const path = "/v1/partners?user=9&n=5"
+		for i := 0; i < 20; i++ {
+			gen := s.Generation()
+			_, want := serveDirect(s, path)
+			s.mu.Lock()
+			done := make(chan string, 1)
+			go func() {
+				_, body := serveDirect(s, path)
+				done <- body
+			}()
+			select {
+			case body := <-done:
+				if body != want {
+					t.Errorf("hit behind the write lock = %q, want %q", body, want)
+				}
+			case <-time.After(2 * time.Second):
+				if s.Generation() == gen {
+					t.Error("a hit waited for the model lock")
+				}
+			}
+			s.mu.Unlock()
+		}
+	}()
 	wg.Wait()
 }
 

@@ -7,7 +7,9 @@ import (
 	"time"
 )
 
-// Cache is a sharded LRU result cache with a global TTL. Sharding keeps
+// Cache is a sharded LRU cache of encoded response bodies with a global
+// TTL: a value is the exact bytes a miss sent, so a hit is a lookup and a
+// Write and never goes back through the encoder. Sharding keeps
 // lock contention off the hot query path: keys hash (FNV-1a) to one of
 // several independently locked shards, each an LRU list over a map.
 // Invalidation is by key construction, not by scanning: the server folds
@@ -33,7 +35,7 @@ type cacheShard struct {
 
 type cacheEntry struct {
 	key     string
-	val     any
+	val     []byte
 	expires time.Time // zero when the cache has no TTL
 }
 
@@ -70,9 +72,10 @@ func (c *Cache) shard(key string) *cacheShard {
 	return c.shards[h%uint32(len(c.shards))]
 }
 
-// Get returns the cached value for key, tracking hit/miss counters and
-// evicting the entry if its TTL has lapsed.
-func (c *Cache) Get(key string) (any, bool) {
+// Get returns the cached body for key, tracking hit/miss counters and
+// evicting the entry if its TTL has lapsed. The bytes are shared with
+// every other hit on the key: callers must not modify them.
+func (c *Cache) Get(key string) ([]byte, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	if el, ok := s.m[key]; ok {
@@ -94,8 +97,8 @@ func (c *Cache) Get(key string) (any, bool) {
 }
 
 // Put stores val under key, evicting the shard's least recently used
-// entry when full.
-func (c *Cache) Put(key string, val any) {
+// entry when full. The cache keeps val itself, not a copy.
+func (c *Cache) Put(key string, val []byte) {
 	s := c.shard(key)
 	var exp time.Time
 	if c.ttl > 0 {

@@ -11,14 +11,14 @@ func TestCacheHitMiss(t *testing.T) {
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put("a", 1)
+	c.Put("a", []byte("1"))
 	v, ok := c.Get("a")
-	if !ok || v.(int) != 1 {
-		t.Fatalf("Get(a) = %v, %v", v, ok)
+	if !ok || string(v) != "1" {
+		t.Fatalf("Get(a) = %q, %v", v, ok)
 	}
-	c.Put("a", 2)
-	if v, _ := c.Get("a"); v.(int) != 2 {
-		t.Fatalf("overwrite lost: %v", v)
+	c.Put("a", []byte("2"))
+	if v, _ := c.Get("a"); string(v) != "2" {
+		t.Fatalf("overwrite lost: %q", v)
 	}
 	hits, misses := c.Stats()
 	if hits != 2 || misses != 1 {
@@ -30,13 +30,13 @@ func TestCacheLRUEviction(t *testing.T) {
 	// One shard of capacity 4 makes eviction order deterministic.
 	c := NewCache(4, 1, time.Minute)
 	for i := 0; i < 4; i++ {
-		c.Put(fmt.Sprintf("k%d", i), i)
+		c.Put(fmt.Sprintf("k%d", i), nil)
 	}
 	// Touch k0 so k1 is now the least recently used.
 	if _, ok := c.Get("k0"); !ok {
 		t.Fatal("k0 missing before eviction")
 	}
-	c.Put("k4", 4)
+	c.Put("k4", nil)
 	if _, ok := c.Get("k1"); ok {
 		t.Fatal("LRU entry k1 survived eviction")
 	}
@@ -54,7 +54,7 @@ func TestCacheTTLExpiry(t *testing.T) {
 	c := NewCache(16, 2, 10*time.Second)
 	now := time.Unix(1000, 0)
 	c.now = func() time.Time { return now }
-	c.Put("a", 1)
+	c.Put("a", nil)
 	if _, ok := c.Get("a"); !ok {
 		t.Fatal("fresh entry missing")
 	}
@@ -68,7 +68,7 @@ func TestCacheTTLExpiry(t *testing.T) {
 	// ttl < 0 disables expiry.
 	c2 := NewCache(16, 2, -1)
 	c2.now = func() time.Time { return now }
-	c2.Put("a", 1)
+	c2.Put("a", nil)
 	now = now.Add(1000 * time.Hour)
 	if _, ok := c2.Get("a"); !ok {
 		t.Fatal("entry expired with TTL disabled")
@@ -78,7 +78,7 @@ func TestCacheTTLExpiry(t *testing.T) {
 func TestCacheShardingSpreadsKeys(t *testing.T) {
 	c := NewCache(1024, 8, time.Minute)
 	for i := 0; i < 512; i++ {
-		c.Put(fmt.Sprintf("key-%d", i), i)
+		c.Put(fmt.Sprintf("key-%d", i), nil)
 	}
 	if c.Len() != 512 {
 		t.Fatalf("Len = %d, want 512", c.Len())

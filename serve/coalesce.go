@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ebsn"
+	"ebsn/internal/obs"
 )
 
 // coalescer is the micro-batching admission layer for single-user
@@ -163,49 +164,23 @@ func (c *coalescer) run(units []coalesceUnit, outs []coalesceOut) {
 	}
 	s.metrics.RecordCoalesced(len(users))
 	d := rec.Dataset()
-	gen := s.gen.Load()
 	for k, i := range idx {
 		u := units[i]
-		resp := encodePairs(d, u.user, u.n, batch[k])
-		// Seed the response cache so identical followers hit without
-		// coalescing at all.
-		s.cachePut(cacheKey(epPartners, u.user, u.n, gen), resp)
 		outs[i] = coalesceOut{
-			status: http.StatusOK, resp: resp,
+			status: http.StatusOK, resp: encodePairs(d, u.user, u.n, batch[k]),
 			stats: bs.Agg, shards: len(bs.Shards), batch: len(users),
 		}
 	}
 }
 
-// handlePartnersCoalesced is GET /v1/partners when coalescing is on:
-// parse and check the cache under the read lock, then release it and
-// park in the coalescer (the dispatcher takes its own read lock — parking
-// while holding ours would deadlock behind a queued writer).
-func (s *Server) handlePartnersCoalesced(w http.ResponseWriter, r *http.Request) {
-	sp := s.tracer.Start(epPartners)
-	defer sp.End()
-	s.mu.RLock()
-	rec := s.rec
-	user, n, err := s.parseUserN(rec, r)
-	if err != nil {
-		s.mu.RUnlock()
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	sp.SetAttr("user", int64(user))
-	sp.SetAttr("n", int64(n))
-	sp.Stage("cache")
-	key := cacheKey(epPartners, user, n, s.gen.Load())
-	if v, ok := s.cacheGet(key); ok {
-		sp.SetAttr("cache_hit", 1)
-		s.mu.RUnlock()
-		writeJSON(w, http.StatusOK, v)
-		return
-	}
-	sp.SetAttr("cache_hit", 0)
-	s.mu.RUnlock()
+// answerCoalesced is the compute stage of GET /v1/partners when
+// coalescing is on: park in the coalescer holding no lock, then encode
+// this request's share of the batch on its own goroutine — outside the
+// dispatcher's read lock — and seed the response cache with it so
+// identical followers hit without coalescing at all.
+func (s *Server) answerCoalesced(w http.ResponseWriter, q *getQuery, sp *obs.Span) {
 	sp.Stage("coalesce")
-	out := s.coalesce.join(user, n)
+	out := s.coalesce.join(int32(q.user), q.n)
 	sp.SetAttr("batch", int64(out.batch))
 	sp.SetAttr("ta_candidates", int64(out.stats.Candidates))
 	sp.SetAttr("shards", int64(out.shards))
@@ -213,5 +188,5 @@ func (s *Server) handlePartnersCoalesced(w http.ResponseWriter, r *http.Request)
 		writeError(w, out.status, out.errMsg)
 		return
 	}
-	writeJSON(w, http.StatusOK, out.resp)
+	s.writeCached(w, q.key, out.resp)
 }

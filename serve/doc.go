@@ -3,8 +3,10 @@
 // recommendation paths (cold-event ranking and TA-accelerated joint
 // event-partner ranking) plus live cold-event ingestion, behind a
 // middleware stack with request logging, panic recovery, per-request
-// timeouts and semaphore-based load shedding. A sharded LRU cache with
-// a generation counter fronts the query endpoints.
+// timeouts and semaphore-based load shedding. A sharded LRU cache of
+// encoded response bodies, keyed with a generation counter, fronts the
+// query endpoints: a hit is a lookup and a Write, answered ahead of the
+// model lock and the request timeout.
 //
 // # Observability
 //

@@ -28,6 +28,16 @@ type statusRecorder struct {
 	wrote  bool
 }
 
+// recorderFor returns w itself when an outer layer already wrapped it in
+// a statusRecorder, so one request carries one recorder however many
+// layers read the status.
+func recorderFor(w http.ResponseWriter) *statusRecorder {
+	if rec, ok := w.(*statusRecorder); ok {
+		return rec
+	}
+	return &statusRecorder{ResponseWriter: w}
+}
+
 func (r *statusRecorder) WriteHeader(code int) {
 	if !r.wrote {
 		r.status = code
@@ -75,7 +85,7 @@ func WithLogging(logger *log.Logger) Middleware {
 func WithRecovery(logger *log.Logger, onPanic func()) Middleware {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			rec := &statusRecorder{ResponseWriter: w}
+			rec := recorderFor(w)
 			defer func() {
 				if p := recover(); p != nil {
 					if onPanic != nil {

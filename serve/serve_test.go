@@ -26,15 +26,20 @@ var (
 	recErr  error
 )
 
-func testRecommender(t *testing.T) *ebsn.Recommender {
-	t.Helper()
+func sharedRecommender() (*ebsn.Recommender, error) {
 	recOnce.Do(func() {
 		recVal, recErr = ebsn.New(ebsn.Config{City: ebsn.CityTiny, Seed: 7, Threads: 4, TrainSteps: testTrainSteps})
 	})
-	if recErr != nil {
-		t.Fatal(recErr)
+	return recVal, recErr
+}
+
+func testRecommender(t *testing.T) *ebsn.Recommender {
+	t.Helper()
+	rec, err := sharedRecommender()
+	if err != nil {
+		t.Fatal(err)
 	}
-	return recVal
+	return rec
 }
 
 func warmServer(t *testing.T, cfg Config) *Server {

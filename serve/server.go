@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -72,7 +74,7 @@ type Config struct {
 	// (default 256).
 	MaxInFlight int
 	// RequestTimeout bounds handler time per request (default 5s;
-	// < 0 disables).
+	// < 0 disables). Response-cache hits are answered ahead of it.
 	RequestTimeout time.Duration
 	// DrainTimeout bounds connection draining on shutdown (default 10s).
 	DrainTimeout time.Duration
@@ -150,7 +152,8 @@ func (c *Config) fill() {
 // Server wraps a Recommender in the production HTTP stack. Create with
 // New, then call Warm to build the TA index and flip readiness.
 //
-// Concurrency: query handlers hold a read lock; ingestion and the two
+// Concurrency: query handlers hold a read lock while they compute (a
+// response-cache hit takes no lock at all); ingestion and the two
 // swap points (the reload pointer swap and the compaction install) hold
 // the write lock, serializing the Recommender's mutating methods as its
 // contract requires. Both heavy builds run entirely outside the lock:
@@ -164,6 +167,7 @@ type Server struct {
 	metrics  *Metrics
 	tracer   *obs.Tracer
 	handler  http.Handler
+	timeout  Middleware // Config.RequestTimeout around whatever can block
 	coalesce *coalescer // nil unless Config.CoalesceWindow > 0
 
 	mu     sync.RWMutex // guards rec (the pointer and its live/ingest state)
@@ -244,7 +248,8 @@ func New(rec *ebsn.Recommender, cfg Config) *Server {
 		cfg: cfg,
 		metrics: NewMetrics(epEvents, epEventsBatch, epPartners, epPartnersBatch,
 			epPartnersLive, epExplain, epIngest, epCompact, epGroup, epFeed),
-		tracer: obs.NewTracer(cfg.SlowLogSize, cfg.SlowQueryThreshold),
+		tracer:  obs.NewTracer(cfg.SlowLogSize, cfg.SlowQueryThreshold),
+		timeout: WithTimeout(cfg.RequestTimeout),
 	}
 	s.tracer.SetEnabled(cfg.TraceEnabled)
 	if cfg.CoalesceWindow > 0 {
@@ -255,14 +260,17 @@ func New(rec *ebsn.Recommender, cfg Config) *Server {
 	}
 	s.registerStateMetrics()
 
+	// The cacheable GETs answer hits ahead of the request timeout and
+	// apply it around their compute stage themselves (serveCached); every
+	// other route runs under it whole (api).
 	api := http.NewServeMux()
-	api.HandleFunc("GET /v1/events", s.api(epEvents, s.handleEvents))
+	api.HandleFunc("GET /v1/events", s.instrument(epEvents, s.handleEvents))
 	api.HandleFunc("POST /v1/events", s.api(epEventsBatch, s.handleEventsBatch))
-	api.HandleFunc("GET /v1/partners", s.api(epPartners, s.handlePartners))
+	api.HandleFunc("GET /v1/partners", s.instrument(epPartners, s.handlePartners))
 	api.HandleFunc("POST /v1/partners", s.api(epPartnersBatch, s.handlePartnersBatch))
-	api.HandleFunc("GET /v1/partners/live", s.api(epPartnersLive, s.handlePartnersLive))
+	api.HandleFunc("GET /v1/partners/live", s.instrument(epPartnersLive, s.handlePartnersLive))
 	api.HandleFunc("POST /v1/group/events", s.api(epGroup, s.handleGroupEvents))
-	api.HandleFunc("GET /v1/feed", s.api(epFeed, s.handleFeed))
+	api.HandleFunc("GET /v1/feed", s.instrument(epFeed, s.handleFeed))
 	api.HandleFunc("GET /v1/explain", s.api(epExplain, s.handleExplain))
 	api.HandleFunc("POST /v1/ingest", s.api(epIngest, s.handleIngest))
 	api.HandleFunc("POST /v1/compact", s.api(epCompact, s.handleCompact))
@@ -290,7 +298,6 @@ func New(rec *ebsn.Recommender, cfg Config) *Server {
 	root.HandleFunc("POST /v1/reload", s.handleReload)
 	root.Handle("/v1/", Chain(api,
 		WithConcurrencyLimit(cfg.MaxInFlight, s.metrics.RecordShed),
-		WithTimeout(cfg.RequestTimeout),
 	))
 
 	var accessLogger *log.Logger
@@ -696,10 +703,11 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 	return s.Serve(ctx, l)
 }
 
-// api wraps a handler with the per-endpoint plumbing every /v1 route
-// shares: readiness gating, the in-flight gauge, and status + latency
-// metrics.
-func (s *Server) api(name string, h http.HandlerFunc) http.HandlerFunc {
+// instrument wraps a handler with the per-endpoint plumbing every /v1
+// route shares: readiness gating, the in-flight gauge, and status +
+// latency metrics. It sits outside the request timeout, so a request
+// that timed out is counted as the 503 its client got.
+func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	ep := s.metrics.Endpoint(name)
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !s.ready.Load() {
@@ -709,39 +717,188 @@ func (s *Server) api(name string, h http.HandlerFunc) http.HandlerFunc {
 		}
 		s.metrics.AddInFlight(1)
 		defer s.metrics.AddInFlight(-1)
-		rec := &statusRecorder{ResponseWriter: w}
+		rec := recorderFor(w)
 		t0 := time.Now()
 		h(rec, r)
 		ep.Observe(rec.statusOr200(), time.Since(t0))
 	}
 }
 
-// ---- request parsing ----
-
-func (s *Server) parseUserN(rec *ebsn.Recommender, r *http.Request) (user int32, n int, err error) {
-	rawUser := r.URL.Query().Get("user")
-	u, convErr := strconv.Atoi(rawUser)
-	if rawUser == "" || convErr != nil || u < 0 || u >= rec.Dataset().NumUsers {
-		return 0, 0, fmt.Errorf("invalid or missing user parameter (0 ≤ user < %d)", rec.Dataset().NumUsers)
-	}
-	n = s.cfg.DefaultN
-	if raw := r.URL.Query().Get("n"); raw != "" {
-		v, convErr := strconv.Atoi(raw)
-		if convErr != nil || v <= 0 || v > s.cfg.MaxN {
-			return 0, 0, fmt.Errorf("invalid n parameter (1 ≤ n ≤ %d)", s.cfg.MaxN)
-		}
-		n = v
-	}
-	return int32(u), n, nil
+// api is instrument with the whole handler under Config.RequestTimeout.
+func (s *Server) api(name string, h http.HandlerFunc) http.HandlerFunc {
+	return s.instrument(name, s.timeout(h).ServeHTTP)
 }
 
-func parseID(r *http.Request, key string, limit int) (int32, error) {
-	raw := r.URL.Query().Get(key)
-	v, err := strconv.Atoi(raw)
-	if raw == "" || err != nil || v < 0 || v >= limit {
-		return 0, fmt.Errorf("invalid or missing %s parameter (0 ≤ %s < %d)", key, key, limit)
+// ---- cacheable GETs: one lookup stage, one compute stage ----
+
+// getQuery is one cacheable GET as the lookup stage parsed it: values
+// checked for syntax and Config bounds only. Whether the user exists is
+// the compute stage's question, asked under the model lock.
+type getQuery struct {
+	ep       string
+	user     int // -1: absent or not a non-negative integer
+	n        int // -1: outside [1, MaxN]
+	m        int // feeds only; -1: outside [1, MaxN]
+	c        ebsn.Constraint
+	coalesce bool   // answer a miss through the coalescer, not query
+	key      string // "" when a value above is invalid: no lookup, no Put
+}
+
+// queryFunc answers a validated getQuery from rec, under the model read
+// lock, as the endpoint's wire struct. Handlers pass method expressions
+// ((*Server).queryEvents): a method value would allocate per request.
+type queryFunc func(s *Server, rec *ebsn.Recommender, q *getQuery, sp *obs.Span) (any, error)
+
+// boundedParam reads an optional count in [1, max]: def when absent, -1
+// when present and invalid.
+func boundedParam(vals url.Values, name string, def, max int) int {
+	raw := vals.Get(name)
+	if raw == "" {
+		return def
 	}
-	return int32(v), nil
+	v, err := strconv.Atoi(raw)
+	if err != nil || v <= 0 || v > max {
+		return -1
+	}
+	return v
+}
+
+// newQuery parses the parameters every cacheable GET shares out of vals
+// (the request's one url.Values) and, when they are all well-formed,
+// builds the cache key from them and the current generation.
+func (s *Server) newQuery(ep string, vals url.Values, c ebsn.Constraint, feed bool) *getQuery {
+	q := &getQuery{ep: ep, user: -1, c: c}
+	if u, err := strconv.Atoi(vals.Get("user")); err == nil && u >= 0 {
+		q.user = u
+	}
+	q.n = boundedParam(vals, "n", s.cfg.DefaultN, s.cfg.MaxN)
+	if feed {
+		q.m = boundedParam(vals, "m", min(defaultFeedPartners, s.cfg.MaxN), s.cfg.MaxN)
+	}
+	if q.user < 0 || q.n < 0 || q.m < 0 {
+		return q
+	}
+	var buf [96]byte
+	k := append(buf[:0], ep...)
+	k = strconv.AppendInt(append(k, "|u"...), int64(q.user), 10)
+	k = strconv.AppendInt(append(k, "|n"...), int64(q.n), 10)
+	k = strconv.AppendUint(append(k, "|g"...), s.gen.Load(), 10)
+	if !c.IsZero() {
+		// The constraint's canonical form, so distinct filters never
+		// share an entry.
+		k = append(append(k, "|c"...), c.Key()...)
+	}
+	if feed {
+		k = strconv.AppendInt(append(k, "|m"...), int64(q.m), 10)
+		if s.cfg.FeedTTL > 0 {
+			// A FeedTTL-wide time bucket: even an idle generation
+			// re-renders a feed at most FeedTTL after the last render.
+			k = strconv.AppendInt(append(k, "|b"...), time.Now().UnixNano()/int64(s.cfg.FeedTTL), 36)
+		}
+	}
+	q.key = string(k)
+	return q
+}
+
+// check is the validation the lookup stage could not do: the user
+// against the serving model's user space, then the first malformed value
+// in the order the endpoints have always reported them.
+func (s *Server) check(q *getQuery, numUsers int) error {
+	switch {
+	case q.user < 0 || q.user >= numUsers:
+		return fmt.Errorf("invalid or missing user parameter (0 ≤ user < %d)", numUsers)
+	case q.n < 0:
+		return fmt.Errorf("invalid n parameter (1 ≤ n ≤ %d)", s.cfg.MaxN)
+	case q.m < 0:
+		return fmt.Errorf("invalid m parameter (1 ≤ m ≤ %d)", s.cfg.MaxN)
+	}
+	return nil
+}
+
+// serveCached is the lookup stage of every cacheable GET. A hit is a map
+// lookup and a Write of the bytes the miss sent: it takes neither the
+// model lock (a cached body was valid at its generation by construction,
+// so it need not queue behind an ingest holding the write lock) nor a
+// timeout goroutine, and never reaches the encoder. Everything else —
+// validation against the model, the query, the one encode, the Put — is
+// the compute stage, which runs under Config.RequestTimeout.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, q *getQuery, query queryFunc) {
+	sp := s.tracer.Start(q.ep)
+	if q.key != "" {
+		sp.SetAttr("user", int64(q.user))
+		sp.SetAttr("n", int64(q.n))
+		if q.m > 0 {
+			sp.SetAttr("m", int64(q.m))
+		}
+		if !q.c.IsZero() {
+			sp.SetAttr("constrained", 1)
+		}
+		sp.Stage("cache")
+		if s.cache != nil {
+			if body, ok := s.cache.Get(q.key); ok {
+				sp.SetAttr("cache_hit", 1)
+				sp.End()
+				writeBody(w, body)
+				return
+			}
+		}
+		sp.SetAttr("cache_hit", 0)
+	}
+	// The span goes with the compute stage: when the timeout fires this
+	// goroutine returns while that one is still using it.
+	s.timeout(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		defer sp.End()
+		s.compute(w, q, sp, query)
+	})).ServeHTTP(w, r)
+}
+
+// compute is the compute stage: validate under the read lock, answer,
+// then encode once, cache the bytes and send them.
+func (s *Server) compute(w http.ResponseWriter, q *getQuery, sp *obs.Span, query queryFunc) {
+	s.mu.RLock()
+	rec := s.rec
+	if err := s.check(q, rec.Dataset().NumUsers); err != nil {
+		s.mu.RUnlock()
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	if q.coalesce {
+		// Park without the lock: the dispatcher takes its own read lock,
+		// and waiting on it while holding ours would deadlock behind a
+		// queued writer.
+		s.mu.RUnlock()
+		s.answerCoalesced(w, q, sp)
+		return
+	}
+	v, err := query(s, rec, q, sp)
+	s.mu.RUnlock()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	s.writeCached(w, q.key, v)
+}
+
+// bodyPool holds the buffers responses are encoded into before the
+// exact-size copy the cache keeps is taken.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeCached encodes v once — with encoding/json, so the bytes are the
+// ones writeJSON would send — stores them under key and sends them.
+func (s *Server) writeCached(w http.ResponseWriter, key string, v any) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer bodyPool.Put(buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	body := buf.Bytes()
+	if s.cache != nil {
+		body = bytes.Clone(body) // the cache keeps this one; buf goes back to the pool
+		s.cache.Put(key, body)
+	}
+	writeBody(w, body)
 }
 
 // ---- response shapes ----
@@ -908,118 +1065,75 @@ type CacheSnapshot struct {
 
 // ---- handlers ----
 
+// handleEvents is GET /v1/events: the user's top n events, or with
+// from/until/within the exact top n of the allowed subset.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if c, err := parseConstraintParams(r); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	} else if !c.IsZero() {
-		s.handleEventsConstrained(w, r, c)
+	vals := r.URL.Query()
+	c, ok := s.parseConstraint(w, vals)
+	if !ok {
 		return
 	}
-	sp := s.tracer.Start(epEvents)
-	defer sp.End()
-	s.mu.RLock()
-	rec := s.rec
-	user, n, err := s.parseUserN(rec, r)
-	if err != nil {
-		s.mu.RUnlock()
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	sp.SetAttr("user", int64(user))
-	sp.SetAttr("n", int64(n))
-	sp.Stage("cache")
-	key := cacheKey(epEvents, user, n, s.gen.Load())
-	if v, ok := s.cacheGet(key); ok {
-		sp.SetAttr("cache_hit", 1)
-		s.mu.RUnlock()
-		writeJSON(w, http.StatusOK, v)
-		return
-	}
-	sp.SetAttr("cache_hit", 0)
-	sp.Stage("query")
-	recs, err := rec.TopEvents(user, n)
-	if err != nil {
-		s.mu.RUnlock()
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	sp.Stage("encode")
-	d := rec.Dataset()
-	resp := &RankingResponse{User: user, N: n, Events: make([]EventResult, len(recs))}
-	for i, e := range recs {
-		resp.Events[i] = EventResult{
-			Event: e.Event,
-			Start: d.Events[e.Event].Start.Format(time.RFC3339),
-			Score: e.Score,
-		}
-	}
-	s.mu.RUnlock()
-	s.cachePut(key, resp)
-	writeJSON(w, http.StatusOK, resp)
+	s.serveCached(w, r, s.newQuery(epEvents, vals, c, false), (*Server).queryEvents)
 }
 
+func (s *Server) queryEvents(rec *ebsn.Recommender, q *getQuery, sp *obs.Span) (any, error) {
+	sp.Stage("query")
+	// A zero constraint is TopEvents exactly.
+	recs, err := rec.TopEventsConstrained(int32(q.user), q.n, q.c)
+	if err != nil {
+		return nil, err
+	}
+	sp.Stage("encode")
+	return encodeEvents(rec.Dataset(), int32(q.user), q.n, recs), nil
+}
+
+// handlePartners is GET /v1/partners. Constrained requests bypass the
+// coalescer unconditionally: folding requests with different predicates
+// into one dispatch would either answer some of them against the wrong
+// filter or force the batch to the union filter and post-filter — both
+// break the exactness contract, so each runs its own traversal with the
+// predicate pushed into the TA threshold walk (DESIGN.md §3.10).
 func (s *Server) handlePartners(w http.ResponseWriter, r *http.Request) {
-	if c, err := parseConstraintParams(r); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	} else if !c.IsZero() {
-		// Constrained requests bypass the coalescer unconditionally —
-		// requests with different predicates must never share a dispatch
-		// (see handlePartnersConstrained).
-		s.handlePartnersConstrained(w, r, c)
+	vals := r.URL.Query()
+	c, ok := s.parseConstraint(w, vals)
+	if !ok {
 		return
 	}
-	if s.coalesce != nil {
-		// Micro-batching admission: cache misses park in the coalescer
-		// and share one engine traversal per window.
-		s.handlePartnersCoalesced(w, r)
-		return
+	q := s.newQuery(epPartners, vals, c, false)
+	// Micro-batching admission: cache misses park in the coalescer and
+	// share one engine traversal per window.
+	q.coalesce = s.coalesce != nil && c.IsZero()
+	s.serveCached(w, r, q, (*Server).queryPartners)
+}
+
+func (s *Server) queryPartners(rec *ebsn.Recommender, q *getQuery, sp *obs.Span) (any, error) {
+	sp.Stage("ta_search")
+	if !q.c.IsZero() {
+		pairs, stats, err := rec.TopEventPartnersConstrainedStats(int32(q.user), q.n, q.c)
+		return s.pairsAnswer(rec, q, sp, pairs, stats, nil, err)
 	}
-	s.servePairs(w, r, epPartners, func(rec *ebsn.Recommender, user int32, n int) ([]ebsn.PairRecommendation, ebsn.SearchStats, *ebsn.EngineStats, error) {
-		// The scatter-gather stats carry the per-shard decomposition to
-		// spans and /metrics.
-		pairs, es, err := rec.TopEventPartnersShardedStats(user, n)
-		return pairs, es.Agg, &es, err
-	})
+	// The scatter-gather stats carry the per-shard decomposition to
+	// spans and /metrics.
+	pairs, es, err := rec.TopEventPartnersShardedStats(int32(q.user), q.n)
+	return s.pairsAnswer(rec, q, sp, pairs, es.Agg, &es, err)
 }
 
 func (s *Server) handlePartnersLive(w http.ResponseWriter, r *http.Request) {
-	s.servePairs(w, r, epPartnersLive, func(rec *ebsn.Recommender, user int32, n int) ([]ebsn.PairRecommendation, ebsn.SearchStats, *ebsn.EngineStats, error) {
-		pairs, stats, err := rec.TopEventPartnersLiveStats(user, n)
-		return pairs, stats, nil, err
-	})
+	s.serveCached(w, r, s.newQuery(epPartnersLive, r.URL.Query(), ebsn.Constraint{}, false), (*Server).queryPartnersLive)
 }
 
-func (s *Server) servePairs(w http.ResponseWriter, r *http.Request, ep string,
-	query func(*ebsn.Recommender, int32, int) ([]ebsn.PairRecommendation, ebsn.SearchStats, *ebsn.EngineStats, error)) {
-	sp := s.tracer.Start(ep)
-	defer sp.End()
-	s.mu.RLock()
-	rec := s.rec
-	user, n, err := s.parseUserN(rec, r)
-	if err != nil {
-		s.mu.RUnlock()
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	sp.SetAttr("user", int64(user))
-	sp.SetAttr("n", int64(n))
-	sp.Stage("cache")
-	key := cacheKey(ep, user, n, s.gen.Load())
-	if v, ok := s.cacheGet(key); ok {
-		sp.SetAttr("cache_hit", 1)
-		s.mu.RUnlock()
-		writeJSON(w, http.StatusOK, v)
-		return
-	}
-	sp.SetAttr("cache_hit", 0)
+func (s *Server) queryPartnersLive(rec *ebsn.Recommender, q *getQuery, sp *obs.Span) (any, error) {
 	sp.Stage("ta_search")
-	pairs, stats, estats, err := query(rec, user, n)
+	pairs, stats, err := rec.TopEventPartnersLiveStats(int32(q.user), q.n)
+	return s.pairsAnswer(rec, q, sp, pairs, stats, nil, err)
+}
+
+// pairsAnswer records a finished joint search on the metrics panel and
+// the span and renders its pairs.
+func (s *Server) pairsAnswer(rec *ebsn.Recommender, q *getQuery, sp *obs.Span, pairs []ebsn.PairRecommendation,
+	stats ebsn.SearchStats, estats *ebsn.EngineStats, err error) (any, error) {
 	if err != nil {
-		s.mu.RUnlock()
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
+		return nil, err
 	}
 	s.metrics.RecordTA(stats)
 	sp.SetAttr("ta_sorted", int64(stats.SortedAccesses))
@@ -1040,24 +1154,16 @@ func (s *Server) servePairs(w http.ResponseWriter, r *http.Request, ep string,
 		}
 	}
 	sp.Stage("encode")
-	d := rec.Dataset()
-	resp := &RankingResponse{User: user, N: n, Pairs: make([]PairResult, len(pairs))}
-	for i, p := range pairs {
-		pr := PairResult{
-			Event:   p.Event,
-			Live:    p.Event < 0,
-			Partner: p.Partner,
-			Friend:  d.AreFriends(user, p.Partner),
-			Score:   p.Score,
-		}
-		if p.Event >= 0 {
-			pr.Start = d.Events[p.Event].Start.Format(time.RFC3339)
-		}
-		resp.Pairs[i] = pr
+	return encodePairs(rec.Dataset(), int32(q.user), q.n, pairs), nil
+}
+
+func parseID(vals url.Values, key string, limit int) (int32, error) {
+	raw := vals.Get(key)
+	v, err := strconv.Atoi(raw)
+	if raw == "" || err != nil || v < 0 || v >= limit {
+		return 0, fmt.Errorf("invalid or missing %s parameter (0 ≤ %s < %d)", key, key, limit)
 	}
-	s.mu.RUnlock()
-	s.cachePut(key, resp)
-	writeJSON(w, http.StatusOK, resp)
+	return int32(v), nil
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -1065,17 +1171,18 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	defer s.mu.RUnlock()
 	rec := s.rec
 	d := rec.Dataset()
-	user, err := parseID(r, "user", d.NumUsers)
+	vals := r.URL.Query()
+	user, err := parseID(vals, "user", d.NumUsers)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	partner, err := parseID(r, "partner", d.NumUsers)
+	partner, err := parseID(vals, "partner", d.NumUsers)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	event, err := parseID(r, "event", d.NumEvents())
+	event, err := parseID(vals, "event", d.NumEvents())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -1455,31 +1562,19 @@ func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// ---- cache plumbing ----
-
-func cacheKey(ep string, user int32, n int, gen uint64) string {
-	return ep + "|u" + strconv.Itoa(int(user)) + "|n" + strconv.Itoa(n) + "|g" + strconv.FormatUint(gen, 10)
-}
-
-func (s *Server) cacheGet(key string) (any, bool) {
-	if s.cache == nil {
-		return nil, false
-	}
-	return s.cache.Get(key)
-}
-
-func (s *Server) cachePut(key string, v any) {
-	if s.cache != nil {
-		s.cache.Put(key, v)
-	}
-}
-
 // ---- JSON helpers ----
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// writeBody answers 200 with an already encoded JSON body.
+func writeBody(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // a failed write is the client's disconnect
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {

@@ -3,14 +3,16 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
 	"ebsn"
+	"ebsn/internal/obs"
 )
 
 // This file is the serving surface of the scenario workloads: the
-// constrained variants of GET /v1/events and GET /v1/partners (time
+// constraint parameters of GET /v1/events and GET /v1/partners (time
 // window and geo radius pushed into the TA walk), POST /v1/group/events
 // (multi-member aggregation), and GET /v1/feed (events joined with
 // companions). Every request landing here is counted in
@@ -23,131 +25,25 @@ const (
 	workloadFeed        = "feed"
 )
 
-// parseConstraintParams reads the from/until/within query parameters
-// shared by the constrained GET endpoints. Absent parameters yield the
-// zero Constraint, the signal to stay on the unconstrained path.
-func parseConstraintParams(r *http.Request) (ebsn.Constraint, error) {
-	q := r.URL.Query()
-	return ebsn.ParseConstraint(q.Get("from"), q.Get("until"), q.Get("within"))
-}
-
-// parseM reads the per-event companion count for GET /v1/feed, bounded
-// like n.
-func (s *Server) parseM(r *http.Request) (int, error) {
-	m := defaultFeedPartners
-	if m > s.cfg.MaxN {
-		m = s.cfg.MaxN
+// parseConstraint reads the from/until/within parameters of the
+// constrained GET endpoints, answering a malformed one with 400. Absent
+// parameters yield the zero Constraint, the unconstrained path; every
+// request carrying one is counted as a constrained workload.
+func (s *Server) parseConstraint(w http.ResponseWriter, vals url.Values) (ebsn.Constraint, bool) {
+	c, err := ebsn.ParseConstraint(vals.Get("from"), vals.Get("until"), vals.Get("within"))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return c, false
 	}
-	if raw := r.URL.Query().Get("m"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil || v <= 0 || v > s.cfg.MaxN {
-			return 0, errBadM{max: s.cfg.MaxN}
-		}
-		m = v
+	if !c.IsZero() {
+		s.metrics.RecordWorkload(workloadConstrained)
 	}
-	return m, nil
+	return c, true
 }
 
 // defaultFeedPartners is the companion count per feed event when ?m= is
 // absent.
 const defaultFeedPartners = 5
-
-type errBadM struct{ max int }
-
-func (e errBadM) Error() string {
-	return "invalid m parameter (1 ≤ m ≤ " + strconv.Itoa(e.max) + ")"
-}
-
-// handleEventsConstrained answers GET /v1/events carrying a non-zero
-// constraint: the exact top n of the allowed event subset. Cached under
-// a key extended with the constraint's canonical form, so distinct
-// filters never share an entry.
-func (s *Server) handleEventsConstrained(w http.ResponseWriter, r *http.Request, c ebsn.Constraint) {
-	sp := s.tracer.Start(epEvents)
-	defer sp.End()
-	s.metrics.RecordWorkload(workloadConstrained)
-	s.mu.RLock()
-	rec := s.rec
-	user, n, err := s.parseUserN(rec, r)
-	if err != nil {
-		s.mu.RUnlock()
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	sp.SetAttr("user", int64(user))
-	sp.SetAttr("n", int64(n))
-	sp.SetAttr("constrained", 1)
-	sp.Stage("cache")
-	key := cacheKey(epEvents, user, n, s.gen.Load()) + "|c" + c.Key()
-	if v, ok := s.cacheGet(key); ok {
-		sp.SetAttr("cache_hit", 1)
-		s.mu.RUnlock()
-		writeJSON(w, http.StatusOK, v)
-		return
-	}
-	sp.SetAttr("cache_hit", 0)
-	sp.Stage("query")
-	recs, err := rec.TopEventsConstrained(user, n, c)
-	if err != nil {
-		s.mu.RUnlock()
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	sp.Stage("encode")
-	resp := encodeEvents(rec.Dataset(), user, n, recs)
-	s.mu.RUnlock()
-	s.cachePut(key, resp)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handlePartnersConstrained answers GET /v1/partners carrying a non-zero
-// constraint, with the predicate pushed into the TA threshold walk
-// (DESIGN.md §3.10). Constrained requests never enter the coalescer:
-// folding requests with different predicates into one dispatch would
-// either answer some of them against the wrong filter or force the
-// batch to the union filter and post-filter — both break the exactness
-// contract, so each constrained request runs its own traversal.
-func (s *Server) handlePartnersConstrained(w http.ResponseWriter, r *http.Request, c ebsn.Constraint) {
-	sp := s.tracer.Start(epPartners)
-	defer sp.End()
-	s.metrics.RecordWorkload(workloadConstrained)
-	s.mu.RLock()
-	rec := s.rec
-	user, n, err := s.parseUserN(rec, r)
-	if err != nil {
-		s.mu.RUnlock()
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	sp.SetAttr("user", int64(user))
-	sp.SetAttr("n", int64(n))
-	sp.SetAttr("constrained", 1)
-	sp.Stage("cache")
-	key := cacheKey(epPartners, user, n, s.gen.Load()) + "|c" + c.Key()
-	if v, ok := s.cacheGet(key); ok {
-		sp.SetAttr("cache_hit", 1)
-		s.mu.RUnlock()
-		writeJSON(w, http.StatusOK, v)
-		return
-	}
-	sp.SetAttr("cache_hit", 0)
-	sp.Stage("ta_search")
-	pairs, stats, err := rec.TopEventPartnersConstrainedStats(user, n, c)
-	if err != nil {
-		s.mu.RUnlock()
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	s.metrics.RecordTA(stats)
-	sp.SetAttr("ta_sorted", int64(stats.SortedAccesses))
-	sp.SetAttr("ta_random", int64(stats.RandomAccesses))
-	sp.SetAttr("ta_candidates", int64(stats.Candidates))
-	sp.Stage("encode")
-	resp := encodePairs(rec.Dataset(), user, n, pairs)
-	s.mu.RUnlock()
-	s.cachePut(key, resp)
-	writeJSON(w, http.StatusOK, resp)
-}
 
 // encodeEvents renders one user's event recommendations with start
 // times.
@@ -294,48 +190,20 @@ type FeedResponse struct {
 // time bucket, so even an idle generation re-renders a user's feed at
 // most Config.FeedTTL after the previous render.
 func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
-	sp := s.tracer.Start(epFeed)
-	defer sp.End()
 	s.metrics.RecordWorkload(workloadFeed)
-	s.mu.RLock()
-	rec := s.rec
-	user, n, err := s.parseUserN(rec, r)
-	if err != nil {
-		s.mu.RUnlock()
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	m, err := s.parseM(r)
-	if err != nil {
-		s.mu.RUnlock()
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	sp.SetAttr("user", int64(user))
-	sp.SetAttr("n", int64(n))
-	sp.SetAttr("m", int64(m))
-	sp.Stage("cache")
-	key := cacheKey(epFeed, user, n, s.gen.Load()) + "|m" + strconv.Itoa(m)
-	if s.cfg.FeedTTL > 0 {
-		key += "|b" + strconv.FormatInt(time.Now().UnixNano()/int64(s.cfg.FeedTTL), 36)
-	}
-	if v, ok := s.cacheGet(key); ok {
-		sp.SetAttr("cache_hit", 1)
-		s.mu.RUnlock()
-		writeJSON(w, http.StatusOK, v)
-		return
-	}
-	sp.SetAttr("cache_hit", 0)
+	s.serveCached(w, r, s.newQuery(epFeed, r.URL.Query(), ebsn.Constraint{}, true), (*Server).queryFeed)
+}
+
+func (s *Server) queryFeed(rec *ebsn.Recommender, q *getQuery, sp *obs.Span) (any, error) {
 	sp.Stage("query")
-	items, err := rec.Feed(user, n, m)
+	user := int32(q.user)
+	items, err := rec.Feed(user, q.n, q.m)
 	if err != nil {
-		s.mu.RUnlock()
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
+		return nil, err
 	}
 	sp.Stage("encode")
 	d := rec.Dataset()
-	resp := &FeedResponse{User: user, N: n, M: m, Items: make([]FeedItemResult, len(items))}
+	resp := &FeedResponse{User: user, N: q.n, M: q.m, Items: make([]FeedItemResult, len(items))}
 	for i, it := range items {
 		fr := FeedItemResult{
 			Event:    it.Event,
@@ -352,7 +220,5 @@ func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Items[i] = fr
 	}
-	s.mu.RUnlock()
-	s.cachePut(key, resp)
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
