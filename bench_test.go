@@ -3,10 +3,11 @@ package ebsn
 // One benchmark per table and figure of the paper's evaluation section,
 // plus the ablation benches DESIGN.md §6 calls out. Each experiment bench
 // runs the corresponding internal/experiments harness at a reduced scale
-// so `go test -bench=.` finishes in minutes; cmd/ebsn-bench runs the same
-// experiments at full scale and prints the paper-style tables recorded in
-// EXPERIMENTS.md. Accuracy results surface as custom benchmark metrics
-// (acc@10 etc.) so regressions show up in benchstat diffs.
+// so `go test -bench=.` finishes in minutes; `ebsn-bench -exp` runs the
+// same experiments at full scale and prints the paper-style tables
+// recorded in EXPERIMENTS.md. Accuracy results surface as custom benchmark
+// metrics (acc@10 etc.) so regressions show up in benchstat diffs. Serving
+// performance is measured by `go run ./benchmark`, not here.
 
 import (
 	"fmt"
@@ -254,10 +255,11 @@ func BenchmarkAblationAdaptiveExactVsApprox(b *testing.B) {
 }
 
 // BenchmarkTrainThroughput measures raw gradient steps per second for the
-// production configuration (GEM-A, K=60).
+// production configuration (GEM-A, K=60) at 1/2/4/8 Hogwild threads: the
+// training thread curve. Steps/s stops scaling at the host's core count.
 func BenchmarkTrainThroughput(b *testing.B) {
 	env := benchEnvironment(b)
-	for _, threads := range []int{1, 4} {
+	for _, threads := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
 			cfg := core.GEMAConfig()
 			cfg.Threads = threads

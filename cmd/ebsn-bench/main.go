@@ -8,29 +8,9 @@
 //	ebsn-bench -exp all -city small -steps 1200000 -threads 8
 //	ebsn-bench -exp tab6 -city small -queries 100
 //
-// With -serve it instead load-tests the production HTTP stack (the
-// serve package) and appends throughput/latency results to
-// BENCH_serve.json:
-//
-//	ebsn-bench -serve -city tiny -conc 16 -duration 5s
-//
-// With -query it micro-benchmarks the TA query hot path and index
-// builds on synthetic vectors (no training) and appends the results to
-// BENCH_query.json:
-//
-//	ebsn-bench -query -events 2000 -partners 5000 -topk 50
-//	ebsn-bench -query -shards 4      # adds the scatter-gather shard-scaling sweep
-//	ebsn-bench -query -batch 16      # adds the batched-query amortization curve
-//	ebsn-bench -query -quantized     # adds int8-quantized latency + recall@10
-//
-// With -train it micro-benchmarks the SGD training hot path (steps/sec
-// and ns/step at 1/2/4/8 Hogwild threads) and appends the results to
-// BENCH_train.json:
-//
-//	ebsn-bench -train -city small -steps 300000
-//
-// Either mode accepts -cpuprofile/-memprofile to write pprof profiles
-// of the run.
+// -cpuprofile/-memprofile write pprof profiles of the run. Serving and
+// query-path performance is measured by `go run ./benchmark` and by the
+// packages' `go test -bench` benchmarks, not here.
 package main
 
 import (
@@ -58,26 +38,6 @@ func main() {
 		queries = flag.Int("queries", 50, "query users for the online-efficiency experiments")
 		outDir  = flag.String("out", "", "also write each table as TSV into this directory")
 
-		serveMode = flag.Bool("serve", false, "load-test the HTTP serving stack instead of running paper experiments")
-		conc      = flag.Int("conc", 8, "concurrent clients for -serve (the trajectory's stable sweep config)")
-		duration  = flag.Duration("duration", 5*time.Second, "load duration for -serve")
-		ingestN   = flag.Int("ingest", 0, "with -serve: measure query p99 while this many live events batch-ingest and background-compact (0 = plain load test)")
-		benchOut  = flag.String("benchout", "BENCH_serve.json", "trajectory file for -serve results (empty disables)")
-
-		trainMode = flag.Bool("train", false, "micro-benchmark the SGD training hot path: steps/sec at 1/2/4/8 threads")
-		trainOut  = flag.String("trainout", "BENCH_train.json", "trajectory file for -train results (empty disables)")
-
-		queryMode = flag.Bool("query", false, "micro-benchmark the TA query hot path and index builds on synthetic vectors (no training)")
-		nEvents   = flag.Int("events", 2000, "synthetic event count for -query")
-		nPartners = flag.Int("partners", 5000, "synthetic partner count for -query")
-		topK      = flag.Int("topk", 50, "per-partner candidate pruning for -query")
-		topN      = flag.Int("topn", 10, "results per query for -query")
-		shards    = flag.Int("shards", 1, "with -query: sweep the scatter-gather engine over shard counts {1,2,4,...,N} (1 disables); with -serve: the serving engine's shard count")
-		batch     = flag.Int("batch", 1, "sweep the batched query path over widths {1,2,4,...,B} for -query (1 disables)")
-		quantized = flag.Bool("quantized", false, "with -query: also measure int8-quantized queries and recall@10; with -serve: serve from quantized candidate storage")
-		note      = flag.String("note", "", "free-form label recorded with the -query run")
-		queryOut  = flag.String("queryout", "BENCH_query.json", "trajectory file for -query results (empty disables)")
-
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at the end of the run to this file")
 	)
@@ -87,30 +47,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	switch {
-	case *serveMode:
-		cityID, perr := ebsn.ParseCity(*city)
-		if perr != nil {
-			err = perr
-			break
-		}
-		if *ingestN > 0 {
-			err = runServeIngestBench(cityID, *seed, *steps, *k, *threads, *conc, *duration, *ingestN, *benchOut)
-		} else {
-			err = runServeBench(cityID, *seed, *steps, *k, *threads, *conc, *shards, *duration, *quantized, *benchOut)
-		}
-	case *trainMode:
-		cityID, perr := ebsn.ParseCity(*city)
-		if perr != nil {
-			err = perr
-			break
-		}
-		err = runTrainBench(cityID, *seed, *steps, *k, *note, *trainOut)
-	case *queryMode:
-		err = runQueryBench(*nEvents, *nPartners, *k, *topK, *topN, *shards, *batch, *quantized, *seed, *note, *queryOut)
-	default:
-		err = runExperiments(*exp, *city, *seed, *steps, *k, *threads, *cases, *queries, *outDir)
-	}
+	err = runExperiments(*exp, *city, *seed, *steps, *k, *threads, *cases, *queries, *outDir)
 	stopProfiles()
 	if err != nil {
 		fatal(err)

@@ -53,6 +53,46 @@ func BenchmarkTopNExcluding(b *testing.B) {
 	})
 }
 
+// BenchmarkSearchPred times a constrained top-10 query at event
+// selectivity 50/25/10/5% two ways: "pushdown" hands the predicate to the
+// walk, "postfilter" re-walks unconstrained at ×4 depth until ten allowed
+// pairs surface (postFilterSearch). pairs/op is the mean RandomAccesses;
+// TestPredicatePushDownScoresFewerPairs gates the same counts.
+func BenchmarkSearchPred(b *testing.B) {
+	cs := benchSet(b)
+	f := NewFastIndex(cs)
+	queries := randomVecs(rng.New(93), 256, 60, true)
+	np := int32(len(cs.Partners))
+	sc := GetScratch()
+	defer PutScratch(sc)
+	dst := make([]Result, 0, 10)
+	for _, stride := range []int{2, 4, 10, 20} {
+		pred := stridePred(len(cs.Events), stride)
+		sel := "sel=" + strconv.Itoa(100/stride)
+		run := func(name string, search func(i int) SearchStats) {
+			b.Run(sel+"/"+name, func(b *testing.B) {
+				search(0) // warm the scratch
+				pairs := 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					pairs += search(i).RandomAccesses
+				}
+				b.ReportMetric(float64(pairs)/float64(b.N), "pairs/op")
+			})
+		}
+		run("pushdown", func(i int) SearchStats {
+			_, st := f.Search(Query{Vec: queries[i%len(queries)], N: 10, Exclude: int32(i) % np, Pred: pred}, sc)
+			return st
+		})
+		run("postfilter", func(i int) SearchStats {
+			var st SearchStats
+			dst, st = postFilterSearch(f, queries[i%len(queries)], 10, int32(i)%np, pred, sc, dst)
+			return st
+		})
+	}
+}
+
 // BenchmarkIndexTopN measures the generic Fagin index hot path with
 // caller-managed scratch.
 func BenchmarkIndexTopN(b *testing.B) {

@@ -56,6 +56,75 @@ func randomPred(src *rng.Source, nEvents int, selectivity float64) EventPredicat
 	return pred
 }
 
+// stridePred allows every stride-th event: selectivity 1/stride.
+func stridePred(nEvents, stride int) EventPredicate {
+	pred := make(EventPredicate, nEvents)
+	for x := range pred {
+		pred[x] = x%stride == 0
+	}
+	return pred
+}
+
+// postFilterSearch answers a constrained query the way a caller without
+// predicate push-down must: run the unconstrained walk, drop pairs whose
+// event pred rejects, and re-walk at four times the depth until n allowed
+// pairs surface or the candidate space runs out. The returned stats sum
+// the access counts over every walk; the results are written into dst.
+func postFilterSearch(f *FastIndex, vec []float32, n int, exclude int32, pred EventPredicate, sc *Scratch, dst []Result) ([]Result, SearchStats) {
+	var total SearchStats
+	for over := n; ; over *= 4 {
+		res, st := f.Search(Query{Vec: vec, N: over, Exclude: exclude}, sc)
+		total.SortedAccesses += st.SortedAccesses
+		total.RandomAccesses += st.RandomAccesses
+		dst = dst[:0]
+		for _, r := range res {
+			if pred[r.Event] {
+				dst = append(dst, r)
+				if len(dst) == n {
+					return dst, total
+				}
+			}
+		}
+		if len(res) < over {
+			return dst, total // the candidate space is exhausted
+		}
+	}
+}
+
+// TestPredicatePushDownScoresFewerPairs is the push-down's efficiency
+// claim as a count instead of a timing. At event selectivity 25%, 10%
+// and 5%, on every query, the predicate walk must score no more pairs
+// (RandomAccesses) and pop no more partner bounds (SortedAccesses) than
+// postFilterSearch summed over all its re-walks, and the two answers must
+// agree bit for bit. Both walks pop partners in the same order (the
+// predicate only lowers amax, a constant in every bound), and the
+// post-filter's last walk cannot stop before the push-down does.
+func TestPredicatePushDownScoresFewerPairs(t *testing.T) {
+	shapes := []struct{ nx, nu, topK int }{{400, 600, 30}, {200, 300, 20}}
+	sc := GetScratch()
+	defer PutScratch(sc)
+	for _, sh := range shapes {
+		cs := buildSmallSet(t, 31, sh.nx, sh.nu, 60, sh.topK, true)
+		f := NewFastIndex(cs)
+		queries := randomVecs(rng.New(32), 200, 60, true)
+		for _, stride := range []int{4, 10, 20} {
+			pred := stridePred(sh.nx, stride)
+			var want []Result
+			for i, u := range queries {
+				ex := int32(i % sh.nu)
+				var post SearchStats
+				want, post = postFilterSearch(f, u, 10, ex, pred, sc, want)
+				got, st := f.Search(Query{Vec: u, N: 10, Exclude: ex, Pred: pred}, sc)
+				resultsBitIdentical(t, want, got)
+				if st.RandomAccesses > post.RandomAccesses || st.SortedAccesses > post.SortedAccesses {
+					t.Fatalf("%dx%d sel=1/%d q=%d: push-down %d pairs / %d bounds, post-filter %d / %d",
+						sh.nx, sh.nu, stride, i, st.RandomAccesses, st.SortedAccesses, post.RandomAccesses, post.SortedAccesses)
+				}
+			}
+		}
+	}
+}
+
 // TestPredicateBitIdenticalToOracle is the push-down exactness property
 // test: across random candidate sets, query vectors, result sizes,
 // exclusions and filter selectivities (including the degenerate none-
