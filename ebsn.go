@@ -259,9 +259,9 @@ type Recommender struct {
 	taEngine *engine.Engine
 	taPruneK int
 
-	// Lazily captured snapshot for fold-in scoring; the model is frozen
-	// after Build/Open, so one capture suffices.
-	snap *core.Snapshot
+	// FoldInEvent's snapshot and venue→region table, built on its first
+	// call.
+	fold *foldIn
 
 	// Live-ingestion state (serving.go): the mutable delta tier absorbing
 	// ingested events, and the engine it overlays once a compaction has
@@ -623,30 +623,50 @@ func (r *Recommender) FoldInEvent(words []string, venue int32, start time.Time) 
 	if int(venue) < 0 || int(venue) >= len(r.dataset.Venues) {
 		return nil, fmt.Errorf("ebsn: venue %d out of range [0,%d)", venue, len(r.dataset.Venues))
 	}
-	region := int32(-1)
+	if r.fold == nil {
+		r.fold = r.newFoldIn()
+	}
+	return r.fold.snap.FoldIn(r.graphs.Vocab, core.ColdEvent{Words: words, Region: r.venueRegion(venue), Start: start})
+}
+
+// foldIn is FoldInEvent's state, built on its first call: the model is
+// frozen after Build/Open, so one capture suffices.
+type foldIn struct {
+	snap *core.Snapshot
+	// venueRegions maps a venue to the region of the first dataset event
+	// held there, -1 for a venue no event uses.
+	venueRegions []int32
+}
+
+func (r *Recommender) newFoldIn() *foldIn {
+	f := &foldIn{snap: r.model.Snapshot(), venueRegions: make([]int32, len(r.dataset.Venues))}
+	for v := range f.venueRegions {
+		f.venueRegions[v] = -1
+	}
+	for x := len(r.dataset.Events) - 1; x >= 0; x-- {
+		f.venueRegions[r.dataset.Events[x].Venue] = int32(r.graphs.EventRegion[x])
+	}
+	return f
+}
+
+// venueRegion returns the region a new event at venue inherits: the
+// first dataset event's there, from the fold-in's venue→region table,
+// or for a venue no event uses, the geographically nearest event's.
+// r.fold must be built.
+func (r *Recommender) venueRegion(venue int32) int32 {
+	if region := r.fold.venueRegions[venue]; region >= 0 {
+		return region
+	}
+	p := r.dataset.Venues[venue]
+	best := -1
+	bestKm := math.Inf(1)
 	for x, e := range r.dataset.Events {
-		if e.Venue == venue {
-			region = int32(r.graphs.EventRegion[x])
-			break
+		if km := geo.EquirectKm(p, r.dataset.Venues[e.Venue]); km < bestKm {
+			bestKm = km
+			best = x
 		}
 	}
-	if region < 0 {
-		// New venue: adopt the region of the geographically nearest event.
-		p := r.dataset.Venues[venue]
-		best := -1
-		bestKm := math.Inf(1)
-		for x, e := range r.dataset.Events {
-			if km := geo.EquirectKm(p, r.dataset.Venues[e.Venue]); km < bestKm {
-				bestKm = km
-				best = x
-			}
-		}
-		region = int32(r.graphs.EventRegion[best])
-	}
-	if r.snap == nil {
-		r.snap = r.model.Snapshot()
-	}
-	return r.snap.FoldIn(r.graphs.Vocab, core.ColdEvent{Words: words, Region: region, Start: start})
+	return int32(r.graphs.EventRegion[best])
 }
 
 // ScoreColdEvent scores a folded-in event vector for a user.

@@ -1,11 +1,13 @@
 package ebsn
 
 import (
+	"math"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"ebsn/internal/ebsnet"
+	"ebsn/internal/geo"
 )
 
 var cachedRec *Recommender
@@ -286,5 +288,45 @@ func TestDescribeDataset(t *testing.T) {
 	// Post-filter, every user has >= 5 events, so the median does too.
 	if d.UserEventsMedian < 5 {
 		t.Errorf("median events per user %d after min-5 filter", d.UserEventsMedian)
+	}
+}
+
+// TestVenueRegionMatchesScan checks the fold-in's venue→region table
+// against the scan it replaced: the region of the first dataset event
+// at the venue, else of the geographically nearest event — for every
+// dataset venue, including any that no event uses.
+func TestVenueRegionMatchesScan(t *testing.T) {
+	rec := tinyRecommender(t)
+	d := rec.Dataset()
+	if _, err := rec.FoldInEvent(d.Events[0].Words, d.Events[0].Venue, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	scan := func(venue int32) int32 {
+		for x, e := range d.Events {
+			if e.Venue == venue {
+				return int32(rec.graphs.EventRegion[x])
+			}
+		}
+		best, bestKm := -1, math.Inf(1)
+		for x, e := range d.Events {
+			if km := geo.EquirectKm(d.Venues[venue], d.Venues[e.Venue]); km < bestKm {
+				best, bestKm = x, km
+			}
+		}
+		return int32(rec.graphs.EventRegion[best])
+	}
+	unused := 0
+	for v := range d.Venues {
+		if rec.fold.venueRegions[v] < 0 {
+			unused++
+		}
+	}
+	if unused == 0 {
+		t.Fatal("every venue holds an event; the nearest-event fallback goes untested")
+	}
+	for v := range d.Venues {
+		if got, want := rec.venueRegion(int32(v)), scan(int32(v)); got != want {
+			t.Fatalf("venue %d: table region %d, scan region %d", v, got, want)
+		}
 	}
 }

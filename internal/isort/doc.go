@@ -12,6 +12,9 @@
 // [SelectAsc] for partial selection when only the head of the ranking
 // is needed (quickselect, no ordering inside or beyond the prefix).
 // All of them operate on the id slice in place and never touch vals.
+// [SelectTopUnique] is SelectAsc's fast path for a short top k: a heap
+// pass that answers only when the k-th value is untied, so its set is
+// the one SelectAsc would pick.
 //
 // The algorithms are deterministic for a given input, which the
 // per-seed training reproducibility guarantees rely on; they are NOT

@@ -61,6 +61,67 @@ func SelectAsc(ids []int32, vals []float32, k int) {
 	insertionSortIDs(ids, vals)
 }
 
+// SelectTopUnique returns the ids of the k largest vals when the k-th
+// largest value is held by one id only — the case in which the top k is
+// one set whatever the selection order, so it equals what SelectAsc
+// leaves in ids[n-k:] (in another order). ok is false, with no answer,
+// when that value ties or any value is NaN; callers then fall back to
+// SelectAsc. One pass keeps a k-element min-heap in scratch[:k] (the
+// result aliases it) and a second counts the ties: O(n) compares plus
+// O(k log k · log(n/k)) expected heap work, against quickselect's
+// several partition passes. Requires 0 < k ≤ len(vals) ≤ len(scratch).
+func SelectTopUnique(vals []float32, k int, scratch []int32) (top []int32, ok bool) {
+	h := scratch[:0]
+	for i := range k {
+		h = append(h, int32(i))
+		for j := i; j > 0; {
+			p := (j - 1) / 2
+			if vals[h[p]] <= vals[h[j]] {
+				break
+			}
+			h[p], h[j] = h[j], h[p]
+			j = p
+		}
+	}
+	kth := vals[h[0]]
+	for i := k; i < len(vals); i++ {
+		if vals[i] > kth {
+			h[0] = int32(i)
+			minSiftDownIDs(h, vals)
+			kth = vals[h[0]]
+		}
+	}
+	ties := 0
+	for _, v := range vals {
+		if v == kth {
+			ties++
+		} else if v != v {
+			return nil, false
+		}
+	}
+	return h, ties == 1
+}
+
+// minSiftDownIDs restores the min-heap order of ids (by vals[id]) after
+// its root was replaced.
+func minSiftDownIDs(ids []int32, vals []float32) {
+	for i := 0; ; {
+		l := 2*i + 1
+		if l >= len(ids) {
+			return
+		}
+		m := l
+		if r := l + 1; r < len(ids) && vals[ids[r]] < vals[ids[l]] {
+			m = r
+		}
+		if vals[ids[i]] <= vals[ids[m]] {
+			return
+		}
+		ids[i], ids[m] = ids[m], ids[i]
+		i = m
+	}
+}
+
 func quickSortIDs(ids []int32, vals []float32, depth int) {
 	for len(ids) >= 24 {
 		if depth == 0 {

@@ -1,7 +1,9 @@
 package isort
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -113,6 +115,50 @@ func TestSelectAscRankMatchesFullSort(t *testing.T) {
 	}
 }
 
+// TestSelectTopUniqueMatchesSelectAsc checks the fast path against
+// quickselect's top k on every pattern: whenever it answers, the set is
+// the one SelectAsc leaves in ids[n-k:]; on untied data it always
+// answers; on a tie at the k-th value or any NaN it declines.
+func TestSelectTopUniqueMatchesSelectAsc(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	for _, n := range []int{1, 2, 23, 24, 100, 1025} {
+		for name, vals := range patterns(r, n) {
+			for _, k := range []int{1, 2, 7, n / 3, n} {
+				if k < 1 || k > n {
+					continue
+				}
+				top, ok := SelectTopUnique(vals, k, make([]int32, n))
+				ids := identity(n)
+				SelectAsc(ids, vals, n-k)
+				want := slices.Clone(ids[n-k:])
+				slices.Sort(want)
+				kth := vals[ids[n-k]]
+				ties := 0
+				for _, v := range vals {
+					if v == kth {
+						ties++
+					}
+				}
+				if ok != (ties == 1) {
+					t.Fatalf("%s n=%d k=%d: ok=%v with %d values equal to the k-th", name, n, k, ok, ties)
+				}
+				if !ok {
+					continue
+				}
+				got := slices.Clone(top)
+				slices.Sort(got)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s n=%d k=%d: top %v, SelectAsc %v", name, n, k, got, want)
+				}
+			}
+		}
+	}
+	vals := []float32{3, 1, float32(math.NaN()), 2}
+	if _, ok := SelectTopUnique(vals, 1, make([]int32, len(vals))); ok {
+		t.Fatal("answered over a NaN")
+	}
+}
+
 // TestSortDeterministic guards the per-seed training reproducibility:
 // the same input must produce the identical permutation every time,
 // ties included.
@@ -176,6 +222,20 @@ func BenchmarkSelectAsc(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(ids, idsTemplate(n))
 		SelectAsc(ids, vals, n-1-(i%32))
+	}
+}
+
+func BenchmarkSelectTopUnique(b *testing.B) {
+	r := rand.New(rand.NewSource(16))
+	const n = 8192
+	vals := make([]float32, n)
+	for i := range vals {
+		vals[i] = float32(r.NormFloat64())
+	}
+	scratch := make([]int32, n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		SelectTopUnique(vals, 1+(i%32), scratch)
 	}
 }
 

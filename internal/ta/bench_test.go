@@ -167,3 +167,33 @@ func BenchmarkNewIndex(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkDeltaAddEvents times live ingest into a delta over 11 890
+// partner rows (the benchmark city's user count) at K=60 with top-30
+// pruning: b = 1 is one AddEvent, b = 16 one POST /v1/ingest batch,
+// whose 16 score rows come from four 4-lane panel passes instead of
+// sixteen single-lane ones. The delta is emptied between iterations
+// (outside the timer) so every op lands in the same state.
+func BenchmarkDeltaAddEvents(b *testing.B) {
+	src := rng.New(95)
+	partners := randomVecs(src, 11890, 60, true)
+	d, err := NewDelta(partners, 30)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{1, 16} {
+		vecs := randomVecs(src, n, 60, true)
+		b.Run("b="+strconv.Itoa(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := d.AddEvents(vecs); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				d.Advance(d.View())
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*n), "us/event")
+		})
+	}
+}

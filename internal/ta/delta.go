@@ -80,45 +80,76 @@ func (d *Delta) PairCount() int { return len(d.pairs) }
 // delta was created (the events already folded into some main index).
 func (d *Delta) Folded() int { return d.folded }
 
-// AddEvent registers a newly arrived event vector. Its candidate pairs
-// are the topK partners by the partner-preference score u'·x (the same
-// pruning rule the offline build uses), or all partners when topK ≤ 0.
-// The vector is copied, so the caller may reuse its slice.
-func (d *Delta) AddEvent(vec []float32) error {
-	if len(vec) != d.k {
-		return fmt.Errorf("ta: event vector length %d, want %d", len(vec), d.k)
-	}
-	vec = append(make([]float32, 0, len(vec)), vec...)
-	eventIdx := int32(len(d.events))
-	d.events = append(d.events, vec)
+// AddEvent registers a newly arrived event vector: AddEvents of one.
+func (d *Delta) AddEvent(vec []float32) error { return d.AddEvents([][]float32{vec}) }
 
-	// One streamed pass over the packed partner rows covers both the
-	// pruning scores and the cross terms of the retained pairs.
-	scores := make([]float32, len(d.partners))
-	vecmath.DotBatch(vec, d.partnerData, d.k, scores)
-	for _, u := range d.partnerIndices(scores) {
-		d.pairs = append(d.pairs, Candidate{Event: eventIdx, Partner: u})
-		d.cross = append(d.cross, scores[u])
+// addPanelEvents is how many events AddEvents scores per pass over the
+// partner rows: the 4-lane panel kernel's width. A wider panel would
+// only make more passes, so the score scratch stays at four rows
+// (190 KB at 11 890 partners) however large the batch.
+const addPanelEvents = 4
+
+// AddEvents registers newly arrived event vectors in order, exactly as
+// that many AddEvent calls would. Each event's candidate pairs are the
+// topK partners by the partner-preference score u'·x (the same pruning
+// rule the offline build uses), or all partners when topK ≤ 0. Every
+// four events share one vecmath.DotPanel pass over the packed partner
+// rows, which is bit-identical to a DotBatch per event, so batching
+// changes no pair and no cross term. The vectors are copied, so the
+// caller may reuse its slices. A vector of the wrong length fails the
+// whole batch before anything is added.
+func (d *Delta) AddEvents(vecs [][]float32) error {
+	for _, v := range vecs {
+		if len(v) != d.k {
+			return fmt.Errorf("ta: event vector length %d, want %d", len(v), d.k)
+		}
+	}
+	np := len(d.partners)
+	scores := make([]float32, min(len(vecs), addPanelEvents)*np)
+	ids := make([]int32, np)
+	for lo := 0; lo < len(vecs); lo += addPanelEvents {
+		batch := vecs[lo:min(lo+addPanelEvents, len(vecs))]
+		// The packed query panel doubles as the events' stored copies.
+		qs := slices.Concat(batch...)
+		vecmath.DotPanel(qs, len(batch), d.partnerData, d.k, scores[:len(batch)*np])
+		for i := range batch {
+			eventIdx := int32(len(d.events))
+			d.events = append(d.events, qs[i*d.k:(i+1)*d.k:(i+1)*d.k])
+			// One score row covers both the pruning scores and the cross
+			// terms of the retained pairs.
+			row := scores[i*np : (i+1)*np]
+			for _, u := range d.partnerIndices(row, ids) {
+				d.pairs = append(d.pairs, Candidate{Event: eventIdx, Partner: u})
+				d.cross = append(d.cross, row[u])
+			}
+		}
 	}
 	return nil
 }
 
 // partnerIndices returns the partners whose candidate list the new event
-// joins, given the per-partner preference scores u'·x: everyone when
-// unpruned, else the topK by score — selected in O(P) with quickselect
-// (the scores are a scratch copy, so partitioning them in place is fine)
-// rather than a full O(P log P) sort.
-func (d *Delta) partnerIndices(scores []float32) []int32 {
+// joins, in ascending order, given the per-partner preference scores
+// u'·x: everyone when unpruned, else the topK by score — selected in
+// O(P) rather than by a full O(P log P) sort. A heap pass answers when
+// the topK-th score is untied; otherwise quickselect decides which tied
+// partners make the cut, as it always has. ids is scratch of one entry
+// per partner, overwritten; the result aliases it.
+func (d *Delta) partnerIndices(scores []float32, ids []int32) []int32 {
 	n := len(d.partners)
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(i)
-	}
 	if d.topK <= 0 || d.topK >= n {
-		return out
+		for i := range ids {
+			ids[i] = int32(i)
+		}
+		return ids
 	}
-	isort.SelectAsc(out, scores, n-d.topK)
-	out = out[n-d.topK:]
+	out, ok := isort.SelectTopUnique(scores, d.topK, ids)
+	if !ok {
+		for i := range ids {
+			ids[i] = int32(i)
+		}
+		isort.SelectAsc(ids, scores, n-d.topK)
+		out = ids[n-d.topK:]
+	}
 	slices.Sort(out)
 	return out
 }

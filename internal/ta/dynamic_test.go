@@ -1,6 +1,8 @@
 package ta
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"ebsn/internal/rng"
@@ -219,5 +221,69 @@ func TestDynamicRejectsBadVector(t *testing.T) {
 	dyn := newTwoTier(cs, 0)
 	if err := dyn.AddEvent([]float32{1, 2}); err == nil {
 		t.Fatal("wrong-length vector accepted")
+	}
+}
+
+// TestAddEventsMatchesSequential pins batched ingest to sequential
+// ingest: for every batch size 1…17 (across the 4-lane panel's
+// remainders), pruned and unpruned, one AddEvents call must leave the
+// same events, the same pairs and bit-identical cross terms as that
+// many AddEvent calls — also after an Advance drops the previous batch
+// and rebases the pairs.
+func TestAddEventsMatchesSequential(t *testing.T) {
+	const k = 13
+	src := rng.New(71)
+	partners := randomVecs(src, 100, k, true)
+	for _, topK := range []int{0, 30} {
+		seq, err := NewDelta(partners, topK)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bat, err := NewDelta(partners, topK)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same := func(stage string, b int) {
+			t.Helper()
+			if seq.Events() != bat.Events() || len(seq.pairs) != len(bat.pairs) || len(seq.cross) != len(bat.cross) {
+				t.Fatalf("topK=%d b=%d %s: batched has %d events / %d pairs, sequential %d / %d",
+					topK, b, stage, bat.Events(), len(bat.pairs), seq.Events(), len(seq.pairs))
+			}
+			for i := range seq.events {
+				if !slices.Equal(seq.events[i], bat.events[i]) {
+					t.Fatalf("topK=%d b=%d %s: event %d vector differs", topK, b, stage, i)
+				}
+			}
+			for i := range seq.pairs {
+				if seq.pairs[i] != bat.pairs[i] || math.Float32bits(seq.cross[i]) != math.Float32bits(bat.cross[i]) {
+					t.Fatalf("topK=%d b=%d %s: pair %d batched %v/%v, sequential %v/%v",
+						topK, b, stage, i, bat.pairs[i], bat.cross[i], seq.pairs[i], seq.cross[i])
+				}
+			}
+		}
+		for b := 1; b <= 17; b++ {
+			vecs := randomVecs(src, b, k, true)
+			seqView, batView := seq.View(), bat.View()
+			for _, v := range vecs {
+				if err := seq.AddEvent(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := bat.AddEvents(vecs); err != nil {
+				t.Fatal(err)
+			}
+			same("after add", b)
+			seq.Advance(seqView)
+			bat.Advance(batView)
+			same("after advance", b)
+		}
+		// A bad vector anywhere rejects the whole batch.
+		before := bat.Events()
+		if err := bat.AddEvents([][]float32{randomVecs(src, 1, k, true)[0], {1, 2}}); err == nil {
+			t.Fatal("batch with a wrong-length vector accepted")
+		}
+		if bat.Events() != before {
+			t.Fatalf("rejected batch added %d events", bat.Events()-before)
+		}
 	}
 }

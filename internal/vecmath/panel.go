@@ -20,11 +20,15 @@ package vecmath
 // candidate block (rows = len(data)/k). The candidate block is streamed
 // once per group of four queries instead of once per query, and the
 // shared candidate row amortizes its loads across the four queries —
-// that is where batched scoring gets its throughput win. Each (q, r)
-// accumulation follows dotUnrolled's exact order, so the output is
-// bit-identical to b independent DotBatch calls — the batched-vs-
-// sequential equivalence tests in internal/ta rely on that. k == 0
-// zeroes out. Panics on size mismatches for the same reason Dot does.
+// that is where batched scoring gets its throughput win. A final group
+// of two or three queries also rides the 4-query kernel, repeating its
+// last query into that query's own output row (the repeat writes the
+// same value to the same cell); a single leftover query takes DotBatch,
+// which streams the block just as fast. Each (q, r) accumulation
+// follows dotUnrolled's exact order, so the output is bit-identical to
+// b independent DotBatch calls — the batched-vs-sequential equivalence
+// tests in internal/ta rely on that. k == 0 zeroes out. Panics on size
+// mismatches for the same reason Dot does.
 func DotPanel(qs []float32, b int, data []float32, k int, out []float32) {
 	if b < 0 || k < 0 || len(qs) != b*k {
 		panic("vecmath: DotPanel query panel size mismatch")
@@ -43,22 +47,15 @@ func DotPanel(qs []float32, b int, data []float32, k int, out []float32) {
 	if rows == 0 {
 		return
 	}
+	qrow := func(j int) []float32 { j = min(j, b-1); return qs[j*k : (j+1)*k : (j+1)*k] }
+	orow := func(j int) []float32 { j = min(j, b-1); return out[j*rows : (j+1)*rows : (j+1)*rows] }
 	q := 0
-	for ; q+4 <= b; q += 4 {
-		panelRows4(
-			qs[(q+0)*k:(q+1)*k:(q+1)*k],
-			qs[(q+1)*k:(q+2)*k:(q+2)*k],
-			qs[(q+2)*k:(q+3)*k:(q+3)*k],
-			qs[(q+3)*k:(q+4)*k:(q+4)*k],
-			data, k,
-			out[(q+0)*rows:(q+1)*rows:(q+1)*rows],
-			out[(q+1)*rows:(q+2)*rows:(q+2)*rows],
-			out[(q+2)*rows:(q+3)*rows:(q+3)*rows],
-			out[(q+3)*rows:(q+4)*rows:(q+4)*rows],
-		)
+	for ; b-q >= 2; q += 4 {
+		panelRows4(qrow(q), qrow(q+1), qrow(q+2), qrow(q+3), data, k,
+			orow(q), orow(q+1), orow(q+2), orow(q+3))
 	}
-	for ; q < b; q++ {
-		DotBatch(qs[q*k:q*k+k:q*k+k], data, k, out[q*rows:(q+1)*rows:(q+1)*rows])
+	if q < b {
+		DotBatch(qrow(q), data, k, orow(q))
 	}
 }
 
@@ -219,9 +216,11 @@ func DotBatchI8(q, data []int8, k int, out []int32) {
 // DotPanelI8 computes out[q*rows+r] = DotI8(qs[q*k:(q+1)*k],
 // data[r*k:(r+1)*k]) for b packed int8 query rows against every row of
 // a packed int8 candidate block — the quantized counterpart of
-// DotPanel, streaming the block once per group of four queries. On
-// amd64 the micro-kernel widens with PMADDWD, eight elements per step.
-// k == 0 zeroes out. Panics on size mismatches.
+// DotPanel, streaming the block once per group of four queries, with
+// DotPanel's tail: two or three leftover queries ride the 4-query
+// kernel, one takes DotBatchI8. On amd64 the micro-kernel widens with
+// PMADDWD, eight elements per step. k == 0 zeroes out. Panics on size
+// mismatches.
 func DotPanelI8(qs []int8, b int, data []int8, k int, out []int32) {
 	if b < 0 || k < 0 || len(qs) != b*k {
 		panic("vecmath: DotPanelI8 query panel size mismatch")
@@ -240,22 +239,15 @@ func DotPanelI8(qs []int8, b int, data []int8, k int, out []int32) {
 	if rows == 0 {
 		return
 	}
+	qrow := func(j int) []int8 { j = min(j, b-1); return qs[j*k : (j+1)*k : (j+1)*k] }
+	orow := func(j int) []int32 { j = min(j, b-1); return out[j*rows : (j+1)*rows : (j+1)*rows] }
 	q := 0
-	for ; q+4 <= b; q += 4 {
-		panelRowsI8(
-			qs[(q+0)*k:(q+1)*k:(q+1)*k],
-			qs[(q+1)*k:(q+2)*k:(q+2)*k],
-			qs[(q+2)*k:(q+3)*k:(q+3)*k],
-			qs[(q+3)*k:(q+4)*k:(q+4)*k],
-			data, k,
-			out[(q+0)*rows:(q+1)*rows:(q+1)*rows],
-			out[(q+1)*rows:(q+2)*rows:(q+2)*rows],
-			out[(q+2)*rows:(q+3)*rows:(q+3)*rows],
-			out[(q+3)*rows:(q+4)*rows:(q+4)*rows],
-		)
+	for ; b-q >= 2; q += 4 {
+		panelRowsI8(qrow(q), qrow(q+1), qrow(q+2), qrow(q+3), data, k,
+			orow(q), orow(q+1), orow(q+2), orow(q+3))
 	}
-	for ; q < b; q++ {
-		DotBatchI8(qs[q*k:q*k+k:q*k+k], data, k, out[q*rows:(q+1)*rows:(q+1)*rows])
+	if q < b {
+		DotBatchI8(qrow(q), data, k, orow(q))
 	}
 }
 

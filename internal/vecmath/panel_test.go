@@ -213,14 +213,15 @@ func TestPanelMicroKernelMatchesPortable(t *testing.T) {
 	}
 }
 
-// BenchmarkDotPanel streams a 4096-row candidate block for an 8-query
-// panel — the batched-query hot loop. CI greps its output for
-// "0 allocs/op".
+// BenchmarkDotPanel streams a 4096-row candidate block for panels of
+// 1–10 queries — the batched-query hot loop. b = 2 and 3 ride the
+// 4-query kernel, b = 10 is two full groups plus that tail (a feed of
+// ten events). CI greps its output for "0 allocs/op".
 func BenchmarkDotPanel(b *testing.B) {
 	r := rand.New(rand.NewSource(65))
 	const rows = 4096
 	const k = 60
-	for _, nq := range []int{1, 4, 8} {
+	for _, nq := range []int{1, 2, 3, 4, 8, 10} {
 		qs := randSlice(r, nq*k)
 		data := randSlice(r, rows*k)
 		out := make([]float32, nq*rows)

@@ -27,55 +27,90 @@ type FeedItem struct {
 	Partners []FeedPartner `json:"partners"`
 }
 
-// JoinPartners ranks every partner for a fixed (user, event) pair and
-// returns the top m by the joint score of Eqn. 8. For a fixed event x
-// the partner-dependent part collapses to one dot product:
+// joinBlockRows is how many partner rows one panel pass of JoinPartners
+// covers: a 256 × 60 float32 block (61 KB) stays in L2 across the
+// panel's query groups, and its b × 256 scores stay in L1 for the
+// selection that follows.
+const joinBlockRows = 256
+
+// JoinPartners ranks every partner for each of a feed's events and
+// returns, per event, the top m by the joint score of Eqn. 8. For a
+// fixed event x the partner-dependent part collapses to one dot product:
 //
 //	u·u' + x·u' = (u + x)·u'
 //
-// so the join is a single pass over the partner rows with the combined
-// query q = u + x, plus the constant u·x. Ties break by ascending
-// partner ID (the repo's canonical order). exclude drops one partner —
-// the querying user, whose self-pair is degenerate. q is scratch for
-// the combined query, grown as needed; the returned slice is freshly
-// allocated.
-func JoinPartners(userVec, eventVec []float32, partners [][]float32, exclude int32, m int, q []float32) ([]FeedPartner, []float32) {
+// so the join is one pass over the partner rows with the combined
+// queries q_i = u + x_i packed as a vecmath.DotPanel, plus the constant
+// u·x_i per event. partners is the packed row-major partner matrix
+// (len(userVec) floats per row), streamed once in blocks of
+// joinBlockRows rows. Each lane is DotPanel-exact, so every score is
+// bit-identical to base + Dot(q_i, u'). Ties break by ascending partner
+// ID (the repo's canonical order). exclude drops one partner — the
+// querying user, whose self-pair is degenerate. The returned lists are
+// freshly allocated and indexed like events.
+func JoinPartners(userVec []float32, events [][]float32, partners []float32, exclude int32, m int) [][]FeedPartner {
 	k := len(userVec)
-	if len(eventVec) != k {
-		panic(fmt.Sprintf("workload: event dim %d, want %d", len(eventVec), k))
+	b := len(events)
+	if k == 0 || len(partners)%k != 0 {
+		panic(fmt.Sprintf("workload: %d partner floats are not rows of dim %d", len(partners), k))
 	}
-	if cap(q) < k {
-		q = make([]float32, k)
+	qs := make([]float32, b*k)
+	base := make([]float32, b)
+	for i, x := range events {
+		if len(x) != k {
+			panic(fmt.Sprintf("workload: event dim %d, want %d", len(x), k))
+		}
+		q := qs[i*k : (i+1)*k]
+		for f := range q {
+			q[f] = userVec[f] + x[f]
+		}
+		base[i] = vecmath.Dot(userVec, x)
 	}
-	q = q[:k]
-	for i := range q {
-		q[i] = userVec[i] + eventVec[i]
+	rows := len(partners) / k
+	m = max(min(m, rows), 0)
+	best := make([][]FeedPartner, b)
+	slab := make([]FeedPartner, b*m)
+	for i := range best {
+		best[i] = slab[i*m : i*m : (i+1)*m]
 	}
-	base := vecmath.Dot(userVec, eventVec)
-	if m > len(partners) {
-		m = len(partners)
+	scores := make([]float32, b*min(joinBlockRows, rows))
+	for lo := 0; lo < rows && m > 0; lo += joinBlockRows {
+		hi := min(lo+joinBlockRows, rows)
+		nr := hi - lo
+		out := scores[:b*nr]
+		vecmath.DotPanel(qs, b, partners[lo*k:hi*k], k, out)
+		for i := range best {
+			best[i] = insertTop(best[i], base[i], out[i*nr:(i+1)*nr], int32(lo), exclude)
+		}
 	}
-	best := make([]FeedPartner, 0, m)
-	for u, p := range partners {
-		if int32(u) == exclude {
+	return best
+}
+
+// insertTop folds one block of partner scores (partner lo+j scoring
+// base + dots[j]) into best, a descending top-cap(best) list, by strict->
+// insertion in ascending partner order — so on equal scores the earlier
+// partner keeps its place.
+func insertTop(best []FeedPartner, base float32, dots []float32, lo, exclude int32) []FeedPartner {
+	m := cap(best)
+	for j, d := range dots {
+		u := lo + int32(j)
+		if u == exclude {
 			continue
 		}
-		s := base + vecmath.Dot(q, p)
-		if len(best) < m {
-			best = append(best, FeedPartner{int32(u), s})
-			up := len(best) - 1
-			for up > 0 && best[up].Score > best[up-1].Score {
-				best[up], best[up-1] = best[up-1], best[up]
-				up--
-			}
-		} else if m > 0 && s > best[m-1].Score {
-			best[m-1] = FeedPartner{int32(u), s}
-			up := m - 1
-			for up > 0 && best[up].Score > best[up-1].Score {
-				best[up], best[up-1] = best[up-1], best[up]
-				up--
-			}
+		s := base + d
+		up := len(best)
+		switch {
+		case up < m:
+			best = append(best, FeedPartner{u, s})
+		case s > best[m-1].Score:
+			up = m - 1
+			best[up] = FeedPartner{u, s}
+		default:
+			continue
+		}
+		for ; up > 0 && best[up].Score > best[up-1].Score; up-- {
+			best[up], best[up-1] = best[up-1], best[up]
 		}
 	}
-	return best, q
+	return best
 }

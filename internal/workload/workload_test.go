@@ -196,11 +196,17 @@ func TestJoinPartners(t *testing.T) {
 	user := vec()
 	event := vec()
 	partners := make([][]float32, 15)
+	var packed []float32
 	for i := range partners {
 		partners[i] = vec()
+		packed = append(packed, partners[i]...)
 	}
 
-	got, _ := JoinPartners(user, event, partners, 3, 5, nil)
+	lists := JoinPartners(user, [][]float32{event}, packed, 3, 5)
+	if len(lists) != 1 {
+		t.Fatalf("got %d partner lists, want 1", len(lists))
+	}
+	got := lists[0]
 	if len(got) != 5 {
 		t.Fatalf("got %d partners, want 5", len(got))
 	}
@@ -235,5 +241,37 @@ func TestJoinPartners(t *testing.T) {
 		if math.Abs(float64(g.Score)-all[i].s) > 1e-4 {
 			t.Fatalf("rank %d: score %v, oracle %v", i, g.Score, all[i].s)
 		}
+	}
+}
+
+// BenchmarkFeedJoin times one feed's partner join at the benchmark
+// city's shape: 11 890 partner rows of dim 60, n = 10 events, m = 5
+// companions each. The rows stream once per request in panel blocks, so
+// the per-op allocation is the packed queries, one block of scores and
+// the result lists — CI fails the build above 16 KiB/op.
+func BenchmarkFeedJoin(b *testing.B) {
+	const rows, k, n, m = 11890, 60, 10, 5
+	src := rng.New(23)
+	vec := func() []float32 {
+		v := make([]float32, k)
+		for d := range v {
+			v[d] = float32(src.Gaussian(0, 0.3))
+		}
+		return v
+	}
+	partners := make([]float32, 0, rows*k)
+	for i := 0; i < rows; i++ {
+		partners = append(partners, vec()...)
+	}
+	user := vec()
+	events := make([][]float32, n)
+	for i := range events {
+		events[i] = vec()
+	}
+	b.SetBytes(int64(4 * rows * k))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		JoinPartners(user, events, partners, int32(i%rows), m)
 	}
 }

@@ -21,6 +21,9 @@ type Cache struct {
 	ttl    time.Duration
 	hits   atomic.Uint64
 	misses atomic.Uint64
+	// bytes is the summed length of the resident bodies, orphaned ones
+	// included until LRU pressure or the TTL reclaims them.
+	bytes atomic.Int64
 
 	// now is swappable so tests can drive TTL expiry without sleeping.
 	now func() time.Time
@@ -83,6 +86,7 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 		if c.ttl > 0 && c.now().After(e.expires) {
 			s.ll.Remove(el)
 			delete(s.m, key)
+			c.bytes.Add(-int64(len(e.val)))
 		} else {
 			s.ll.MoveToFront(el)
 			val := e.val
@@ -108,6 +112,7 @@ func (c *Cache) Put(key string, val []byte) {
 	defer s.mu.Unlock()
 	if el, ok := s.m[key]; ok {
 		e := el.Value.(*cacheEntry)
+		c.bytes.Add(int64(len(val) - len(e.val)))
 		e.val, e.expires = val, exp
 		s.ll.MoveToFront(el)
 		return
@@ -115,10 +120,13 @@ func (c *Cache) Put(key string, val []byte) {
 	if s.ll.Len() >= s.cap {
 		if back := s.ll.Back(); back != nil {
 			s.ll.Remove(back)
-			delete(s.m, back.Value.(*cacheEntry).key)
+			old := back.Value.(*cacheEntry)
+			delete(s.m, old.key)
+			c.bytes.Add(-int64(len(old.val)))
 		}
 	}
 	s.m[key] = s.ll.PushFront(&cacheEntry{key: key, val: val, expires: exp})
+	c.bytes.Add(int64(len(val)))
 }
 
 // Len returns the live entry count across shards.
@@ -131,6 +139,11 @@ func (c *Cache) Len() int {
 	}
 	return n
 }
+
+// residentBytes returns the summed length of the cached bodies — the
+// figure behind ebsn_serve_cache_bytes. The cache bounds entries, not
+// bytes, and a feed body is the largest value it holds.
+func (c *Cache) residentBytes() int64 { return c.bytes.Load() }
 
 // Capacity returns the total entry budget across shards.
 func (c *Cache) Capacity() int {

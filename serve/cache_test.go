@@ -96,3 +96,30 @@ func TestCacheShardingSpreadsKeys(t *testing.T) {
 		t.Fatalf("Capacity = %d, want >= 1024", c.Capacity())
 	}
 }
+
+// TestCacheResidentBytes follows the summed body length behind
+// ebsn_serve_cache_bytes through a put, an overwrite, an LRU eviction
+// and a TTL expiry.
+func TestCacheResidentBytes(t *testing.T) {
+	c := NewCache(2, 1, 10*time.Second)
+	now := time.Unix(1000, 0)
+	c.now = func() time.Time { return now }
+	check := func(stage string, want int64) {
+		t.Helper()
+		if got := c.residentBytes(); got != want {
+			t.Fatalf("%s: resident bytes %d, want %d", stage, got, want)
+		}
+	}
+	c.Put("a", make([]byte, 100))
+	c.Put("b", make([]byte, 30))
+	check("two puts", 130)
+	c.Put("a", make([]byte, 70))
+	check("overwrite", 100)
+	c.Put("c", make([]byte, 5)) // evicts b, the least recently used
+	check("LRU eviction", 75)
+	now = now.Add(11 * time.Second)
+	if _, ok := c.Get("a"); ok {
+		t.Fatal("expired entry served")
+	}
+	check("TTL expiry", 5)
+}

@@ -199,3 +199,38 @@ func TestDrainProgressObservable(t *testing.T) {
 		t.Fatalf("JSON view draining=%v in_flight=%d, want true/2", m.Draining, m.InFlight)
 	}
 }
+
+// TestCacheBytesGauge follows ebsn_serve_cache_bytes through a served
+// put, a generation bump (the orphaned body stays resident until LRU
+// pressure or the TTL reclaims it) and an LRU eviction, in a cache of
+// two entries.
+func TestCacheBytesGauge(t *testing.T) {
+	s := privateServer(t, Config{CacheCapacity: 2, CacheShards: 1})
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+	check := func(stage string, want int) {
+		t.Helper()
+		samples, err := obs.ParseText(strings.NewReader(getBody(t, srv, "/metrics")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sm := range samples {
+			if sm.Key() == "ebsn_serve_cache_bytes" {
+				if sm.Value != float64(want) {
+					t.Fatalf("%s: ebsn_serve_cache_bytes = %v, want %d", stage, sm.Value, want)
+				}
+				return
+			}
+		}
+		t.Fatalf("%s: ebsn_serve_cache_bytes missing from the exposition", stage)
+	}
+	check("empty", 0)
+	const feed = "/v1/feed?user=3&n=5&m=5"
+	old := getBody(t, srv, feed)
+	check("one feed cached", len(old))
+	ingestTemplateEvent(t, srv)
+	fresh := getBody(t, srv, feed)
+	check("after a generation bump", len(old)+len(fresh))
+	partners := getBody(t, srv, "/v1/partners?user=3&n=5")
+	check("after the LRU eviction", len(fresh)+len(partners))
+}

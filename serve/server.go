@@ -414,6 +414,9 @@ func (s *Server) registerStateMetrics() {
 		reg.GaugeFunc("ebsn_serve_cache_capacity",
 			"Response cache capacity.",
 			func() float64 { return float64(s.cache.Capacity()) })
+		reg.GaugeFunc("ebsn_serve_cache_bytes",
+			"Summed length of the cached response bodies, orphaned generations included.",
+			func() float64 { return float64(s.cache.residentBytes()) })
 	}
 }
 
@@ -566,26 +569,39 @@ func (s *Server) reload2(path string) (replayed int, err error) {
 	return replayed, nil
 }
 
-// replayJournal folds the records into rec, returning how many landed.
-// Failures are logged and skipped: one bad record must not abort the
-// reload that 0 or more good ones depend on.
+// replayJournal folds the records into rec with the batch verb — four
+// events share each pass over the user rows — returning how many
+// landed. Failures are logged and skipped: one bad record must not abort
+// the reload that 0 or more good ones depend on.
 func (s *Server) replayJournal(rec *ebsn.Recommender, records []ingestRecord) int {
 	n := 0
-	for _, jr := range records {
-		if _, err := rec.IngestColdEvent(jr.words, jr.venue, jr.start); err != nil {
-			if s.cfg.Logger != nil {
-				s.cfg.Logger.Printf("reload: replaying live event (venue=%d source=%q) failed: %v", jr.venue, jr.source, err)
-			}
-			continue
+	for len(records) > 0 {
+		ids, err := rec.IngestColdEvents(coldEvents(records))
+		n += len(ids)
+		if err == nil {
+			break
 		}
-		n++
+		// The record at len(ids) failed; the ones before it landed.
+		if jr := records[len(ids)]; s.cfg.Logger != nil {
+			s.cfg.Logger.Printf("reload: replaying live event (venue=%d source=%q) failed: %v", jr.venue, jr.source, err)
+		}
+		records = records[len(ids)+1:]
 	}
 	return n
 }
 
-func (s *Server) appendJournal(jr ingestRecord) {
+// coldEvents converts ingest records to the facade's batch form.
+func coldEvents(records []ingestRecord) []ebsn.ColdEvent {
+	out := make([]ebsn.ColdEvent, len(records))
+	for i, jr := range records {
+		out[i] = ebsn.ColdEvent{Words: jr.words, Venue: jr.venue, Start: jr.start}
+	}
+	return out
+}
+
+func (s *Server) appendJournal(records ...ingestRecord) {
 	s.journalMu.Lock()
-	s.journal = append(s.journal, jr)
+	s.journal = append(s.journal, records...)
 	s.journalMu.Unlock()
 }
 
@@ -1277,17 +1293,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	ids := make([]int32, 0, len(batch))
-	var ingestErr error
-	for i := range batch {
-		id, err := rec.IngestColdEvent(batch[i].words, batch[i].venue, batch[i].start)
-		if err != nil {
-			ingestErr = err
-			break
-		}
-		ids = append(ids, id)
-		s.appendJournal(batch[i])
-	}
+	ids, ingestErr := rec.IngestColdEvents(coldEvents(batch))
+	s.appendJournal(batch[:len(ids)]...)
 	live := rec.LiveEventCount()
 	pending := rec.PendingLiveEvents()
 	s.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -282,4 +283,54 @@ func TestAutoCompactKicksInAtThreshold(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// TestBatchIngestMatchesSingleIngests pins the batched write path to the
+// sequential one: one 16-event POST /v1/ingest (one panel pass per four
+// events) and sixteen single-event POSTs must hand out the same live IDs
+// and leave /v1/partners/live answering byte-identically — so with
+// bit-identical scores — both before and after a reload replays the
+// journal onto a fresh model.
+func TestBatchIngestMatchesSingleIngests(t *testing.T) {
+	batched := httptest.NewServer(privateServer(t, Config{}))
+	defer batched.Close()
+	single := httptest.NewServer(privateServer(t, Config{}))
+	defer single.Close()
+
+	events := templateBatch(t, 16)
+	resp, out := postIngest(t, batched, IngestRequest{Events: events})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batched ingest = %d", resp.StatusCode)
+	}
+	var ids []int32
+	for i, ev := range events {
+		resp, one := postIngest(t, single, IngestRequest{Events: []IngestEvent{ev}})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("single ingest %d = %d", i, resp.StatusCode)
+		}
+		ids = append(ids, one.IDs...)
+	}
+	if !slices.Equal(out.IDs, ids) {
+		t.Fatalf("batched ingest IDs %v, single ingests %v", out.IDs, ids)
+	}
+
+	same := func(stage string) {
+		t.Helper()
+		live := false
+		for u := 0; u < 24; u++ {
+			path := fmt.Sprintf("/v1/partners/live?user=%d&n=20", u)
+			a, b := getBody(t, batched, path), getBody(t, single, path)
+			if a != b {
+				t.Fatalf("%s: %s differs\nbatched %s\n single %s", stage, path, a, b)
+			}
+			live = live || strings.Contains(a, `"event":-`)
+		}
+		if !live {
+			t.Fatalf("%s: no answer ranks a live event; the comparison proves nothing", stage)
+		}
+	}
+	same("after ingest")
+	post(t, batched, "/v1/reload")
+	post(t, single, "/v1/reload")
+	same("after reload")
 }

@@ -73,30 +73,67 @@ func (r *Recommender) TopEventsBatch(users []int32, n, workers int) ([][]Recomme
 // results. ID -1 is the first ingested event, -2 the second, and so on.
 type LiveEventID = int32
 
+// ColdEvent is one brand-new event for IngestColdEvents: its tokenized
+// description, its venue (a dataset venue ID) and its start time.
+type ColdEvent struct {
+	Words []string
+	Venue int32
+	Start time.Time
+}
+
 // IngestColdEvent folds a brand-new event (created after training) into
 // the serving path: its embedding is synthesized from trained word,
 // region and time vectors (FoldInEvent), and its candidate pairs join the
 // joint-recommendation index's delta buffer immediately — no retraining,
 // no index rebuild. The returned LiveEventID appears (negated) as the
-// Event field of PairRecommendations that include it.
+// Event field of PairRecommendations that include it. It is
+// IngestColdEvents of one event.
 func (r *Recommender) IngestColdEvent(words []string, venue int32, start time.Time) (LiveEventID, error) {
-	vec, err := r.FoldInEvent(words, venue, start)
+	ids, err := r.IngestColdEvents([]ColdEvent{{Words: words, Venue: venue, Start: start}})
 	if err != nil {
 		return 0, err
 	}
+	return ids[0], nil
+}
+
+// IngestColdEvents ingests events in order, exactly as that many
+// IngestColdEvent calls would, but scores them against the user rows
+// four events per pass (ta.Delta.AddEvents) instead of one pass per
+// event. Every event is folded in first; if one fails, the events
+// before it are still ingested, and their IDs come back with the error.
+func (r *Recommender) IngestColdEvents(events []ColdEvent) ([]LiveEventID, error) {
+	vecs := make([][]float32, 0, len(events))
+	var foldErr error
+	for _, e := range events {
+		vec, err := r.FoldInEvent(e.Words, e.Venue, e.Start)
+		if err != nil {
+			foldErr = err
+			break
+		}
+		vecs = append(vecs, vec)
+	}
+	if len(vecs) == 0 {
+		return nil, foldErr
+	}
 	if r.taDelta == nil {
 		if err := r.ensureEngine(); err != nil {
-			return 0, err
+			return nil, err
 		}
-		if r.taDelta, err = r.taEngine.NewDelta(r.taPruneK); err != nil {
-			return 0, err
+		delta, err := r.taEngine.NewDelta(r.taPruneK)
+		if err != nil {
+			return nil, err
 		}
+		r.taDelta = delta
 	}
-	if err := r.taDelta.AddEvent(vec); err != nil {
-		return 0, err
+	if err := r.taDelta.AddEvents(vecs); err != nil {
+		return nil, err
 	}
-	r.liveEvents++
-	return -int32(r.liveEvents), nil
+	ids := make([]LiveEventID, len(vecs))
+	for i := range ids {
+		r.liveEvents++
+		ids[i] = -int32(r.liveEvents)
+	}
+	return ids, foldErr
 }
 
 // TopEventPartnersLive is TopEventPartners over the base index plus every

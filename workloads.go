@@ -171,7 +171,8 @@ func (r *Recommender) GroupTopEventsConstrained(members []int32, n int, strategy
 // Feed assembles the user's "for you" feed: the top-n cold events (as
 // TopEvents ranks them), each joined with the top-m companions under the
 // full joint score of Eqn. 8. For a fixed event the join is one dot
-// pass over the user rows with the combined query u+x (see
+// product per partner with the combined query u+x, and the n combined
+// queries share one panel pass over the user rows (see
 // workload.JoinPartners); the querying user is excluded from every
 // partner list. Feeds cover the base candidate space only — live
 // ingested events surface through TopEventPartnersLive, not the feed.
@@ -183,17 +184,14 @@ func (r *Recommender) Feed(user int32, n, m int) ([]FeedItem, error) {
 	if err != nil {
 		return nil, err
 	}
-	partners := make([][]float32, r.dataset.NumUsers)
-	for u := range partners {
-		partners[u] = r.model.UserVec(int32(u))
+	events := make([][]float32, len(top))
+	for i, rec := range top {
+		events[i] = r.model.EventVec(rec.Event)
 	}
-	userVec := r.model.UserVec(user)
-	items := make([]FeedItem, 0, len(top))
-	var q []float32
-	for _, rec := range top {
-		var ps []FeedPartner
-		ps, q = workload.JoinPartners(userVec, r.model.EventVec(rec.Event), partners, user, m, q)
-		items = append(items, FeedItem{Event: rec.Event, Score: rec.Score, Partners: ps})
+	partners := workload.JoinPartners(r.model.UserVec(user), events, r.model.Users.Data, user, m)
+	items := make([]FeedItem, len(top))
+	for i, rec := range top {
+		items[i] = FeedItem{Event: rec.Event, Score: rec.Score, Partners: partners[i]}
 	}
 	return items, nil
 }

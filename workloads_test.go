@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ebsn/internal/ebsnet"
+	"ebsn/internal/vecmath"
 )
 
 // testWindow returns a constraint covering roughly the middle half of
@@ -249,5 +250,105 @@ func TestFeed(t *testing.T) {
 	}
 	if _, err := rec.Feed(-1, n, m); err == nil {
 		t.Error("negative user accepted")
+	}
+}
+
+// perEventJoin is the feed join as it was before the panel form: for
+// each event x, one pass over the user rows scoring u·x + (u+x)·u' with
+// scalar dot products, top m by strict-> insertion in ascending partner
+// order. It is the independent reference for the served feed.
+func perEventJoin(rec *Recommender, user int32, events []Recommendation, m int) [][]FeedPartner {
+	u := rec.Model().UserVec(user)
+	nu := rec.Dataset().NumUsers
+	m = min(m, nu)
+	out := make([][]FeedPartner, len(events))
+	for i, ev := range events {
+		x := rec.Model().EventVec(ev.Event)
+		q := make([]float32, len(u))
+		for f := range q {
+			q[f] = u[f] + x[f]
+		}
+		base := vecmath.Dot(u, x)
+		best := make([]FeedPartner, 0, m)
+		for p := int32(0); int(p) < nu; p++ {
+			if p == user {
+				continue
+			}
+			s := base + vecmath.Dot(q, rec.Model().UserVec(p))
+			j := len(best)
+			if j < m {
+				best = append(best, FeedPartner{Partner: p, Score: s})
+			} else if s > best[m-1].Score {
+				j = m - 1
+				best[j] = FeedPartner{Partner: p, Score: s}
+			} else {
+				continue
+			}
+			for ; j > 0 && best[j].Score > best[j-1].Score; j-- {
+				best[j], best[j-1] = best[j-1], best[j]
+			}
+		}
+		out[i] = best
+	}
+	return out
+}
+
+// TestFeedBitIdenticalToPerEventJoin checks the panel feed join against
+// the per-event scalar loop with == on (event, partner, score bits):
+// every feed length up to 9 plus all test events (all panel
+// remainders), m from 1 to more than the user count, and queriers on
+// the 256-row block edges. The tiny city has fewer than 256 users, so
+// the test trains (briefly — only bits matter here) a tiny city with
+// enough users for two full blocks and a ragged third.
+func TestFeedBitIdenticalToPerEventJoin(t *testing.T) {
+	gc := GeneratorConfigFor(CityTiny, 5)
+	gc.NumUsers, gc.TargetAttendance = 700, 10500
+	d, err := GenerateDataset(gc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Build(d, Config{Seed: 5, Threads: 1, TrainSteps: 50_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nu := rec.Dataset().NumUsers
+	if nu <= 2*256 {
+		t.Fatalf("city has %d users; the block edges need more than 512", nu)
+	}
+	ns := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, len(rec.Split().TestEvents)}
+	for _, user := range []int32{0, 255, 256, int32(nu - 1)} {
+		for _, n := range ns {
+			top, err := rec.TopEvents(user, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range []int{1, 3, nu + 5} {
+				got, err := rec.Feed(user, n, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := perEventJoin(rec, user, top, m)
+				if len(got) != len(want) {
+					t.Fatalf("user %d n %d m %d: %d items, want %d", user, n, m, len(got), len(want))
+				}
+				for i, it := range got {
+					if it.Event != top[i].Event || math.Float32bits(it.Score) != math.Float32bits(top[i].Score) {
+						t.Fatalf("user %d n %d m %d item %d: event %d/%v, want %d/%v",
+							user, n, m, i, it.Event, it.Score, top[i].Event, top[i].Score)
+					}
+					if len(it.Partners) != len(want[i]) {
+						t.Fatalf("user %d n %d m %d item %d: %d partners, want %d",
+							user, n, m, i, len(it.Partners), len(want[i]))
+					}
+					for j, p := range it.Partners {
+						w := want[i][j]
+						if p.Partner != w.Partner || math.Float32bits(p.Score) != math.Float32bits(w.Score) {
+							t.Fatalf("user %d n %d m %d item %d rank %d: partner %d/%v, want %d/%v",
+								user, n, m, i, j, p.Partner, p.Score, w.Partner, w.Score)
+						}
+					}
+				}
+			}
+		}
 	}
 }
