@@ -21,7 +21,8 @@ func (r *Recommender) EnableQuantizedQueries() error {
 	if r.taEngine == nil {
 		return fmt.Errorf("ebsn: no joint index prepared; call PrepareJoint or PrepareJointSharded first")
 	}
-	return r.taEngine.EnableQuantized()
+	r.taEngine.EnableQuantized()
+	return nil
 }
 
 // QuantizedQueries reports whether joint queries route through the
@@ -45,17 +46,17 @@ func (r *Recommender) TopEventPartnersBatch(users []int32, n int) ([][]PairRecom
 // scatter-gather decomposition. When no engine has been prepared it
 // builds a one-shard engine with the default pruning, like the
 // single-query path.
-func (r *Recommender) TopEventPartnersBatchStats(users []int32, n int) ([][]PairRecommendation, EngineBatchStats, error) {
+func (r *Recommender) TopEventPartnersBatchStats(users []int32, n int) ([][]PairRecommendation, EngineStats, error) {
 	if n <= 0 {
-		return nil, EngineBatchStats{}, fmt.Errorf("ebsn: n must be positive")
+		return nil, EngineStats{}, fmt.Errorf("ebsn: n must be positive")
 	}
 	for _, u := range users {
 		if int(u) < 0 || int(u) >= r.dataset.NumUsers {
-			return nil, EngineBatchStats{}, fmt.Errorf("ebsn: user %d out of range [0,%d)", u, r.dataset.NumUsers)
+			return nil, EngineStats{}, fmt.Errorf("ebsn: user %d out of range [0,%d)", u, r.dataset.NumUsers)
 		}
 	}
 	if err := r.ensureEngine(); err != nil {
-		return nil, EngineBatchStats{}, err
+		return nil, EngineStats{}, err
 	}
 	vecs := make([][]float32, len(users))
 	exclude := make([]int32, len(users))

@@ -61,16 +61,12 @@ type (
 	// TrainStats is a live snapshot of training telemetry (steps,
 	// per-graph edge draws, rank-rebuild latency); see Model.TrainStats.
 	TrainStats = core.TrainStats
-	// EngineStats decomposes one scatter-gather query answered by the
-	// sharded engine: aggregated TA work, the per-shard breakdown, and
-	// the prepass/merge/critical-path timings.
+	// EngineStats decomposes one scatter-gather query or batch answered
+	// by the sharded engine: aggregated TA work, the per-shard breakdown,
+	// and the prepass/merge/critical-path timings.
 	EngineStats = engine.Stats
 	// EngineShardStats is one shard's share of a scatter-gather query.
 	EngineShardStats = engine.ShardStats
-	// EngineBatchStats decomposes one batched scatter-gather query:
-	// aggregated TA work, the per-shard breakdown, and the shared
-	// prepass/merge timings amortized across the batch.
-	EngineBatchStats = engine.BatchStats
 )
 
 // City selects a built-in synthetic dataset scale.
@@ -484,7 +480,7 @@ func (r *Recommender) jointSearch(user int32, n int, pred EventPredicate) ([]Pai
 	if err := r.ensureEngine(); err != nil {
 		return nil, EngineStats{}, err
 	}
-	res, stats, err := r.taEngine.SearchPred(r.model.UserVec(user), n, user, pred)
+	res, stats, err := r.taEngine.SearchIntoPred(r.model.UserVec(user), n, user, pred, nil, nil)
 	if err != nil {
 		return nil, stats, err
 	}

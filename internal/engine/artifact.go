@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"fmt"
-
-	"ebsn/internal/ta"
-)
+import "ebsn/internal/ta"
 
 // SaveArtifact serializes the engine's built state — every shard's
 // packed candidate set, FastIndex and partner range, quantized mirrors
@@ -15,12 +11,8 @@ import (
 // back into an equivalent engine.
 func (e *Engine) SaveArtifact(path string, fingerprint uint64) error {
 	segs := make([]ta.Segment, 0, len(e.shards))
-	for i, sh := range e.shards {
-		ls, ok := sh.(*localShard)
-		if !ok {
-			return fmt.Errorf("engine: shard %d (%T) cannot be serialized", i, sh)
-		}
-		segs = append(segs, ta.Segment{Lo: ls.lo, Hi: ls.hi, Set: ls.set, Idx: ls.idx})
+	for _, sh := range e.shards {
+		segs = append(segs, ta.Segment{Lo: sh.lo, Hi: sh.hi, Set: sh.set, Idx: sh.idx})
 	}
 	return ta.WriteArtifact(path, fingerprint, e.k, e.nPartners, segs)
 }
@@ -43,7 +35,7 @@ func OpenArtifact(path string, fingerprint uint64) (*Engine, error) {
 	e := newEngine(art.K(), art.Partners())
 	e.art = art
 	for _, seg := range art.Segments() {
-		e.addShard(&localShard{set: seg.Set, idx: seg.Idx, lo: seg.Lo, hi: seg.Hi})
+		e.addShard(shard{set: seg.Set, idx: seg.Idx, lo: seg.Lo, hi: seg.Hi})
 	}
 	return e, nil
 }

@@ -32,7 +32,7 @@ func saveEngineArtifact(t testing.TB, dir string, e *Engine, fp uint64) string {
 
 // TestArtifactEngineBitIdentical is the issue's mapped-vs-built
 // property test: for shards ∈ {1, 4}, exact and quantized, an engine
-// mapped from an artifact must answer Search and SearchBatch
+// mapped from an artifact must answer SearchInto and SearchBatch
 // bit-identically to the engine that wrote it — same pairs, same score
 // bits, same tie order.
 func TestArtifactEngineBitIdentical(t *testing.T) {
@@ -47,9 +47,7 @@ func TestArtifactEngineBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			if quantized {
-				if err := built.EnableQuantized(); err != nil {
-					t.Fatal(err)
-				}
+				built.EnableQuantized()
 			}
 			fp := ta.Fingerprint([]uint64{uint64(shards)}, events, partners)
 			path := saveEngineArtifact(t, t.TempDir(), built, fp)
@@ -66,19 +64,17 @@ func TestArtifactEngineBitIdentical(t *testing.T) {
 				t.Fatal("mapped engine lost its artifact or quantized flag")
 			}
 			if quantized {
-				if err := mapped.EnableQuantized(); err != nil {
-					t.Fatal(err)
-				}
+				mapped.EnableQuantized()
 			}
 			label := "shards=" + strconv.Itoa(shards) + " quantized=" + strconv.FormatBool(quantized)
 			for qi, u := range queries {
 				n := 1 + qi%20
 				exclude := int32(qi%len(partners)) - 1
-				want, _, err := built.Search(u, n, exclude)
+				want, _, err := built.SearchInto(u, n, exclude, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, _, err := mapped.Search(u, n, exclude)
+				got, _, err := mapped.SearchInto(u, n, exclude, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -143,11 +139,11 @@ func TestArtifactEngineFold(t *testing.T) {
 	}
 	for qi := 0; qi < 10; qi++ {
 		u := randomVecs(src, 1, 6)[0]
-		want, _, err := wantFold.Search(u, 9, -1)
+		want, _, err := wantFold.SearchInto(u, 9, -1, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := gotFold.Search(u, 9, -1)
+		got, _, err := gotFold.SearchInto(u, 9, -1, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

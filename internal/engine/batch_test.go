@@ -8,7 +8,7 @@ import (
 )
 
 // TestSearchBatchBitIdenticalToSearch checks the batched fan-out
-// against per-user Search calls across shard counts: same pairs, same
+// against per-user SearchInto calls across shard counts: same pairs, same
 // score bits, same tie order — the property the serving coalescer
 // depends on.
 func TestSearchBatchBitIdenticalToSearch(t *testing.T) {
@@ -34,7 +34,7 @@ func TestSearchBatchBitIdenticalToSearch(t *testing.T) {
 				t.Fatalf("shards=%d nb=%d: got %d result lists", shards, nb, len(res))
 			}
 			for j := 0; j < nb; j++ {
-				want, _, err := e.Search(users[j], 9, exclude[j])
+				want, _, err := e.SearchInto(users[j], 9, exclude[j], nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -45,7 +45,7 @@ func TestSearchBatchBitIdenticalToSearch(t *testing.T) {
 }
 
 // TestSearchBatchQuantizedMatchesQuantizedSearch checks the quantized
-// batched fan-out against per-user quantized Search calls — both route
+// batched fan-out against per-user quantized SearchInto calls — both route
 // through the int8 mirrors with exact re-ranking, so they must agree
 // bit for bit.
 func TestSearchBatchQuantizedMatchesQuantizedSearch(t *testing.T) {
@@ -57,9 +57,7 @@ func TestSearchBatchQuantizedMatchesQuantizedSearch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.EnableQuantized(); err != nil {
-			t.Fatal(err)
-		}
+		e.EnableQuantized()
 		if !e.Quantized() {
 			t.Fatal("Quantized() false after EnableQuantized")
 		}
@@ -73,11 +71,90 @@ func TestSearchBatchQuantizedMatchesQuantizedSearch(t *testing.T) {
 			t.Fatal(err)
 		}
 		for j := range users {
-			want, _, err := e.Search(users[j], 7, exclude[j])
+			want, _, err := e.SearchInto(users[j], 7, exclude[j], nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertBitIdentical(t, "quantized batch vs single", want, res[j])
+		}
+	}
+}
+
+// TestSearchBatchStatsMatchSingles checks the batch path's stats
+// against the same users queried one at a time: the access counts are
+// the per-user sums, the candidate count is the engine's, and every
+// shard reports.
+func TestSearchBatchStatsMatchSingles(t *testing.T) {
+	src := rng.New(615)
+	events := randomVecs(src, 30, 8)
+	partners := randomVecs(src, 45, 8)
+	for _, shards := range []int{1, 2, 3, 7} {
+		e, err := Build(events, partners, Config{Shards: shards, TopKEvents: 12, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, nb := range []int{1, 3, 8} {
+			users := randomVecs(src, nb, 8)
+			exclude := make([]int32, nb)
+			for j := range exclude {
+				exclude[j] = int32(src.Intn(len(partners)+2)) - 1
+			}
+			_, stats, err := e.SearchBatch(users, 9, exclude)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sorted, random int
+			for j := range users {
+				_, st, err := e.SearchInto(users[j], 9, exclude[j], nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sorted += st.Agg.SortedAccesses
+				random += st.Agg.RandomAccesses
+			}
+			if stats.Agg.SortedAccesses != sorted || stats.Agg.RandomAccesses != random {
+				t.Errorf("shards=%d nb=%d: batch accesses %d sorted / %d random, singles sum to %d / %d",
+					shards, nb, stats.Agg.SortedAccesses, stats.Agg.RandomAccesses, sorted, random)
+			}
+			if stats.Agg.Candidates != e.Candidates() {
+				t.Errorf("shards=%d nb=%d: batch candidates %d, want %d", shards, nb, stats.Agg.Candidates, e.Candidates())
+			}
+			if len(stats.Shards) != e.Shards() {
+				t.Errorf("shards=%d nb=%d: %d shard stats, want %d", shards, nb, len(stats.Shards), e.Shards())
+			}
+		}
+	}
+}
+
+// TestElapsedCoversIndexTime pins that Agg.Elapsed accounts for a
+// query's time in the index: each lane is charged its share of the
+// panel passes, so the in-index time plus prepass and merge is nearly
+// all of a one-user query's wall time. The best of 20 calls filters
+// scheduler noise.
+func TestElapsedCoversIndexTime(t *testing.T) {
+	events, partners, queries := benchSpace()
+	for _, shards := range []int{1, 3} {
+		e, err := Build(events, partners, benchConfig(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var batch, single float64
+		for i := 0; i < 20; i++ {
+			u, ex := queries[i], int32(i)
+			_, st, err := e.SearchBatch([][]float32{u}, 10, []int32{ex})
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch = max(batch, float64(st.Agg.Elapsed)/float64(st.Wall))
+			_, st, err = e.SearchInto(u, 10, ex, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			single = max(single, float64(st.Agg.Elapsed)/float64(st.Wall))
+		}
+		if batch < 0.8 || single < 0.8 {
+			t.Errorf("shards=%d: best Agg.Elapsed/Wall is %.2f for SearchBatch and %.2f for SearchInto, want >= 0.8",
+				shards, batch, single)
 		}
 	}
 }

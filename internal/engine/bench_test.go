@@ -66,7 +66,7 @@ func BenchmarkEngineBringUp(b *testing.B) {
 // BenchmarkEngineSearchInto measures the sharded single-query hot path
 // with caller-managed buffers. The allocs/op column is the regression
 // gate: steady state must report 0 allocs/op for every shard count (the
-// multi-shard fan-out reuses pre-built closures, pooled responses and
+// multi-shard fan-out reuses pre-built closures, pooled batch scratch and
 // the caller's result and stats buffers). critpath-ns/op is the mean
 // Stats.CriticalPath — prepass + slowest shard + merge — which is what a
 // host with a core per shard would see when wall ns/op cannot.

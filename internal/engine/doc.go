@@ -20,25 +20,26 @@
 // reproduces the monolithic answer bit for bit — for any shard count.
 // The property tests assert this, including at tied boundaries.
 //
-// # The shard boundary
+// # One fan-out
 //
-// Shards are addressed through the Shard interface with an RPC-shaped
-// contract: a self-contained Request in, a Response (top-n with global
-// IDs, per-shard SearchStats) or an error out. Nothing about the engine
-// assumes shards share memory — the one in-process concession, the
-// precomputed event-affinity pass carried in Request.EventAff, is
-// derivable from Request.UserVec, so a transport may drop it and let the
-// remote side recompute. Moving shards out of process is a transport
-// change, not a redesign.
+// Every query is a set of lanes, and a single query is a batch of one.
+// SearchInto, SearchIntoPred and SearchBatch all run the same four
+// steps: one shared event-affinity panel, one ta.FastIndex.TopNBatch
+// call per shard over all lanes, one stats sum, and one canonical merge
+// per lane. A one-lane panel runs the same kernels as the scalar pass
+// and every lane runs the same walk as ta.FastIndex.Search, so a single
+// query's answer is bit-identical either way. Shards are in-process
+// structs sharing memory with the engine; there is no RPC-shaped seam,
+// and moving shards out of process would need a design of its own.
 //
 // # Cost model
 //
-// Per-query work splits into a shard-invariant prepass (the per-event
-// affinity pass, computed once and shared), per-shard work that shrinks
-// linearly with the shard count (the per-partner affinity pass, bound
+// Per-query work splits into a shard-invariant prepass (the event
+// affinity panel, computed once and shared), per-shard work that shrinks
+// linearly with the shard count (the partner affinity panel, bound
 // heapify, and TA scan over roughly 1/N of the partners), and an O(n·N)
-// merge. Wall-clock latency improves with shards only when cores are
-// free to run them; Stats.CriticalPath reports the prepass + slowest
-// shard + merge path — the latency an N-core box observes — next to the
-// measured wall time.
+// merge per lane. Wall-clock latency improves with shards only when
+// cores are free to run them; Stats.CriticalPath reports the prepass +
+// slowest shard + merge path — the latency an N-core box observes — next
+// to the measured wall time.
 package engine

@@ -23,19 +23,20 @@ type Config struct {
 }
 
 // Engine is the scatter-gather query front: it owns N partner-range
-// shards and answers top-n queries by fanning a self-contained Request
-// out to each shard concurrently and merging the per-shard answers in
-// canonical order. Queries are safe for concurrent use; building and
-// EnableQuantized are not.
+// shards and answers every query — single, constrained or batched — with
+// one fan-out: a shared event-affinity panel, one TopNBatch call per
+// shard over all of the query's lanes, and a canonical merge per lane. A
+// single query is a batch of one. Queries are safe for concurrent use;
+// building and EnableQuantized are not.
 type Engine struct {
 	k         int
 	nPartners int
 	pairs     int
-	shards    []Shard
+	shards    []shard
 	quantized bool
-	// affSet computes the shared per-event affinity prepass. It belongs
-	// to shard 0, whose event rows are bit-identical copies of every
-	// other shard's (events are replicated across shards).
+	// affSet computes the shared event-affinity panel. It belongs to
+	// shard 0, whose event rows are bit-identical copies of every other
+	// shard's (events are replicated across shards).
 	affSet *ta.CandidateSet
 	pool   sync.Pool // *fanoutScratch
 	// art is the open artifact backing a mapped engine (nil for built
@@ -44,87 +45,45 @@ type Engine struct {
 	art *ta.Artifact
 }
 
-// fanoutScratch owns one query's fan-out state so steady-state queries
-// reuse buffers instead of reallocating them. The shard closures are
-// built once per scratch and read their per-query parameters from the
-// scratch fields, so the fan-out itself allocates nothing.
+// fanoutScratch owns one fan-out's state so steady-state queries reuse
+// buffers instead of reallocating them. The per-shard closures are built
+// with the scratch and read the query from its fields, so the fan-out
+// itself allocates nothing.
 type fanoutScratch struct {
-	aff    []float32
-	resp   []Response
-	errs   []error
-	walls  []time.Duration
-	dsts   [][]ta.Result
-	heads  []int
-	lists  [][]ta.Result
-	merged []ta.Result
-	stats  []ShardStats
-	psc    ta.Scratch // quantized-prepass scratch
+	prepass ta.BatchScratch // the shared event-affinity panel
+	runs    []shardRun
+	fns     []func()
+	wg      sync.WaitGroup
+	lists   [][]ta.Result
+	heads   []int
 
-	// Pre-built zero-arg shard closures (single-query and batch) and
-	// the parameters they read. wg coordinates each fan-out.
-	fns  []func()
-	bfns []func()
-	wg   sync.WaitGroup
-
-	userVec []float32
-	n       int
-	exclude int32
-	pred    ta.EventPredicate
-
-	// Batch fan-out state.
-	absc   *ta.BatchScratch
-	busers [][]float32
-	bexcl  []int32
-	bresp  []BatchResponse
-	bdsts  [][][]ta.Result
-	bstats [][]ta.SearchStats
+	// The query the closures read: q.Exclude stays nil, since each shard
+	// translates the global exclude into its own IDs. A single query's
+	// lane lives in user and excl, so loading it allocates nothing.
+	q       ta.BatchQuery
+	exclude []int32
+	user    [1][]float32
+	excl    [1]int32
 }
 
-// ensureFns (re)builds the per-shard closures when the shard count
-// changes — once per scratch lifetime in practice, since a scratch
-// never leaves its engine's pool.
-func (fs *fanoutScratch) ensureFns(e *Engine, ns int) {
-	if len(fs.fns) == ns {
-		return
+// newFanout builds a scratch with one closure per shard. The pool calls
+// it on the first query, after Build, Fold or OpenArtifact has added
+// every shard.
+func (e *Engine) newFanout() *fanoutScratch {
+	ns := len(e.shards)
+	fs := &fanoutScratch{
+		runs:  make([]shardRun, ns),
+		fns:   make([]func(), ns),
+		lists: make([][]ta.Result, ns),
+		heads: make([]int, ns),
 	}
-	fs.fns = make([]func(), ns)
-	fs.bfns = make([]func(), ns)
-	for i := 0; i < ns; i++ {
-		i := i
+	for i := range fs.fns {
 		fs.fns[i] = func() {
 			defer fs.wg.Done()
-			s0 := time.Now()
-			req := Request{
-				UserVec:        fs.userVec,
-				N:              fs.n,
-				ExcludePartner: fs.exclude,
-				EventAff:       fs.aff,
-				Quantized:      e.quantized,
-				Pred:           fs.pred,
-				Dst:            fs.dsts[i],
-			}
-			fs.resp[i], fs.errs[i] = e.shards[i].Search(req)
-			fs.dsts[i] = fs.resp[i].Results // keep grown buffers across queries
-			fs.walls[i] = time.Since(s0)
-		}
-		fs.bfns[i] = func() {
-			defer fs.wg.Done()
-			s0 := time.Now()
-			req := BatchRequest{
-				Users:     fs.busers,
-				N:         fs.n,
-				Exclude:   fs.bexcl,
-				EventAff:  fs.aff,
-				Quantized: e.quantized,
-				Dst:       fs.bdsts[i],
-				DstStats:  fs.bstats[i],
-			}
-			fs.bresp[i], fs.errs[i] = e.shards[i].SearchBatch(req)
-			fs.bdsts[i] = fs.bresp[i].Results
-			fs.bstats[i] = fs.bresp[i].Stats
-			fs.walls[i] = time.Since(s0)
+			e.shards[i].search(fs.q, fs.exclude, &fs.runs[i])
 		}
 	}
+	return fs
 }
 
 // Build partitions partners into cfg.Shards contiguous ranges and
@@ -163,7 +122,7 @@ func Build(events, partners [][]float32, cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("engine: shard %d build: %w", i, err)
 		}
 		idx := ta.NewFastIndexWorkers(set, cfg.Workers)
-		e.addShard(&localShard{set: set, idx: idx, lo: int32(lo), hi: int32(hi)})
+		e.addShard(shard{set: set, idx: idx, lo: int32(lo), hi: int32(hi)})
 	}
 	return e, nil
 }
@@ -172,37 +131,31 @@ func Build(events, partners [][]float32, cfg Config) (*Engine, error) {
 // OpenArtifact fill it in partner-range order through addShard.
 func newEngine(k, nPartners int) *Engine {
 	e := &Engine{k: k, nPartners: nPartners}
-	e.pool.New = func() any { return &fanoutScratch{} }
+	e.pool.New = func() any { return e.newFanout() }
 	return e
 }
 
 // addShard appends the next shard; the first one's set serves the
-// shared event-affinity prepass.
-func (e *Engine) addShard(sh *localShard) {
+// shared event-affinity panel.
+func (e *Engine) addShard(sh shard) {
 	if len(e.shards) == 0 {
 		e.affSet = sh.set
 	}
-	e.pairs += sh.Pairs()
+	e.pairs += len(sh.set.Pairs)
 	e.shards = append(e.shards, sh)
 }
 
 // EnableQuantized packs every shard's int8 candidate mirrors and routes
-// all subsequent queries — single and batched — through the quantized
-// search path (approximate int8 affinity passes, exact re-rank; see
-// ta.PackQuantized). Event rows are replicated bit-identically across
-// shards, so the quantized prepass stays shard-invariant exactly like
-// the exact one. Not safe concurrently with queries; call it right
-// after Build, before serving.
-func (e *Engine) EnableQuantized() error {
-	for i, sh := range e.shards {
-		ls, ok := sh.(*localShard)
-		if !ok {
-			return fmt.Errorf("engine: shard %d (%T) does not support quantization", i, sh)
-		}
-		ls.set.PackQuantized()
+// all subsequent queries through the quantized search path (approximate
+// int8 affinity passes, exact re-rank; see ta.PackQuantized). Event rows
+// are replicated bit-identically across shards, so the quantized event
+// panel stays shard-invariant exactly like the exact one. Not safe
+// concurrently with queries; call it right after Build, before serving.
+func (e *Engine) EnableQuantized() {
+	for _, sh := range e.shards {
+		sh.set.PackQuantized()
 	}
 	e.quantized = true
-	return nil
 }
 
 // Quantized reports whether queries route through the int8 path.
@@ -218,12 +171,8 @@ func (e *Engine) NewDelta(topK int) (*ta.Delta, error) {
 		return ta.NewDeltaForSet(e.affSet, topK), nil
 	}
 	rows := make([][]float32, 0, e.nPartners)
-	for i, sh := range e.shards {
-		ls, ok := sh.(*localShard)
-		if !ok {
-			return nil, fmt.Errorf("engine: shard %d (%T) has no local partner rows", i, sh)
-		}
-		rows = append(rows, ls.set.Partners...)
+	for _, sh := range e.shards {
+		rows = append(rows, sh.set.Partners...)
 	}
 	return ta.NewDelta(rows, topK)
 }
@@ -244,23 +193,19 @@ func (e *Engine) Fold(v ta.DeltaView, workers int) (*Engine, error) {
 	}
 	ne := newEngine(e.k, e.nPartners)
 	ne.quantized = e.quantized
-	for i, sh := range e.shards {
-		ls, ok := sh.(*localShard)
-		if !ok {
-			return nil, fmt.Errorf("engine: shard %d (%T) does not support local folds", i, sh)
-		}
+	for _, sh := range e.shards {
 		sv := ta.DeltaView{Events: v.Events}
 		for j, p := range v.Pairs {
-			if p.Partner >= ls.lo && p.Partner < ls.hi {
-				sv.Pairs = append(sv.Pairs, ta.Candidate{Event: p.Event, Partner: p.Partner - ls.lo})
+			if p.Partner >= sh.lo && p.Partner < sh.hi {
+				sv.Pairs = append(sv.Pairs, ta.Candidate{Event: p.Event, Partner: p.Partner - sh.lo})
 				sv.Cross = append(sv.Cross, v.Cross[j])
 			}
 		}
-		set, idx := ta.FoldDelta(ls.set, sv, workers)
+		set, idx := ta.FoldDelta(sh.set, sv, workers)
 		if ne.quantized {
 			set.PackQuantized()
 		}
-		ne.addShard(&localShard{set: set, idx: idx, lo: ls.lo, hi: ls.hi})
+		ne.addShard(shard{set: set, idx: idx, lo: sh.lo, hi: sh.hi})
 	}
 	return ne, nil
 }
@@ -269,7 +214,7 @@ func (e *Engine) Fold(v ta.DeltaView, workers int) (*Engine, error) {
 func (e *Engine) Shards() int { return len(e.shards) }
 
 // NumEvents returns the number of events each shard replicates — the
-// event index space of Search results.
+// event index space of query results.
 func (e *Engine) NumEvents() int { return len(e.affSet.Events) }
 
 // Candidates returns the total candidate pairs across all shards.
@@ -285,9 +230,7 @@ func (e *Engine) Partners() int { return e.nPartners }
 // index every query of that engine walks; nil otherwise.
 func (e *Engine) Index() *ta.FastIndex {
 	if len(e.shards) == 1 {
-		if ls, ok := e.shards[0].(*localShard); ok {
-			return ls.idx
-		}
+		return e.shards[0].idx
 	}
 	return nil
 }
@@ -296,28 +239,30 @@ func (e *Engine) Index() *ta.FastIndex {
 type ShardStats struct {
 	// Shard is the shard index, matching engine build order.
 	Shard int
-	// Stats is the shard's TA work (in-index elapsed included).
+	// Stats is the shard's TA work summed over the query's lanes
+	// (in-index elapsed included); Candidates is the shard's resident
+	// pair count, not summed.
 	Stats ta.SearchStats
 	// Wall is the wall-clock duration of the shard call as observed by
 	// the fan-out, scheduling included.
 	Wall time.Duration
 }
 
-// Stats decomposes one scatter-gather query.
+// Stats decomposes one scatter-gather query or batch.
 type Stats struct {
-	// Agg sums the per-shard work: access counts and candidates add up
-	// (each pair lives on exactly one shard, so Agg.Candidates equals
-	// the monolithic candidate count), and Elapsed totals the in-index
-	// time across shards plus the prepass and merge — the CPU cost of
-	// the query, not its latency.
+	// Agg sums the per-shard work: access counts add up over shards and
+	// lanes, Candidates over shards (each pair lives on exactly one
+	// shard, so Agg.Candidates equals the monolithic candidate count),
+	// and Elapsed totals the in-index time across shards plus the
+	// prepass and merge — the CPU cost of the query, not its latency.
 	Agg ta.SearchStats
 	// Shards is the per-shard breakdown, in shard order.
 	Shards []ShardStats
-	// Prepass is the shared event-affinity pass duration.
+	// Prepass is the shared event-affinity panel duration.
 	Prepass time.Duration
-	// Merge is the canonical-order merge duration.
+	// Merge totals the per-lane canonical-order merges.
 	Merge time.Duration
-	// Wall is the end-to-end Search duration on this machine.
+	// Wall is the end-to-end duration on this machine.
 	Wall time.Duration
 	// CriticalPath is Prepass + the slowest shard's Wall + Merge: the
 	// latency floor with one core per shard. On a machine with fewer
@@ -326,245 +271,146 @@ type Stats struct {
 	CriticalPath time.Duration
 }
 
-// Search answers the exact top-n for userVec with one partner excluded
-// (< 0 excludes no one), scattering the query across all shards and
-// gathering the canonical merge. The returned slice and Stats.Shards
-// are freshly allocated and owned by the caller; latency-critical
-// callers use SearchInto to reuse both.
-func (e *Engine) Search(userVec []float32, n int, exclude int32) ([]ta.Result, Stats, error) {
-	return e.SearchPred(userVec, n, exclude, nil)
-}
-
-// SearchPred is Search restricted to predicate-allowed events: the
-// predicate is shipped to every shard (events are replicated, so it is
-// shard-invariant) and pushed into each shard's threshold walk. Each
-// shard's constrained answer is exact, so the canonical merge is exact
-// too. A nil predicate is bit-identical to Search.
-func (e *Engine) SearchPred(userVec []float32, n int, exclude int32, pred ta.EventPredicate) ([]ta.Result, Stats, error) {
-	out, stats, err := e.SearchIntoPred(userVec, n, exclude, pred, nil, nil)
-	if err != nil {
-		return nil, stats, err
-	}
-	owned := make([]ShardStats, len(stats.Shards))
-	copy(owned, stats.Shards)
-	stats.Shards = owned
-	return out, stats, nil
-}
-
-// SearchInto is Search with caller-managed storage: results are
+// SearchInto answers the exact top-n for userVec with one partner
+// excluded (< 0 excludes no one) as a one-lane fan-out. Results are
 // appended to dst[:0] and Stats.Shards reuses shardStats when its
 // capacity suffices (both are grown — and thus allocated — only when
-// too small). With warmed buffers a steady-state sharded query
-// allocates nothing.
+// too small; nil buffers are fine). With warmed buffers a steady-state
+// query allocates nothing.
 func (e *Engine) SearchInto(userVec []float32, n int, exclude int32, dst []ta.Result, shardStats []ShardStats) ([]ta.Result, Stats, error) {
 	return e.SearchIntoPred(userVec, n, exclude, nil, dst, shardStats)
 }
 
-// SearchIntoPred is SearchPred with caller-managed storage, exactly as
-// SearchInto manages it.
+// SearchIntoPred is SearchInto restricted to predicate-allowed events:
+// the predicate is shipped to every shard (events are replicated, so it
+// is shard-invariant) and pushed into each shard's threshold walk. Each
+// shard's constrained answer is exact, so the canonical merge is exact
+// too. A nil predicate is bit-identical to SearchInto.
 func (e *Engine) SearchIntoPred(userVec []float32, n int, exclude int32, pred ta.EventPredicate, dst []ta.Result, shardStats []ShardStats) ([]ta.Result, Stats, error) {
 	start := time.Now()
-	var stats Stats
-	if n <= 0 {
-		return nil, stats, fmt.Errorf("engine: n must be positive, got %d", n)
-	}
-	if len(userVec) != e.k {
-		return nil, stats, fmt.Errorf("engine: user vector length %d, want %d", len(userVec), e.k)
-	}
-	if pred != nil && len(pred) != len(e.affSet.Events) {
-		return nil, stats, fmt.Errorf("engine: predicate has %d entries, want %d events", len(pred), len(e.affSet.Events))
+	if err := e.check(n, pred, userVec); err != nil {
+		return nil, Stats{}, err
 	}
 	fs := e.pool.Get().(*fanoutScratch)
 	defer e.pool.Put(fs)
+	fs.user[0], fs.excl[0] = userVec, exclude
+	fs.q = ta.BatchQuery{Users: fs.user[:], N: n, Pred: pred, Quantized: e.quantized}
+	fs.exclude = fs.excl[:]
+	out, stats := e.search(fs, start, dst[:0], nil, shardStats)
+	return out, stats, nil
+}
 
-	// Shared prepass: the per-event affinities are shard-invariant
-	// (every shard replicates the event rows), so one pass serves all
-	// shards. The quantized pass is shard-invariant too — the int8
-	// event mirrors are derived from replicated rows.
+// SearchBatch answers the top-n for every user vector with one fan-out.
+// Results are indexed like users; exclude may be nil (no exclusions) or
+// one global partner ID per user. Every lane is bit-identical to the
+// same query through SearchInto — same pairs, same score bits, same tie
+// order — which is what lets the serving layer coalesce concurrent
+// requests into batches transparently. The returned slices share one
+// freshly allocated backing array owned by the caller, and Stats.Shards
+// aliases nothing pooled.
+func (e *Engine) SearchBatch(users [][]float32, n int, exclude []int32) ([][]ta.Result, Stats, error) {
+	start := time.Now()
+	if err := e.check(n, nil, users...); err != nil {
+		return nil, Stats{}, err
+	}
+	if exclude != nil && len(exclude) != len(users) {
+		return nil, Stats{}, fmt.Errorf("engine: batch has %d users but %d excludes", len(users), len(exclude))
+	}
+	if len(users) == 0 {
+		return nil, Stats{}, nil
+	}
+	fs := e.pool.Get().(*fanoutScratch)
+	defer e.pool.Put(fs)
+	fs.q = ta.BatchQuery{Users: users, N: n, Quantized: e.quantized}
+	fs.exclude = exclude
+	outs := make([][]ta.Result, len(users))
+	_, stats := e.search(fs, start, make([]ta.Result, 0, len(users)*n), outs, nil)
+	return outs, stats, nil
+}
+
+// check validates a query at the engine boundary.
+func (e *Engine) check(n int, pred ta.EventPredicate, users ...[]float32) error {
+	if n <= 0 {
+		return fmt.Errorf("engine: n must be positive, got %d", n)
+	}
+	for j, u := range users {
+		if len(u) != e.k {
+			return fmt.Errorf("engine: user %d vector length %d, want %d", j, len(u), e.k)
+		}
+	}
+	if pred != nil && len(pred) != e.NumEvents() {
+		return fmt.Errorf("engine: predicate has %d entries, want %d events", len(pred), e.NumEvents())
+	}
+	return nil
+}
+
+// search is the one fan-out behind every query. It computes the shared
+// event-affinity panel for the lanes loaded in fs, runs each shard's
+// TopNBatch over all of them (concurrently when there are several
+// shards), sums the stats, and merges each lane's per-shard answers in
+// canonical order onto dst; with outs non-nil, outs[j] receives lane j's
+// slice of dst. Stats.Shards reuses shardStats when it is large enough.
+func (e *Engine) search(fs *fanoutScratch, start time.Time, dst []ta.Result, outs [][]ta.Result, shardStats []ShardStats) ([]ta.Result, Stats) {
+	var stats Stats
+	// The per-event affinities are shard-invariant (every shard
+	// replicates the event rows, and the int8 mirrors derive from them),
+	// so one panel serves all shards.
 	t0 := time.Now()
-	fs.aff = e.affSet.EventAffinities(userVec, fs.aff, e.quantized, &fs.psc)
+	fs.q.EventAff = e.affSet.EventAffinityPanel(fs.q.Users, e.quantized, &fs.prepass)
 	stats.Prepass = time.Since(t0)
 
 	ns := len(e.shards)
-	fs.resp = resize(fs.resp, ns)
-	fs.errs = resize(fs.errs, ns)
-	fs.walls = resize(fs.walls, ns)
-	fs.dsts = resize(fs.dsts, ns)
-	fs.ensureFns(e, ns)
-	fs.userVec, fs.n, fs.exclude, fs.pred = userVec, n, exclude, pred
+	fs.wg.Add(ns)
 	if ns == 1 {
-		fs.wg.Add(1)
 		fs.fns[0]()
 	} else {
-		fs.wg.Add(ns)
-		for i := 0; i < ns; i++ {
-			go fs.fns[i]()
+		for _, fn := range fs.fns {
+			go fn()
 		}
 		fs.wg.Wait()
 	}
-	fs.userVec, fs.pred = nil, nil // do not retain caller data in the pool
 
 	if cap(shardStats) < ns {
 		shardStats = make([]ShardStats, ns)
 	}
 	stats.Shards = shardStats[:ns]
 	var maxWall time.Duration
-	for i := 0; i < ns; i++ {
-		if err := fs.errs[i]; err != nil {
-			stats.Shards = nil
-			return nil, stats, fmt.Errorf("engine: shard %d: %w", i, err)
-		}
-		st := fs.resp[i].Stats
-		stats.Shards[i] = ShardStats{Shard: i, Stats: st, Wall: fs.walls[i]}
-		stats.Agg.SortedAccesses += st.SortedAccesses
-		stats.Agg.RandomAccesses += st.RandomAccesses
-		stats.Agg.Candidates += st.Candidates
-		stats.Agg.Elapsed += st.Elapsed
-		if fs.walls[i] > maxWall {
-			maxWall = fs.walls[i]
-		}
-	}
-
-	m0 := time.Now()
-	fs.lists = resize(fs.lists, ns)
-	fs.heads = resize(fs.heads, ns)
-	for i := 0; i < ns; i++ {
-		fs.lists[i] = fs.resp[i].Results
-		fs.heads[i] = 0
-	}
-	out := mergeCanonical(fs.lists, fs.heads, n, dst[:0])
-	stats.Merge = time.Since(m0)
-
-	stats.Agg.Elapsed += stats.Prepass + stats.Merge
-	stats.Wall = time.Since(start)
-	stats.CriticalPath = stats.Prepass + maxWall + stats.Merge
-	return out, stats, nil
-}
-
-// BatchStats decomposes one scatter-gather batch.
-type BatchStats struct {
-	// Agg sums the TA work across every user and shard, plus the shared
-	// prepass and the merges — the CPU cost of the whole batch.
-	Agg ta.SearchStats
-	// Shards is the per-shard breakdown: Stats sums the shard's work
-	// over the batch's users; Wall is the one batched shard call.
-	Shards []ShardStats
-	// Prepass is the shared event-affinity panel duration.
-	Prepass time.Duration
-	// Merge totals the per-user canonical merges.
-	Merge time.Duration
-	// Wall is the end-to-end SearchBatch duration.
-	Wall time.Duration
-	// CriticalPath is Prepass + the slowest shard's Wall + Merge.
-	CriticalPath time.Duration
-}
-
-// SearchBatch answers the top-n for every user vector with one fan-out:
-// the event-affinity panel is computed once (matrix-panel kernel over
-// the shared event rows), each shard receives the whole batch as a
-// single BatchRequest, and the per-shard answers are merged per user in
-// canonical order. Results are indexed like users; exclude may be nil
-// (no exclusions) or one global partner ID per user. The exact path is
-// bit-identical to calling Search per user — same pairs, same score
-// bits, same tie order — which is what lets the serving layer coalesce
-// concurrent requests into batches transparently. The returned slices
-// are freshly allocated (one backing array) and owned by the caller;
-// Stats.Shards aliases nothing pooled.
-func (e *Engine) SearchBatch(users [][]float32, n int, exclude []int32) ([][]ta.Result, BatchStats, error) {
-	start := time.Now()
-	var stats BatchStats
-	if n <= 0 {
-		return nil, stats, fmt.Errorf("engine: n must be positive, got %d", n)
-	}
-	if exclude != nil && len(exclude) != len(users) {
-		return nil, stats, fmt.Errorf("engine: batch has %d users but %d excludes", len(users), len(exclude))
-	}
-	for j, u := range users {
-		if len(u) != e.k {
-			return nil, stats, fmt.Errorf("engine: batch user %d vector length %d, want %d", j, len(u), e.k)
-		}
-	}
-	nb := len(users)
-	if nb == 0 {
-		return nil, stats, nil
-	}
-	fs := e.pool.Get().(*fanoutScratch)
-	defer e.pool.Put(fs)
-	if fs.absc == nil {
-		fs.absc = ta.GetBatchScratch()
-	}
-
-	// Shared prepass: one panel over the replicated event rows serves
-	// every shard.
-	t0 := time.Now()
-	fs.aff = append(fs.aff[:0], e.affSet.EventAffinityPanel(users, e.quantized, fs.absc)...)
-	stats.Prepass = time.Since(t0)
-
-	ns := len(e.shards)
-	fs.bresp = resize(fs.bresp, ns)
-	fs.errs = resize(fs.errs, ns)
-	fs.walls = resize(fs.walls, ns)
-	fs.bdsts = resize(fs.bdsts, ns)
-	fs.bstats = resize(fs.bstats, ns)
-	fs.ensureFns(e, ns)
-	fs.busers, fs.n, fs.bexcl = users, n, exclude
-	if ns == 1 {
-		fs.wg.Add(1)
-		fs.bfns[0]()
-	} else {
-		fs.wg.Add(ns)
-		for i := 0; i < ns; i++ {
-			go fs.bfns[i]()
-		}
-		fs.wg.Wait()
-	}
-	fs.busers, fs.bexcl = nil, nil // do not retain caller data in the pool
-
-	stats.Shards = make([]ShardStats, ns)
-	var maxWall time.Duration
-	for i := 0; i < ns; i++ {
-		if err := fs.errs[i]; err != nil {
-			stats.Shards = nil
-			return nil, stats, fmt.Errorf("engine: shard %d: %w", i, err)
-		}
-		ss := ShardStats{Shard: i, Wall: fs.walls[i]}
-		for _, st := range fs.bresp[i].Stats {
+	for i := range fs.runs {
+		r := &fs.runs[i]
+		ss := ShardStats{Shard: i, Wall: r.wall}
+		for _, st := range r.stats {
 			ss.Stats.SortedAccesses += st.SortedAccesses
 			ss.Stats.RandomAccesses += st.RandomAccesses
 			ss.Stats.Elapsed += st.Elapsed
-			ss.Stats.Candidates = st.Candidates // per-query resident pairs, not summed
+			ss.Stats.Candidates = st.Candidates
 		}
 		stats.Shards[i] = ss
 		stats.Agg.SortedAccesses += ss.Stats.SortedAccesses
 		stats.Agg.RandomAccesses += ss.Stats.RandomAccesses
 		stats.Agg.Candidates += ss.Stats.Candidates
 		stats.Agg.Elapsed += ss.Stats.Elapsed
-		if fs.walls[i] > maxWall {
-			maxWall = fs.walls[i]
-		}
+		maxWall = max(maxWall, r.wall)
 	}
 
-	// Per-user canonical merges into one caller-owned backing array.
 	m0 := time.Now()
-	fs.lists = resize(fs.lists, ns)
-	fs.heads = resize(fs.heads, ns)
-	flat := make([]ta.Result, 0, nb*n)
-	outs := make([][]ta.Result, nb)
-	for j := 0; j < nb; j++ {
-		for i := 0; i < ns; i++ {
-			fs.lists[i] = fs.bresp[i].Results[j]
-			fs.heads[i] = 0
+	for j := range fs.q.Users {
+		for i := range fs.runs {
+			fs.lists[i], fs.heads[i] = fs.runs[i].res[j], 0
 		}
-		lo := len(flat)
-		flat = mergeCanonical(fs.lists, fs.heads, n, flat)
-		outs[j] = flat[lo:len(flat):len(flat)]
+		lo := len(dst)
+		dst = mergeCanonical(fs.lists, fs.heads, fs.q.N, dst)
+		if outs != nil {
+			outs[j] = dst[lo:len(dst):len(dst)]
+		}
 	}
 	stats.Merge = time.Since(m0)
+	// Retain no caller data in the pool.
+	fs.q, fs.exclude, fs.user[0] = ta.BatchQuery{}, nil, nil
 
 	stats.Agg.Elapsed += stats.Prepass + stats.Merge
 	stats.Wall = time.Since(start)
 	stats.CriticalPath = stats.Prepass + maxWall + stats.Merge
-	return outs, stats, nil
+	return dst, stats
 }
 
 // mergeCanonical merges per-shard canonical top-n lists into the global

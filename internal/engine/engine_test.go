@@ -92,7 +92,7 @@ func TestShardedBitIdenticalToMonolithic(t *testing.T) {
 					n := 1 + src.Intn(sh.nu*2)
 					exclude := int32(src.Intn(sh.nu+2)) - 1
 					want, wantStats := monoSearch(mono, userVec, n, exclude, nil)
-					got, stats, err := e.Search(userVec, n, exclude)
+					got, stats, err := e.SearchInto(userVec, n, exclude, nil, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -150,7 +150,7 @@ func TestShardedTiesAtBoundary(t *testing.T) {
 			// edges.
 			for _, n := range []int{1, 5, 17, 50, 100} {
 				want, _ := monoSearch(mono, userVec, n, -1, nil)
-				got, _, err := e.Search(userVec, n, -1)
+				got, _, err := e.SearchInto(userVec, n, -1, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -175,7 +175,7 @@ func TestShardedExclusion(t *testing.T) {
 	userVec := randomVecs(src, 1, 7)[0]
 	for u := int32(-1); u < 30; u++ {
 		want, _ := monoSearch(mono, userVec, 12, u, nil)
-		got, _, err := e.Search(userVec, 12, u)
+		got, _, err := e.SearchInto(userVec, 12, u, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,10 +195,10 @@ func TestSearchValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.Search(make([]float32, 3), 5, -1); err == nil {
+	if _, _, err := e.SearchInto(make([]float32, 3), 5, -1, nil, nil); err == nil {
 		t.Fatal("wrong-length user vector accepted")
 	}
-	if _, _, err := e.Search(make([]float32, 4), 0, -1); err == nil {
+	if _, _, err := e.SearchInto(make([]float32, 4), 0, -1, nil, nil); err == nil {
 		t.Fatal("n = 0 accepted")
 	}
 	if _, err := Build(nil, randomVecs(src, 2, 4), Config{}); err == nil {
@@ -226,8 +226,7 @@ func TestBuildShardPartition(t *testing.T) {
 		}
 		next := int32(0)
 		for i := 0; i < e.Shards(); i++ {
-			sh := e.shardAt(i)
-			lo, hi := sh.PartnerRange()
+			lo, hi := e.shards[i].lo, e.shards[i].hi
 			if lo != next || hi <= lo {
 				t.Fatalf("shard %d range [%d, %d), want lo %d", i, lo, hi, next)
 			}
@@ -268,7 +267,7 @@ func TestConcurrentFanout(t *testing.T) {
 				n := 1 + (g+q)%15
 				exclude := int32((g + q) % 41)
 				want, _ := monoSearch(mono, uv, n, exclude, nil)
-				got, stats, err := e.Search(uv, n, exclude)
+				got, stats, err := e.SearchInto(uv, n, exclude, nil, nil)
 				if err != nil {
 					errs <- err.Error()
 					return
@@ -296,6 +295,3 @@ func TestConcurrentFanout(t *testing.T) {
 		t.Fatal(msg)
 	}
 }
-
-// shardAt exposes shard i to tests.
-func (e *Engine) shardAt(i int) Shard { return e.shards[i] }

@@ -49,7 +49,7 @@ func TestFoldBitIdenticalToMonolithicFold(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Pin a pre-fold answer to prove immutability afterwards.
-			preWant, _, err := e.Search(queries[0], 8, -1)
+			preWant, _, err := e.SearchInto(queries[0], 8, -1, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +68,7 @@ func TestFoldBitIdenticalToMonolithicFold(t *testing.T) {
 				n := 1 + src.Intn(sh.nu*2)
 				exclude := int32(src.Intn(sh.nu+2)) - 1
 				want, _ := monoSearch(refIdx, u, n, exclude, nil)
-				got, _, err := folded.Search(u, n, exclude)
+				got, _, err := folded.SearchInto(u, n, exclude, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -76,7 +76,7 @@ func TestFoldBitIdenticalToMonolithicFold(t *testing.T) {
 				_ = q
 			}
 			// The source engine still answers exactly as before the fold.
-			preGot, _, err := e.Search(queries[0], 8, -1)
+			preGot, _, err := e.SearchInto(queries[0], 8, -1, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

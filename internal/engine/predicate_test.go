@@ -56,7 +56,7 @@ func TestShardedPredicateBitIdenticalToOracle(t *testing.T) {
 					for _, n := range []int{1, 5, 12} {
 						for _, exclude := range []int32{-1, int32(src.Uint64() % uint64(sh.nu))} {
 							want, _ := monoSearch(mono, u, n, exclude, pred)
-							got, stats, err := e.SearchPred(u, n, exclude, pred)
+							got, stats, err := e.SearchIntoPred(u, n, exclude, pred, nil, nil)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -73,7 +73,7 @@ func TestShardedPredicateBitIdenticalToOracle(t *testing.T) {
 }
 
 // TestShardedPredicateNilBitIdentical pins that a nil predicate through
-// SearchPred takes the exact unconstrained path: same bits as Search.
+// SearchIntoPred takes the exact unconstrained path: same bits as SearchInto.
 func TestShardedPredicateNilBitIdentical(t *testing.T) {
 	src := rng.New(8200)
 	events := randomVecs(src, 30, 8)
@@ -85,11 +85,11 @@ func TestShardedPredicateNilBitIdentical(t *testing.T) {
 		}
 		for trial := 0; trial < 10; trial++ {
 			u := randomVecs(src, 1, 8)[0]
-			want, _, err := e.Search(u, 8, -1)
+			want, _, err := e.SearchInto(u, 8, -1, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := e.SearchPred(u, 8, -1, nil)
+			got, _, err := e.SearchIntoPred(u, 8, -1, nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,22 +110,20 @@ func TestShardedPredicateQuantized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.EnableQuantized(); err != nil {
-			t.Fatal(err)
-		}
+		e.EnableQuantized()
 		pred := randomPred(src, 40, 0.3)
 		for trial := 0; trial < 8; trial++ {
 			u := randomVecs(src, 1, 8)[0]
-			want, _, err := e.Search(u, 10, -1)
+			want, _, err := e.SearchInto(u, 10, -1, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := e.SearchPred(u, 10, -1, nil)
+			got, _, err := e.SearchIntoPred(u, 10, -1, nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			assertBitIdentical(t, "nil predicate vs quantized Search", want, got)
-			res, _, err := e.SearchPred(u, 10, -1, pred)
+			res, _, err := e.SearchIntoPred(u, 10, -1, pred, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,7 +147,7 @@ func TestSearchPredValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := randomVecs(src, 1, 4)[0]
-	if _, _, err := e.SearchPred(u, 3, -1, make(ta.EventPredicate, 7)); err == nil {
+	if _, _, err := e.SearchIntoPred(u, 3, -1, make(ta.EventPredicate, 7), nil, nil); err == nil {
 		t.Fatal("short predicate accepted")
 	}
 }

@@ -75,11 +75,11 @@ func TestExpositionLintsClean(t *testing.T) {
 		got[s.Key()] = s.Value
 	}
 	for key, want := range map[string]float64{
-		`ebsn_requests_total{endpoint="events"}`:                        6,
-		`ebsn_requests_total{endpoint="partners"}`:                      5,
-		`ebsn_in_flight`:                                                3,
-		`ebsn_uptime_seconds`:                                           12.5,
-		`ebsn_cache_hits_total`:                                         17,
+		`ebsn_requests_total{endpoint="events"}`:   6,
+		`ebsn_requests_total{endpoint="partners"}`: 5,
+		`ebsn_in_flight`:        3,
+		`ebsn_uptime_seconds`:   12.5,
+		`ebsn_cache_hits_total`: 17,
 		`ebsn_request_duration_seconds_bucket{endpoint="events",le="0.001"}`: 1,
 		`ebsn_request_duration_seconds_bucket{endpoint="events",le="0.01"}`:  2,
 		`ebsn_request_duration_seconds_bucket{endpoint="events",le="0.1"}`:   2,

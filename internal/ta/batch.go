@@ -121,8 +121,9 @@ func (c *CandidateSet) panel(nb int, partners, quantized bool, dst []float32, bs
 // batch: row j holds Users[j]·Events[x] for every event, produced by
 // the same kernels as TopNBatch's internal pass so handing the panel
 // back in via BatchQuery.EventAff is bit-identical to recomputing it.
-// The sharded engine calls this once per batch on its affinity set and
-// shares the panel across shards. The returned slice aliases bsc.
+// The sharded engine calls this once per query — a single query is a
+// one-lane panel — on its affinity set and shares the panel across
+// shards. The returned slice aliases bsc.
 func (c *CandidateSet) EventAffinityPanel(users [][]float32, quantized bool, bsc *BatchScratch) []float32 {
 	c.checkQuery(nil, quantized)
 	c.packQueries(users, quantized, bsc)
@@ -135,8 +136,8 @@ func (c *CandidateSet) EventAffinityPanel(users [][]float32, quantized bool, bsc
 // Search runs, so every lane is bit-identical to the same Query issued
 // alone. Results and stats are per-user, indexed like q.Users; both
 // alias bsc and are valid only until its next use. Per-user SearchStats
-// count that user's walk (Elapsed excludes the shared panel passes,
-// which are amortized across the batch).
+// count that user's walk, and Elapsed adds a 1/b share of the panel
+// passes, so the lanes' Elapsed sums to the call's time in the index.
 func (f *FastIndex) TopNBatch(q BatchQuery, bsc *BatchScratch) ([][]Result, []SearchStats) {
 	set := f.set
 	nb := len(q.Users)
@@ -150,6 +151,7 @@ func (f *FastIndex) TopNBatch(q BatchQuery, bsc *BatchScratch) ([][]Result, []Se
 		return bsc.res, bsc.stats
 	}
 
+	passes := time.Now()
 	nx, nu, k := len(set.Events), len(set.Partners), set.K
 	aff := q.EventAff
 	if aff == nil {
@@ -163,6 +165,7 @@ func (f *FastIndex) TopNBatch(q BatchQuery, bsc *BatchScratch) ([][]Result, []Se
 		set.packQueries(q.Users, q.Quantized, bsc)
 	}
 	bsc.bp = set.panel(nb, partnerSide, q.Quantized, bsc.bp, bsc)
+	share := time.Since(passes) / time.Duration(nb)
 
 	nc := len(set.Pairs)
 	n := max(min(q.N, nc), 0)
@@ -179,7 +182,7 @@ func (f *FastIndex) TopNBatch(q BatchQuery, bsc *BatchScratch) ([][]Result, []Se
 			res = f.walk(bsc.qs[j*k:(j+1)*k], aff[j*nx:(j+1)*nx], bsc.bp[j*nu:(j+1)*nu],
 				n, exclude, q.Pred, q.Quantized, &bsc.per, &stats, bsc.out[j*n:j*n:j*n+n])
 		}
-		stats.Elapsed = time.Since(start)
+		stats.Elapsed = share + time.Since(start)
 		bsc.res[j] = res
 		bsc.stats[j] = stats
 	}

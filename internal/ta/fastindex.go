@@ -149,10 +149,10 @@ func NewFastIndexWorkers(set *CandidateSet, workers int) *FastIndex {
 }
 
 // Query is one top-n search against a FastIndex: the fields are the
-// whole difference between the exact, constrained, quantized and
-// engine-fed variants of the same walk. Scores are exact float32 in
-// every case; a Quantized query is approximate only in which pairs
-// survive to be scored (see quant.go).
+// whole difference between the exact, constrained and quantized variants
+// of the same walk. Scores are exact float32 in every case; a Quantized
+// query is approximate only in which pairs survive to be scored (see
+// quant.go).
 type Query struct {
 	// Vec is the querying user's embedding (length K).
 	Vec []float32
@@ -164,15 +164,6 @@ type Query struct {
 	// candidate events score u·x twice). Negative excludes no one; note
 	// the zero value excludes partner 0.
 	Exclude int32
-	// EventAff optionally carries the per-event affinity pass
-	// Vec·Events[x] precomputed by CandidateSet.EventAffinities with the
-	// same Quantized setting on a set with identical event rows. The
-	// sharded engine computes it once per query and shares it across
-	// shards — events are replicated per shard, so recomputing it per
-	// shard would undo the partitioning of the per-query work. It always
-	// covers every event; Pred only gates which entries the walk may
-	// select. Nil means compute it here.
-	EventAff []float32
 	// Pred optionally restricts results to predicate-allowed events (see
 	// EventPredicate). Nil means unrestricted.
 	Pred EventPredicate
@@ -200,14 +191,10 @@ func (f *FastIndex) Search(q Query, sc *Scratch) ([]Result, SearchStats) {
 		return nil, stats
 	}
 	// Per-query event and partner affinities, streamed over the packed
-	// rows; a caller that already holds the event pass hands it in.
-	a := q.EventAff
-	if a == nil {
-		sc.a = set.affinities(q.Vec, eventSide, q.Quantized, sc.a, sc)
-		a = sc.a
-	}
+	// rows.
+	sc.a = set.affinities(q.Vec, eventSide, q.Quantized, sc.a, sc)
 	sc.b = set.affinities(q.Vec, partnerSide, q.Quantized, sc.b, sc)
-	res := f.walk(q.Vec, a, sc.b, n, q.Exclude, q.Pred, q.Quantized, sc, &stats, sc.out[:0])
+	res := f.walk(q.Vec, sc.a, sc.b, n, q.Exclude, q.Pred, q.Quantized, sc, &stats, sc.out[:0])
 	sc.out = res[:0]
 	stats.Elapsed = time.Since(start)
 	return res, stats

@@ -79,8 +79,8 @@ func sameResults(a, b []Result) bool {
 
 // TestSearchQueryTable crosses every Query field with every way a query
 // can ride the walk: Pred ∈ {nil, all-true, ~25% selective,
-// none-allowed} × EventAff ∈ {computed, precomputed} × Quantized ×
-// {single Search, a lane of a 1/3/16-wide TopNBatch}, over a random
+// none-allowed} × Quantized × {single Search, a lane of a 1/3/16-wide
+// TopNBatch with the event panel computed or precomputed}, over a random
 // pruned set and the three tie constructions (the last one folded, so
 // its delta pairs sit out of order in the pair list). All lanes answering
 // one query must be == on (event, partner, score bits). Exact lanes must
@@ -102,9 +102,8 @@ func TestSearchQueryTable(t *testing.T) {
 		{"folded-ties", folded.set},
 	}
 	const nq, n = 16, 10
-	sc, psc := GetScratch(), GetScratch()
+	sc := GetScratch()
 	defer PutScratch(sc)
-	defer PutScratch(psc)
 	bsc, pbsc := GetBatchScratch(), GetBatchScratch()
 	defer PutBatchScratch(bsc)
 	defer PutBatchScratch(pbsc)
@@ -145,11 +144,6 @@ func TestSearchQueryTable(t *testing.T) {
 					ref[j] = slices.Clone(res)
 					if stats.RandomAccesses > stats.Candidates {
 						t.Fatalf("%s q=%d: %d random accesses over %d candidates", row, j, stats.RandomAccesses, stats.Candidates)
-					}
-					aff := set.EventAffinities(u, nil, quantized, psc)
-					res, _ = f.Search(Query{Vec: u, N: n, Exclude: exclude[j], EventAff: aff, Pred: pr.pred, Quantized: quantized}, sc)
-					if !sameResults(ref[j], res) {
-						t.Fatalf("%s q=%d: precomputed EventAff lane diverges:\n got %v\nwant %v", row, j, res, ref[j])
 					}
 				}
 				for _, width := range []int{1, 3, 16} {

@@ -136,8 +136,8 @@ func (c *CandidateSet) side(partners bool) (rows int, data []float32, q8 []int8,
 // affinities fills dst (grown as needed) with userVec·row for every row
 // of one side of the space: streamed over the packed float32 rows, or —
 // quantized — reconstructed from the widening int8 dot and the per-row
-// scales. It is the one affinity pass behind Search, the engine's
-// shared prepass and (as a panel) TopNBatch.
+// scales. It is Search's affinity pass; TopNBatch and the engine's
+// shared prepass run its panel form.
 func (c *CandidateSet) affinities(userVec []float32, partners, quantized bool, dst []float32, sc *Scratch) []float32 {
 	rows, data, q8, scale := c.side(partners)
 	dst = resizeF32(dst, rows)
@@ -151,18 +151,6 @@ func (c *CandidateSet) affinities(userVec []float32, partners, quantized bool, d
 	vecmath.DotBatchI8(sc.q8, q8, c.K, sc.i32)
 	scaleWidened(qscale, scale, sc.i32, dst)
 	return dst
-}
-
-// EventAffinities computes the per-event affinity pass a[x] = userVec·
-// Events[x] into dst (grown as needed) and returns it — over the int8
-// mirrors when quantized (PackQuantized required; sc holds the
-// quantized query), else over the packed float32 rows (sc unused). It
-// is the pass Search runs itself, so handing the result back in via
-// Query.EventAff yields bit-identical scores. The set must be packed
-// (any index constructor packs it).
-func (c *CandidateSet) EventAffinities(userVec, dst []float32, quantized bool, sc *Scratch) []float32 {
-	c.checkQuery(nil, quantized)
-	return c.affinities(userVec, eventSide, quantized, dst, sc)
 }
 
 // Point materializes the transformed point of pair i (mostly for tests).

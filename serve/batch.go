@@ -176,7 +176,7 @@ func (s *Server) handlePartnersBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.RecordTA(bs.Agg)
 	if len(bs.Shards) > 0 {
-		s.metrics.RecordEngine(ebsn.EngineStats{Shards: bs.Shards, CriticalPath: bs.CriticalPath})
+		s.metrics.RecordEngine(bs)
 	}
 	s.metrics.RecordBatch(len(req.Users))
 	sp.SetAttr("ta_candidates", int64(bs.Agg.Candidates))

@@ -160,7 +160,7 @@ func (c *coalescer) run(units []coalesceUnit, outs []coalesceOut) {
 	}
 	s.metrics.RecordTA(bs.Agg)
 	if len(bs.Shards) > 0 {
-		s.metrics.RecordEngine(ebsn.EngineStats{Shards: bs.Shards, CriticalPath: bs.CriticalPath})
+		s.metrics.RecordEngine(bs)
 	}
 	s.metrics.RecordCoalesced(len(users))
 	d := rec.Dataset()

@@ -159,7 +159,7 @@ func (r *Recommender) TopEventPartnersLiveStats(user int32, n int) ([]PairRecomm
 	// scratch and are converted before it is released.
 	userVec := r.model.UserVec(user)
 	eng := r.liveEngine()
-	base, es, err := eng.Search(userVec, n, user)
+	base, es, err := eng.SearchInto(userVec, n, user, nil, nil)
 	if err != nil {
 		return nil, SearchStats{}, err
 	}
