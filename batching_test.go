@@ -36,6 +36,44 @@ func pairsBitIdentical(t *testing.T, label string, want, got []PairRecommendatio
 	}
 }
 
+// TestTopEventsBatchScratchMatchesSingle runs a batch with a duplicated
+// user twice, the second time on the warm pooled panel, and checks every
+// lane against TopEvents bit for bit.
+func TestTopEventsBatchScratchMatchesSingle(t *testing.T) {
+	rec := batchRecommender(t)
+	users := []int32{0, 3, 1, 9, 9, 2}
+	for trial := 0; trial < 2; trial++ { // second pass exercises warm buffers
+		res, err := rec.TopEventsBatch(users, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != len(users) {
+			t.Fatalf("got %d result lists", len(res))
+		}
+		for i, u := range users {
+			single, err := rec.TopEvents(u, 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(single) != len(res[i]) {
+				t.Fatalf("user %d: %d vs %d results", u, len(res[i]), len(single))
+			}
+			for j := range single {
+				if single[j].Event != res[i][j].Event ||
+					math.Float32bits(single[j].Score) != math.Float32bits(res[i][j].Score) {
+					t.Fatalf("user %d rank %d: %+v vs %+v", u, j, res[i][j], single[j])
+				}
+			}
+		}
+	}
+	if _, err := rec.TopEventsBatch([]int32{0}, 0); err == nil {
+		t.Error("n=0 accepted")
+	}
+	if _, err := rec.TopEventsBatch([]int32{-2}, 3); err == nil {
+		t.Error("bad user accepted")
+	}
+}
+
 func TestTopEventPartnersBatchMatchesSingle(t *testing.T) {
 	rec := batchRecommender(t)
 	if err := rec.PrepareJointSharded(10, 3); err != nil {
@@ -63,53 +101,17 @@ func TestTopEventPartnersBatchMatchesSingle(t *testing.T) {
 
 func TestTopEventPartnersBatchValidation(t *testing.T) {
 	rec := batchRecommender(t)
-	if _, err := rec.TopEventPartnersBatch([]int32{0}, 0); err == nil {
+	if _, _, err := rec.TopEventPartnersBatchStats([]int32{0}, 0); err == nil {
 		t.Error("n=0 accepted")
 	}
-	if _, err := rec.TopEventPartnersBatch([]int32{-1}, 3); err == nil {
+	if _, _, err := rec.TopEventPartnersBatchStats([]int32{-1}, 3); err == nil {
 		t.Error("negative user accepted")
 	}
-	if _, err := rec.TopEventPartnersBatch([]int32{int32(rec.Dataset().NumUsers)}, 3); err == nil {
+	if _, _, err := rec.TopEventPartnersBatchStats([]int32{int32(rec.Dataset().NumUsers)}, 3); err == nil {
 		t.Error("out-of-range user accepted")
 	}
-	if out, err := rec.TopEventPartnersBatch(nil, 3); err != nil || len(out) != 0 {
+	if out, _, err := rec.TopEventPartnersBatchStats(nil, 3); err != nil || len(out) != 0 {
 		t.Error("empty batch should be a no-op")
-	}
-}
-
-func TestTopEventsBatchScratchMatchesSingle(t *testing.T) {
-	rec := batchRecommender(t)
-	users := []int32{0, 3, 1, 9, 9, 2}
-	var sc EventBatchScratch
-	for trial := 0; trial < 2; trial++ { // second pass exercises warm buffers
-		res, err := rec.TopEventsBatchScratch(users, 6, &sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res) != len(users) {
-			t.Fatalf("got %d result lists", len(res))
-		}
-		for i, u := range users {
-			single, err := rec.TopEvents(u, 6)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(single) != len(res[i]) {
-				t.Fatalf("user %d: %d vs %d results", u, len(res[i]), len(single))
-			}
-			for j := range single {
-				if single[j].Event != res[i][j].Event ||
-					math.Float32bits(single[j].Score) != math.Float32bits(res[i][j].Score) {
-					t.Fatalf("user %d rank %d: %+v vs %+v", u, j, res[i][j], single[j])
-				}
-			}
-		}
-	}
-	if _, err := rec.TopEventsBatchScratch([]int32{0}, 0, &sc); err == nil {
-		t.Error("n=0 accepted")
-	}
-	if _, err := rec.TopEventsBatchScratch([]int32{-2}, 3, &sc); err == nil {
-		t.Error("bad user accepted")
 	}
 }
 
@@ -132,12 +134,12 @@ func TestQuantizedQueriesFacade(t *testing.T) {
 		t.Fatal("QuantizedQueries false after enable")
 	}
 	users := []int32{0, 1, 2, 3, 4}
-	batch, err := rec.TopEventPartnersBatch(users, 6)
+	batch, _, err := rec.TopEventPartnersBatchStats(users, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, u := range users {
-		mono, _, err := rec.TopEventPartnersStats(u, 6)
+		mono, err := rec.TopEventPartners(u, 6)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,9 @@ package ebsn
 // same experiments at full scale and prints the paper-style tables
 // recorded in EXPERIMENTS.md. Accuracy results surface as custom benchmark
 // metrics (acc@10 etc.) so regressions show up in benchstat diffs. Serving
-// performance is measured by `go run ./benchmark`, not here.
+// performance is measured by `go run ./benchmark`, not here; the one
+// facade microbenchmark, BenchmarkTopEvents, gates the event ranker's
+// allocations.
 
 import (
 	"fmt"
@@ -273,6 +275,36 @@ func BenchmarkTrainThroughput(b *testing.B) {
 				m.TrainSteps(10_000)
 			}
 			b.ReportMetric(float64(10_000*b.N)/b.Elapsed().Seconds(), "steps/s")
+		})
+	}
+}
+
+// BenchmarkTopEvents measures the cold-event ranker on the shared tiny
+// fixture: b=1 is one TopEvents call, b=16 one 16-lane TopEventsBatch
+// panel. CI gates both at their allocs/op: the result slice per lane,
+// plus the batch's lane vectors and result headers.
+func BenchmarkTopEvents(b *testing.B) {
+	rec := tinyRecommender(b)
+	nu := rec.Dataset().NumUsers
+	for _, lanes := range []int{1, 16} {
+		b.Run(fmt.Sprintf("b=%d", lanes), func(b *testing.B) {
+			users := make([]int32, lanes)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range users {
+					users[j] = int32((i*lanes + j) % nu)
+				}
+				var err error
+				if lanes == 1 {
+					_, err = rec.TopEvents(users[0], 10)
+				} else {
+					_, err = rec.TopEventsBatch(users, 10)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

@@ -233,21 +233,33 @@ type PairRecommendation struct {
 
 // Recommender is the assembled pipeline.
 //
-// Concurrency: query methods (TopEvents, TopEventsBatch,
-// TopEventPartners, Explain, the evaluation methods) are safe to call
-// from multiple goroutines once the structures they use exist: with a
-// joint engine prepared, no query method writes the Recommender. Methods
-// that build state lazily or mutate it — the PrepareJoint family, a joint
-// query before any of them, FoldInEvent's first call, IngestColdEvent,
-// CompactLiveEvents — must be serialized by the caller; a service
-// typically calls PrepareJoint once at startup and funnels ingestion
-// through one goroutine.
+// The model is frozen once queries start: the first event ranking packs
+// the test-event rows, the joint engine copies the embeddings it is
+// built over, and FoldInEvent captures a snapshot on its first call. To
+// train (Assemble, then Model().TrainStepsCtx), finish before the first
+// query.
+//
+// Concurrency: query methods (the TopEvents family, GroupTopEvents,
+// Feed, TopEventPartners, Explain, the evaluation methods) are safe to
+// call from multiple goroutines once the structures they use exist: the
+// event rows pack under a sync.Once, and with a joint engine prepared no
+// query method writes the Recommender. Methods that build state lazily
+// or mutate it — the PrepareJoint family, a joint query before any of
+// them, FoldInEvent's first call, IngestColdEvent, CompactLiveEvents —
+// must be serialized by the caller; a service typically calls
+// PrepareJoint once at startup and funnels ingestion through one
+// goroutine.
 type Recommender struct {
 	cfg     Config
 	dataset *ebsnet.Dataset
 	split   *ebsnet.Split
 	graphs  *ebsnet.Graphs
 	model   *core.Model
+
+	// events is the cold-event ranker's packed test-event rows (events.go),
+	// behind a pointer so the Recommender's fields never change after
+	// construction.
+	events *eventRows
 
 	// Joint-query state. taEngine is the only holder of a built index:
 	// the scatter-gather engine over the frozen embeddings (one shard
@@ -331,7 +343,7 @@ func Assemble(d *ebsnet.Dataset, cfg Config) (*Recommender, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Recommender{cfg: cfg, dataset: filtered, split: split, graphs: graphs, model: model}, nil
+	return &Recommender{cfg: cfg, dataset: filtered, split: split, graphs: graphs, model: model, events: new(eventRows)}, nil
 }
 
 // Dataset returns the filtered dataset the recommender was built on.
@@ -345,29 +357,6 @@ func (r *Recommender) RelationGraphs() *ebsnet.Graphs { return r.graphs }
 
 // Model returns the trained model.
 func (r *Recommender) Model() *core.Model { return r.model }
-
-// TopEvents ranks the cold (test) events for the user and returns the
-// top n. These are exactly the events the paper's recommendation service
-// would surface: future events with no attendance history.
-func (r *Recommender) TopEvents(user int32, n int) ([]Recommendation, error) {
-	if err := r.checkUserN(user, n); err != nil {
-		return nil, err
-	}
-	return r.selectTopEvents(n, nil, func(_ int, x int32) float32 {
-		return r.model.ScoreUserEvent(user, x)
-	}), nil
-}
-
-// checkUserN validates the (user, n) pair every ranking query takes.
-func (r *Recommender) checkUserN(user int32, n int) error {
-	if int(user) < 0 || int(user) >= r.dataset.NumUsers {
-		return fmt.Errorf("ebsn: user %d out of range [0,%d)", user, r.dataset.NumUsers)
-	}
-	if n <= 0 {
-		return fmt.Errorf("ebsn: n must be positive")
-	}
-	return nil
-}
 
 // jointVectors extracts the cold-event and partner embedding rows the
 // joint candidate space is built over.
@@ -447,13 +436,6 @@ func (r *Recommender) TopEventPartners(user int32, n int) ([]PairRecommendation,
 	return out, err
 }
 
-// TopEventPartnersStats is TopEventPartners plus the TA work counters for
-// the query, aggregated over the engine's shards.
-func (r *Recommender) TopEventPartnersStats(user int32, n int) ([]PairRecommendation, SearchStats, error) {
-	out, es, err := r.jointSearch(user, n, nil)
-	return out, es.Agg, err
-}
-
 // TopEventPartnersSharded is TopEventPartners under its older name: every
 // joint query is answered by the engine, and results are bit-identical
 // for every shard count (the engine's exactness property test pins
@@ -474,7 +456,7 @@ func (r *Recommender) TopEventPartnersShardedStats(user int32, n int) ([]PairRec
 // default one when none is prepared), restricted to pred-allowed events
 // when pred is non-nil.
 func (r *Recommender) jointSearch(user int32, n int, pred EventPredicate) ([]PairRecommendation, EngineStats, error) {
-	if err := r.checkUserN(user, n); err != nil {
+	if err := r.checkUsers(n, user); err != nil {
 		return nil, EngineStats{}, err
 	}
 	if err := r.ensureEngine(); err != nil {
@@ -537,7 +519,7 @@ func (r *Recommender) WithSnapshot(snap *ModelSnapshot) (*Recommender, error) {
 	}
 	cfg := r.cfg
 	cfg.K = snap.Cfg.K
-	return &Recommender{cfg: cfg, dataset: r.dataset, split: r.split, graphs: r.graphs, model: model}, nil
+	return &Recommender{cfg: cfg, dataset: r.dataset, split: r.split, graphs: r.graphs, model: model, events: new(eventRows)}, nil
 }
 
 // GenerateDataset synthesizes a city dataset without building a pipeline.
@@ -578,7 +560,7 @@ func Open(dir string, cfg Config) (*Recommender, error) {
 		return nil, err
 	}
 	cfg.K = mc.K
-	return &Recommender{cfg: cfg, dataset: filtered, split: split, graphs: graphs, model: model}, nil
+	return &Recommender{cfg: cfg, dataset: filtered, split: split, graphs: graphs, model: model, events: new(eventRows)}, nil
 }
 
 // EvalResult is an Accuracy@n evaluation outcome.

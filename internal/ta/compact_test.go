@@ -8,42 +8,7 @@ import (
 	"testing"
 
 	"ebsn/internal/rng"
-	"ebsn/internal/vecmath"
 )
-
-// oracleTopN is the brute-force reference for a folded candidate set:
-// every pair scored in the FastIndex's operand order (event·u +
-// partner·u) + cross, sorted canonically (score desc, partner asc,
-// event asc), exclusion applied, truncated to n. Unlike
-// CandidateSet.BruteForceTopN it matches the index's float-addition
-// order bit for bit, so ties constructed from duplicated vectors stay
-// exact ties.
-func oracleTopN(set *CandidateSet, userVec []float32, n int, exclude int32) []Result {
-	out := make([]Result, 0, len(set.Pairs))
-	for i, p := range set.Pairs {
-		if p.Partner == exclude {
-			continue
-		}
-		s := vecmath.Dot(userVec, set.Events[p.Event]) +
-			vecmath.Dot(userVec, set.Partners[p.Partner]) +
-			set.Cross[i]
-		out = append(out, Result{Event: p.Event, Partner: p.Partner, Score: s})
-	}
-	slices.SortFunc(out, func(a, b Result) int {
-		switch {
-		case a == b:
-			return 0
-		case a.Outranks(b):
-			return -1
-		default:
-			return 1
-		}
-	})
-	if len(out) > n {
-		out = out[:n]
-	}
-	return out
-}
 
 // TestDynamicMergeMatchesOracleWithTies is the live-path property test:
 // the two-tier answer (main-index TA search merged with the exhaustive
@@ -69,7 +34,7 @@ func TestDynamicMergeMatchesOracleWithTies(t *testing.T) {
 			userVec := randomVecs(src, 1, 6, true)[0]
 			n := []int{1, 5, 17, len(folded.Pairs) + 5}[q%4]
 			exclude := int32(src.Intn(len(cs.Partners)+2)) - 1
-			want := oracleTopN(folded, userVec, n, exclude)
+			want := filterThenRankOracle(folded, userVec, n, exclude, nil)
 			got, _ := dyn.TopNExcluding(userVec, n, exclude, sc)
 			if len(got) != len(want) {
 				t.Fatalf("topK=%d q=%d: %d results, want %d", topK, q, len(got), len(want))

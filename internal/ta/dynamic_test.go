@@ -163,7 +163,7 @@ func TestDynamicRebuildFoldsDelta(t *testing.T) {
 		t.Fatalf("result counts changed across rebuild")
 	}
 	for i := range before {
-		if !approxEqual(before[i].Score, after[i].Score) {
+		if before[i].Score != after[i].Score {
 			t.Fatalf("rank %d score changed across rebuild: %v vs %v", i, before[i].Score, after[i].Score)
 		}
 		if after[i].FromDelta {
@@ -199,7 +199,7 @@ func TestAddEventCopiesCallerVector(t *testing.T) {
 
 	after, _ := dyn.TopN(u, 5)
 	for i := range before {
-		if !approxEqual(before[i].Score, after[i].Score) {
+		if before[i].Score != after[i].Score {
 			t.Fatalf("rank %d: delta scoring changed after caller mutated its slice: %v vs %v",
 				i, before[i].Score, after[i].Score)
 		}
@@ -209,7 +209,7 @@ func TestAddEventCopiesCallerVector(t *testing.T) {
 	dyn.Rebuild()
 	rebuilt, _ := dyn.TopN(u, 5)
 	for i := range before {
-		if !approxEqual(before[i].Score, rebuilt[i].Score) {
+		if before[i].Score != rebuilt[i].Score {
 			t.Fatalf("rank %d: rebuilt index reflects caller's mutation: %v vs %v",
 				i, before[i].Score, rebuilt[i].Score)
 		}

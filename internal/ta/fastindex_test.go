@@ -18,14 +18,8 @@ func TestFastIndexMatchesBruteForce(t *testing.T) {
 				for _, n := range []int{1, 5, 10} {
 					bf := cs.BruteForceTopN(u, n)
 					res, stats := f.TopN(u, n)
-					if len(res) != len(bf) {
-						t.Fatalf("signed=%v topK=%d n=%d: %d results vs BF %d", signed, topK, n, len(res), len(bf))
-					}
-					for i := range bf {
-						if !approxEqual(res[i].Score, bf[i].Score) {
-							t.Fatalf("signed=%v topK=%d trial=%d n=%d rank=%d: fast %v vs BF %v",
-								signed, topK, trial, n, i, res[i].Score, bf[i].Score)
-						}
+					if !sameResults(bf, res) {
+						t.Fatalf("signed=%v topK=%d trial=%d n=%d: fast %v vs BF %v", signed, topK, trial, n, res, bf)
 					}
 					if stats.RandomAccesses > stats.Candidates {
 						t.Fatal("accesses exceed candidates")
@@ -44,15 +38,7 @@ func TestFastIndexMatchesBruteForceProperty(t *testing.T) {
 		u := randomVecs(src, 1, 4, true)[0]
 		bf := cs.BruteForceTopN(u, 5)
 		res, _ := fi.TopN(u, 5)
-		if len(bf) != len(res) {
-			return false
-		}
-		for i := range bf {
-			if !approxEqual(bf[i].Score, res[i].Score) {
-				return false
-			}
-		}
-		return true
+		return sameResults(bf, res)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -92,11 +78,8 @@ func TestFastIndexDegenerateInputs(t *testing.T) {
 		t.Errorf("n>candidates returned %d of %d", len(res), len(cs.Pairs))
 	}
 	bf := cs.BruteForceTopN(zero, 3)
-	got, _ := f.TopN(zero, 3)
-	for i := range bf {
-		if !approxEqual(bf[i].Score, got[i].Score) {
-			t.Fatalf("zero-query mismatch at %d", i)
-		}
+	if got, _ := f.TopN(zero, 3); !sameResults(bf, got) {
+		t.Fatalf("zero query: fast %v vs BF %v", got, bf)
 	}
 }
 
@@ -132,20 +115,7 @@ func TestFastIndexExcluding(t *testing.T) {
 			t.Fatal("excluded partner present")
 		}
 	}
-	// Against a filtered brute force.
-	bf := cs.BruteForceTopN(u, len(cs.Pairs))
-	var want []Result
-	for _, r := range bf {
-		if r.Partner != exclude {
-			want = append(want, r)
-		}
-		if len(want) == 8 {
-			break
-		}
-	}
-	for i := range want {
-		if !approxEqual(want[i].Score, res[i].Score) {
-			t.Fatalf("rank %d: %v vs filtered BF %v", i, res[i].Score, want[i].Score)
-		}
+	if want := filterThenRankOracle(cs, u, 8, exclude, nil); !sameResults(want, res) {
+		t.Fatalf("got %v, filtered BF %v", res, want)
 	}
 }

@@ -8,42 +8,23 @@ import (
 	"ebsn/internal/vecmath"
 )
 
-// filterThenRankOracle is the exhaustive constrained reference: score
-// every pair with per-row vecmath.Dot (bit-identical to the packed
-// DotBatch passes), drop pairs whose event the predicate disallows or
-// whose partner is excluded, and keep the canonical top n of the
-// survivors. This is filter-then-rank over the full candidate list —
-// trivially exact — and the predicate walk must reproduce it bit for
-// bit, tie ordering included.
+// filterThenRankOracle is the exhaustive constrained reference: the
+// full canonical ranking of BruteForceTopN, with pairs whose event the
+// predicate disallows or whose partner is excluded dropped, truncated to
+// n. This is filter-then-rank over the full candidate list — trivially
+// exact — and every walk must reproduce it bit for bit, tie ordering
+// included.
 func filterThenRankOracle(set *CandidateSet, userVec []float32, n int, exclude int32, pred EventPredicate) []Result {
-	if n <= 0 {
-		return nil
-	}
-	a := make([]float32, len(set.Events))
-	for x := range set.Events {
-		a[x] = vecmath.Dot(userVec, set.Events[x])
-	}
-	b := make([]float32, len(set.Partners))
-	for u := range set.Partners {
-		b[u] = vecmath.Dot(userVec, set.Partners[u])
-	}
-	var h resultHeap
-	for i := range set.Pairs {
-		p := set.Pairs[i]
-		if pred != nil && !pred[p.Event] {
-			continue
+	var out []Result
+	for _, r := range set.BruteForceTopN(userVec, len(set.Pairs)) {
+		if len(out) >= n {
+			break
 		}
-		if p.Partner == exclude {
-			continue
-		}
-		r := Result{p.Event, p.Partner, a[p.Event] + b[p.Partner] + set.Cross[i]}
-		if len(h) < n {
-			h.push(r)
-		} else if r.Outranks(h[0]) {
-			h.replaceMin(r)
+		if (pred == nil || pred[r.Event]) && r.Partner != exclude {
+			out = append(out, r)
 		}
 	}
-	return h.drainDescending(nil)
+	return out
 }
 
 // randomPred draws a predicate allowing each event independently with

@@ -84,10 +84,9 @@ func sameResults(a, b []Result) bool {
 // pruned set and the three tie constructions (the last one folded, so
 // its delta pairs sit out of order in the pair list). All lanes answering
 // one query must be == on (event, partner, score bits). Exact lanes must
-// also equal the filter-then-rank oracle bit for bit and agree with
-// filter-then-BruteForceTopN within the float tolerance its different
-// summation order needs; nil and all-true must coincide. Quantized lanes
-// must keep recall@10 ≥ 0.99 against the exact answer.
+// also equal the filter-then-rank oracle (BruteForceTopN, filtered) bit
+// for bit; nil and all-true must coincide. Quantized lanes must keep
+// recall@10 ≥ 0.99 against the exact answer.
 func TestSearchQueryTable(t *testing.T) {
 	src := rng.New(2024)
 	folded := tieTwoTier(t, src, 5)
@@ -182,20 +181,6 @@ func TestSearchQueryTable(t *testing.T) {
 					exact[j] = ref[j]
 					if want := filterThenRankOracle(set, u, n, exclude[j], pr.pred); !sameResults(want, ref[j]) {
 						t.Fatalf("%s q=%d: got %v, oracle %v", row, j, ref[j], want)
-					}
-					var brute []Result
-					for _, r := range set.BruteForceTopN(u, len(set.Pairs)) {
-						if (pr.pred == nil || pr.pred[r.Event]) && r.Partner != exclude[j] && len(brute) < n {
-							brute = append(brute, r)
-						}
-					}
-					if len(brute) != len(ref[j]) {
-						t.Fatalf("%s q=%d: %d results, brute force %d", row, j, len(ref[j]), len(brute))
-					}
-					for i := range brute {
-						if !approxEqual(brute[i].Score, ref[j][i].Score) {
-							t.Fatalf("%s q=%d rank %d: score %v, brute force %v", row, j, i, ref[j][i].Score, brute[i].Score)
-						}
 					}
 					switch pr.name {
 					case "nil":

@@ -174,15 +174,15 @@ func QueryPoint(userVec []float32) []float32 {
 }
 
 // Score computes the pair's joint score for the given user vector using
-// the untransformed identity u·x + u'·x + u·u'; by construction it equals
-// the transformed inner product q_u·p (verified by property test). After
-// Pack the row slices alias the contiguous backing arrays, so this reads
-// packed memory.
+// the untransformed identity u·x + u'·x + u·u', summed as (u·x + u·u') +
+// cross — the order the walk, the quantized re-rank and the delta use, so
+// every path and BruteForceTopN agree bit for bit. By construction it
+// equals the transformed inner product q_u·p up to rounding (verified by
+// property test). After Pack the row slices alias the contiguous backing
+// arrays, so this reads packed memory.
 func (c *CandidateSet) Score(userVec []float32, i int) float32 {
 	pair := c.Pairs[i]
-	xv := c.Events[pair.Event]
-	pv := c.Partners[pair.Partner]
-	return vecmath.Dot(userVec, xv) + c.Cross[i] + vecmath.Dot(userVec, pv)
+	return vecmath.Dot(userVec, c.Events[pair.Event]) + vecmath.Dot(userVec, c.Partners[pair.Partner]) + c.Cross[i]
 }
 
 // BuildConfig controls candidate-set construction.

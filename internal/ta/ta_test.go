@@ -37,6 +37,13 @@ func buildSmallSet(t testing.TB, seed uint64, nEvents, nPartners, k, topK int, s
 	return cs
 }
 
+// approxEqual compares scores computed by different expressions by
+// design: CandidateSet.Score against the transformed inner product, and
+// the literal Index, whose stop has a 1e-6 slack.
+func approxEqual(a, b float32) bool {
+	return math.Abs(float64(a)-float64(b)) <= 1e-4*(1+math.Abs(float64(a)))
+}
+
 func TestSpaceTransformIdentity(t *testing.T) {
 	// q_u · p_{xu'} must equal u·x + u'·x + u·u' for every pair.
 	cs := buildSmallSet(t, 1, 20, 15, 8, 0, true)
@@ -133,7 +140,7 @@ func TestBruteForceTopNOrdering(t *testing.T) {
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i] > all[j] })
 	for i := 0; i < 10; i++ {
-		if !approxEqual(res[i].Score, all[i]) {
+		if res[i].Score != all[i] {
 			t.Fatalf("rank %d: %v != exhaustive %v", i, res[i].Score, all[i])
 		}
 	}

@@ -2,7 +2,6 @@ package ta
 
 import (
 	"container/heap"
-	"math"
 	"time"
 
 	"ebsn/internal/isort"
@@ -340,9 +339,4 @@ func (h *cursorHeap) Pop() any {
 	x := old[n-1]
 	h.order = old[:n-1]
 	return x
-}
-
-// approxEqual helps tests compare score floats.
-func approxEqual(a, b float32) bool {
-	return math.Abs(float64(a)-float64(b)) <= 1e-4*(1+math.Abs(float64(a)))
 }

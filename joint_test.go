@@ -63,13 +63,24 @@ func TestQueriesNeverDiscardLiveState(t *testing.T) {
 				if w%2 == 0 {
 					_, err = rec.TopEventPartners(u, 10)
 				} else {
-					_, _, err = rec.TopEventPartnersStats(u, 10)
+					_, _, err = rec.TopEventPartnersShardedStats(u, 10)
 				}
 				if err == nil {
-					_, err = rec.TopEventPartnersConstrained(u, 10, window)
+					_, _, err = rec.TopEventPartnersConstrainedStats(u, 10, window)
 				}
 				if err == nil {
-					_, err = rec.TopEventPartnersBatch([]int32{u, (u + 1) % nu}, 10)
+					_, _, err = rec.TopEventPartnersBatchStats([]int32{u, (u + 1) % nu}, 10)
+				}
+				// The event rankers pack the clone's test-event rows on
+				// first use, racing here across the four workers.
+				if err == nil {
+					_, err = rec.TopEvents(u, 10)
+				}
+				if err == nil {
+					_, err = rec.TopEventsBatch([]int32{u, (u + 1) % nu}, 10)
+				}
+				if err == nil {
+					_, err = rec.GroupTopEvents([]int32{u, (u + 1) % nu}, 10, GroupLeastMisery, window)
 				}
 				if err != nil {
 					t.Error(err)
@@ -195,7 +206,7 @@ func TestJointAnswersAcrossHolders(t *testing.T) {
 				out[fmt.Sprintf("live %s user %d", stage, u)] = pairs
 			}
 		}
-		batch, err := rec.TopEventPartnersBatch(users, n)
+		batch, _, err := rec.TopEventPartnersBatchStats(users, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +215,7 @@ func TestJointAnswersAcrossHolders(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			constrained, err := rec.TopEventPartnersConstrained(u, n, window)
+			constrained, _, err := rec.TopEventPartnersConstrainedStats(u, n, window)
 			if err != nil {
 				t.Fatal(err)
 			}

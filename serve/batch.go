@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"ebsn"
@@ -95,10 +94,6 @@ func encodePairs(d *ebsn.Dataset, user int32, n int, pairs []ebsn.PairRecommenda
 	return resp
 }
 
-// eventScratchPool reuses TopEventsBatchScratch buffers across batched
-// event requests; results are encoded before the scratch goes back.
-var eventScratchPool = sync.Pool{New: func() any { return new(ebsn.EventBatchScratch) }}
-
 // handleEventsBatch is POST /v1/events: one panel pass over the test
 // events scores the whole batch, bit-identical to per-user GETs.
 func (s *Server) handleEventsBatch(w http.ResponseWriter, r *http.Request) {
@@ -119,10 +114,8 @@ func (s *Server) handleEventsBatch(w http.ResponseWriter, r *http.Request) {
 	sp.SetAttr("batch", int64(len(req.Users)))
 	sp.SetAttr("n", int64(n))
 	sp.Stage("query")
-	sc := eventScratchPool.Get().(*ebsn.EventBatchScratch)
-	res, err := rec.TopEventsBatchScratch(req.Users, n, sc)
+	res, err := rec.TopEventsBatch(req.Users, n)
 	if err != nil {
-		eventScratchPool.Put(sc)
 		s.mu.RUnlock()
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -132,17 +125,8 @@ func (s *Server) handleEventsBatch(w http.ResponseWriter, r *http.Request) {
 	d := rec.Dataset()
 	resp := &BatchRankingResponse{N: n, Results: make([]RankingResponse, len(res))}
 	for j, recs := range res {
-		rr := RankingResponse{User: req.Users[j], N: n, Events: make([]EventResult, len(recs))}
-		for i, e := range recs {
-			rr.Events[i] = EventResult{
-				Event: e.Event,
-				Start: d.Events[e.Event].Start.Format(time.RFC3339),
-				Score: e.Score,
-			}
-		}
-		resp.Results[j] = rr
+		resp.Results[j] = RankingResponse{User: req.Users[j], N: n, Events: eventResults(d, recs)}
 	}
-	eventScratchPool.Put(sc) // results are encoded; the scratch is free
 	s.mu.RUnlock()
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -37,7 +37,7 @@ func TestShardedServerMatchesMonolithic(t *testing.T) {
 		if r := getJSON(t, srv, "/v1/partners?user="+strconv.Itoa(int(user))+"&n=7", &resp); r.StatusCode != 200 {
 			t.Fatalf("/v1/partners user %d = %d", user, r.StatusCode)
 		}
-		want, _, err := ref.TopEventPartnersStats(user, 7)
+		want, err := ref.TopEventPartners(user, 7)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -81,12 +81,12 @@ func cachedGETs(t *testing.T) []cachedGET {
 		return func(rec *ebsn.Recommender) any {
 			recs, err := rec.TopEventsConstrained(user, n, c)
 			must(err)
-			return encodeEvents(rec.Dataset(), user, n, recs)
+			return &RankingResponse{User: user, N: n, Events: eventResults(rec.Dataset(), recs)}
 		}
 	}
 	pairs := func(c ebsn.Constraint) func(*ebsn.Recommender) any {
 		return func(rec *ebsn.Recommender) any {
-			ps, err := rec.TopEventPartnersConstrained(user, n, c)
+			ps, _, err := rec.TopEventPartnersConstrainedStats(user, n, c)
 			must(err)
 			return encodePairs(rec.Dataset(), user, n, ps)
 		}

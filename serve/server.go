@@ -1100,7 +1100,7 @@ func (s *Server) queryEvents(rec *ebsn.Recommender, q *getQuery, sp *obs.Span) (
 		return nil, err
 	}
 	sp.Stage("encode")
-	return encodeEvents(rec.Dataset(), int32(q.user), q.n, recs), nil
+	return &RankingResponse{User: int32(q.user), N: q.n, Events: eventResults(rec.Dataset(), recs)}, nil
 }
 
 // handlePartners is GET /v1/partners. Constrained requests bypass the

@@ -45,18 +45,15 @@ func (s *Server) parseConstraint(w http.ResponseWriter, vals url.Values) (ebsn.C
 // absent.
 const defaultFeedPartners = 5
 
-// encodeEvents renders one user's event recommendations with start
-// times.
-func encodeEvents(d *ebsn.Dataset, user int32, n int, recs []ebsn.Recommendation) *RankingResponse {
-	resp := &RankingResponse{User: user, N: n, Events: make([]EventResult, len(recs))}
+// eventResults renders event recommendations with start times: the one
+// render loop behind every event-ranking payload (single, batched and
+// group).
+func eventResults(d *ebsn.Dataset, recs []ebsn.Recommendation) []EventResult {
+	out := make([]EventResult, len(recs))
 	for i, e := range recs {
-		resp.Events[i] = EventResult{
-			Event: e.Event,
-			Start: d.Events[e.Event].Start.Format(time.RFC3339),
-			Score: e.Score,
-		}
+		out[i] = EventResult{Event: e.Event, Start: d.Events[e.Event].Start.Format(time.RFC3339), Score: e.Score}
 	}
-	return resp
+	return out
 }
 
 // GroupEventsRequest is the POST /v1/group/events body: the member set,
@@ -140,22 +137,14 @@ func (s *Server) handleGroupEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	recs, err := rec.GroupTopEventsConstrained(req.Members, n, strat, c)
+	recs, err := rec.GroupTopEvents(req.Members, n, strat, c)
 	if err != nil {
 		s.mu.RUnlock()
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	sp.Stage("encode")
-	d := rec.Dataset()
-	resp := &GroupEventsResponse{Members: req.Members, N: n, Strategy: strat.String(), Events: make([]EventResult, len(recs))}
-	for i, e := range recs {
-		resp.Events[i] = EventResult{
-			Event: e.Event,
-			Start: d.Events[e.Event].Start.Format(time.RFC3339),
-			Score: e.Score,
-		}
-	}
+	resp := &GroupEventsResponse{Members: req.Members, N: n, Strategy: strat.String(), Events: eventResults(rec.Dataset(), recs)}
 	s.mu.RUnlock()
 	writeJSON(w, http.StatusOK, resp)
 }

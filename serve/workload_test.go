@@ -214,7 +214,7 @@ func TestGroupEventsEndpoint(t *testing.T) {
 	var lm GroupEventsResponse
 	postJSONBody(t, srv, "/v1/group/events",
 		GroupEventsRequest{Members: []int32{0, 1, 2}, N: 4, Strategy: "least-misery"}, &lm)
-	want, err := rec.GroupTopEvents([]int32{0, 1, 2}, 4, ebsn.GroupLeastMisery)
+	want, err := rec.GroupTopEvents([]int32{0, 1, 2}, 4, ebsn.GroupLeastMisery, ebsn.Constraint{})
 	if err != nil {
 		t.Fatal(err)
 	}

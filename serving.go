@@ -2,71 +2,12 @@ package ebsn
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ebsn/internal/engine"
 	"ebsn/internal/ta"
 	"ebsn/internal/vecmath"
 )
-
-// TopEventsBatch computes top-n cold-event recommendations for many users
-// concurrently — the offline path behind daily-digest jobs. Results are
-// indexed like users; workers ≤ 0 means Config.Threads. The first
-// per-user error cancels the remaining work: other workers stop at their
-// next user instead of finishing chunks whose results are already doomed.
-func (r *Recommender) TopEventsBatch(users []int32, n, workers int) ([][]Recommendation, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("ebsn: n must be positive")
-	}
-	if workers <= 0 {
-		workers = r.cfg.Threads
-	}
-	if workers > len(users) {
-		workers = len(users)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	out := make([][]Recommendation, len(users))
-	var wg sync.WaitGroup
-	chunk := (len(users) + workers - 1) / workers
-	var failed atomic.Bool
-	var firstErr error
-	var mu sync.Mutex
-	for lo := 0; lo < len(users); lo += chunk {
-		hi := lo + chunk
-		if hi > len(users) {
-			hi = len(users)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				if failed.Load() {
-					return
-				}
-				recs, err := r.TopEvents(users[i], n)
-				if err != nil {
-					failed.Store(true)
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				out[i] = recs
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
-}
 
 // LiveEventID identifies an event ingested after training: negative
 // values distinguish it from dataset event IDs in PairRecommendation
@@ -147,10 +88,11 @@ func (r *Recommender) TopEventPartnersLive(user int32, n int) ([]PairRecommendat
 // TopEventPartnersLiveStats is TopEventPartnersLive plus the TA work
 // counters for the query.
 func (r *Recommender) TopEventPartnersLiveStats(user int32, n int) ([]PairRecommendation, SearchStats, error) {
-	if r.taDelta == nil {
-		return r.TopEventPartnersStats(user, n) // nothing ingested yet
+	if r.taDelta == nil { // nothing ingested yet
+		out, es, err := r.jointSearch(user, n, nil)
+		return out, es.Agg, err
 	}
-	if err := r.checkUserN(user, n); err != nil {
+	if err := r.checkUsers(n, user); err != nil {
 		return nil, SearchStats{}, err
 	}
 	// Two-tier query: exact top-n over the live base (the compacted fold

@@ -8,7 +8,7 @@ import (
 func TestTopEventsBatchMatchesSingle(t *testing.T) {
 	rec := tinyRecommender(t)
 	users := []int32{0, 1, 2, 3, 4, 5, 6, 7}
-	batch, err := rec.TopEventsBatch(users, 5, 3)
+	batch, err := rec.TopEventsBatch(users, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,29 +28,6 @@ func TestTopEventsBatchMatchesSingle(t *testing.T) {
 				t.Fatalf("user %d rank %d: %+v vs %+v", u, j, batch[i][j], single[j])
 			}
 		}
-	}
-}
-
-func TestTopEventsBatchValidation(t *testing.T) {
-	rec := tinyRecommender(t)
-	if _, err := rec.TopEventsBatch([]int32{0}, 0, 1); err == nil {
-		t.Error("n=0 accepted")
-	}
-	if _, err := rec.TopEventsBatch([]int32{-5}, 3, 1); err == nil {
-		t.Error("bad user accepted")
-	}
-	if out, err := rec.TopEventsBatch(nil, 3, 1); err != nil || len(out) != 0 {
-		t.Error("empty user list should be a no-op")
-	}
-	// A bad user in the middle of a large batch surfaces its error (and
-	// cancels the remaining workers' chunks).
-	users := make([]int32, 64)
-	for i := range users {
-		users[i] = int32(i % rec.Dataset().NumUsers)
-	}
-	users[40] = int32(rec.Dataset().NumUsers) // out of range
-	if out, err := rec.TopEventsBatch(users, 3, 4); err == nil || out != nil {
-		t.Error("mid-batch bad user not reported")
 	}
 }
 

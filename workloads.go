@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ebsn/internal/ta"
-	"ebsn/internal/vecmath"
 	"ebsn/internal/workload"
 )
 
@@ -61,60 +60,14 @@ func (r *Recommender) CompileConstraint(c Constraint) (EventPredicate, int) {
 	return workload.Compile(c, r.dataset, r.split.TestEvents)
 }
 
-// selectTopEvents runs the shared top-n selection over the test events
-// under an arbitrary scoring function: a strict-> insertion, so ties
-// keep first-seen (ascending event) order across TopEvents and every
-// scenario. skip, when non-nil, drops events before scoring.
-func (r *Recommender) selectTopEvents(n int, skip EventPredicate, score func(i int, x int32) float32) []Recommendation {
-	best := make([]Recommendation, 0, n)
-	for i, x := range r.split.TestEvents {
-		if skip != nil && !skip[i] {
-			continue
-		}
-		s := score(i, x)
-		switch {
-		case len(best) < n:
-			best = append(best, Recommendation{Event: x, Score: s})
-		case s > best[n-1].Score:
-			best[n-1] = Recommendation{Event: x, Score: s}
-		default:
-			continue
-		}
-		for up := len(best) - 1; up > 0 && best[up].Score > best[up-1].Score; up-- {
-			best[up], best[up-1] = best[up-1], best[up]
-		}
-	}
-	return best
-}
-
-// TopEventsConstrained is TopEvents restricted to events satisfying the
-// constraint: the predicate filters candidates before scoring, so the
-// result is the exact top n of the allowed subset (fewer when fewer
-// allowed events exist). A zero constraint is identical to TopEvents.
-func (r *Recommender) TopEventsConstrained(user int32, n int, c Constraint) ([]Recommendation, error) {
-	if err := r.checkUserN(user, n); err != nil {
-		return nil, err
-	}
-	pred, _ := r.CompileConstraint(c)
-	return r.selectTopEvents(n, pred, func(_ int, x int32) float32 {
-		return r.model.ScoreUserEvent(user, x)
-	}), nil
-}
-
-// TopEventPartnersConstrained is TopEventPartners restricted to events
-// satisfying the constraint, with the predicate pushed into the TA
-// threshold walk (not post-filtered; see DESIGN.md §3.10) — the result
+// TopEventPartnersConstrainedStats is TopEventPartners restricted to
+// events satisfying the constraint, plus the TA work counters aggregated
+// over the engine's shards. The predicate is pushed into the TA
+// threshold walk (not post-filtered; see DESIGN.md §3.10), so the result
 // is the exact constrained top n. Constrained queries answer over the
 // base index only: events ingested live (IngestColdEvent) carry no
 // dataset metadata to evaluate the constraint against and are not
 // candidates here.
-func (r *Recommender) TopEventPartnersConstrained(user int32, n int, c Constraint) ([]PairRecommendation, error) {
-	out, _, err := r.TopEventPartnersConstrainedStats(user, n, c)
-	return out, err
-}
-
-// TopEventPartnersConstrainedStats is TopEventPartnersConstrained plus
-// the TA work counters, aggregated over the engine's shards.
 func (r *Recommender) TopEventPartnersConstrainedStats(user int32, n int, c Constraint) ([]PairRecommendation, SearchStats, error) {
 	// Deliberately jointSearch's base engine, never liveEngine(): a
 	// compacted live tier holds folded live events past the test-event
@@ -125,51 +78,8 @@ func (r *Recommender) TopEventPartnersConstrainedStats(user int32, n int, c Cons
 	return out, es.Agg, err
 }
 
-// GroupTopEvents recommends the top-n events for a group of users under
-// the given aggregation strategy. The mean strategy averages the member
-// vectors into one query point (exactly equivalent to averaging scores,
-// since the score is an inner product); least misery scores every
-// member per event and keeps the minimum. Duplicated members weight the
-// mean accordingly and are idempotent under least misery.
-func (r *Recommender) GroupTopEvents(members []int32, n int, strategy GroupStrategy) ([]Recommendation, error) {
-	return r.GroupTopEventsConstrained(members, n, strategy, Constraint{})
-}
-
-// GroupTopEventsConstrained is GroupTopEvents with a constraint filter —
-// the combination the group endpoint serves. A zero constraint imposes
-// nothing.
-func (r *Recommender) GroupTopEventsConstrained(members []int32, n int, strategy GroupStrategy, c Constraint) ([]Recommendation, error) {
-	if len(members) == 0 {
-		return nil, fmt.Errorf("ebsn: group has no members")
-	}
-	if n <= 0 {
-		return nil, fmt.Errorf("ebsn: n must be positive")
-	}
-	vecs := make([][]float32, len(members))
-	for i, u := range members {
-		if int(u) < 0 || int(u) >= r.dataset.NumUsers {
-			return nil, fmt.Errorf("ebsn: member %d out of range [0,%d)", u, r.dataset.NumUsers)
-		}
-		vecs[i] = r.model.UserVec(u)
-	}
-	pred, _ := r.CompileConstraint(c)
-	if strategy == GroupLeastMisery {
-		scores := make([]float32, len(members))
-		return r.selectTopEvents(n, pred, func(_ int, x int32) float32 {
-			for i, u := range members {
-				scores[i] = r.model.ScoreUserEvent(u, x)
-			}
-			return GroupLeastMisery.Reduce(scores)
-		}), nil
-	}
-	mean := workload.MeanVector(vecs, nil)
-	return r.selectTopEvents(n, pred, func(_ int, x int32) float32 {
-		return vecmath.Dot(mean, r.model.EventVec(x))
-	}), nil
-}
-
-// Feed assembles the user's "for you" feed: the top-n cold events (as
-// TopEvents ranks them), each joined with the top-m companions under the
+// Feed assembles the user's "for you" feed: the top-n cold events (its
+// head is TopEvents), each joined with the top-m companions under the
 // full joint score of Eqn. 8. For a fixed event the join is one dot
 // product per partner with the combined query u+x, and the n combined
 // queries share one panel pass over the user rows (see

@@ -85,7 +85,7 @@ func TestTopEventsConstrained(t *testing.T) {
 	}
 }
 
-func TestTopEventPartnersConstrained(t *testing.T) {
+func TestTopEventPartnersConstrainedStats(t *testing.T) {
 	rec := tinyRecommender(t)
 	c := testWindow(t, rec)
 
@@ -93,7 +93,7 @@ func TestTopEventPartnersConstrained(t *testing.T) {
 	// candidate space (n clamps to the pair count), post-filtered. At
 	// full depth, filter-then-rank and rank-then-filter agree.
 	nAll := len(rec.Split().TestEvents) * rec.Dataset().NumUsers
-	full, _, err := rec.TopEventPartnersStats(2, nAll)
+	full, err := rec.TopEventPartners(2, nAll)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,36 +140,13 @@ func TestTopEventPartnersConstrained(t *testing.T) {
 func TestGroupTopEvents(t *testing.T) {
 	rec := tinyRecommender(t)
 
-	// A single-member group degenerates to TopEvents under both
-	// strategies: the mean of one vector is the vector, and min over one
-	// score is the score.
-	plain, err := rec.TopEvents(3, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, strat := range []GroupStrategy{GroupMean, GroupLeastMisery} {
-		got, err := rec.GroupTopEvents([]int32{3}, 6, strat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(plain) {
-			t.Fatalf("%v: got %d results, want %d", strat, len(got), len(plain))
-		}
-		for i := range plain {
-			if got[i].Event != plain[i].Event {
-				t.Fatalf("%v: rank %d event %d, want %d", strat, i, got[i].Event, plain[i].Event)
-			}
-			if math.Abs(float64(got[i].Score-plain[i].Score)) > 1e-5 {
-				t.Fatalf("%v: rank %d score %v, want %v", strat, i, got[i].Score, plain[i].Score)
-			}
-		}
-	}
-
 	// Multi-member: results are sorted test events, and least misery is
 	// upper-bounded by every member's own score for the chosen event.
+	// TestEventRankingsAgree pins the exact scores, one-member groups
+	// included.
 	members := []int32{0, 1, 2}
 	for _, strat := range []GroupStrategy{GroupMean, GroupLeastMisery} {
-		got, err := rec.GroupTopEvents(members, 5, strat)
+		got, err := rec.GroupTopEvents(members, 5, strat, Constraint{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,13 +170,13 @@ func TestGroupTopEvents(t *testing.T) {
 		}
 	}
 
-	if _, err := rec.GroupTopEvents(nil, 5, GroupMean); err == nil {
+	if _, err := rec.GroupTopEvents(nil, 5, GroupMean, Constraint{}); err == nil {
 		t.Error("empty group accepted")
 	}
-	if _, err := rec.GroupTopEvents([]int32{0, 999999}, 5, GroupMean); err == nil {
+	if _, err := rec.GroupTopEvents([]int32{0, 999999}, 5, GroupMean, Constraint{}); err == nil {
 		t.Error("out-of-range member accepted")
 	}
-	if _, err := rec.GroupTopEvents([]int32{0}, 0, GroupMean); err == nil {
+	if _, err := rec.GroupTopEvents([]int32{0}, 0, GroupMean, Constraint{}); err == nil {
 		t.Error("n=0 accepted")
 	}
 }
