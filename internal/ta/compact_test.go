@@ -1,6 +1,7 @@
 package ta
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -243,5 +244,137 @@ func TestDynamicConcurrentIngestQueryCompact(t *testing.T) {
 	}
 	if dyn.DeltaSize() != 0 {
 		t.Fatal("delta not empty after final rebuild")
+	}
+}
+
+// TestDeltaMergeStateMatchesOracle covers the state the bounded merge
+// keeps beside the pairs — per-event affinities, the distinct-partner
+// list and each pair's slot in it — across the delta's lifecycle: every
+// answer must be bit-identical to a brute-force scan of the folded
+// candidate set, with effective event indices. Duplicated event vectors
+// put exact ties at the n-th boundary, where a merge that compared by
+// score alone would keep the wrong pair. Each merge also starts from
+// zero stats and must account the whole delta scan, its time included.
+func TestDeltaMergeStateMatchesOracle(t *testing.T) {
+	type state struct {
+		name     string
+		dyn      *twoTier
+		excludes []int32
+	}
+	add := func(dyn *twoTier, vecs ...[]float32) {
+		t.Helper()
+		for _, v := range vecs {
+			if err := dyn.AddEvent(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fold := func(dyn *twoTier, v DeltaView) {
+		dyn.set, dyn.idx = FoldDelta(dyn.set, v, 2)
+		dyn.delta.Advance(v)
+	}
+	build := func(src *rng.Source, nEvents, nPartners, topK int) ([][]float32, *CandidateSet) {
+		events := randomVecs(src, nEvents, 6, true)
+		cs, err := BuildCandidates(events, randomVecs(src, nPartners, 6, true), BuildConfig{TopKEvents: topK, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return events, cs
+	}
+
+	src := rng.New(883)
+	var states []state
+	for _, topK := range []int{0, 5} {
+		// Events land while a fold runs: the distinct-partner list is
+		// rebuilt from the residual pairs, whose events arrived after
+		// the view, some as copies of folded or base events.
+		events, cs := build(src, 25, 12, topK)
+		dyn := newTwoTier(cs, topK)
+		early := randomVecs(src, 3, 6, true)
+		add(dyn, append(early, slices.Clone(events[4]))...)
+		view := dyn.delta.View()
+		add(dyn, slices.Clone(early[1]), slices.Clone(events[4]), randomVecs(src, 1, 6, true)[0])
+		fold(dyn, view)
+		states = append(states, state{fmt.Sprintf("partial advance topK=%d", topK), dyn, []int32{-1, 0, 7}})
+
+		// A second Advance empties the delta; new arrivals then start
+		// a fresh distinct-partner list.
+		events, cs = build(src, 25, 12, topK)
+		dyn = newTwoTier(cs, topK)
+		add(dyn, randomVecs(src, 3, 6, true)...)
+		fold(dyn, dyn.delta.View())
+		add(dyn, randomVecs(src, 2, 6, true)...)
+		fold(dyn, dyn.delta.View())
+		if dyn.delta.PairCount() != 0 {
+			t.Fatal("second Advance left pairs behind")
+		}
+		late := randomVecs(src, 2, 6, true)
+		add(dyn, append(late, slices.Clone(late[0]), slices.Clone(events[9]))...)
+		states = append(states, state{fmt.Sprintf("emptied then ingested topK=%d", topK), dyn, []int32{-1, 3, 11}})
+	}
+
+	// Partner 2 has no base pairs, so excluding it only changes the delta.
+	_, cs := build(src, 20, 10, 0)
+	var pairs []Candidate
+	var cross []float32
+	for i, p := range cs.Pairs {
+		if p.Partner != 2 {
+			pairs = append(pairs, p)
+			cross = append(cross, cs.Cross[i])
+		}
+	}
+	cs = &CandidateSet{K: cs.K, Events: cs.Events, Partners: cs.Partners, Pairs: pairs, Cross: cross}
+	dyn := newTwoTier(cs, 0)
+	dup := randomVecs(src, 2, 6, true)
+	add(dyn, append(dup, slices.Clone(dup[0]))...)
+	states = append(states, state{"exclude a delta-only partner", dyn, []int32{2, -1}})
+
+	// A base of 12 pairs answers every n ≥ 12 with a list shorter than n.
+	events, cs := build(src, 3, 4, 0)
+	dyn = newTwoTier(cs, 0)
+	add(dyn, slices.Clone(events[1]), randomVecs(src, 1, 6, true)[0], slices.Clone(events[1]))
+	states = append(states, state{"base shorter than n", dyn, []int32{-1, 1}})
+
+	sc := GetScratch()
+	defer PutScratch(sc)
+	for _, st := range states {
+		folded, _ := FoldDelta(st.dyn.set, st.dyn.delta.View(), 2)
+		baseEvents := int32(len(st.dyn.set.Events))
+		for q := 0; q < 6; q++ {
+			userVec := randomVecs(src, 1, 6, true)[0]
+			for _, n := range []int{1, 7, 15, len(folded.Pairs) + 5} {
+				for _, exclude := range st.excludes {
+					base, _ := st.dyn.idx.Search(Query{Vec: userVec, N: n, Exclude: exclude}, sc)
+					var stats SearchStats
+					got := st.dyn.delta.MergeTopN(base, int(baseEvents), userVec, n, exclude, sc, &stats)
+					want := filterThenRankOracle(folded, userVec, n, exclude, nil)
+					if len(got) != len(want) {
+						t.Fatalf("%s q=%d n=%d exclude=%d: %d results, want %d", st.name, q, n, exclude, len(got), len(want))
+					}
+					for i := range want {
+						eff := got[i].Event
+						if got[i].FromDelta {
+							eff += baseEvents
+						}
+						if eff != want[i].Event || got[i].Partner != want[i].Partner ||
+							math.Float32bits(got[i].Score) != math.Float32bits(want[i].Score) {
+							t.Fatalf("%s q=%d n=%d exclude=%d rank %d: got (%d,%d) %v delta=%v, want (%d,%d) %v",
+								st.name, q, n, exclude, i, eff, got[i].Partner, got[i].Score, got[i].FromDelta,
+								want[i].Event, want[i].Partner, want[i].Score)
+						}
+					}
+					scanned := 0
+					for _, p := range st.dyn.delta.View().Pairs {
+						if p.Partner != exclude {
+							scanned++
+						}
+					}
+					if stats.RandomAccesses != scanned || stats.Candidates != st.dyn.delta.PairCount() || stats.Elapsed <= 0 {
+						t.Fatalf("%s n=%d exclude=%d: stats %+v, want %d random accesses, %d candidates, positive elapsed",
+							st.name, n, exclude, stats, scanned, st.dyn.delta.PairCount())
+					}
+				}
+			}
+		}
 	}
 }

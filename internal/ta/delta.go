@@ -3,6 +3,7 @@ package ta
 import (
 	"fmt"
 	"slices"
+	"time"
 
 	"ebsn/internal/isort"
 	"ebsn/internal/vecmath"
@@ -13,7 +14,9 @@ import (
 // here, pruned to their topK partner pairs exactly as the offline build
 // prunes, and every query scans the delta exhaustively (it is small by
 // construction — compaction folds it into a fresh main index before it
-// grows). A Delta only ever appends to its event/pair arrays, so a
+// grows). The scan costs one dot product per delta event and one per
+// distinct delta partner, then one add and one compare per pair (see
+// MergeTopN). A Delta only ever appends to its event/pair arrays, so a
 // DeltaView captured at any point stays valid while later arrivals land;
 // Advance (called when a compaction of that view is installed) is the
 // one operation that rewrites the arrays and must be serialized with
@@ -35,6 +38,14 @@ type Delta struct {
 	pairs  []Candidate
 	cross  []float32
 
+	// The pairs' distinct partners in first-appearance order, and each
+	// pair's slot in that list: a query computes u·u' once per slot.
+	// slotOf maps a partner to its slot + 1 (0 = absent); only the
+	// writers read it.
+	distinct []int32
+	pairSlot []int32
+	slotOf   []int32
+
 	folded int // events dropped by Advance since creation
 }
 
@@ -49,7 +60,7 @@ func NewDelta(partners [][]float32, topK int) (*Delta, error) {
 	k := len(partners[0])
 	rows := make([][]float32, len(partners))
 	copy(rows, partners)
-	d := &Delta{k: k, topK: topK, partners: rows}
+	d := &Delta{k: k, topK: topK, partners: rows, slotOf: make([]int32, len(rows))}
 	for _, v := range rows {
 		if len(v) != k {
 			return nil, fmt.Errorf("ta: partner vector length %d, want %d", len(v), k)
@@ -63,7 +74,7 @@ func NewDelta(partners [][]float32, topK int) (*Delta, error) {
 // packed storage (no copy). The set must already be packed — any index
 // constructor packs it.
 func NewDeltaForSet(set *CandidateSet, topK int) *Delta {
-	return &Delta{k: set.K, topK: topK, partners: set.Partners, partnerData: set.partnerData}
+	return &Delta{k: set.K, topK: topK, partners: set.Partners, partnerData: set.partnerData, slotOf: make([]int32, len(set.Partners))}
 }
 
 // K returns the embedding dimension arriving vectors must match.
@@ -73,7 +84,8 @@ func (d *Delta) K() int { return d.k }
 func (d *Delta) Events() int { return len(d.events) }
 
 // PairCount returns the number of unindexed candidate pairs — the
-// per-query exhaustive-scan cost, i.e. the compaction queue depth.
+// compaction queue depth, and the pairs every query scans at one add
+// and one compare each.
 func (d *Delta) PairCount() int { return len(d.pairs) }
 
 // Folded returns how many delta events Advance has dropped since the
@@ -119,12 +131,25 @@ func (d *Delta) AddEvents(vecs [][]float32) error {
 			// terms of the retained pairs.
 			row := scores[i*np : (i+1)*np]
 			for _, u := range d.partnerIndices(row, ids) {
-				d.pairs = append(d.pairs, Candidate{Event: eventIdx, Partner: u})
-				d.cross = append(d.cross, row[u])
+				d.addPair(eventIdx, u, row[u])
 			}
 		}
 	}
 	return nil
+}
+
+// addPair appends one candidate pair with its cross term, giving its
+// partner a slot in the distinct list on first appearance.
+func (d *Delta) addPair(event, partner int32, cross float32) {
+	slot := d.slotOf[partner]
+	if slot == 0 {
+		d.distinct = append(d.distinct, partner)
+		slot = int32(len(d.distinct))
+		d.slotOf[partner] = slot
+	}
+	d.pairs = append(d.pairs, Candidate{Event: event, Partner: partner})
+	d.cross = append(d.cross, cross)
+	d.pairSlot = append(d.pairSlot, slot-1)
 }
 
 // partnerIndices returns the partners whose candidate list the new event
@@ -181,20 +206,25 @@ func (d *Delta) View() DeltaView {
 
 // Advance drops the view's prefix — just folded into a new main index —
 // keeping only events that arrived after the view was captured, with
-// their pair Event indices rebased. Residuals are copied into fresh
-// arrays so in-flight readers of the old ones are unaffected. The view
-// must have been captured from this delta; the caller serializes
-// Advance with AddEvent and queries.
+// their pair Event indices rebased and the distinct-partner list rebuilt
+// from the residual pairs. Residuals are copied into fresh arrays so
+// in-flight readers of the old ones are unaffected. The view must have
+// been captured from this delta; the caller serializes Advance with
+// AddEvent and queries.
 func (d *Delta) Advance(v DeltaView) {
 	ke, kp := len(v.Events), len(v.Pairs)
 	d.events = append(make([][]float32, 0, len(d.events)-ke), d.events[ke:]...)
-	rest := d.pairs[kp:]
-	pairs := make([]Candidate, len(rest))
-	for i, p := range rest {
-		pairs[i] = Candidate{Event: p.Event - int32(ke), Partner: p.Partner}
+	rest, restCross := d.pairs[kp:], d.cross[kp:]
+	for _, u := range d.distinct {
+		d.slotOf[u] = 0
 	}
-	d.pairs = pairs
-	d.cross = append(make([]float32, 0, len(d.cross)-kp), d.cross[kp:]...)
+	d.pairs = make([]Candidate, 0, len(rest))
+	d.cross = make([]float32, 0, len(rest))
+	d.pairSlot = make([]int32, 0, len(rest))
+	d.distinct = nil
+	for i, p := range rest {
+		d.addPair(p.Event-int32(ke), p.Partner, restCross[i])
+	}
 	d.folded += ke
 }
 
@@ -207,59 +237,75 @@ type DynamicResult struct {
 
 // MergeTopN merges base — an exact top-n over some main index, in
 // canonical order — with an exhaustive scan of the delta, returning the
-// overall top n. baseEvents is the main index's event count: a delta
-// event's effective index in the canonical (score desc, partner asc,
-// event asc) order is baseEvents + its delta position, which is exactly
-// the index it will hold after compaction — so rankings, including tie
-// breaks, are bit-consistent before and after a fold. Results alias
-// sc's buffers; stats accumulates the delta-scan work.
+// overall top n (nothing when n ≤ 0). baseEvents is the main index's
+// event count: a delta event's effective index in the canonical (score
+// desc, partner asc, event asc) order is baseEvents + its delta position,
+// which is exactly the index it will hold after compaction — so
+// rankings, including tie breaks, are bit-consistent before and after a
+// fold. Results alias sc's buffers; stats accumulates the delta-scan
+// work and time.
+//
+// The scan computes u·x once per delta event and u·u' once per distinct
+// delta partner, then costs one add and one compare per pair: the result
+// starts as base and a pair is inserted, by shifting, only when it
+// outranks the current n-th entry. Every key is unique — distinct
+// (event, partner) pairs, delta events numbered past the base — so this
+// bounded selection equals a stable sort of base plus every delta pair,
+// truncated to n.
 func (d *Delta) MergeTopN(base []Result, baseEvents int, userVec []float32, n int, exclude int32, sc *Scratch, stats *SearchStats) []DynamicResult {
-	merged := sc.dout[:0]
-	for _, r := range base {
-		merged = append(merged, DynamicResult{Result: r})
+	if n <= 0 {
+		return sc.dout[:0]
 	}
-	// Exhaustive scan of the delta: tiny by construction.
+	start := time.Now()
+	a := resizeF32(sc.deltaA, len(d.events))
+	for x, vec := range d.events {
+		a[x] = vecmath.Dot(userVec, vec)
+	}
+	b := resizeF32(sc.deltaB, len(d.distinct))
+	for slot, u := range d.distinct {
+		b[slot] = vecmath.Dot(userVec, d.partners[u])
+	}
+	sc.deltaA, sc.deltaB = a, b
+
+	// Delta entries carry their effective event index until the end, so
+	// Outranks compares every entry by its canonical key.
+	be := int32(baseEvents)
+	out := sc.dout[:0]
+	for _, r := range base[:min(len(base), n)] {
+		out = append(out, DynamicResult{Result: r})
+	}
 	for i, pair := range d.pairs {
 		if pair.Partner == exclude {
 			continue
 		}
+		stats.RandomAccesses++
 		// Operand order matters: the FastIndex scores a pair as
 		// (event·u + partner·u) + cross, and float addition is not
 		// associative — summing in the same order keeps a delta pair's
 		// score bit-identical to what the folded index will assign it.
-		s := vecmath.Dot(userVec, d.events[pair.Event]) +
-			vecmath.Dot(userVec, d.partners[pair.Partner]) +
-			d.cross[i]
-		merged = append(merged, DynamicResult{
-			Result:    Result{Event: pair.Event, Partner: pair.Partner, Score: s},
-			FromDelta: true,
-		})
-		stats.RandomAccesses++
+		r := Result{Event: pair.Event + be, Partner: pair.Partner, Score: a[pair.Event] + b[d.pairSlot[i]] + d.cross[i]}
+		if len(out) == n {
+			if !r.Outranks(out[n-1].Result) {
+				continue
+			}
+			out = out[:n-1]
+		}
+		j := len(out)
+		out = append(out, DynamicResult{})
+		for ; j > 0 && r.Outranks(out[j-1].Result); j-- {
+			out[j] = out[j-1]
+		}
+		out[j] = DynamicResult{Result: r, FromDelta: true}
+	}
+	for i := range out {
+		if out[i].FromDelta {
+			out[i].Event -= be
+		}
 	}
 	stats.Candidates += len(d.pairs)
-	be := int32(baseEvents)
-	slices.SortStableFunc(merged, func(a, b DynamicResult) int {
-		ka, kb := a.Result, b.Result
-		if a.FromDelta {
-			ka.Event += be
-		}
-		if b.FromDelta {
-			kb.Event += be
-		}
-		switch {
-		case ka == kb:
-			return 0
-		case ka.Outranks(kb):
-			return -1
-		default:
-			return 1
-		}
-	})
-	sc.dout = merged
-	if len(merged) > n {
-		merged = merged[:n]
-	}
-	return merged
+	stats.Elapsed += time.Since(start)
+	sc.dout = out
+	return out
 }
 
 // FoldDelta builds a fresh candidate set and index covering base plus

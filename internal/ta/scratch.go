@@ -30,6 +30,11 @@ type Scratch struct {
 	q8  []int8
 	i32 []int32
 
+	// Delta scan state (Delta.MergeTopN): u·x per delta event and u·u'
+	// per distinct delta partner.
+	deltaA []float32
+	deltaB []float32
+
 	// Shared result state: the walk's survivor heap, the top-n heap it
 	// is drained through, and the output slices.
 	cands   candHeap

@@ -239,11 +239,16 @@ func TestBadParameterBodies(t *testing.T) {
 
 // TestTimedOutRequestCountsAs503: the endpoint metrics must record what
 // the client got. The status recorder used to sit inside the timeout
-// wrapper, where it saw the abandoned handler's 200.
+// wrapper, where it saw the abandoned handler's 200. The write lock is
+// held while the request runs, so its compute stage waits on the read
+// lock and the timeout is certain to fire first.
 func TestTimedOutRequestCountsAs503(t *testing.T) {
-	s := privateServer(t, Config{RequestTimeout: time.Nanosecond, CacheCapacity: -1})
-	if status, body := serveDirect(s, "/v1/partners?user=3&n=5"); status != http.StatusServiceUnavailable {
-		t.Fatalf("GET under a 1ns timeout = %d %s, want 503", status, body)
+	s := privateServer(t, Config{RequestTimeout: 5 * time.Millisecond, CacheCapacity: -1})
+	s.mu.Lock()
+	status, body := serveDirect(s, "/v1/partners?user=3&n=5")
+	s.mu.Unlock()
+	if status != http.StatusServiceUnavailable {
+		t.Fatalf("GET behind the write lock under a 5ms timeout = %d %s, want 503", status, body)
 	}
 	if ep := s.Metrics().Snapshot().Endpoints[epPartners]; ep.Count != 1 || ep.Status5xx != 1 {
 		t.Fatalf("endpoint metrics after one timed-out request: %+v, want Count 1, Status5xx 1", ep)

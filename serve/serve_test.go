@@ -301,6 +301,14 @@ func TestIngestLifecycleOverHTTP(t *testing.T) {
 		t.Error("ingested event never surfaced in live recommendations")
 	}
 
+	// A live query is one observation of time inside the index, base
+	// search and delta scan together.
+	tas := s.metrics.taDuration.Count()
+	getJSON(t, srv, "/v1/partners/live?user=1&n=7", nil)
+	if got := s.metrics.taDuration.Count(); got != tas+1 {
+		t.Errorf("TA duration observations after one live query = %d, want %d", got, tas+1)
+	}
+
 	for _, path := range []string{"/v1/ingest", "/v1/compact"} {
 		resp := getJSON(t, srv, path, nil)
 		if resp.StatusCode != http.StatusMethodNotAllowed {

@@ -226,8 +226,9 @@ func (r *Recommender) PendingLiveEvents() int {
 	return r.taDelta.Events()
 }
 
-// PendingLivePairs returns the candidate pairs in the delta tier — the
-// per-query exhaustive-scan cost until the next compaction.
+// PendingLivePairs returns the candidate pairs in the delta tier: every
+// live query scans them all, at one add and one compare per pair, until
+// the next compaction.
 func (r *Recommender) PendingLivePairs() int {
 	if r.taDelta == nil {
 		return 0
