@@ -37,7 +37,7 @@
 // Per-query work splits into a shard-invariant prepass (the event
 // affinity panel, computed once and shared), per-shard work that shrinks
 // linearly with the shard count (the partner affinity panel, bound
-// heapify, and TA scan over roughly 1/N of the partners), and an O(n·N)
+// fill, and TA scan over roughly 1/N of the partners), and an O(n·N)
 // merge per lane. Wall-clock latency improves with shards only when
 // cores are free to run them; Stats.CriticalPath reports the prepass +
 // slowest shard + merge path — the latency an N-core box observes — next

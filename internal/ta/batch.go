@@ -11,11 +11,13 @@ import (
 // Batched queries share the expensive part of a top-n search — the
 // affinity passes over the packed event and partner rows — across B
 // users via the matrix-panel kernels (vecmath.DotPanel and its int8
-// twin). The bound-heap walk still runs per user: it is cheap relative
-// to the passes and inherently data-dependent — and it is the same walk
-// a single Search runs. Because DotPanel is bit-identical to repeated
-// Dot calls, a batched query returns exactly the results the same users
-// would get sequentially, tie ordering included.
+// twin). The threshold walk still runs per user — it is inherently
+// data-dependent, and it is the same walk a single Search runs. Its
+// fixed cost is one linear fill of the partner bounds; the rest scales
+// with the bounds it pops, a handful per query on the benchmark city.
+// Because DotPanel is bit-identical to repeated Dot calls, a batched
+// query returns exactly the results the same users would get
+// sequentially, tie ordering included.
 
 // BatchQuery describes one batched top-n request against a FastIndex.
 type BatchQuery struct {

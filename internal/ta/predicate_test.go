@@ -319,26 +319,11 @@ func slackBoundConstrainedAccesses(f *FastIndex, userVec []float32, n int, pred 
 			amax = v // unconstrained: the slack bound
 		}
 	}
-	bounds := make([]partnerBound, 0, len(set.Partners))
-	for u := range set.Partners {
-		if f.partnerStart[u] == f.partnerStart[u+1] {
-			continue
-		}
-		bounds = append(bounds, partnerBound{int32(u), b[u] + amax + f.maxCross[u]})
-	}
-	heapifyBounds(bounds)
 	var h resultHeap
 	sorted := 0
-	for len(bounds) > 0 {
-		top := bounds[0]
+	for _, top := range sortedBounds(f, b, amax) {
 		if len(h) == n && h[0].Score > top.bound {
 			break
-		}
-		last := len(bounds) - 1
-		bounds[0] = bounds[last]
-		bounds = bounds[:last]
-		if last > 0 {
-			siftDownBounds(bounds, 0)
 		}
 		sorted++
 		u := top.u

@@ -3,7 +3,7 @@ package ta
 import "sync"
 
 // Scratch owns every per-query buffer of the TA hot paths: the affinity
-// arrays and lazy bound heap of FastIndex, the rotated query, cursors
+// arrays and partner-bound queue of FastIndex, the rotated query, cursors
 // and epoch-stamped seen set of the Fagin Index, the result heaps, and
 // the reusable result slices Search and MergeTopN return. A
 // warmed Scratch makes steady-state queries allocation-free.
@@ -14,9 +14,9 @@ import "sync"
 // valid only until the Scratch's next use.
 type Scratch struct {
 	// FastIndex state.
-	a      []float32      // per-event affinity u·x
-	b      []float32      // per-partner affinity u·u'
-	bounds []partnerBound // lazy max-heap of partner score bounds
+	a     []float32  // per-event affinity u·x
+	b     []float32  // per-partner affinity u·u'
+	queue boundQueue // partner score bounds in canonical pop order
 
 	// Fagin Index state.
 	q       []float32 // rotated reduced query

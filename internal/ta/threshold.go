@@ -163,7 +163,7 @@ func sortInt32sByVal(ids []int32, vals []float32) {
 // the candidate pairs.
 type SearchStats struct {
 	// SortedAccesses counts positions consumed across all sorted lists
-	// (for FastIndex: partner bounds consumed from the lazy heap).
+	// (for FastIndex: partner bounds popped).
 	SortedAccesses int
 	// RandomAccesses counts full score computations (distinct candidates
 	// seen).

@@ -166,7 +166,7 @@ func NewMetrics(endpointNames ...string) *Metrics {
 	m.taQueries = m.reg.Counter("ebsn_serve_ta_queries_total",
 		"Joint event-partner queries answered by the TA index.")
 	m.taSorted = m.reg.Counter("ebsn_serve_ta_sorted_accesses_total",
-		"Sorted-list positions consumed across all TA queries.")
+		"Partner bounds popped across all TA queries.")
 	m.taRandom = m.reg.Counter("ebsn_serve_ta_random_accesses_total",
 		"Candidate scores materialized across all TA queries.")
 	m.taCandidates = m.reg.Counter("ebsn_serve_ta_candidates_total",
