@@ -5,9 +5,11 @@ import "fmt"
 // EnableQuantizedQueries packs int8 mirrors of the joint candidate
 // space and routes subsequent joint queries — single, batched,
 // constrained and the base tier of live ones — through the quantized
-// search path: approximate int8 affinity passes over 4x-smaller
-// candidate storage, with the top n·4 survivors re-ranked against the
-// exact float32 rows (see ta.PackQuantized). The quantized path is
+// search path: approximate int8 affinity passes over int8 mirrors of
+// the event and partner rows, with the top n·4 survivors re-ranked
+// against the exact float32 rows (see ta.PackQuantized). The mirrors are
+// memory added beside those rows, not saved, and the mode measured
+// slower than exact wherever it was timed. The quantized path is
 // approximate; its recall@10 against the exact ranking is gated ≥ 0.99
 // in CI. The mode belongs to the prepared engine: it requires one
 // (PrepareJoint / PrepareJointSharded / PrepareJointFromArtifact), a

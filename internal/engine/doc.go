@@ -26,9 +26,9 @@
 // SearchInto, SearchIntoPred and SearchBatch all run the same four
 // steps: one shared event-affinity panel, one ta.FastIndex.TopNBatch
 // call per shard over all lanes, one stats sum, and one canonical merge
-// per lane. A one-lane panel runs the same kernels as the scalar pass
-// and every lane runs the same walk as ta.FastIndex.Search, so a single
-// query's answer is bit-identical either way. Shards are in-process
+// per lane. A lane's panel row is bit-identical to a lone DotBatch and
+// every lane runs the same walk, so a query's answer does not depend on
+// the batch it rides in. Shards are in-process
 // structs sharing memory with the engine; there is no RPC-shaped seam,
 // and moving shards out of process would need a design of its own.
 //

@@ -50,7 +50,7 @@ type Engine struct {
 // with the scratch and read the query from its fields, so the fan-out
 // itself allocates nothing.
 type fanoutScratch struct {
-	prepass ta.BatchScratch // the shared event-affinity panel
+	prepass ta.Scratch // the shared event-affinity panel
 	runs    []shardRun
 	fns     []func()
 	wg      sync.WaitGroup

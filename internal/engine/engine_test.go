@@ -39,7 +39,8 @@ func monolithic(t *testing.T, events, partners [][]float32, topK int) *ta.FastIn
 // monoSearch answers one query from the unsharded reference index into
 // fresh storage.
 func monoSearch(f *ta.FastIndex, userVec []float32, n int, exclude int32, pred ta.EventPredicate) ([]ta.Result, ta.SearchStats) {
-	return f.Search(ta.Query{Vec: userVec, N: n, Exclude: exclude, Pred: pred}, new(ta.Scratch))
+	res, stats := f.TopNBatch(ta.BatchQuery{Users: [][]float32{userVec}, N: n, Exclude: []int32{exclude}, Pred: pred}, new(ta.Scratch))
+	return res[0], stats[0]
 }
 
 func assertBitIdentical(t *testing.T, label string, want, got []ta.Result) {

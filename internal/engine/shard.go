@@ -16,13 +16,13 @@ type shard struct {
 	lo, hi int32
 }
 
-// shardRun is one shard's side of a fan-out: its batch scratch, the
+// shardRun is one shard's side of a fan-out: its scratch, the
 // shard-local exclusions, and what the walk returned.
 type shardRun struct {
-	bsc   ta.BatchScratch
+	sc    ta.Scratch
 	excl  []int32
-	res   [][]ta.Result    // per lane, global partner IDs; aliases bsc
-	stats []ta.SearchStats // per lane; aliases bsc
+	res   [][]ta.Result    // per lane, global partner IDs; aliases sc
+	stats []ta.SearchStats // per lane; aliases sc
 	wall  time.Duration
 }
 
@@ -43,7 +43,7 @@ func (s *shard) search(q ta.BatchQuery, exclude []int32, r *shardRun) {
 		}
 		q.Exclude = r.excl
 	}
-	r.res, r.stats = s.idx.TopNBatch(q, &r.bsc)
+	r.res, r.stats = s.idx.TopNBatch(q, &r.sc)
 	for _, rs := range r.res {
 		for i := range rs {
 			rs[i].Partner += s.lo

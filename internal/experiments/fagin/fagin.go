@@ -1,34 +1,43 @@
-package ta
+// Package fagin is the literal Fagin Threshold Algorithm (Fagin, Lotem &
+// Naor, PODS 2001) over the paper's transformed space: per-dimension
+// sorted lists of the candidate points, read in decreasing contribution
+// until the threshold proves no unseen pair can enter the top n. It is
+// the Fagin-TA column of Table VI and nothing else: the server answers
+// every query with ta.FastIndex, which specializes the same contract to
+// the pair structure. Only internal/experiments imports this package.
+package fagin
 
 import (
 	"container/heap"
 	"time"
 
 	"ebsn/internal/isort"
+	"ebsn/internal/par"
+	"ebsn/internal/ta"
 )
 
 // Index is the TA search structure over a candidate set: per indexed
 // dimension, the candidate indices sorted by that coordinate. Building is
-// O(D·C·log C) offline (parallel across dimensions; see
-// NewIndexWorkers); queries then use Fagin's Threshold Algorithm, which
-// stops as soon as the running threshold proves no unseen candidate can
-// enter the top n.
+// O(D·C·log C) offline (parallel across dimensions; see New); queries
+// then use Fagin's Threshold Algorithm, which stops as soon as the
+// running threshold proves no unseen candidate can enter the top n.
 //
 // The index works in a reduced K+1-dimensional form of the paper's
 // transformation: since the query duplicates the user vector across the
 // first two blocks, u·x + u'·x + u·u' = u·(x+u') + x·u', so each pair is
 // indexed as p̃ = (x+u', x·u') with query q̃ = (u, 1). The scores are
 // identical to the paper's (2K+1)-dim formulation (see the space
-// transform property tests) while the threshold — a sum of per-dimension
-// maxima — is over half as many, strictly tighter, terms. That is what
-// makes TA touch the small candidate fractions Table VI reports.
+// transform property tests in internal/ta) while the threshold — a sum
+// of per-dimension maxima — is over half as many, strictly tighter,
+// terms. That is what makes TA touch the small candidate fractions
+// Table VI reports.
 //
 // Embeddings are signed, so the sorted lists are read from whichever end
 // yields decreasing contribution q_d·p_d for the query at hand: top-down
 // for q_d > 0, bottom-up for q_d < 0. The threshold remains a valid upper
 // bound either way.
 type Index struct {
-	set  *CandidateSet
+	set  *ta.CandidateSet
 	dims int
 	// rot is the (K+1)×(K+1) orthogonal rotation (column eigenvectors).
 	rot []float64
@@ -38,15 +47,11 @@ type Index struct {
 	sorted [][]int32
 }
 
-// NewIndex builds the per-dimension sorted lists using all available
-// CPUs. See NewIndexWorkers.
-func NewIndex(set *CandidateSet) *Index { return NewIndexWorkers(set, 0) }
-
-// NewIndexWorkers builds the per-dimension sorted lists with the given
-// parallelism (≤ 0 means GOMAXPROCS). Before sorting, the reduced
-// coordinates are rotated onto the principal axes of the candidate cloud
-// (a shared orthogonal rotation leaves every inner product, and hence
-// every score and threshold, unchanged). Learned embeddings are strongly
+// New builds the per-dimension sorted lists with the given parallelism
+// (≤ 0 means GOMAXPROCS). Before sorting, the reduced coordinates are
+// rotated onto the principal axes of the candidate cloud (a shared
+// orthogonal rotation leaves every inner product, and hence every score
+// and threshold, unchanged). Learned embeddings are strongly
 // anisotropic, so after rotation a handful of dimensions carry almost
 // all score variance and the TA threshold collapses after a short
 // prefix — the effect behind the paper's ~8% access fraction.
@@ -54,16 +59,16 @@ func NewIndex(set *CandidateSet) *Index { return NewIndexWorkers(set, 0) }
 // Extraction, rotation and sorting parallelize per dimension; the
 // second-moment accumulation parallelizes over fixed-size row blocks
 // merged in block order, so the estimated axes do not depend on the
-// worker count.
-func NewIndexWorkers(set *CandidateSet, workers int) *Index {
-	workers = resolveWorkers(workers)
+// worker count. Packs the set as a side effect.
+func New(set *ta.CandidateSet, workers int) *Index {
+	workers = par.Workers(workers)
 	set.Pack()
 	dims := set.K + 1
 	n := len(set.Pairs)
 
 	// Reduced coordinates per pair.
 	raw := make([][]float32, dims)
-	parallelFor(dims, workers, func(d int) {
+	par.For(dims, workers, func(d int) {
 		vals := make([]float32, n)
 		if d < set.K {
 			for i := 0; i < n; i++ {
@@ -88,12 +93,9 @@ func NewIndexWorkers(set *CandidateSet, workers int) *Index {
 	const momentBlock = 4096
 	nblocks := (samples + momentBlock - 1) / momentBlock
 	partial := make([][]float64, nblocks)
-	parallelFor(nblocks, workers, func(blk int) {
+	par.For(nblocks, workers, func(blk int) {
 		mom := make([]float64, dims*dims)
-		lo, hi := blk*momentBlock, (blk+1)*momentBlock
-		if hi > samples {
-			hi = samples
-		}
+		lo, hi := blk*momentBlock, min((blk+1)*momentBlock, samples)
 		for s := lo; s < hi; s++ {
 			i := s * stride
 			for a := 0; a < dims; a++ {
@@ -127,7 +129,7 @@ func NewIndexWorkers(set *CandidateSet, workers int) *Index {
 	}
 	// Rotate every pair's coordinate vector — vals'[d][i] =
 	// Σ_a evec[a*dims+d]·raw[a][i] — and sort, one dimension per task.
-	parallelFor(dims, workers, func(d int) {
+	par.For(dims, workers, func(d int) {
 		vals := make([]float32, n)
 		for a := 0; a < dims; a++ {
 			w := float32(evec[a*dims+d])
@@ -143,78 +145,47 @@ func NewIndexWorkers(set *CandidateSet, workers int) *Index {
 		for i := range ids {
 			ids[i] = int32(i)
 		}
-		sortInt32sByVal(ids, vals)
+		// The shared introsort: an adversarial ordering cannot push the
+		// build quadratic.
+		isort.SortAsc(ids, vals)
 		idx.vals[d] = vals
 		idx.sorted[d] = ids
 	})
 	return idx
 }
 
-// sortInt32sByVal sorts ids ascending by vals[id] with the shared
-// introsort (quicksort with a depth guard falling back to heapsort, so
-// an adversarial ordering cannot push the build quadratic).
-func sortInt32sByVal(ids []int32, vals []float32) {
-	// vals is indexed by candidate id.
-	isort.SortAsc(ids, vals)
-}
-
-// SearchStats reports how much work one TA query did — the instrument
-// behind the paper's observation that top-10 queries touch only ~8% of
-// the candidate pairs.
-type SearchStats struct {
-	// SortedAccesses counts positions consumed across all sorted lists
-	// (for FastIndex: partner bounds popped).
-	SortedAccesses int
-	// RandomAccesses counts full score computations (distinct candidates
-	// seen).
-	RandomAccesses int
-	// Candidates is the total pair count, for fractions.
-	Candidates int
-	// Elapsed is the wall-clock time the query spent inside the index,
-	// excluding scratch acquisition. Reading the monotonic clock twice
-	// costs ~50ns against a ~300µs query, so it is always on.
-	Elapsed time.Duration
-}
-
-// AccessFraction is the fraction of candidate pairs score-evaluated.
-func (s SearchStats) AccessFraction() float64 {
-	if s.Candidates == 0 {
-		return 0
-	}
-	return float64(s.RandomAccesses) / float64(s.Candidates)
+// Scratch owns one query's buffers: the rotated query, the cursors and
+// their heap, the epoch-stamped seen set and the result slice. A warmed
+// Scratch makes queries allocation-free. Not safe for concurrent use.
+type Scratch struct {
+	q       []float32
+	cursors []cursor
+	ch      cursorHeap
+	seen    []uint32 // epoch stamps per candidate (replaces a map)
+	epoch   uint32
+	top     []ta.Result
 }
 
 // TopN runs the Threshold Algorithm for the user vector and returns the
-// exact top-n candidates by joint score, descending.
-func (idx *Index) TopN(userVec []float32, n int) ([]Result, SearchStats) {
-	sc := GetScratch()
-	defer PutScratch(sc)
-	return idx.topN(userVec, n, sc, nil)
-}
-
-// TopNScratch is TopN with caller-managed scratch; the results alias sc
-// and are valid only until its next use.
-func (idx *Index) TopNScratch(userVec []float32, n int, sc *Scratch) ([]Result, SearchStats) {
-	res, stats := idx.topN(userVec, n, sc, sc.out[:0])
-	sc.out = res[:0]
-	return res, stats
-}
-
-func (idx *Index) topN(userVec []float32, n int, sc *Scratch, dst []Result) ([]Result, SearchStats) {
+// exact top-n candidates in canonical order (ta.Result.Outranks), with
+// SortedAccesses counting list positions consumed and RandomAccesses
+// the distinct candidates scored. The results alias sc and are valid
+// only until its next use.
+func (idx *Index) TopN(userVec []float32, n int, sc *Scratch) ([]ta.Result, ta.SearchStats) {
 	start := time.Now()
 	set := idx.set
 	nc := len(set.Pairs)
-	stats := SearchStats{Candidates: nc}
+	stats := ta.SearchStats{Candidates: nc}
 	if n <= 0 || nc == 0 {
 		return nil, stats
 	}
-	if n > nc {
-		n = nc
-	}
+	n = min(n, nc)
 	// Reduced query q̃ = (u, 1), rotated into the index basis.
 	dims := idx.dims
-	sc.q = resizeF32(sc.q, dims)
-	q := sc.q
+	if cap(sc.q) < dims {
+		sc.q = make([]float32, dims)
+	}
+	q := sc.q[:dims]
 	for d := 0; d < dims; d++ {
 		var acc float64
 		for a := 0; a < dims; a++ {
@@ -267,9 +238,8 @@ func (idx *Index) topN(userVec []float32, n int, sc *Scratch, dst []Result) ([]R
 
 	// The seen set is an epoch-stamped array: clearing between queries is
 	// an epoch bump, not an O(|C|) wipe or a fresh map.
-	sc.sizeSeen(nc)
-	h := &sc.results
-	*h = (*h)[:0]
+	sc.nextEpoch(nc)
+	top := sc.top[:0]
 
 	for ch.Len() > 0 {
 		i := ch.order[0] // dimension with the largest current bound
@@ -293,22 +263,54 @@ func (idx *Index) topN(userVec []float32, n int, sc *Scratch, dst []Result) ([]R
 			heap.Fix(ch, 0)
 		}
 
-		if !sc.markSeen(cand) {
+		if sc.seen[cand] != sc.epoch {
+			sc.seen[cand] = sc.epoch
 			stats.RandomAccesses++
-			r := Result{set.Pairs[cand].Event, set.Pairs[cand].Partner, set.Score(userVec, int(cand))}
-			if len(*h) < n {
-				h.push(r)
-			} else if r.Outranks((*h)[0]) {
-				h.replaceMin(r)
-			}
+			pair := set.Pairs[cand]
+			top = insert(top, ta.Result{Event: pair.Event, Partner: pair.Partner, Score: set.Score(userVec, int(cand))}, n)
 		}
 		// Threshold check: no unseen candidate can beat τ.
-		if len(*h) == n && float64((*h)[0].Score) >= tau-1e-6 {
+		if len(top) == n && float64(top[n-1].Score) >= tau-1e-6 {
 			break
 		}
 	}
+	sc.top = top
 	stats.Elapsed = time.Since(start)
-	return h.drainDescending(dst), stats
+	return top, stats
+}
+
+// insert adds r to top — canonical order, at most n entries — by
+// shifting, dropping the n-th entry when r outranks it.
+func insert(top []ta.Result, r ta.Result, n int) []ta.Result {
+	if len(top) == n {
+		if !r.Outranks(top[n-1]) {
+			return top
+		}
+		top = top[:n-1]
+	}
+	j := len(top)
+	top = append(top, r)
+	for ; j > 0 && r.Outranks(top[j-1]); j-- {
+		top[j] = top[j-1]
+	}
+	top[j] = r
+	return top
+}
+
+// nextEpoch prepares the seen set for a query over n candidates: the
+// array is grown (zeroed by the runtime) when too small, and the epoch
+// is bumped so prior stamps expire without a clear. On the rare epoch
+// wraparound the array is cleared once.
+func (sc *Scratch) nextEpoch(n int) {
+	if len(sc.seen) < n {
+		sc.seen = make([]uint32, n)
+		sc.epoch = 0
+	}
+	sc.epoch++
+	if sc.epoch == 0 {
+		clear(sc.seen)
+		sc.epoch = 1
+	}
 }
 
 // cursor walks one dimension's sorted list from the end that maximizes

@@ -1,4 +1,4 @@
-package ta
+package fagin
 
 import "math"
 

@@ -7,6 +7,7 @@ import (
 	"ebsn/internal/core"
 	"ebsn/internal/ebsnet"
 	"ebsn/internal/eval"
+	"ebsn/internal/experiments/fagin"
 	"ebsn/internal/ta"
 )
 
@@ -236,10 +237,12 @@ func Tab6(env *Env, opts Options, numQueries int) (*Table, error) {
 	// The literal Fagin index stores K+1 sorted lists plus coordinates —
 	// ~0.5 KB per pair at K=60 — so it is only built when it fits
 	// comfortably; the comparison column reads "-" otherwise.
-	var fagin *ta.Index
+	var faginIdx *fagin.Index
 	if len(set.Pairs) <= 2_000_000 {
-		fagin = ta.NewIndex(set)
+		faginIdx = fagin.New(set, 0)
 	}
+	var sc ta.Scratch
+	var fsc fagin.Scratch
 
 	t := &Table{
 		Title: fmt.Sprintf("Table VI: online recommendation efficiency (%s, %d pairs, %d queries)",
@@ -252,23 +255,23 @@ func Tab6(env *Env, opts Options, numQueries int) (*Table, error) {
 		for _, u := range setup.queries {
 			uv := setup.model.UserVec(u)
 			start := time.Now()
-			_, stats := fast.TopN(uv, n)
+			_, stats := fast.TopNBatch(ta.BatchQuery{Users: [][]float32{uv}, N: n}, &sc)
 			taDur += time.Since(start)
-			frac += stats.AccessFraction()
+			frac += stats[0].AccessFraction()
 
 			start = time.Now()
 			set.BruteForceTopN(uv, n)
 			bfDur += time.Since(start)
 
-			if fagin != nil {
+			if faginIdx != nil {
 				start = time.Now()
-				fagin.TopN(uv, n)
+				faginIdx.TopN(uv, n, &fsc)
 				faginDur += time.Since(start)
 			}
 		}
 		q := len(setup.queries)
 		faginCell := "-"
-		if fagin != nil {
+		if faginIdx != nil {
 			faginCell = (faginDur / time.Duration(q)).Round(time.Microsecond).String()
 		}
 		t.AddRow(fmt.Sprintf("%d", n),
@@ -318,12 +321,14 @@ func Fig7(env *Env, opts Options, numQueries int) (*Table, error) {
 			return nil, err
 		}
 		idx := ta.NewFastIndex(set)
+		var sc ta.Scratch
 		var taDur, bfDur time.Duration
 		var overlap, total int
 		for i, u := range setup.queries {
 			uv := setup.model.UserVec(u)
 			start := time.Now()
-			res, _ := idx.TopN(uv, topN)
+			lanes, _ := idx.TopNBatch(ta.BatchQuery{Users: [][]float32{uv}, N: topN}, &sc)
+			res := lanes[0]
 			taDur += time.Since(start)
 			start = time.Now()
 			set.BruteForceTopN(uv, topN)

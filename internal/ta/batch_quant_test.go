@@ -17,8 +17,8 @@ func TestTopNBatchBitIdenticalToSequential(t *testing.T) {
 	src := rng.New(517)
 	sc := GetScratch()
 	defer PutScratch(sc)
-	bsc := GetBatchScratch()
-	defer PutBatchScratch(bsc)
+	bsc := GetScratch()
+	defer PutScratch(bsc)
 	shapes := []struct {
 		nx, nu, k, topK int
 	}{
@@ -66,8 +66,8 @@ func TestTopNBatchTieOrdering(t *testing.T) {
 	f := NewFastIndex(cs)
 	sc := GetScratch()
 	defer PutScratch(sc)
-	bsc := GetBatchScratch()
-	defer PutBatchScratch(bsc)
+	bsc := GetScratch()
+	defer PutScratch(bsc)
 
 	users := randomVecs(src, 6, k, true)
 	// Identical queries across lanes also force cross-lane determinism.
@@ -107,10 +107,10 @@ func TestTopNBatchPrecomputedAff(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := NewFastIndex(cs)
-	bsc := GetBatchScratch()
-	defer PutBatchScratch(bsc)
-	affBsc := GetBatchScratch()
-	defer PutBatchScratch(affBsc)
+	bsc := GetScratch()
+	defer PutScratch(bsc)
+	affBsc := GetScratch()
+	defer PutScratch(affBsc)
 
 	for _, quantized := range []bool{false, true} {
 		if quantized {
@@ -146,8 +146,8 @@ func TestQuantizedMatchesBatchQuantized(t *testing.T) {
 	f := NewFastIndex(cs)
 	sc := GetScratch()
 	defer PutScratch(sc)
-	bsc := GetBatchScratch()
-	defer PutBatchScratch(bsc)
+	bsc := GetScratch()
+	defer PutScratch(bsc)
 
 	users := randomVecs(src, 9, k, true)
 	exclude := make([]int32, len(users))
@@ -253,8 +253,10 @@ func TestQuantizedRecallGate(t *testing.T) {
 	}
 }
 
-// TestTopNBatchSteadyStateAllocs checks that a warmed batch scratch
-// makes batched queries — exact and quantized — allocation-free.
+// TestTopNBatchSteadyStateAllocs checks that a warmed Scratch makes
+// every query on it allocation-free: batches, exact and quantized; the
+// three positional one-lane spellings; and a live query, whose
+// Delta.MergeTopN runs on the scratch its base lane just used.
 func TestTopNBatchSteadyStateAllocs(t *testing.T) {
 	src := rng.New(523)
 	const k = 16
@@ -266,8 +268,8 @@ func TestTopNBatchSteadyStateAllocs(t *testing.T) {
 	}
 	cs.PackQuantized()
 	f := NewFastIndex(cs)
-	bsc := GetBatchScratch()
-	defer PutBatchScratch(bsc)
+	bsc := GetScratch()
+	defer PutScratch(bsc)
 	users := randomVecs(src, 8, k, true)
 
 	for _, quantized := range []bool{false, true} {
@@ -276,6 +278,32 @@ func TestTopNBatchSteadyStateAllocs(t *testing.T) {
 		allocs := testing.AllocsPerRun(50, func() { f.TopNBatch(q, bsc) })
 		if allocs != 0 {
 			t.Errorf("quantized=%v: %v allocs per warmed batch, want 0", quantized, allocs)
+		}
+	}
+
+	pred := stridePred(len(events), 3)
+	d := NewDeltaForSet(cs, 10)
+	if err := d.AddEvents(randomVecs(src, 6, k, true)); err != nil {
+		t.Fatal(err)
+	}
+	var stats SearchStats
+	for _, c := range []struct {
+		name string
+		run  func(i int)
+	}{
+		{"TopNExcludingScratch", func(i int) { f.TopNExcludingScratch(users[i%8], 10, int32(i), bsc) }},
+		{"TopNExcludingPredScratch", func(i int) { f.TopNExcludingPredScratch(users[i%8], 10, int32(i), pred, bsc) }},
+		{"TopNExcludingQuantizedScratch", func(i int) { f.TopNExcludingQuantizedScratch(users[i%8], 10, int32(i), bsc) }},
+		{"TopNBatch+MergeTopN", func(i int) {
+			res, _ := f.TopNBatch(BatchQuery{Users: users, N: 10}, bsc)
+			d.MergeTopN(res[i%8], len(cs.Events), users[i%8], 10, -1, bsc, &stats)
+		}},
+	} {
+		c.run(0) // warm the buffers
+		i := 0
+		allocs := testing.AllocsPerRun(50, func() { i++; c.run(i) })
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs per warmed query, want 0", c.name, allocs)
 		}
 	}
 }
@@ -304,8 +332,8 @@ func BenchmarkTopNBatch(b *testing.B) {
 
 	run := func(name string, f *FastIndex, nb int, quantized bool) {
 		b.Run(name+"/b="+strconv.Itoa(nb), func(b *testing.B) {
-			bsc := GetBatchScratch()
-			defer PutBatchScratch(bsc)
+			bsc := GetScratch()
+			defer PutScratch(bsc)
 			users := make([][]float32, nb)
 			q := BatchQuery{Users: users, N: 10, Quantized: quantized}
 			fill := func(i int) {

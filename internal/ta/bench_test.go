@@ -94,23 +94,6 @@ func BenchmarkSearchPred(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexTopN measures the generic Fagin index hot path with
-// caller-managed scratch.
-func BenchmarkIndexTopN(b *testing.B) {
-	cs := benchSet(b)
-	idx := NewIndex(cs)
-	src := rng.New(94)
-	queries := randomVecs(src, 64, 60, true)
-	sc := GetScratch()
-	defer PutScratch(sc)
-	idx.TopNScratch(queries[0], 10, sc)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx.TopNScratch(queries[i%len(queries)], 10, sc)
-	}
-}
-
 // benchWorkerCounts covers the serial baseline and the machine's full
 // parallelism (plus an intermediate point when there is one).
 func benchWorkerCounts() []int {
@@ -151,19 +134,6 @@ func BenchmarkNewFastIndex(b *testing.B) {
 		b.Run("workers="+strconv.Itoa(w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				NewFastIndexWorkers(cs, w)
-			}
-		})
-	}
-}
-
-// BenchmarkNewIndex measures the Fagin index build (rotation + per-
-// dimension sorts) across worker counts.
-func BenchmarkNewIndex(b *testing.B) {
-	cs := benchSet(b)
-	for _, w := range benchWorkerCounts() {
-		b.Run("workers="+strconv.Itoa(w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				NewIndexWorkers(cs, w)
 			}
 		})
 	}

@@ -74,7 +74,7 @@ func TestBoundQueuePopsCanonically(t *testing.T) {
 	}
 }
 
-// referenceWalk is Search with the bound queue replaced by a full
+// referenceWalk is a lane with the bound queue replaced by a full
 // canonical sort of every bound (sortedBounds) and the same strict stop:
 // it scores partners in that order until the weakest of the keep
 // survivors beats the next bound, re-scores the survivors exactly when
@@ -83,9 +83,8 @@ func TestBoundQueuePopsCanonically(t *testing.T) {
 func referenceWalk(f *FastIndex, q Query) ([]Result, SearchStats, []int32) {
 	set := f.set
 	stats := SearchStats{Candidates: len(set.Pairs)}
-	sc := new(Scratch)
-	a := set.affinities(q.Vec, eventSide, q.Quantized, nil, sc)
-	b := set.affinities(q.Vec, partnerSide, q.Quantized, nil, sc)
+	a := set.affinities(q.Vec, eventSide, q.Quantized)
+	b := set.affinities(q.Vec, partnerSide, q.Quantized)
 	var amax float32
 	allowed := false
 	for x, v := range a {

@@ -53,20 +53,22 @@ func (d *twoTier) Rebuild() {
 	d.delta.Advance(v)
 }
 
+// TestDynamicMatchesStaticBeforeAdds checks that a two-tier index with
+// an empty delta answers exactly what brute force over the base does:
+// the same pairs, in the same order, with the same score bits.
 func TestDynamicMatchesStaticBeforeAdds(t *testing.T) {
 	cs := buildSmallSet(t, 41, 30, 20, 6, 0, true)
-	idx := NewIndex(cs)
 	dyn := newTwoTier(cs, 0)
 	src := rng.New(42)
 	u := randomVecs(src, 1, 6, true)[0]
-	static, _ := idx.TopN(u, 8)
+	static := cs.BruteForceTopN(u, 8)
 	dynamic, _ := dyn.TopN(u, 8)
 	if len(static) != len(dynamic) {
 		t.Fatalf("result counts differ: %d vs %d", len(static), len(dynamic))
 	}
 	for i := range static {
-		if !approxEqual(static[i].Score, dynamic[i].Score) {
-			t.Fatalf("rank %d: %v vs %v", i, static[i].Score, dynamic[i].Score)
+		if static[i] != dynamic[i].Result {
+			t.Fatalf("rank %d: %+v vs %+v", i, static[i], dynamic[i].Result)
 		}
 		if dynamic[i].FromDelta {
 			t.Fatal("phantom delta result")

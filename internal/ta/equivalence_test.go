@@ -109,10 +109,10 @@ func resultsBitIdentical(t *testing.T, want, got []Result) {
 	}
 }
 
-// TestTopNExcludingBitIdenticalToReference checks that the pooled-
-// scratch query path — packed DotBatch affinities, lazy bound heap,
-// reused result buffers — returns results bit-identical to the
-// pre-pool implementation across randomized candidate sets, query
+// TestTopNExcludingBitIdenticalToReference checks that the lane path —
+// one-lane panel affinities, blocked bound queue, reused scratch
+// buffers — returns results bit-identical to the pre-pool
+// implementation across randomized candidate sets, query
 // vectors, result sizes, and exclusions. One scratch is reused across
 // every query to also exercise warm-buffer reuse.
 func TestTopNExcludingBitIdenticalToReference(t *testing.T) {

@@ -2,22 +2,24 @@ package ta
 
 import (
 	"math"
-	"slices"
 	"time"
 
+	"ebsn/internal/par"
 	"ebsn/internal/vecmath"
 )
 
-// FastIndex is the production top-n engine for the transformed space. The
-// generic Fagin TA of Index treats the 2K+1 coordinates as opaque lists,
-// which on dense signed embeddings degenerates (fat-tailed spectra keep
-// the threshold high; see EXPERIMENTS.md). FastIndex instead exploits the
-// product structure the transformation creates:
+// FastIndex is the production top-n engine for the transformed space.
+// The literal Fagin TA (internal/experiments/fagin) treats the 2K+1
+// coordinates as opaque sorted lists, which on dense signed embeddings
+// degenerates (fat-tailed spectra keep the threshold high; see
+// EXPERIMENTS.md). FastIndex instead exploits the product structure the
+// transformation creates:
 //
 //	score(u; x, u') = u·x + u·u' + x·u' = a(x) + b(u') + cross(x, u')
 //
 // a and b are computed once per query in (|X|+|U|)·K flops — streamed
-// over the set's packed row-major storage with vecmath.DotBatch; cross is
+// over the set's packed row-major storage as one lane of a
+// vecmath.DotPanel pass (TopNBatch); cross is
 // precomputed per pair at build time. Candidates are grouped by partner,
 // each partner u' carries the offline bound maxCross(u') over its own
 // candidate events, and the query consumes partners in decreasing
@@ -32,7 +34,7 @@ import (
 // pays for the partners it consumes, not for ordering all |U|. On the
 // benchmark city (11 890 partners) the stop fires after 7.8 pops on
 // average, with p99 ≤ 65 across the exact, constrained and quantized
-// walks. This is the same threshold-algorithm contract as Index (sorted
+// walks. This is the threshold-algorithm contract of Fagin's TA (sorted
 // access by bound, cheap random access, early termination, exact
 // results), specialized to the pair structure. Even a full scan costs
 // one addition per pair instead of one K-dim dot product, so it
@@ -65,7 +67,7 @@ func NewFastIndex(set *CandidateSet) *FastIndex { return NewFastIndexWorkers(set
 // output is identical to the serial build. Packs the set as a side
 // effect.
 func NewFastIndexWorkers(set *CandidateSet, workers int) *FastIndex {
-	workers = resolveWorkers(workers)
+	workers = par.Workers(workers)
 	set.Pack()
 	nu := len(set.Partners)
 	np := len(set.Pairs)
@@ -89,7 +91,7 @@ func NewFastIndexWorkers(set *CandidateSet, workers int) *FastIndex {
 	for lo := 0; lo < np; lo += chunk {
 		counts = append(counts, make([]int32, nu))
 	}
-	parallelFor(len(counts), workers, func(c int) {
+	par.For(len(counts), workers, func(c int) {
 		lo := c * chunk
 		hi := lo + chunk
 		if hi > np {
@@ -115,7 +117,7 @@ func NewFastIndexWorkers(set *CandidateSet, workers int) *FastIndex {
 	f.partnerStart[nu] = run
 
 	// Placement: each chunk fills its own slots.
-	parallelFor(len(counts), workers, func(c int) {
+	par.For(len(counts), workers, func(c int) {
 		lo := c * chunk
 		hi := lo + chunk
 		if hi > np {
@@ -130,7 +132,7 @@ func NewFastIndexWorkers(set *CandidateSet, workers int) *FastIndex {
 	})
 
 	// Offline per-partner cross-term bounds.
-	parallelChunks(nu, workers, func(lo, hi int) {
+	par.Chunks(nu, workers, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
 			s, e := f.partnerStart[u], f.partnerStart[u+1]
 			if s == e {
@@ -149,90 +151,63 @@ func NewFastIndexWorkers(set *CandidateSet, workers int) *FastIndex {
 	return f
 }
 
-// Query is one top-n search against a FastIndex: the fields are the
-// whole difference between the exact, constrained and quantized variants
-// of the same walk. Scores are exact float32 in every case; a Quantized
-// query is approximate only in which pairs survive to be scored (see
-// quant.go).
-type Query struct {
-	// Vec is the querying user's embedding (length K).
-	Vec []float32
-	// N is the number of results wanted.
-	N int
-	// Exclude is one partner to leave out of the results — the serving
-	// path excludes the querying user, whose self-pairs would otherwise
-	// crowd the top of the list (u·u is a squared norm and u's own
-	// candidate events score u·x twice). Negative excludes no one; note
-	// the zero value excludes partner 0.
-	Exclude int32
-	// Pred optionally restricts results to predicate-allowed events (see
-	// EventPredicate). Nil means unrestricted.
-	Pred EventPredicate
-	// Quantized runs the affinity passes over the int8 mirrors and
-	// re-ranks the survivors exactly; the set must have been packed with
-	// PackQuantized.
-	Quantized bool
+// lane answers one query as a one-lane TopNBatch. Its user row and
+// exclude are loaded into sc, so a warm call allocates nothing; the
+// results alias sc.
+func (f *FastIndex) lane(userVec []float32, n int, exclude int32, pred EventPredicate, quantized bool, sc *Scratch) ([]Result, SearchStats) {
+	sc.user[0], sc.excl[0] = userVec, exclude
+	res, stats := f.TopNBatch(BatchQuery{Users: sc.user[:], N: n, Exclude: sc.excl[:], Pred: pred, Quantized: quantized}, sc)
+	sc.user[0] = nil
+	return res[0], stats[0]
 }
 
-// Search answers q: the top-n pairs in canonical order (Result.Outranks)
-// with access statistics. RandomAccesses counts exactly the pairs whose
-// score was materialized; SortedAccesses counts the partner bounds
-// popped. Every per-query buffer, including the returned slice, comes
-// from sc, so a warmed scratch makes the query allocation-free; the
-// results alias sc and are valid only until its next use. Fewer than n
-// results come back when fewer non-excluded, predicate-allowed pairs
-// exist.
-func (f *FastIndex) Search(q Query, sc *Scratch) ([]Result, SearchStats) {
-	start := time.Now()
-	set := f.set
-	set.checkQuery(q.Pred, q.Quantized)
-	stats := SearchStats{Candidates: len(set.Pairs)}
-	n := min(q.N, len(set.Pairs))
-	if n <= 0 {
-		return nil, stats
-	}
-	// Per-query event and partner affinities, streamed over the packed
-	// rows.
-	sc.a = set.affinities(q.Vec, eventSide, q.Quantized, sc.a, sc)
-	sc.b = set.affinities(q.Vec, partnerSide, q.Quantized, sc.b, sc)
-	res := f.walk(q.Vec, sc.a, sc.b, n, q.Exclude, q.Pred, q.Quantized, sc, &stats, sc.out[:0])
-	sc.out = res[:0]
-	stats.Elapsed = time.Since(start)
-	return res, stats
-}
-
-// TopN is Search for callers without a scratch: the exact unconstrained
-// top n with no partner excluded, in a freshly allocated slice.
-func (f *FastIndex) TopN(userVec []float32, n int) ([]Result, SearchStats) {
-	sc := GetScratch()
-	defer PutScratch(sc)
-	res, stats := f.Search(Query{Vec: userVec, N: n, Exclude: -1}, sc)
-	return slices.Clone(res), stats
-}
-
-// TopNExcludingScratch is the exact unconstrained Search. It and the two
-// names below are positional spellings the benchmark harness compiles
-// against; new callers build a Query.
+// TopNExcludingScratch is the exact unconstrained lane. It and the two
+// names below remain only because the benchmark harness names them; new
+// callers run TopNBatch.
 func (f *FastIndex) TopNExcludingScratch(userVec []float32, n int, exclude int32, sc *Scratch) ([]Result, SearchStats) {
-	return f.Search(Query{Vec: userVec, N: n, Exclude: exclude}, sc)
+	return f.lane(userVec, n, exclude, nil, false, sc)
 }
 
-// TopNExcludingPredScratch is the exact Search under a predicate.
+// TopNExcludingPredScratch is the exact lane under a predicate.
 func (f *FastIndex) TopNExcludingPredScratch(userVec []float32, n int, exclude int32, pred EventPredicate, sc *Scratch) ([]Result, SearchStats) {
-	return f.Search(Query{Vec: userVec, N: n, Exclude: exclude, Pred: pred}, sc)
+	return f.lane(userVec, n, exclude, pred, false, sc)
 }
 
-// TopNExcludingQuantizedScratch is the unconstrained Quantized Search.
+// TopNExcludingQuantizedScratch is the unconstrained quantized lane.
 func (f *FastIndex) TopNExcludingQuantizedScratch(userVec []float32, n int, exclude int32, sc *Scratch) ([]Result, SearchStats) {
-	return f.Search(Query{Vec: userVec, N: n, Exclude: exclude, Quantized: true}, sc)
+	return f.lane(userVec, n, exclude, nil, true, sc)
+}
+
+// SearchStats reports how much work one query did — the instrument
+// behind the paper's observation that top-10 queries touch only ~8% of
+// the candidate pairs.
+type SearchStats struct {
+	// SortedAccesses counts the partner bounds the walk popped.
+	SortedAccesses int
+	// RandomAccesses counts the pairs whose score was materialized.
+	RandomAccesses int
+	// Candidates is the total pair count, for fractions.
+	Candidates int
+	// Elapsed is the wall-clock time the query spent inside the index,
+	// excluding scratch acquisition. Reading the monotonic clock twice
+	// costs ~50ns against a ~300µs query, so it is always on.
+	Elapsed time.Duration
+}
+
+// AccessFraction is the fraction of candidate pairs score-evaluated.
+func (s SearchStats) AccessFraction() float64 {
+	if s.Candidates == 0 {
+		return 0
+	}
+	return float64(s.RandomAccesses) / float64(s.Candidates)
 }
 
 // walk runs the threshold walk over precomputed affinities — a[x] per
 // event, b[u] per partner — and drains the top n into dst in canonical
-// order; stats accumulates the access counts. It is the core of Search
-// and of every TopNBatch lane: both hand it affinities produced by the
-// same accumulation order (DotBatch and DotPanel are bit-identical), so
-// batched results match sequential ones bit for bit, ties included.
+// order; stats accumulates the access counts. It is the core of every
+// TopNBatch lane: DotPanel gives every lane the accumulation order of a
+// lone DotBatch, so a lane's results do not depend on the batch width,
+// bit for bit, ties included.
 //
 // pred, when non-nil, is pushed into the walk: amax ranges over allowed
 // events only — so every partner bound is at most its unconstrained

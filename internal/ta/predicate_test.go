@@ -250,8 +250,8 @@ func TestPredicateBatch(t *testing.T) {
 	src := rng.New(92)
 	sc := GetScratch()
 	defer PutScratch(sc)
-	bsc := GetBatchScratch()
-	defer PutBatchScratch(bsc)
+	bsc := GetScratch()
+	defer PutScratch(bsc)
 	users := randomVecs(src, 6, 8, true)
 	pred := randomPred(src, 30, 0.25)
 	res, _ := f.TopNBatch(BatchQuery{Users: users, N: 8, Pred: pred}, bsc)

@@ -15,9 +15,9 @@ package ta
 const quantOverfetch = 4
 
 // scaleWidened reconstructs approximate affinities from widened integer
-// dots: dst[i] = (qscale·scales[i])·float32(v[i]). Every quantized path
-// — single-query, batched, engine prepass — shares this helper so their
-// approximate scores are bit-identical to each other.
+// dots: dst[i] = (qscale·scales[i])·float32(v[i]). Both quantized
+// panels — the event panel the engine's prepass shares and the partner
+// panel of every TopNBatch — go through it.
 func scaleWidened(qscale float32, scales []float32, v []int32, dst []float32) {
 	for i := range dst {
 		dst[i] = (qscale * scales[i]) * float32(v[i])

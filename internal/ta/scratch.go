@@ -2,71 +2,50 @@ package ta
 
 import "sync"
 
-// Scratch owns every per-query buffer of the TA hot paths: the affinity
-// arrays and partner-bound queue of FastIndex, the rotated query, cursors
-// and epoch-stamped seen set of the Fagin Index, the result heaps, and
-// the reusable result slices Search and MergeTopN return. A
-// warmed Scratch makes steady-state queries allocation-free.
+// Scratch owns every per-query buffer of the TA hot paths: the packed
+// query panel and affinity panels of TopNBatch, the walk's partner-bound
+// queue and heaps, the delta scan's affinities, and the result slices
+// TopNBatch and Delta.MergeTopN return. A warmed Scratch makes
+// steady-state queries allocation-free.
 //
 // A Scratch is not safe for concurrent use; take one per query from
 // GetScratch (a sync.Pool) and return it with PutScratch. Results
 // returned by queries that take a Scratch alias its buffers and are
 // valid only until the Scratch's next use.
 type Scratch struct {
-	// FastIndex state.
-	a     []float32  // per-event affinity u·x
-	b     []float32  // per-partner affinity u·u'
-	queue boundQueue // partner score bounds in canonical pop order
+	// Panel state: the packed b×K query panel, its quantized mirror and
+	// per-query scales, the event (b×|X|) and partner (b×|U|) affinity
+	// panels, and the widening dot results of the quantized panels.
+	qs     []float32
+	q8     []int8
+	qscale []float32
+	aff    []float32
+	bp     []float32
+	i32    []int32
 
-	// Fagin Index state.
-	q       []float32 // rotated reduced query
-	cursors []cursor
-	ch      cursorHeap
-	seen    []uint32 // epoch stamps per candidate (replaces a map)
-	epoch   uint32
-
-	// Quantized query state: the int8-quantized query and its widening
-	// dot results.
-	q8  []int8
-	i32 []int32
+	// Walk state, reused across a batch's lanes: the partner bounds in
+	// canonical pop order, the walk's survivor heap, and the top-n heap
+	// it is drained through.
+	queue   boundQueue
+	cands   candHeap
+	results resultHeap
 
 	// Delta scan state (Delta.MergeTopN): u·x per delta event and u·u'
 	// per distinct delta partner.
 	deltaA []float32
 	deltaB []float32
 
-	// Shared result state: the walk's survivor heap, the top-n heap it
-	// is drained through, and the output slices.
-	cands   candHeap
-	results resultHeap
-	out     []Result
-	dout    []DynamicResult
-}
+	// Outputs: the backing array of every lane's results, the per-lane
+	// views and stats, and the merged live results.
+	out   []Result
+	res   [][]Result
+	stats []SearchStats
+	dout  []DynamicResult
 
-// markSeen reports whether candidate c was already stamped this query,
-// stamping it if not. sizeSeen must have been called for the query.
-func (sc *Scratch) markSeen(c int32) bool {
-	if sc.seen[c] == sc.epoch {
-		return true
-	}
-	sc.seen[c] = sc.epoch
-	return false
-}
-
-// sizeSeen prepares the epoch-stamped seen set for a query over n
-// candidates: the array is grown (zeroed by the runtime) when too small,
-// and the epoch is bumped so prior stamps expire without a clear. On the
-// rare epoch wraparound the array is cleared once.
-func (sc *Scratch) sizeSeen(n int) {
-	if len(sc.seen) < n {
-		sc.seen = make([]uint32, n)
-		sc.epoch = 0
-	}
-	sc.epoch++
-	if sc.epoch == 0 {
-		clear(sc.seen)
-		sc.epoch = 1
-	}
+	// A one-lane query's user row and exclude (see lane), held here so
+	// loading the lane allocates nothing.
+	user [1][]float32
+	excl [1]int32
 }
 
 // resizeF32 returns buf grown to length n, reusing capacity. Contents
@@ -98,3 +77,11 @@ func PutScratch(sc *Scratch) {
 		scratchPool.Put(sc)
 	}
 }
+
+// GetBatchScratch is GetScratch. It remains only because the benchmark
+// harness names it.
+func GetBatchScratch() *Scratch { return GetScratch() }
+
+// PutBatchScratch is PutScratch. It remains only because the benchmark
+// harness names it.
+func PutBatchScratch(sc *Scratch) { PutScratch(sc) }

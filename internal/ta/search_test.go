@@ -103,9 +103,9 @@ func TestSearchQueryTable(t *testing.T) {
 	const nq, n = 16, 10
 	sc := GetScratch()
 	defer PutScratch(sc)
-	bsc, pbsc := GetBatchScratch(), GetBatchScratch()
-	defer PutBatchScratch(bsc)
-	defer PutBatchScratch(pbsc)
+	bsc, pbsc := GetScratch(), GetScratch()
+	defer PutScratch(bsc)
+	defer PutScratch(pbsc)
 
 	for _, fx := range fixtures {
 		set := fx.set

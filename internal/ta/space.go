@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"ebsn/internal/par"
 	"ebsn/internal/vecmath"
 )
 
@@ -87,10 +88,11 @@ func packRows(rows [][]float32, k int, prev []float32) []float32 {
 // PackQuantized builds the int8-quantized mirrors of the packed rows:
 // each event and partner row is quantized symmetrically with its own
 // scale (vecmath.QuantizeRow), so row i reconstructs as
-// scale[i]·float32(q[i*K+j]). Candidate storage for the approximate
-// walk drops to a quarter of the float32 footprint; the exact rows stay
-// resident for re-ranking. Calls Pack first, so it subsumes it; like
-// Pack it must not run concurrently with queries.
+// scale[i]·float32(q[i*K+j]). The mirrors sit beside the float32 rows,
+// which stay resident for the exact re-rank, and Pairs and Cross are not
+// quantized: the mode adds a quarter of the row storage, it saves none.
+// Calls Pack first, so it subsumes it; like Pack it must not run
+// concurrently with queries.
 func (c *CandidateSet) PackQuantized() {
 	if c.mapped && c.quantized {
 		// Artifact-decoded mirrors are already current, and recomputing
@@ -131,26 +133,6 @@ func (c *CandidateSet) side(partners bool) (rows int, data []float32, q8 []int8,
 		return len(c.Partners), c.partnerData, c.partnerQ, c.partnerScale
 	}
 	return len(c.Events), c.eventData, c.eventQ, c.eventScale
-}
-
-// affinities fills dst (grown as needed) with userVec·row for every row
-// of one side of the space: streamed over the packed float32 rows, or —
-// quantized — reconstructed from the widening int8 dot and the per-row
-// scales. It is Search's affinity pass; TopNBatch and the engine's
-// shared prepass run its panel form.
-func (c *CandidateSet) affinities(userVec []float32, partners, quantized bool, dst []float32, sc *Scratch) []float32 {
-	rows, data, q8, scale := c.side(partners)
-	dst = resizeF32(dst, rows)
-	if !quantized {
-		vecmath.DotBatch(userVec, data, c.K, dst)
-		return dst
-	}
-	sc.q8 = resizeSlice(sc.q8, c.K)
-	qscale := vecmath.QuantizeRow(userVec, sc.q8)
-	sc.i32 = resizeSlice(sc.i32, rows)
-	vecmath.DotBatchI8(sc.q8, q8, c.K, sc.i32)
-	scaleWidened(qscale, scale, sc.i32, dst)
-	return dst
 }
 
 // Point materializes the transformed point of pair i (mostly for tests).
@@ -236,7 +218,7 @@ func BuildCandidates(events, partners [][]float32, cfg BuildConfig) (*CandidateS
 	if workers < 1 {
 		workers = 1
 	}
-	parallelChunks(len(partners), workers, func(lo, hi int) {
+	par.Chunks(len(partners), workers, func(lo, hi int) {
 		scores := make([]float32, len(events))
 		heap := make([]eventScore, 0, per)
 		ids := make([]int32, per)

@@ -296,7 +296,12 @@ func TestHitWaitsForNobody(t *testing.T) {
 		if status, body := serveDirect(s, warm); status != http.StatusOK || body != seeded {
 			t.Fatalf("hit = %d %q, want 200 and the cached bytes", status, body)
 		}
-		if status, _ := serveDirect(s, cold); status != http.StatusServiceUnavailable {
+		// The miss runs behind the write lock, so its compute stage
+		// cannot finish before the 1ns deadline fires.
+		s.mu.Lock()
+		status, _ := serveDirect(s, cold)
+		s.mu.Unlock()
+		if status != http.StatusServiceUnavailable {
 			t.Fatalf("miss = %d, want 503", status)
 		}
 		// The same with reloads swapping the model underneath: a request

@@ -33,10 +33,12 @@ type Config struct {
 	// fan each /v1/partners query out to per-shard TA searches running
 	// concurrently; answers are bit-identical for every setting.
 	Shards int
-	// Quantized routes joint queries through int8-quantized candidate
-	// mirrors (EnableQuantizedQueries): ~4x smaller candidate storage
-	// with approximate rankings (recall@10 ≥ 0.99 against exact). Off by
-	// default — see OPERATIONS.md for when to enable it.
+	// Quantized routes joint queries through int8-quantized row
+	// mirrors (EnableQuantizedQueries) with approximate rankings
+	// (recall@10 ≥ 0.99 against exact). The mirrors are extra memory
+	// beside the float32 rows, which the exact re-rank still reads, and
+	// the mode measured slower than exact wherever it was timed. Off by
+	// default; see OPERATIONS.md.
 	Quantized bool
 	// DefaultN is the result count when ?n= is absent (default 10).
 	DefaultN int
