@@ -9,11 +9,11 @@
 // request path, and atomically swaps the serving model — in-flight
 // queries finish on the old model, no request fails.
 //
-// Observability: /metrics serves Prometheus text exposition
-// (?format=json keeps the JSON panel); -trace enables request-scoped
-// spans with a slow-query ring at /v1/debug/slowlog; -debug-addr mounts
-// net/http/pprof on a separate listener. See OPERATIONS.md for the full
-// metric reference and diagnosis walkthroughs.
+// Observability: /metrics serves Prometheus text exposition; -trace
+// enables request-scoped spans with a slow-query ring at
+// /v1/debug/slowlog; -debug-addr mounts net/http/pprof on a separate
+// listener. See OPERATIONS.md for the full metric reference and
+// diagnosis walkthroughs.
 //
 // Usage:
 //

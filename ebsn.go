@@ -492,9 +492,9 @@ func (r *Recommender) SaveModel(path string) error {
 	return r.model.Snapshot().SaveFile(path)
 }
 
-// LoadModelSnapshot reads a model snapshot written by SaveModel (or by a
-// pre-versioning build; legacy bare-gob files still load). Corrupt or
-// truncated files fail with a descriptive error.
+// LoadModelSnapshot reads a model snapshot written by SaveModel. A file
+// without the versioned header (a bare gob from a pre-versioning build
+// included), corrupt or truncated fails with a descriptive error.
 func LoadModelSnapshot(path string) (*ModelSnapshot, error) {
 	return core.LoadSnapshotFile(path)
 }

@@ -103,8 +103,8 @@ func (s *Snapshot) Encode(w io.Writer) error {
 }
 
 // ReadSnapshot decodes a snapshot written by Encode and validates its
-// checksum and shape. Legacy bare-gob files (written before the
-// versioned header) are still accepted. Truncated, bit-flipped and
+// checksum and shape. Input without the versioned header (bare gob
+// included) is refused before any decode. Truncated, bit-flipped and
 // wrong-magic input fails with an error wrapping ErrSnapshotCorrupt;
 // a future format version fails with ErrSnapshotVersion.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
@@ -114,9 +114,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("core: read snapshot: %w", err)
 	}
 	if n < len(snapshotMagic) || string(head) != snapshotMagic {
-		// No versioned header: either a legacy bare-gob snapshot or
-		// garbage; the gob decoder distinguishes the two.
-		return decodeSnapshotPayload(io.MultiReader(bytes.NewReader(head[:n]), r), "legacy ")
+		return nil, fmt.Errorf("core: snapshot lacks the %q header: %w", snapshotMagic, ErrSnapshotCorrupt)
 	}
 
 	rest := make([]byte, headerLen-len(snapshotMagic))
@@ -141,26 +139,26 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("core: snapshot checksum mismatch (stored %08x, computed %08x): %w",
 			wantCRC, got, ErrSnapshotCorrupt)
 	}
-	return decodeSnapshotPayload(bytes.NewReader(payload), "")
+	return decodeSnapshotPayload(bytes.NewReader(payload))
 }
 
 // decodeSnapshotPayload gob-decodes a snapshot and validates its matrix
-// shapes. kind prefixes error messages ("legacy " for headerless files).
-func decodeSnapshotPayload(r io.Reader, kind string) (*Snapshot, error) {
+// shapes.
+func decodeSnapshotPayload(r io.Reader) (*Snapshot, error) {
 	var s Snapshot
 	if err := gob.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("core: decode %ssnapshot: %v: %w", kind, err, ErrSnapshotCorrupt)
+		return nil, fmt.Errorf("core: decode snapshot: %v: %w", err, ErrSnapshotCorrupt)
 	}
 	for name, mat := range map[string]*Matrix{
 		"users": s.Users, "events": s.Events, "locations": s.Locations,
 		"times": s.Times, "words": s.Words,
 	} {
 		if mat == nil {
-			return nil, fmt.Errorf("core: %ssnapshot missing %s matrix: %w", kind, name, ErrSnapshotCorrupt)
+			return nil, fmt.Errorf("core: snapshot missing %s matrix: %w", name, ErrSnapshotCorrupt)
 		}
 		if mat.K != s.Cfg.K || len(mat.Data) != mat.N*mat.K {
-			return nil, fmt.Errorf("core: %ssnapshot %s matrix malformed: N=%d K=%d len=%d (cfg K=%d): %w",
-				kind, name, mat.N, mat.K, len(mat.Data), s.Cfg.K, ErrSnapshotCorrupt)
+			return nil, fmt.Errorf("core: snapshot %s matrix malformed: N=%d K=%d len=%d (cfg K=%d): %w",
+				name, mat.N, mat.K, len(mat.Data), s.Cfg.K, ErrSnapshotCorrupt)
 		}
 	}
 	return &s, nil

@@ -72,44 +72,30 @@ func TestReadSnapshotCorruptionTable(t *testing.T) {
 	}
 }
 
-func TestReadSnapshotAcceptsLegacyBareGob(t *testing.T) {
+func TestReadSnapshotRefusesBareGob(t *testing.T) {
 	m := newTestModel(t, func(c *Config) { c.K = 8 })
 	m.TrainSteps(300)
 	snap := m.Snapshot()
 
-	// A pre-versioning file is a bare gob stream of the Snapshot struct.
-	var legacy bytes.Buffer
-	if err := gob.NewEncoder(&legacy).Encode(snap); err != nil {
+	// A pre-versioning file is a bare gob stream of a valid Snapshot
+	// struct: without the versioned header it carries no checksum, so it
+	// is refused before any decode.
+	var bare bytes.Buffer
+	if err := gob.NewEncoder(&bare).Encode(snap); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSnapshot(&legacy)
-	if err != nil {
-		t.Fatalf("legacy snapshot rejected: %v", err)
-	}
-	if got.Steps != 300 || got.Cfg.K != snap.Cfg.K {
-		t.Fatalf("legacy metadata mismatch: steps=%d K=%d", got.Steps, got.Cfg.K)
-	}
-	for i := range snap.Users.Data {
-		if got.Users.Data[i] != snap.Users.Data[i] {
-			t.Fatal("legacy embeddings corrupted")
-		}
+	raw := append([]byte(nil), bare.Bytes()...)
+	if _, err := ReadSnapshot(&bare); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("bare gob snapshot: err = %v, want ErrSnapshotCorrupt", err)
 	}
 
 	// And the file-based path too.
-	path := filepath.Join(t.TempDir(), "legacy.gob")
-	if err := os.WriteFile(path, legacy.Bytes(), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "bare.gob")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// legacy.Bytes() is drained by ReadSnapshot above; re-encode.
-	var again bytes.Buffer
-	if err := gob.NewEncoder(&again).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, again.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadSnapshotFile(path); err != nil {
-		t.Fatalf("legacy file rejected: %v", err)
+	if _, err := LoadSnapshotFile(path); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("bare gob file: err = %v, want ErrSnapshotCorrupt", err)
 	}
 }
 
@@ -219,7 +205,7 @@ func assertNoTempFiles(t *testing.T, dir string) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if e.Name() != "model.gob" && e.Name() != "legacy.gob" {
+		if e.Name() != "model.gob" {
 			t.Fatalf("leftover file after failed save: %s", e.Name())
 		}
 	}

@@ -99,35 +99,6 @@ func (h *Histogram) Mean() float64 {
 	return h.Sum() / float64(n)
 }
 
-// Quantile estimates the q-quantile (0 < q ≤ 1) in seconds by linear
-// interpolation inside the covering bucket. Observations beyond the
-// last bound report the last bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	if rank < 1 {
-		rank = 1
-	}
-	var cum float64
-	lower := 0.0
-	for i := range h.buckets {
-		if i == len(h.bounds) {
-			return h.bounds[len(h.bounds)-1]
-		}
-		b := float64(h.buckets[i].Load())
-		upper := h.bounds[i]
-		if b > 0 && cum+b >= rank {
-			return lower + (rank-cum)/b*(upper-lower)
-		}
-		cum += b
-		lower = upper
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // CounterVec is a counter family partitioned by label values. Children
 // are created on first With and cached; callers on hot paths resolve
 // their child once at startup and then update it lock-free.

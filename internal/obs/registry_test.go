@@ -24,14 +24,14 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
-func TestHistogramObserveAndQuantile(t *testing.T) {
+func TestHistogramObserve(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("test_seconds", "latency", []float64{0.001, 0.01, 0.1, 1})
-	if h.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram quantile != 0")
+	if h.Count() != 0 || h.Mean() != 0 {
+		t.Fatal("empty histogram not zero")
 	}
 	for i := 0; i < 90; i++ {
-		h.Observe(200 * time.Microsecond) // (0.0001, 0.001] bucket... 0.0002 ≤ 0.001
+		h.Observe(200 * time.Microsecond)
 	}
 	for i := 0; i < 10; i++ {
 		h.Observe(80 * time.Millisecond)
@@ -41,20 +41,6 @@ func TestHistogramObserveAndQuantile(t *testing.T) {
 	}
 	if mean := h.Mean(); mean < 0.005 || mean > 0.02 {
 		t.Fatalf("mean = %vs, want ~0.008", mean)
-	}
-	p50 := h.Quantile(0.5)
-	if p50 <= 0 || p50 > 0.001 {
-		t.Fatalf("p50 = %vs, want in (0, 0.001]", p50)
-	}
-	p99 := h.Quantile(0.99)
-	if p99 < 0.01 || p99 > 0.1 {
-		t.Fatalf("p99 = %vs, want in [0.01, 0.1]", p99)
-	}
-	// Overflow beyond the last bound reports the last bound.
-	h2 := r.Histogram("test_overflow_seconds", "latency", []float64{0.001})
-	h2.Observe(30 * time.Second)
-	if got := h2.Quantile(0.5); got != 0.001 {
-		t.Fatalf("overflow quantile = %v, want 0.001", got)
 	}
 }
 

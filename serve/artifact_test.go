@@ -31,6 +31,14 @@ func getBody(t *testing.T, srv *httptest.Server, path string) string {
 	return string(b)
 }
 
+// artifactCounters scrapes the artifact families: mapped loads,
+// fallback rebuilds and artifact writes.
+func artifactCounters(t *testing.T, s *Server) (loads, fallbacks, saves float64) {
+	t.Helper()
+	m := scrape(t, s)
+	return m[`ebsn_serve_artifact_loads_total`], m[`ebsn_serve_artifact_fallback_rebuilds_total`], m[`ebsn_serve_artifact_saves_total`]
+}
+
 // corruptInPlace replaces the artifact with garbage via the same
 // write-then-rename dance WriteArtifact uses, so an engine still mapping
 // the old inode is untouched — only the *next* open sees the bad file.
@@ -56,8 +64,8 @@ func TestWarmArtifactFallbackThenMap(t *testing.T) {
 
 	s1 := warmServer(t, cfg)
 	srv1 := httptest.NewServer(s1)
-	if loads, fallbacks, saves := s1.metrics.ArtifactStats(); loads != 0 || fallbacks != 1 || saves != 1 {
-		t.Fatalf("first warm artifact counters = (%d loads, %d fallbacks, %d saves), want (0, 1, 1)", loads, fallbacks, saves)
+	if loads, fallbacks, saves := artifactCounters(t, s1); loads != 0 || fallbacks != 1 || saves != 1 {
+		t.Fatalf("first warm artifact counters = (%v loads, %v fallbacks, %v saves), want (0, 1, 1)", loads, fallbacks, saves)
 	}
 	if _, err := os.Stat(artPath); err != nil {
 		t.Fatalf("artifact not written after fallback rebuild: %v", err)
@@ -71,8 +79,8 @@ func TestWarmArtifactFallbackThenMap(t *testing.T) {
 	s2 := warmServer(t, cfg)
 	srv2 := httptest.NewServer(s2)
 	defer srv2.Close()
-	if loads, fallbacks, saves := s2.metrics.ArtifactStats(); loads != 1 || fallbacks != 0 || saves != 0 {
-		t.Fatalf("second warm artifact counters = (%d loads, %d fallbacks, %d saves), want (1, 0, 0)", loads, fallbacks, saves)
+	if loads, fallbacks, saves := artifactCounters(t, s2); loads != 1 || fallbacks != 0 || saves != 0 {
+		t.Fatalf("second warm artifact counters = (%v loads, %v fallbacks, %v saves), want (1, 0, 0)", loads, fallbacks, saves)
 	}
 	for u := range want {
 		if got := getBody(t, srv2, fmt.Sprintf("/v1/partners?user=%d&n=8", u)); got != want[u] {
@@ -105,14 +113,14 @@ func TestWarmCorruptArtifactFallsBack(t *testing.T) {
 
 	s := warmServer(t, cfg)
 	httptest.NewServer(s).Close()
-	if loads, fallbacks, saves := s.metrics.ArtifactStats(); loads != 0 || fallbacks != 1 || saves != 1 {
-		t.Fatalf("corrupt-artifact warm counters = (%d loads, %d fallbacks, %d saves), want (0, 1, 1)", loads, fallbacks, saves)
+	if loads, fallbacks, saves := artifactCounters(t, s); loads != 0 || fallbacks != 1 || saves != 1 {
+		t.Fatalf("corrupt-artifact warm counters = (%v loads, %v fallbacks, %v saves), want (0, 1, 1)", loads, fallbacks, saves)
 	}
 
 	// The rewrite healed the file: the next start maps it.
 	s2 := warmServer(t, cfg)
-	if loads, _, _ := s2.metrics.ArtifactStats(); loads != 1 {
-		t.Fatalf("warm after heal: %d artifact loads, want 1", loads)
+	if loads, _, _ := artifactCounters(t, s2); loads != 1 {
+		t.Fatalf("warm after heal: %v artifact loads, want 1", loads)
 	}
 }
 
@@ -186,8 +194,8 @@ func TestReloadWithArtifactUnderConcurrentQueries(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	loads, fallbacks, saves := s.metrics.ArtifactStats()
+	loads, fallbacks, saves := artifactCounters(t, s)
 	if loads != 3 || fallbacks != 2 || saves != 2 {
-		t.Fatalf("artifact counters after reload cycle = (%d loads, %d fallbacks, %d saves), want (3, 2, 2)", loads, fallbacks, saves)
+		t.Fatalf("artifact counters after reload cycle = (%v loads, %v fallbacks, %v saves), want (3, 2, 2)", loads, fallbacks, saves)
 	}
 }

@@ -89,13 +89,16 @@ func TestBatchEndpointsMatchSingle(t *testing.T) {
 		t.Fatalf("default batch n = %d, want 10", b.N)
 	}
 
-	var m ServerMetrics
-	getJSON(t, srv, "/metrics?format=json", &m)
-	if m.Batch.Dispatches < 3 || m.Batch.MeanSize <= 0 {
-		t.Fatalf("batch metrics = %+v, want ≥3 dispatches", m.Batch)
+	m := scrape(t, s)
+	if m[`ebsn_serve_batch_size_count`] < 3 || m[`ebsn_serve_batch_size_sum`] <= 0 {
+		t.Fatalf("batch dispatches = %v (sum %v), want ≥3", m[`ebsn_serve_batch_size_count`], m[`ebsn_serve_batch_size_sum`])
 	}
-	if m.Endpoints["partners_batch"].Count != 2 || m.Endpoints["events_batch"].Count != 1 {
-		t.Fatalf("batch endpoint counters = %+v", m.Endpoints)
+	if mean := s.Metrics().Snapshot().Batch.MeanSize; mean != m[`ebsn_serve_batch_size_sum`]/m[`ebsn_serve_batch_size_count`] {
+		t.Fatalf("Snapshot().Batch.MeanSize = %v, exposition mean %v", mean, m[`ebsn_serve_batch_size_sum`]/m[`ebsn_serve_batch_size_count`])
+	}
+	if m[`ebsn_serve_requests_total{endpoint="partners_batch"}`] != 2 || m[`ebsn_serve_requests_total{endpoint="events_batch"}`] != 1 {
+		t.Fatalf("batch endpoint counters = %v/%v, want 2/1",
+			m[`ebsn_serve_requests_total{endpoint="partners_batch"}`], m[`ebsn_serve_requests_total{endpoint="events_batch"}`])
 	}
 }
 
@@ -129,13 +132,12 @@ func TestBatchValidationAndCaps(t *testing.T) {
 			}
 		}
 	}
-	var m ServerMetrics
-	getJSON(t, srv, "/metrics?format=json", &m)
-	if m.Batch.Rejected != 2 { // one over-cap rejection per endpoint
-		t.Fatalf("batch rejections = %d, want 2", m.Batch.Rejected)
+	m := scrape(t, s)
+	if got := m[`ebsn_serve_batch_rejected_total`]; got != 2 { // one over-cap rejection per endpoint
+		t.Fatalf("batch rejections = %v, want 2", got)
 	}
-	if m.Batch.Dispatches != 0 {
-		t.Fatalf("dispatches = %d after pure-rejection traffic", m.Batch.Dispatches)
+	if got := m[`ebsn_serve_batch_size_count`]; got != 0 {
+		t.Fatalf("dispatches = %v after pure-rejection traffic", got)
 	}
 }
 
@@ -181,18 +183,22 @@ func TestCoalescedPartnersMatchSingle(t *testing.T) {
 		}
 	}
 
-	var m ServerMetrics
-	getJSON(t, srv, "/metrics?format=json", &m)
-	if m.Batch.CoalescedRequests != nb {
-		t.Fatalf("coalesced requests = %d, want %d", m.Batch.CoalescedRequests, nb)
+	m := scrape(t, s)
+	if got := m[`ebsn_serve_coalesced_requests_total`]; got != nb {
+		t.Fatalf("coalesced requests = %v, want %d", got, nb)
 	}
 	// Cap 4 over 8 requests means at least two dispatches; scheduling
 	// decides the exact widths.
-	if m.Batch.Dispatches < 2 {
-		t.Fatalf("dispatches = %d, want ≥2", m.Batch.Dispatches)
+	dispatches := m[`ebsn_serve_batch_size_count`]
+	if dispatches < 2 {
+		t.Fatalf("dispatches = %v, want ≥2", dispatches)
 	}
-	if m.Batch.MeanSize <= 0 || m.Batch.MeanSize > 4 {
-		t.Fatalf("mean batch size = %v, want in (0,4]", m.Batch.MeanSize)
+	mean := m[`ebsn_serve_batch_size_sum`] / dispatches
+	if mean <= 0 || mean > 4 {
+		t.Fatalf("mean batch size = %v, want in (0,4]", mean)
+	}
+	if got := s.Metrics().Snapshot().Batch.MeanSize; got != mean {
+		t.Fatalf("Snapshot().Batch.MeanSize = %v, exposition mean %v", got, mean)
 	}
 }
 

@@ -11,9 +11,9 @@
 // # Observability
 //
 // The server is instrumented with ebsn/internal/obs. /metrics renders
-// Prometheus text exposition by default (counter, gauge and histogram
-// families with HELP/TYPE headers; ?format=json keeps the legacy JSON
-// panel). Config.TraceEnabled turns on request-scoped spans over the
+// the registry as Prometheus text exposition (counter, gauge and
+// histogram families with HELP/TYPE headers); it is the only metrics
+// surface. Config.TraceEnabled turns on request-scoped spans over the
 // query pipeline — cache lookup, TA search, response encode — with
 // per-stage timings and TA work attrs (sorted/random accesses,
 // candidates, pruning k); spans slower than Config.SlowQueryThreshold
@@ -33,6 +33,6 @@
 //	POST /v1/reload                   zero-downtime swap to a new model snapshot
 //	GET  /healthz                     liveness (always 200)
 //	GET  /readyz                      readiness (503 until Warm completes)
-//	GET  /metrics                     Prometheus text (JSON with ?format=json)
+//	GET  /metrics                     Prometheus text exposition
 //	GET  /v1/debug/slowlog            slow-query ring, newest first
 package serve

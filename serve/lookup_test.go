@@ -250,8 +250,9 @@ func TestTimedOutRequestCountsAs503(t *testing.T) {
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("GET behind the write lock under a 5ms timeout = %d %s, want 503", status, body)
 	}
-	if ep := s.Metrics().Snapshot().Endpoints[epPartners]; ep.Count != 1 || ep.Status5xx != 1 {
-		t.Fatalf("endpoint metrics after one timed-out request: %+v, want Count 1, Status5xx 1", ep)
+	m := scrape(t, s)
+	if n, n5xx := m[`ebsn_serve_requests_total{endpoint="partners"}`], m[`ebsn_serve_request_errors_total{endpoint="partners",class="5xx"}`]; n != 1 || n5xx != 1 {
+		t.Fatalf("endpoint metrics after one timed-out request: requests %v, 5xx %v; want 1, 1", n, n5xx)
 	}
 }
 

@@ -10,15 +10,14 @@ import (
 	"ebsn/internal/obs"
 )
 
-// latencyBoundsMs are the request-latency histogram bucket upper bounds,
-// in milliseconds. Observations above the last bound land in an overflow
-// bucket. Fixed buckets keep Observe lock-free (one atomic increment) at
-// the cost of interpolated quantiles — the standard serving trade-off.
-// The registry stores the same bounds in seconds (Prometheus base
-// units); this list stays in ms because the JSON snapshot and its tests
-// speak milliseconds.
-var latencyBoundsMs = []float64{
-	0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000,
+// latencyBoundsSeconds are the request-latency histogram bucket upper
+// bounds, 50 µs to 5 s. Observations above the last bound land in an
+// overflow bucket. Fixed buckets keep Observe lock-free (one atomic
+// increment) at the cost of interpolated quantiles — the standard
+// serving trade-off.
+var latencyBoundsSeconds = []float64{
+	0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
+	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5,
 }
 
 // taBoundsSeconds are the TA in-index search-time buckets: the engine
@@ -27,14 +26,6 @@ var latencyBoundsMs = []float64{
 var taBoundsSeconds = []float64{
 	0.000025, 0.00005, 0.0001, 0.00025, 0.0005,
 	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-}
-
-func latencyBoundsSeconds() []float64 {
-	s := make([]float64, len(latencyBoundsMs))
-	for i, ms := range latencyBoundsMs {
-		s[i] = ms / 1000
-	}
-	return s
 }
 
 // EndpointMetrics aggregates one endpoint's counters and latency
@@ -62,14 +53,13 @@ func (e *EndpointMetrics) Observe(status int, d time.Duration) {
 // Metrics is the server-wide instrument panel: per-endpoint counters and
 // latency histograms, load-shedding and panic counts, in-flight and
 // draining gauges, and cumulative TA search work. Every instrument lives
-// in an obs.Registry, so /metrics renders the whole panel as Prometheus
-// text; Snapshot keeps the legacy JSON view over the same counters.
-// Recording on the hot path never takes a lock.
+// in an obs.Registry, and /metrics renders the whole panel as Prometheus
+// text — the only metrics surface. Recording on the hot path never takes
+// a lock.
 type Metrics struct {
 	start time.Time
 	reg   *obs.Registry
 
-	order     []string
 	endpoints map[string]*EndpointMetrics
 
 	shed     *obs.Counter
@@ -134,7 +124,6 @@ func NewMetrics(endpointNames ...string) *Metrics {
 	m := &Metrics{
 		start:     time.Now(),
 		reg:       obs.NewRegistry(),
-		order:     append([]string(nil), endpointNames...),
 		endpoints: make(map[string]*EndpointMetrics, len(endpointNames)),
 	}
 	m.reg.GaugeFunc("ebsn_serve_uptime_seconds",
@@ -146,7 +135,7 @@ func NewMetrics(endpointNames ...string) *Metrics {
 		"Finished /v1 requests with error statuses, by endpoint and status class.",
 		"endpoint", "class")
 	hist := m.reg.HistogramVec("ebsn_serve_request_duration_seconds",
-		"Request handler latency, by endpoint.", latencyBoundsSeconds(), "endpoint")
+		"Request handler latency, by endpoint.", latencyBoundsSeconds, "endpoint")
 	for _, name := range endpointNames {
 		m.endpoints[name] = &EndpointMetrics{
 			requests: req.With(name),
@@ -264,17 +253,6 @@ func (m *Metrics) RecordIngest(source string, n int) uint64 {
 	return c.Value()
 }
 
-// IngestSources snapshots the per-source accepted-event totals.
-func (m *Metrics) IngestSources() map[string]uint64 {
-	m.ingestMu.Lock()
-	defer m.ingestMu.Unlock()
-	out := make(map[string]uint64, len(m.ingestSrc))
-	for src, c := range m.ingestSrc {
-		out[src] = c.Value()
-	}
-	return out
-}
-
 // workloadKinds is the fixed label set of the workload request counter.
 var workloadKinds = []string{workloadGroup, workloadConstrained, workloadFeed}
 
@@ -285,15 +263,6 @@ func (m *Metrics) RecordWorkload(kind string) {
 	if c := m.workload[kind]; c != nil {
 		c.Inc()
 	}
-}
-
-// WorkloadCounts snapshots the per-kind workload request totals.
-func (m *Metrics) WorkloadCounts() map[string]uint64 {
-	out := make(map[string]uint64, len(m.workload))
-	for kind, c := range m.workload {
-		out[kind] = c.Value()
-	}
-	return out
 }
 
 // RecordArtifactLoad counts one successful zero-copy index load and its
@@ -310,27 +279,22 @@ func (m *Metrics) RecordArtifactFallback() { m.artifactFallbacks.Inc() }
 // RecordArtifactSave counts one artifact rewritten after a rebuild.
 func (m *Metrics) RecordArtifactSave() { m.artifactSaves.Inc() }
 
-// ArtifactStats reads the artifact panel's counters (mapped loads,
-// fallback rebuilds, artifact writes) — the integration tests' hook.
-func (m *Metrics) ArtifactStats() (loads, fallbacks, saves uint64) {
-	return m.artifactLoads.Value(), m.artifactFallbacks.Value(), m.artifactSaves.Value()
-}
-
 // CompactionStarted flips the running gauge up; pair with CompactionDone.
 func (m *Metrics) CompactionStarted() { m.compactionRunning.Set(1) }
 
 // CompactionDone records one finished background compaction: duration,
 // events folded (on success), and the failure counter when err is
-// non-nil. The running gauge flips down.
+// non-nil. The running gauge flips down last, so a scrape that reads it
+// at 0 also reads this run in the counters.
 func (m *Metrics) CompactionDone(d time.Duration, folded int, err error) {
-	m.compactionRunning.Set(0)
 	m.compactions.Inc()
 	m.compactionDuration.Observe(d)
 	if err != nil {
 		m.compactionFailures.Inc()
-		return
+	} else {
+		m.compactedEvents.Add(uint64(folded))
 	}
-	m.compactedEvents.Add(uint64(folded))
+	m.compactionRunning.Set(0)
 }
 
 // Registry exposes the underlying registry so the server can attach
@@ -387,103 +351,22 @@ func (m *Metrics) InFlight() int64 { return int64(m.inflight.Value()) }
 // taken during shutdown.
 func (m *Metrics) SetDraining() { m.draining.Set(1) }
 
-// Draining reports whether SetDraining has been called.
-func (m *Metrics) Draining() bool { return m.draining.Value() != 0 }
-
-// EndpointSnapshot is the rendered view of one endpoint.
-type EndpointSnapshot struct {
-	Count     uint64  `json:"count"`
-	Status4xx uint64  `json:"status_4xx"`
-	Status5xx uint64  `json:"status_5xx"`
-	QPS       float64 `json:"qps"`
-	MeanMs    float64 `json:"mean_ms"`
-	P50Ms     float64 `json:"p50_ms"`
-	P95Ms     float64 `json:"p95_ms"`
-	P99Ms     float64 `json:"p99_ms"`
-}
-
-// TASnapshot is the cumulative TA search work across joint queries.
-type TASnapshot struct {
-	Queries        uint64  `json:"queries"`
-	SortedAccesses uint64  `json:"sorted_accesses"`
-	RandomAccesses uint64  `json:"random_accesses"`
-	Candidates     uint64  `json:"candidates"`
-	AccessFraction float64 `json:"access_fraction"`
-}
-
-// BatchSnapshot is the batched-admission section of the JSON metrics
-// view: coalescer throughput and the batch-width distribution across
-// explicit POST batches and coalesced dispatches.
+// BatchSnapshot is the mean users per batched dispatch (POST batches
+// and coalesced windows): ebsn_serve_batch_size_sum / _count. It
+// remains only because the benchmark harness reads it (ROADMAP 1f).
 type BatchSnapshot struct {
-	CoalescedRequests uint64  `json:"coalesced_requests"`
-	Rejected          uint64  `json:"rejected"`
-	Dispatches        uint64  `json:"dispatches"`
-	MeanSize          float64 `json:"mean_size,omitempty"`
-	P50Size           float64 `json:"p50_size,omitempty"`
-	P95Size           float64 `json:"p95_size,omitempty"`
+	MeanSize float64
 }
 
-// MetricsSnapshot is the instrument section of the JSON metrics view
-// (/metrics?format=json).
+// MetricsSnapshot is Snapshot's result. It remains only because the
+// benchmark harness reads Snapshot().Batch.MeanSize (ROADMAP 1f); every
+// figure of the panel is a family on /metrics.
 type MetricsSnapshot struct {
-	UptimeSeconds float64                     `json:"uptime_seconds"`
-	InFlight      int64                       `json:"in_flight"`
-	Draining      bool                        `json:"draining"`
-	Shed          uint64                      `json:"shed"`
-	Panics        uint64                      `json:"panics"`
-	Endpoints     map[string]EndpointSnapshot `json:"endpoints"`
-	TA            TASnapshot                  `json:"ta"`
-	Batch         BatchSnapshot               `json:"batch"`
-	Workload      map[string]uint64           `json:"workload"`
+	Batch BatchSnapshot
 }
 
-// Snapshot renders the current counters. Values are read without
-// stopping writers, so a snapshot taken under load is approximate.
+// Snapshot reads the batch-width mean without stopping writers. It
+// remains only because the benchmark harness calls it (ROADMAP 1f).
 func (m *Metrics) Snapshot() MetricsSnapshot {
-	uptime := time.Since(m.start).Seconds()
-	snap := MetricsSnapshot{
-		UptimeSeconds: uptime,
-		InFlight:      m.InFlight(),
-		Draining:      m.Draining(),
-		Shed:          m.shed.Value(),
-		Panics:        m.panics.Value(),
-		Endpoints:     make(map[string]EndpointSnapshot, len(m.order)),
-	}
-	for _, name := range m.order {
-		e := m.endpoints[name]
-		es := EndpointSnapshot{
-			Count:     e.requests.Value(),
-			Status4xx: e.err4xx.Value(),
-			Status5xx: e.err5xx.Value(),
-			MeanMs:    e.hist.Mean() * 1000,
-			P50Ms:     e.hist.Quantile(0.50) * 1000,
-			P95Ms:     e.hist.Quantile(0.95) * 1000,
-			P99Ms:     e.hist.Quantile(0.99) * 1000,
-		}
-		if uptime > 0 {
-			es.QPS = float64(es.Count) / uptime
-		}
-		snap.Endpoints[name] = es
-	}
-	snap.TA = TASnapshot{
-		Queries:        m.taQueries.Value(),
-		SortedAccesses: m.taSorted.Value(),
-		RandomAccesses: m.taRandom.Value(),
-		Candidates:     m.taCandidates.Value(),
-	}
-	if snap.TA.Candidates > 0 {
-		snap.TA.AccessFraction = float64(snap.TA.RandomAccesses) / float64(snap.TA.Candidates)
-	}
-	snap.Batch = BatchSnapshot{
-		CoalescedRequests: m.coalesced.Value(),
-		Rejected:          m.batchRejected.Value(),
-		Dispatches:        m.batchSize.Count(),
-	}
-	if snap.Batch.Dispatches > 0 {
-		snap.Batch.MeanSize = m.batchSize.Mean()
-		snap.Batch.P50Size = m.batchSize.Quantile(0.50)
-		snap.Batch.P95Size = m.batchSize.Quantile(0.95)
-	}
-	snap.Workload = m.WorkloadCounts()
-	return snap
+	return MetricsSnapshot{Batch: BatchSnapshot{MeanSize: m.batchSize.Mean()}}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +11,11 @@ import (
 	"ebsn"
 	"ebsn/internal/obs"
 )
+
+// exposer serves m's registry the way /metrics does, for scrape.
+func exposer(m *Metrics) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { _ = m.WriteExposition(w) })
+}
 
 func TestMetricsSnapshot(t *testing.T) {
 	m := NewMetrics("events", "partners")
@@ -27,33 +33,41 @@ func TestMetricsSnapshot(t *testing.T) {
 	m.RecordPanic()
 	m.RecordTA(ebsn.SearchStats{SortedAccesses: 10, RandomAccesses: 20, Candidates: 100, Elapsed: 300 * time.Microsecond})
 	m.RecordTA(ebsn.SearchStats{SortedAccesses: 5, RandomAccesses: 5, Candidates: 100, Elapsed: 200 * time.Microsecond})
+	m.RecordBatch(16)    // one POST dispatch
+	m.RecordCoalesced(3) // two coalesced windows
+	m.RecordCoalesced(4)
 
-	snap := m.Snapshot()
-	es := snap.Endpoints["events"]
-	if es.Count != 3 || es.Status4xx != 1 || es.Status5xx != 1 {
-		t.Fatalf("events snapshot = %+v", es)
+	got := scrape(t, exposer(m))
+	for key, want := range map[string]float64{
+		`ebsn_serve_requests_total{endpoint="events"}`:                   3,
+		`ebsn_serve_request_errors_total{endpoint="events",class="4xx"}`: 1,
+		`ebsn_serve_request_errors_total{endpoint="events",class="5xx"}`: 1,
+		`ebsn_serve_request_duration_seconds_count{endpoint="events"}`:   3,
+		`ebsn_serve_requests_total{endpoint="partners"}`:                 0,
+		`ebsn_serve_shed_total`:                                          1,
+		`ebsn_serve_panics_total`:                                        1,
+		`ebsn_serve_ta_queries_total`:                                    2,
+		`ebsn_serve_ta_random_accesses_total`:                            25,
+		`ebsn_serve_ta_candidates_total`:                                 200,
+		`ebsn_serve_coalesced_requests_total`:                            7,
+		`ebsn_serve_batch_size_count`:                                    3,
+		`ebsn_serve_draining`:                                            0,
+	} {
+		if got[key] != want {
+			t.Errorf("%s = %v, want %v", key, got[key], want)
+		}
 	}
-	if es.P50Ms <= 0 {
-		t.Fatal("p50 not positive after traffic")
+	if frac := got[`ebsn_serve_ta_random_accesses_total`] / got[`ebsn_serve_ta_candidates_total`]; frac != 0.125 {
+		t.Fatalf("access fraction = %v, want 0.125", frac)
 	}
-	if snap.Shed != 1 || snap.Panics != 1 {
-		t.Fatalf("shed/panics = %d/%d", snap.Shed, snap.Panics)
-	}
-	if snap.TA.Queries != 2 || snap.TA.RandomAccesses != 25 || snap.TA.Candidates != 200 {
-		t.Fatalf("TA snapshot = %+v", snap.TA)
-	}
-	if snap.TA.AccessFraction != 0.125 {
-		t.Fatalf("access fraction = %v, want 0.125", snap.TA.AccessFraction)
-	}
-	if empty := snap.Endpoints["partners"]; empty.Count != 0 {
-		t.Fatalf("partners should be untouched: %+v", empty)
-	}
-	if snap.Draining {
-		t.Fatal("draining before SetDraining")
+	// The harness's in-process read is the registry's mean batch width.
+	if mean := m.Snapshot().Batch.MeanSize; mean != got[`ebsn_serve_batch_size_sum`]/got[`ebsn_serve_batch_size_count`] || mean != 23.0/3 {
+		t.Fatalf("Snapshot().Batch.MeanSize = %v, exposition %v/%v, want 23/3",
+			mean, got[`ebsn_serve_batch_size_sum`], got[`ebsn_serve_batch_size_count`])
 	}
 	m.SetDraining()
-	if !m.Snapshot().Draining {
-		t.Fatal("SetDraining not reflected in snapshot")
+	if scrape(t, exposer(m))[`ebsn_serve_draining`] != 1 {
+		t.Fatal("SetDraining not reflected in the exposition")
 	}
 }
 
@@ -135,19 +149,18 @@ func TestMetricsConcurrentRecording(t *testing.T) {
 					t.Errorf("mid-load scrape invalid: %v", err)
 					return
 				}
-				_ = m.Snapshot()
 			}
 		}()
 	}
 	wg.Wait()
-	snap := m.Snapshot()
-	if snap.Endpoints["events"].Count != workers*per {
-		t.Fatalf("requests = %d, want %d", snap.Endpoints["events"].Count, workers*per)
+	got := scrape(t, exposer(m))
+	if n := got[`ebsn_serve_requests_total{endpoint="events"}`]; n != workers*per {
+		t.Fatalf("requests = %v, want %d", n, workers*per)
 	}
-	if snap.TA.Queries != workers*per {
-		t.Fatalf("ta queries = %d, want %d", snap.TA.Queries, workers*per)
+	if n := got[`ebsn_serve_ta_queries_total`]; n != workers*per {
+		t.Fatalf("ta queries = %v, want %d", n, workers*per)
 	}
-	if snap.InFlight != 0 {
-		t.Fatalf("in-flight after balanced adds = %d", snap.InFlight)
+	if n := got[`ebsn_serve_in_flight`]; n != 0 {
+		t.Fatalf("in-flight after balanced adds = %v", n)
 	}
 }

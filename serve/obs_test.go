@@ -3,12 +3,13 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"log"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -17,8 +18,9 @@ import (
 )
 
 // TestMetricsPrometheusDefault exercises the real /metrics endpoint end
-// to end: default format is valid Prometheus text carrying both the
-// request panel and the scrape-time state instruments.
+// to end: it is valid Prometheus text carrying both the request panel
+// and the scrape-time state instruments, and it has one form — a
+// ?format=json scrape gets the same exposition.
 func TestMetricsPrometheusDefault(t *testing.T) {
 	s := warmServer(t, Config{})
 	srv := httptest.NewServer(s)
@@ -27,29 +29,13 @@ func TestMetricsPrometheusDefault(t *testing.T) {
 	getJSON(t, srv, "/v1/events?user=1&n=3", nil)
 	getJSON(t, srv, "/v1/partners?user=1&n=3", nil)
 
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	for _, target := range []string{"/metrics", "/metrics?format=json"} {
+		resp := getJSON(t, srv, target, nil)
+		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
+			t.Fatalf("%s content type = %q, want the text exposition", target, ct)
+		}
 	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("content type = %q, want text/plain exposition", ct)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.Lint(bytes.NewReader(body)); err != nil {
-		t.Fatalf("live /metrics fails exposition lint: %v", err)
-	}
-	samples, err := obs.ParseText(bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[string]float64{}
-	for _, sm := range samples {
-		got[sm.Key()] = sm.Value
-	}
+	got := scrape(t, s)
 	if got[`ebsn_serve_requests_total{endpoint="events"}`] < 1 {
 		t.Error("events request not counted in exposition")
 	}
@@ -67,6 +53,21 @@ func TestMetricsPrometheusDefault(t *testing.T) {
 	}
 	if got[`ebsn_serve_draining`] != 0 {
 		t.Error("draining gauge nonzero on a running server")
+	}
+
+	asJSON := scrapeTarget(t, s, "/metrics?format=json")
+	if len(got) != len(asJSON) {
+		t.Fatalf("plain scrape has %d samples, ?format=json %d", len(got), len(asJSON))
+	}
+	for key, v := range got {
+		w, ok := asJSON[key]
+		if !ok {
+			t.Fatalf("?format=json scrape lacks %s", key)
+		}
+		// Uptime and the runtime families move between two scrapes.
+		if strings.HasPrefix(key, "ebsn_serve_") && key != "ebsn_serve_uptime_seconds" && w != v {
+			t.Errorf("%s = %v plain, %v with ?format=json", key, v, w)
+		}
 	}
 }
 
@@ -183,20 +184,83 @@ func TestDrainProgressObservable(t *testing.T) {
 
 	// The "final scrape": the handler outlives the listener, and the
 	// draining gauge stays up in the exposition it renders.
-	req := httptest.NewRequest("GET", "/metrics", nil)
-	rw := httptest.NewRecorder()
-	s.ServeHTTP(rw, req)
-	if !strings.Contains(rw.Body.String(), "ebsn_serve_draining 1") {
-		t.Fatal("draining gauge not visible in post-drain scrape")
+	m := scrape(t, s)
+	if m[`ebsn_serve_draining`] != 1 || m[`ebsn_serve_in_flight`] != 2 {
+		t.Fatalf("post-drain scrape draining=%v in_flight=%v, want 1/2", m[`ebsn_serve_draining`], m[`ebsn_serve_in_flight`])
 	}
-	var m ServerMetrics
-	rw2 := httptest.NewRecorder()
-	s.ServeHTTP(rw2, httptest.NewRequest("GET", "/metrics?format=json", nil))
-	if err := json.NewDecoder(rw2.Body).Decode(&m); err != nil {
+}
+
+// TestOperationsDocumentsEveryFamily holds OPERATIONS.md and the
+// registry to each other after one request of every kind: each family
+// on /metrics has a row in a metric table (a go_memstats_* or go_gc_*
+// row covers the families it prefixes), and each ebsn_serve_* or
+// ebsn_mapped_bytes name the document mentions is a family, or a
+// _bucket, _sum or _count sample of one.
+func TestOperationsDocumentsEveryFamily(t *testing.T) {
+	s := privateServer(t, Config{})
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+	window, _ := testWindows(t, testRecommender(t))
+	for _, path := range []string{
+		"/v1/events?user=1&n=3",
+		"/v1/partners?user=1&n=3",
+		"/v1/partners?" + constraintQuery(window, 1, 3),
+		"/v1/partners/live?user=1&n=3",
+		"/v1/explain?user=1&partner=2&event=3",
+		"/v1/feed?user=1&n=2&m=2",
+	} {
+		getBody(t, srv, path)
+	}
+	for path, body := range map[string]any{
+		"/v1/events":       BatchQueryRequest{Users: []int32{1, 2}},
+		"/v1/partners":     BatchQueryRequest{Users: []int32{1, 2}},
+		"/v1/group/events": GroupEventsRequest{Members: []int32{1, 2}},
+	} {
+		if resp := postJSONBody(t, srv, path, body, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s = %d", path, resp.StatusCode)
+		}
+	}
+	ingestTemplateEvent(t, srv)
+	post(t, srv, "/v1/compact?wait=1")
+
+	families := map[string]bool{}
+	for _, line := range strings.Split(getBody(t, srv, "/metrics"), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			families[f[2]] = true
+		}
+	}
+	doc, err := os.ReadFile("../OPERATIONS.md")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Draining || m.InFlight != 2 {
-		t.Fatalf("JSON view draining=%v in_flight=%d, want true/2", m.Draining, m.InFlight)
+	var rows []string // the backquoted names in each table row's first cell
+	quoted := regexp.MustCompile("`([^`]+)`")
+	for _, line := range strings.Split(string(doc), "\n") {
+		if cells := strings.SplitN(line, "|", 3); len(cells) == 3 && cells[0] == "" {
+			for _, m := range quoted.FindAllStringSubmatch(cells[1], -1) {
+				rows = append(rows, m[1])
+			}
+		}
+	}
+	for fam := range families {
+		documented := false
+		for _, r := range rows {
+			if r == fam || strings.HasSuffix(r, "*") && strings.HasPrefix(fam, strings.TrimSuffix(r, "*")) {
+				documented = true
+			}
+		}
+		if !documented {
+			t.Errorf("family %s has no row in OPERATIONS.md", fam)
+		}
+	}
+	for _, name := range regexp.MustCompile(`ebsn_serve_\w+|ebsn_mapped_bytes`).FindAllString(string(doc), -1) {
+		known := families[name]
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			known = known || strings.HasSuffix(name, suffix) && families[strings.TrimSuffix(name, suffix)]
+		}
+		if !known {
+			t.Errorf("OPERATIONS.md names %s, which is no family on /metrics", name)
+		}
 	}
 }
 

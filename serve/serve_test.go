@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"ebsn"
+	"ebsn/internal/obs"
 )
 
 // One trained pipeline is shared by every test in the package; servers
@@ -64,6 +65,33 @@ func getJSON(t *testing.T, srv *httptest.Server, path string, out any) *http.Res
 		}
 	}
 	return resp
+}
+
+// scrape renders GET /metrics from h, holds it to the exposition rules,
+// and returns its samples by Sample.Key().
+func scrape(t *testing.T, h http.Handler) map[string]float64 {
+	t.Helper()
+	return scrapeTarget(t, h, "/metrics")
+}
+
+// scrapeTarget is scrape for any request target.
+func scrapeTarget(t *testing.T, h http.Handler, target string) map[string]float64 {
+	t.Helper()
+	rw := httptest.NewRecorder()
+	h.ServeHTTP(rw, httptest.NewRequest("GET", target, nil))
+	body := rw.Body.Bytes()
+	if err := obs.Lint(bytes.NewReader(body)); err != nil {
+		t.Fatalf("%s fails exposition lint: %v", target, err)
+	}
+	samples, err := obs.ParseText(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[string]float64, len(samples))
+	for _, sm := range samples {
+		got[sm.Key()] = sm.Value
+	}
+	return got
 }
 
 func TestHealthAndReadiness(t *testing.T) {
@@ -347,31 +375,33 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	getJSON(t, srv, "/v1/events?user=999999", nil) // one 400
 
-	var m ServerMetrics
-	if resp := getJSON(t, srv, "/metrics?format=json", &m); resp.StatusCode != 200 {
+	if resp := getJSON(t, srv, "/metrics", nil); resp.StatusCode != 200 {
 		t.Fatalf("/metrics = %d", resp.StatusCode)
 	}
-	ev := m.Endpoints["events"]
-	if ev.Count != 6 || ev.Status4xx != 1 {
-		t.Fatalf("events endpoint = %+v", ev)
+	m := scrape(t, s)
+	if m[`ebsn_serve_requests_total{endpoint="events"}`] != 6 ||
+		m[`ebsn_serve_request_errors_total{endpoint="events",class="4xx"}`] != 1 {
+		t.Fatalf("events endpoint: requests=%v 4xx=%v", m[`ebsn_serve_requests_total{endpoint="events"}`],
+			m[`ebsn_serve_request_errors_total{endpoint="events",class="4xx"}`])
 	}
-	if ev.P50Ms <= 0 || ev.P99Ms <= 0 {
-		t.Fatalf("latency histogram empty after traffic: %+v", ev)
+	if m[`ebsn_serve_request_duration_seconds_count{endpoint="events"}`] != 6 ||
+		m[`ebsn_serve_request_duration_seconds_sum{endpoint="events"}`] <= 0 {
+		t.Fatal("events latency histogram empty after traffic")
 	}
-	pa := m.Endpoints["partners"]
-	if pa.Count != 5 || pa.P99Ms <= 0 {
-		t.Fatalf("partners endpoint = %+v", pa)
+	if m[`ebsn_serve_requests_total{endpoint="partners"}`] != 5 ||
+		m[`ebsn_serve_request_duration_seconds_sum{endpoint="partners"}`] <= 0 {
+		t.Fatalf("partners endpoint: requests=%v", m[`ebsn_serve_requests_total{endpoint="partners"}`])
 	}
-	if m.TA.Queries != 5 || m.TA.Candidates == 0 {
-		t.Fatalf("TA stats = %+v", m.TA)
+	if m[`ebsn_serve_ta_queries_total`] != 5 || m[`ebsn_serve_ta_candidates_total`] == 0 {
+		t.Fatalf("TA stats: queries=%v candidates=%v", m[`ebsn_serve_ta_queries_total`], m[`ebsn_serve_ta_candidates_total`])
 	}
-	if m.TA.AccessFraction <= 0 || m.TA.AccessFraction > 1 {
-		t.Fatalf("TA access fraction = %v", m.TA.AccessFraction)
+	if frac := m[`ebsn_serve_ta_random_accesses_total`] / m[`ebsn_serve_ta_candidates_total`]; frac <= 0 || frac > 1 {
+		t.Fatalf("TA access fraction = %v", frac)
 	}
-	if !m.Cache.Enabled || m.Cache.Misses == 0 {
-		t.Fatalf("cache snapshot = %+v", m.Cache)
+	if m[`ebsn_serve_cache_misses_total`] == 0 {
+		t.Fatal("cache misses not counted with the cache enabled")
 	}
-	if m.UptimeSeconds <= 0 {
+	if m[`ebsn_serve_uptime_seconds`] <= 0 {
 		t.Fatal("uptime not positive")
 	}
 }
@@ -388,10 +418,8 @@ func TestCacheDisabled(t *testing.T) {
 			t.Fatalf("uncached query = %d", resp.StatusCode)
 		}
 	}
-	var m ServerMetrics
-	getJSON(t, srv, "/metrics?format=json", &m)
-	if m.Cache.Enabled {
-		t.Fatal("metrics report cache enabled")
+	if _, ok := scrape(t, s)[`ebsn_serve_cache_hits_total`]; ok {
+		t.Fatal("metrics report cache instruments with the cache disabled")
 	}
 }
 
@@ -416,7 +444,7 @@ func TestConcurrentTrafficWithIngest(t *testing.T) {
 				case 2:
 					getJSON(t, srv, fmt.Sprintf("/v1/partners/live?user=%d&n=5", i%8), nil)
 				case 3:
-					getJSON(t, srv, "/metrics?format=json", nil)
+					getJSON(t, srv, "/metrics", nil)
 				}
 			}
 		}(w)
@@ -510,19 +538,18 @@ func TestReloadSwapsModelUnderConcurrentLoad(t *testing.T) {
 		t.Fatalf("generation %d → %d, want +3 (cache must be invalidated per reload)", genBefore, got)
 	}
 
-	var m ServerMetrics
-	getJSON(t, srv, "/metrics?format=json", &m)
-	if m.Reload.Count != 3 || m.Reload.Failures != 0 {
-		t.Fatalf("metrics reload section = %+v", m.Reload)
+	m := scrape(t, s)
+	if m[`ebsn_serve_reloads_total`] != 3 || m[`ebsn_serve_reload_failures_total`] != 0 {
+		t.Fatalf("reload counters = %v/%v, want 3/0", m[`ebsn_serve_reloads_total`], m[`ebsn_serve_reload_failures_total`])
 	}
-	if m.Reload.LastSuccess == "" {
+	if m[`ebsn_serve_reload_last_success_timestamp_seconds`] <= 0 {
 		t.Fatal("metrics missing last reload timestamp")
 	}
-	if m.Reload.LastError != "" {
-		t.Fatalf("metrics report reload error %q after clean reloads", m.Reload.LastError)
+	if at := m[`ebsn_serve_reload_last_failure_timestamp_seconds`]; at != 0 {
+		t.Fatalf("metrics report a reload failure at %v after clean reloads", at)
 	}
-	if m.ModelSteps <= 0 {
-		t.Fatalf("metrics model_steps = %d", m.ModelSteps)
+	if m[`ebsn_serve_model_steps`] <= 0 {
+		t.Fatalf("metrics model_steps = %v", m[`ebsn_serve_model_steps`])
 	}
 }
 
@@ -567,13 +594,15 @@ func TestReloadFailureKeepsServingOldModel(t *testing.T) {
 	if resp := getJSON(t, srv, "/v1/events?user=3&n=5", nil); resp.StatusCode != 200 {
 		t.Fatalf("query after failed reloads = %d", resp.StatusCode)
 	}
-	var m ServerMetrics
-	getJSON(t, srv, "/metrics?format=json", &m)
-	if m.Reload.Count != 0 || m.Reload.Failures != 3 {
-		t.Fatalf("reload section = %+v, want 3 failures", m.Reload)
+	m := scrape(t, s)
+	if m[`ebsn_serve_reloads_total`] != 0 || m[`ebsn_serve_reload_failures_total`] != 3 {
+		t.Fatalf("reload counters = %v/%v, want 0/3", m[`ebsn_serve_reloads_total`], m[`ebsn_serve_reload_failures_total`])
 	}
-	if m.Reload.LastError == "" || m.Reload.LastErrorAt == "" {
-		t.Fatalf("last reload error not surfaced: %+v", m.Reload)
+	if m[`ebsn_serve_reload_last_failure_timestamp_seconds`] <= 0 {
+		t.Fatal("last reload failure not surfaced")
+	}
+	if m[`ebsn_serve_reload_last_success_timestamp_seconds`] != 0 {
+		t.Fatal("a reload success reported where none happened")
 	}
 }
 
@@ -601,10 +630,8 @@ func TestReloadReplaysLiveEventsAndKeepsConsistency(t *testing.T) {
 	if out.Replayed != 1 {
 		t.Fatalf("reload replayed %d live events, want 1", out.Replayed)
 	}
-	var m ServerMetrics
-	getJSON(t, srv, "/metrics?format=json", &m)
-	if m.LiveEvents != 1 {
-		t.Fatalf("live events after reload = %d, want 1 (journal replay)", m.LiveEvents)
+	if live := scrape(t, s)[`ebsn_serve_live_events`]; live != 1 {
+		t.Fatalf("live events after reload = %v, want 1 (journal replay)", live)
 	}
 	// Live path still answers against the fresh index plus replayed delta.
 	if resp := getJSON(t, srv, "/v1/partners/live?user=2&n=5", nil); resp.StatusCode != 200 {

@@ -202,21 +202,21 @@ type ingestRecord struct {
 // compactState tracks the single-flight background compaction: at most
 // one fold runs at a time, and waiters (POST /v1/compact?wait=1) block
 // on the done channel of the in-flight run.
+// The run counters live in the registry (Metrics.CompactionDone); this
+// keeps only what the /v1/compact response adds about the last run.
 type compactState struct {
 	mu         sync.Mutex
 	running    bool
 	done       chan struct{}
-	count      uint64
-	failures   uint64
-	folded     uint64
 	lastDur    time.Duration
 	lastFolded int
 	lastErr    string
 	lastAt     time.Time
 }
 
-// reloadState is the observability record behind /metrics' reload
-// section. Reloads are rare; a mutex is fine.
+// reloadState is the reload history behind the reload families on
+// /metrics and the /v1/reload response. Reloads are rare; a mutex is
+// fine.
 type reloadState struct {
 	mu        sync.Mutex
 	count     uint64
@@ -397,6 +397,20 @@ func (s *Server) registerStateMetrics() {
 			defer s.reload.mu.Unlock()
 			return s.reload.failures
 		})
+	reg.GaugeFunc("ebsn_serve_reload_last_success_timestamp_seconds",
+		"Unix time of the last successful model reload (0 until one succeeds).",
+		func() float64 {
+			s.reload.mu.Lock()
+			defer s.reload.mu.Unlock()
+			return unixSeconds(s.reload.lastOK)
+		})
+	reg.GaugeFunc("ebsn_serve_reload_last_failure_timestamp_seconds",
+		"Unix time of the last failed model reload (0 until one fails).",
+		func() float64 {
+			s.reload.mu.Lock()
+			defer s.reload.mu.Unlock()
+			return unixSeconds(s.reload.lastErrAt)
+		})
 	reg.CounterFunc("ebsn_serve_trace_spans_total",
 		"Request spans recorded while tracing was enabled.",
 		s.tracer.Spans)
@@ -420,6 +434,14 @@ func (s *Server) registerStateMetrics() {
 			"Summed length of the cached response bodies, orphaned generations included.",
 			func() float64 { return float64(s.cache.residentBytes()) })
 	}
+}
+
+// unixSeconds is t as a Unix timestamp, and 0 for the zero time.
+func unixSeconds(t time.Time) float64 {
+	if t.IsZero() {
+		return 0
+	}
+	return float64(t.UnixNano()) / 1e9
 }
 
 // Warm builds the scatter-gather engine (PrepareJointSharded with
@@ -1020,7 +1042,10 @@ type CompactResponse struct {
 	Compaction    CompactionSnapshot `json:"compaction"`
 }
 
-// CompactionSnapshot is the background-compaction section of /metrics.
+// CompactionSnapshot is the background-compaction section of the
+// /v1/compact response. Count, Failures and EventsFolded read the
+// ebsn_serve_compactions_total, _compaction_failures_total and
+// _compacted_events_total counters.
 type CompactionSnapshot struct {
 	Count        uint64  `json:"count"`
 	Failures     uint64  `json:"failures"`
@@ -1048,37 +1073,15 @@ type ReloadResponse struct {
 	Reload     ReloadSnapshot `json:"reload"`
 }
 
-// ReloadSnapshot is the reload section of /metrics: how many swaps
-// succeeded and failed, when the last one landed, and the last error.
+// ReloadSnapshot is the reload section of the /v1/reload response: how
+// many swaps succeeded and failed, when the last one landed, and the
+// last error.
 type ReloadSnapshot struct {
 	Count       uint64 `json:"count"`
 	Failures    uint64 `json:"failures"`
 	LastSuccess string `json:"last_success,omitempty"`
 	LastError   string `json:"last_error,omitempty"`
 	LastErrorAt string `json:"last_error_at,omitempty"`
-}
-
-// ServerMetrics is the full /metrics payload.
-type ServerMetrics struct {
-	MetricsSnapshot
-	Generation    uint64             `json:"generation"`
-	LiveEvents    int                `json:"live_events"`
-	PendingEvents int                `json:"pending_events"`
-	ModelSteps    int64              `json:"model_steps"`
-	IngestSources map[string]uint64  `json:"ingest_sources,omitempty"`
-	Compaction    CompactionSnapshot `json:"compaction"`
-	Reload        ReloadSnapshot     `json:"reload"`
-	Cache         CacheSnapshot      `json:"cache"`
-}
-
-// CacheSnapshot is the cache section of /metrics.
-type CacheSnapshot struct {
-	Enabled  bool    `json:"enabled"`
-	Hits     uint64  `json:"hits"`
-	Misses   uint64  `json:"misses"`
-	HitRate  float64 `json:"hit_rate"`
-	Entries  int     `json:"entries"`
-	Capacity int     `json:"capacity"`
 }
 
 // ---- handlers ----
@@ -1126,12 +1129,12 @@ func (s *Server) handlePartners(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) queryPartners(rec *ebsn.Recommender, q *getQuery, sp *obs.Span) (any, error) {
 	sp.Stage("ta_search")
-	if !q.c.IsZero() {
-		pairs, stats, err := rec.TopEventPartnersConstrainedStats(int32(q.user), q.n, q.c)
-		return s.pairsAnswer(rec, q, sp, pairs, stats, nil, err)
-	}
 	// The scatter-gather stats carry the per-shard decomposition to
 	// spans and /metrics.
+	if !q.c.IsZero() {
+		pairs, es, err := rec.TopEventPartnersConstrainedStats(int32(q.user), q.n, q.c)
+		return s.pairsAnswer(rec, q, sp, pairs, es.Agg, &es, err)
+	}
 	pairs, es, err := rec.TopEventPartnersShardedStats(int32(q.user), q.n)
 	return s.pairsAnswer(rec, q, sp, pairs, es.Agg, &es, err)
 }
@@ -1396,14 +1399,11 @@ func (s *Server) runCompaction(done chan struct{}) {
 		}
 	}
 	s.compact.mu.Lock()
-	s.compact.count++
 	s.compact.lastDur = d
 	s.compact.lastAt = time.Now()
 	if err != nil {
-		s.compact.failures++
 		s.compact.lastErr = err.Error()
 	} else {
-		s.compact.folded += uint64(folded)
 		s.compact.lastFolded = folded
 		s.compact.lastErr = ""
 	}
@@ -1417,9 +1417,9 @@ func (s *Server) compactionSnapshot() CompactionSnapshot {
 	s.compact.mu.Lock()
 	defer s.compact.mu.Unlock()
 	cs := CompactionSnapshot{
-		Count:        s.compact.count,
-		Failures:     s.compact.failures,
-		EventsFolded: s.compact.folded,
+		Count:        s.metrics.compactions.Value(),
+		Failures:     s.metrics.compactionFailures.Value(),
+		EventsFolded: s.metrics.compactedEvents.Value(),
 		Running:      s.compact.running,
 		LastFolded:   s.compact.lastFolded,
 		LastError:    s.compact.lastErr,
@@ -1487,8 +1487,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// reloadSnapshot renders the reload counters for /metrics and the
-// reload response.
+// reloadSnapshot renders the reload history for the reload response.
 func (s *Server) reloadSnapshot() ReloadSnapshot {
 	s.reload.mu.Lock()
 	defer s.reload.mu.Unlock()
@@ -1506,44 +1505,10 @@ func (s *Server) reloadSnapshot() ReloadSnapshot {
 	return rs
 }
 
-// handleMetrics serves Prometheus text exposition by default; the
-// pre-Prometheus JSON panel survives behind ?format=json for human
-// curls and the tests that assert on structured values.
+// handleMetrics serves the registry as Prometheus text exposition.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") != "json" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = s.metrics.WriteExposition(w)
-		return
-	}
-	s.mu.RLock()
-	live := s.rec.LiveEventCount()
-	pending := s.rec.PendingLiveEvents()
-	steps := s.rec.Model().Steps()
-	s.mu.RUnlock()
-	m := ServerMetrics{
-		MetricsSnapshot: s.metrics.Snapshot(),
-		Generation:      s.gen.Load(),
-		LiveEvents:      live,
-		PendingEvents:   pending,
-		ModelSteps:      steps,
-		IngestSources:   s.metrics.IngestSources(),
-		Compaction:      s.compactionSnapshot(),
-		Reload:          s.reloadSnapshot(),
-	}
-	if s.cache != nil {
-		hits, misses := s.cache.Stats()
-		m.Cache = CacheSnapshot{
-			Enabled:  true,
-			Hits:     hits,
-			Misses:   misses,
-			Entries:  s.cache.Len(),
-			Capacity: s.cache.Capacity(),
-		}
-		if total := hits + misses; total > 0 {
-			m.Cache.HitRate = float64(hits) / float64(total)
-		}
-	}
-	writeJSON(w, http.StatusOK, m)
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	_ = s.metrics.WriteExposition(w)
 }
 
 // SlowlogResponse is the GET /v1/debug/slowlog payload: the newest-first

@@ -109,28 +109,14 @@ func TestBatchIngestSchemaOrgFieldsAndSourceAttribution(t *testing.T) {
 		t.Fatalf("single-event source = %q, want default", out2.Source)
 	}
 
-	// The per-source counters reach the JSON metrics panel.
-	var m ServerMetrics
-	getJSON(t, srv, "/metrics?format=json", &m)
-	if m.IngestSources["meetup"] != 2 || m.IngestSources["default"] != 1 {
-		t.Fatalf("ingest_sources = %v", m.IngestSources)
+	// The per-source counters reach /metrics as labelled series.
+	m := scrape(t, s)
+	if m[`ebsn_serve_ingest_events_total{source="meetup"}`] != 2 || m[`ebsn_serve_ingest_events_total{source="default"}`] != 1 {
+		t.Fatalf("ingest events by source: meetup=%v default=%v, want 2/1",
+			m[`ebsn_serve_ingest_events_total{source="meetup"}`], m[`ebsn_serve_ingest_events_total{source="default"}`])
 	}
-	if m.PendingEvents < 3 {
-		t.Fatalf("pending events = %d, want >= 3", m.PendingEvents)
-	}
-
-	// And the Prometheus exposition carries the labeled series.
-	resp2, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp2.Body); err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if !strings.Contains(buf.String(), `ebsn_serve_ingest_events_total{source="meetup"} 2`) {
-		t.Fatal("exposition missing per-source ingest counter")
+	if m[`ebsn_serve_delta_events`] < 3 {
+		t.Fatalf("pending events = %v, want >= 3", m[`ebsn_serve_delta_events`])
 	}
 
 	// Batches are atomic: one invalid event rejects the lot.
@@ -270,16 +256,16 @@ func TestAutoCompactKicksInAtThreshold(t *testing.T) {
 	// drains (bounded — compacting 5 events is quick).
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		var m ServerMetrics
-		getJSON(t, srv, "/metrics?format=json", &m)
-		if m.PendingEvents == 0 && !m.Compaction.Running {
-			if m.Compaction.Count == 0 {
-				t.Fatalf("delta drained without a recorded compaction: %+v", m.Compaction)
+		m := scrape(t, s)
+		if m[`ebsn_serve_delta_events`] == 0 && m[`ebsn_serve_compaction_running`] == 0 {
+			if m[`ebsn_serve_compactions_total`] == 0 {
+				t.Fatal("delta drained without a recorded compaction")
 			}
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("auto-compaction never drained the delta: %+v", m.Compaction)
+			t.Fatalf("auto-compaction never drained the delta: pending=%v running=%v",
+				m[`ebsn_serve_delta_events`], m[`ebsn_serve_compaction_running`])
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -333,4 +319,71 @@ func TestBatchIngestMatchesSingleIngests(t *testing.T) {
 	post(t, batched, "/v1/reload")
 	post(t, single, "/v1/reload")
 	same("after reload")
+}
+
+// TestCompactResponseReadsTheRegistry: the /v1/compact response's
+// count, failures and events_folded are the registry's compaction
+// counters, after one fold that lands and one that a model swap
+// supersedes.
+func TestCompactResponseReadsTheRegistry(t *testing.T) {
+	s := privateServer(t, Config{})
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+	check := func(stage string, count, failures, folded uint64) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/v1/compact?wait=1", "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cr CompactResponse
+		err = json.NewDecoder(resp.Body).Decode(&cr)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := cr.Compaction
+		if c.Count != count || c.Failures != failures || c.EventsFolded != folded {
+			t.Fatalf("%s: response count/failures/events_folded = %d/%d/%d, want %d/%d/%d",
+				stage, c.Count, c.Failures, c.EventsFolded, count, failures, folded)
+		}
+		m := scrape(t, s)
+		if float64(c.Count) != m[`ebsn_serve_compactions_total`] ||
+			float64(c.Failures) != m[`ebsn_serve_compaction_failures_total`] ||
+			float64(c.EventsFolded) != m[`ebsn_serve_compacted_events_total`] {
+			t.Fatalf("%s: response %d/%d/%d, scraped %v/%v/%v", stage, c.Count, c.Failures, c.EventsFolded,
+				m[`ebsn_serve_compactions_total`], m[`ebsn_serve_compaction_failures_total`], m[`ebsn_serve_compacted_events_total`])
+		}
+	}
+
+	if resp, _ := postIngest(t, srv, IngestRequest{Events: templateBatch(t, 3)}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest = %d", resp.StatusCode)
+	}
+	check("after a fold that lands", 1, 0, 3)
+
+	if resp, _ := postIngest(t, srv, IngestRequest{Events: templateBatch(t, 2)}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest = %d", resp.StatusCode)
+	}
+	next, err := s.rec.WithSnapshot(s.rec.Model().Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Hold a read lock so the fold queues for its capture; once it waits
+	// (TryRLock fails behind a pending writer), release it and take the
+	// write lock, which is granted after the capture while the fold
+	// runs. Swapping the model there is what a reload's swap does.
+	s.mu.RLock()
+	done, started := s.startCompaction()
+	if !started {
+		t.Fatal("compaction with pending events did not start")
+	}
+	for s.mu.TryRLock() {
+		s.mu.RUnlock()
+		time.Sleep(time.Millisecond)
+	}
+	s.mu.RUnlock()
+	s.mu.Lock()
+	s.rec = next
+	s.mu.Unlock()
+	<-done
+	check("after a superseded fold", 2, 1, 3)
 }

@@ -130,10 +130,8 @@ func TestConstrainedEventsEndpoint(t *testing.T) {
 		t.Fatalf("malformed from = %d, want 400", resp.StatusCode)
 	}
 
-	var m ServerMetrics
-	getJSON(t, srv, "/metrics?format=json", &m)
-	if m.Workload["constrained"] < 3 {
-		t.Fatalf("workload constrained count = %d, want ≥3", m.Workload["constrained"])
+	if got := scrape(t, s)[`ebsn_serve_workload_requests_total{kind="constrained"}`]; got < 3 {
+		t.Fatalf("workload constrained count = %v, want ≥3", got)
 	}
 }
 
@@ -162,6 +160,27 @@ func TestConstrainedPartnersEndpoint(t *testing.T) {
 		}
 		if !inWindow(t, p.Start, a) {
 			t.Fatalf("rank %d: event %d outside window", i, p.Event)
+		}
+	}
+}
+
+// TestConstrainedMissCountsInShardMetrics: a constrained /v1/partners
+// miss is an engine fan-out like any other, so it moves the shard
+// metrics by exactly one fan-out over the default single shard.
+func TestConstrainedMissCountsInShardMetrics(t *testing.T) {
+	s := warmServer(t, Config{})
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+	window, _ := testWindows(t, testRecommender(t))
+
+	before := scrape(t, s)
+	if resp := getJSON(t, srv, "/v1/partners?"+constraintQuery(window, 4, 5), nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("constrained /v1/partners = %d", resp.StatusCode)
+	}
+	after := scrape(t, s)
+	for _, key := range []string{`ebsn_serve_shard_fanout_total`, `ebsn_serve_shard_searches_total{shard="0"}`} {
+		if d := after[key] - before[key]; d != 1 {
+			t.Errorf("%s moved by %v on one constrained miss, want 1", key, d)
 		}
 	}
 }
@@ -241,12 +260,11 @@ func TestGroupEventsEndpoint(t *testing.T) {
 		}
 	}
 
-	var m ServerMetrics
-	getJSON(t, srv, "/metrics?format=json", &m)
-	if m.Workload["group"] < 2 {
-		t.Fatalf("workload group count = %d, want ≥2", m.Workload["group"])
+	m := scrape(t, s)
+	if got := m[`ebsn_serve_workload_requests_total{kind="group"}`]; got < 2 {
+		t.Fatalf("workload group count = %v, want ≥2", got)
 	}
-	if m.Endpoints["group_events"].Count == 0 {
+	if m[`ebsn_serve_requests_total{endpoint="group_events"}`] == 0 {
 		t.Fatal("group_events endpoint not instrumented")
 	}
 }
@@ -310,10 +328,8 @@ func TestFeedEndpoint(t *testing.T) {
 		t.Fatalf("huge m = %d, want 400", resp.StatusCode)
 	}
 
-	var m ServerMetrics
-	getJSON(t, srv, "/metrics?format=json", &m)
-	if m.Workload["feed"] < 3 {
-		t.Fatalf("workload feed count = %d, want ≥3", m.Workload["feed"])
+	if got := scrape(t, s)[`ebsn_serve_workload_requests_total{kind="feed"}`]; got < 3 {
+		t.Fatalf("workload feed count = %v, want ≥3", got)
 	}
 }
 
@@ -390,13 +406,12 @@ func TestConstrainedPartnersNeverCoalesce(t *testing.T) {
 		}
 	}
 
-	var m ServerMetrics
-	getJSON(t, srv, "/metrics?format=json", &m)
-	if m.Batch.CoalescedRequests != plainRequests {
-		t.Fatalf("coalesced requests = %d, want exactly the %d unconstrained ones — a constrained request entered a dispatch",
-			m.Batch.CoalescedRequests, plainRequests)
+	m := scrape(t, s)
+	if got := m[`ebsn_serve_coalesced_requests_total`]; got != float64(plainRequests) {
+		t.Fatalf("coalesced requests = %v, want exactly the %d unconstrained ones — a constrained request entered a dispatch",
+			got, plainRequests)
 	}
-	if m.Workload["constrained"] != uint64(workers-int(plainRequests)) {
-		t.Fatalf("workload constrained = %d, want %d", m.Workload["constrained"], workers-int(plainRequests))
+	if got := m[`ebsn_serve_workload_requests_total{kind="constrained"}`]; got != float64(workers-int(plainRequests)) {
+		t.Fatalf("workload constrained = %v, want %d", got, workers-int(plainRequests))
 	}
 }

@@ -61,21 +61,21 @@ func (r *Recommender) CompileConstraint(c Constraint) (EventPredicate, int) {
 }
 
 // TopEventPartnersConstrainedStats is TopEventPartners restricted to
-// events satisfying the constraint, plus the TA work counters aggregated
-// over the engine's shards. The predicate is pushed into the TA
+// events satisfying the constraint, plus the scatter-gather stats (TA
+// work counters aggregated over the engine's shards, and the per-shard
+// breakdown). The predicate is pushed into the TA
 // threshold walk (not post-filtered; see DESIGN.md §3.10), so the result
 // is the exact constrained top n. Constrained queries answer over the
 // base index only: events ingested live (IngestColdEvent) carry no
 // dataset metadata to evaluate the constraint against and are not
 // candidates here.
-func (r *Recommender) TopEventPartnersConstrainedStats(user int32, n int, c Constraint) ([]PairRecommendation, SearchStats, error) {
+func (r *Recommender) TopEventPartnersConstrainedStats(user int32, n int, c Constraint) ([]PairRecommendation, EngineStats, error) {
 	// Deliberately jointSearch's base engine, never liveEngine(): a
 	// compacted live tier holds folded live events past the test-event
 	// range, which the predicate (compiled over split.TestEvents) cannot
 	// cover.
 	pred, _ := r.CompileConstraint(c)
-	out, es, err := r.jointSearch(user, n, pred)
-	return out, es.Agg, err
+	return r.jointSearch(user, n, pred)
 }
 
 // Feed assembles the user's "for you" feed: the top-n cold events (its

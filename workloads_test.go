@@ -125,7 +125,7 @@ func TestTopEventPartnersConstrainedStats(t *testing.T) {
 			t.Fatalf("rank %d: got %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	if stats.Candidates == 0 {
+	if stats.Agg.Candidates == 0 {
 		t.Fatal("stats not populated")
 	}
 
