@@ -51,8 +51,7 @@ func (r *Recommender) indexFingerprint(events, partners [][]float32, pruneK, sha
 }
 
 // SaveIndexArtifact serializes the prepared joint engine — packed
-// candidate rows, FastIndex bounds, quantized mirrors when
-// EnableQuantizedQueries has run, and the shard partition — into a
+// candidate rows, FastIndex bounds and the shard partition — into a
 // zero-copy index artifact at path, written atomically. The artifact is
 // stamped with a fingerprint of the current embeddings and build
 // configuration; PrepareJointFromArtifact on the same model maps it

@@ -9,8 +9,7 @@ import (
 
 // TestIndexArtifactFacadeRoundTrip saves a prepared joint engine as an
 // artifact, maps it into a second recommender over the same embeddings,
-// and checks both the exact and quantized query paths answer
-// identically — then flips the build configuration and asserts the
+// and checks both answer identically — then flips the build configuration and asserts the
 // artifact is refused as stale.
 func TestIndexArtifactFacadeRoundTrip(t *testing.T) {
 	rec, err := New(Config{City: CityTiny, Seed: 11, Threads: 4, TrainSteps: tinyTrainSteps})
@@ -18,9 +17,6 @@ func TestIndexArtifactFacadeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := rec.PrepareJointSharded(0, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.EnableQuantizedQueries(); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "index.art")
@@ -34,9 +30,6 @@ func TestIndexArtifactFacadeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := rec2.PrepareJointFromArtifact(path, 0, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := rec2.EnableQuantizedQueries(); err != nil {
 		t.Fatal(err)
 	}
 	if got := MappedIndexBytes(); got <= 0 {

@@ -7,9 +7,9 @@ import (
 
 var cachedBatchRec *Recommender
 
-// batchRecommender builds a private pipeline for the batching and
-// quantization facade tests — they mutate query routing (prepare calls,
-// EnableQuantizedQueries), which must not leak into the shared fixture.
+// batchRecommender builds a private pipeline for the batching facade
+// tests — they re-prepare the engine, which must not leak into the
+// shared fixture.
 func batchRecommender(t testing.TB) *Recommender {
 	t.Helper()
 	if cachedBatchRec != nil {
@@ -112,42 +112,5 @@ func TestTopEventPartnersBatchValidation(t *testing.T) {
 	}
 	if out, _, err := rec.TopEventPartnersBatchStats(nil, 3); err != nil || len(out) != 0 {
 		t.Error("empty batch should be a no-op")
-	}
-}
-
-// TestQuantizedQueriesFacade flips the recommender into quantized mode
-// and checks the routing: single monolithic, sharded, and batched
-// queries all run the int8 path and agree with each other bit for bit
-// (they share one candidate set and one walk implementation).
-func TestQuantizedQueriesFacade(t *testing.T) {
-	rec := batchRecommender(t)
-	if err := rec.PrepareJointSharded(10, 1); err != nil {
-		t.Fatal(err)
-	}
-	if rec.QuantizedQueries() {
-		t.Fatal("quantized before enable")
-	}
-	if err := rec.EnableQuantizedQueries(); err != nil {
-		t.Fatal(err)
-	}
-	if !rec.QuantizedQueries() {
-		t.Fatal("QuantizedQueries false after enable")
-	}
-	users := []int32{0, 1, 2, 3, 4}
-	batch, _, err := rec.TopEventPartnersBatchStats(users, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, u := range users {
-		mono, err := rec.TopEventPartners(u, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sharded, err := rec.TopEventPartnersSharded(u, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pairsBitIdentical(t, "quantized mono vs sharded", mono, sharded)
-		pairsBitIdentical(t, "quantized batch vs single", mono, batch[i])
 	}
 }

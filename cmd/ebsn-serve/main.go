@@ -60,7 +60,6 @@ func main() {
 		drain       = flag.Duration("drain", 10*time.Second, "connection-drain budget on shutdown")
 		pruneK      = flag.Int("prunek", 0, "TA candidate pruning per partner (0 = 5% heuristic, negative = full space)")
 		shards      = flag.Int("shards", 1, "partner-range shards of the scatter-gather query engine (results identical for any value)")
-		quantized   = flag.Bool("quantized", false, "int8 row mirrors beside the float32 rows (more memory, measured slower; approximate: recall@10 >= 0.99 vs exact)")
 		maxBatch    = flag.Int("max-batch", 64, "max users per batched POST query; larger requests get 400")
 		coalesceWin = flag.Duration("coalesce-window", 200*time.Microsecond, "micro-batching window for single-user partner queries (0 disables coalescing)")
 		coalesceCap = flag.Int("coalesce-batch", 16, "max single-user queries folded into one coalesced dispatch")
@@ -111,7 +110,6 @@ func main() {
 	s := serve.New(rec, serve.Config{
 		PruneK:             *pruneK,
 		Shards:             *shards,
-		Quantized:          *quantized,
 		MaxBatch:           *maxBatch,
 		CoalesceWindow:     *coalesceWin,
 		CoalesceBatch:      *coalesceCap,

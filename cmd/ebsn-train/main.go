@@ -187,22 +187,14 @@ func main() {
 
 	// Build the joint index once here and persist it as a zero-copy
 	// artifact, so ebsn-serve -model starts by mapping it instead of
-	// rebuilding. pruneK mirrors the daemon's default (the paper's
-	// 5%-of-test-events heuristic) so a default serve run's fingerprint
-	// matches. Best-effort: a failed artifact only costs the daemon one
+	// rebuilding. pruneK is the daemon's default (DefaultPruneK), so a
+	// default serve run's fingerprint matches. Best-effort: a failed artifact only costs the daemon one
 	// rebuild on its next start.
 	if *artShards > 0 {
 		artPath := filepath.Join(*out, "index.art")
 		t0 := time.Now()
-		pk := len(rec.Split().TestEvents) / 20
-		if pk < 1 {
-			pk = 1
-		}
+		pk := rec.DefaultPruneK()
 		err := rec.PrepareJointSharded(pk, *artShards)
-		if err == nil {
-			// Include the int8 mirrors so quantized serving maps too.
-			err = rec.EnableQuantizedQueries()
-		}
 		if err == nil {
 			err = rec.SaveIndexArtifact(artPath)
 		}

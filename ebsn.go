@@ -383,9 +383,8 @@ func (r *Recommender) PrepareJoint(pruneK int) error { return r.PrepareJointShar
 // candidate space with the given partner-range shard count (values < 1
 // mean 1). The engine answers every joint query — plain, batched,
 // constrained, and the base tier of live ones. Re-preparing replaces the
-// engine wholesale: the new one answers exactly (EnableQuantizedQueries
-// must be called again) and the live-ingestion tiers are dropped, so
-// callers re-ingest (or compact before re-preparing).
+// engine wholesale, and the live-ingestion tiers are dropped, so callers
+// re-ingest (or compact before re-preparing).
 func (r *Recommender) PrepareJointSharded(pruneK, shards int) error {
 	events, partners := r.jointVectors()
 	eng, err := engine.Build(events, partners, engine.Config{
@@ -407,16 +406,22 @@ func (r *Recommender) installEngine(eng *engine.Engine, pruneK int) {
 	r.taDelta, r.taLiveEngine = nil, nil
 }
 
-// ensureEngine builds a one-shard engine with the default pruning — 5%
-// of test events per partner, the point where Figure 7 shows the
-// approximation ratio reaching ~1 — when none has been prepared. Like
-// the Prepare calls it must be serialized by the caller; with an engine
-// in place it writes nothing.
+// DefaultPruneK is the default per-partner candidate pruning: 5% of the
+// test events, at least 1 — the point where Figure 7 shows the
+// approximation ratio reaching ~1. The implicit engine, the daemon's
+// default and the artifact ebsn-train writes all use it, so their
+// fingerprints agree.
+func (r *Recommender) DefaultPruneK() int { return max(len(r.split.TestEvents)/20, 1) }
+
+// ensureEngine builds a one-shard engine with the default pruning
+// (DefaultPruneK) when none has been prepared. Like the Prepare calls it
+// must be serialized by the caller; with an engine in place it writes
+// nothing.
 func (r *Recommender) ensureEngine() error {
 	if r.taEngine != nil {
 		return nil
 	}
-	return r.PrepareJoint(max(len(r.split.TestEvents)/20, 1))
+	return r.PrepareJoint(r.DefaultPruneK())
 }
 
 // EngineShards reports the shard count of the prepared engine, 0 when

@@ -31,70 +31,61 @@ func saveEngineArtifact(t testing.TB, dir string, e *Engine, fp uint64) string {
 }
 
 // TestArtifactEngineBitIdentical is the issue's mapped-vs-built
-// property test: for shards ∈ {1, 4}, exact and quantized, an engine
-// mapped from an artifact must answer SearchInto and SearchBatch
-// bit-identically to the engine that wrote it — same pairs, same score
-// bits, same tie order.
+// property test: for shards ∈ {1, 4}, an engine mapped from an artifact
+// must answer SearchInto and SearchBatch bit-identically to the engine
+// that wrote it — same pairs, same score bits, same tie order.
 func TestArtifactEngineBitIdentical(t *testing.T) {
 	src := rng.New(913)
 	events := tieVecs(src, 80, 8)
 	partners := tieVecs(src, 55, 8)
 	queries := randomVecs(src, 30, 8)
 	for _, shards := range []int{1, 4} {
-		for _, quantized := range []bool{false, true} {
-			built, err := Build(events, partners, Config{Shards: shards, TopKEvents: 11, Workers: 2})
+		built, err := Build(events, partners, Config{Shards: shards, TopKEvents: 11, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp := ta.Fingerprint([]uint64{uint64(shards)}, events, partners)
+		path := saveEngineArtifact(t, t.TempDir(), built, fp)
+		mapped, err := OpenArtifact(path, fp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mapped.Shards() != shards || mapped.Partners() != len(partners) ||
+			mapped.K() != 8 || mapped.Candidates() != built.Candidates() {
+			t.Fatalf("mapped geometry differs: %d shards %d partners %d pairs",
+				mapped.Shards(), mapped.Partners(), mapped.Candidates())
+		}
+		if mapped.Artifact() == nil {
+			t.Fatal("mapped engine lost its artifact")
+		}
+		label := "shards=" + strconv.Itoa(shards)
+		for qi, u := range queries {
+			n := 1 + qi%20
+			exclude := int32(qi%len(partners)) - 1
+			want, _, err := built.SearchInto(u, n, exclude, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if quantized {
-				built.EnableQuantized()
-			}
-			fp := ta.Fingerprint([]uint64{uint64(shards)}, events, partners)
-			path := saveEngineArtifact(t, t.TempDir(), built, fp)
-			mapped, err := OpenArtifact(path, fp)
+			got, _, err := mapped.SearchInto(u, n, exclude, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if mapped.Shards() != shards || mapped.Partners() != len(partners) ||
-				mapped.K() != 8 || mapped.Candidates() != built.Candidates() {
-				t.Fatalf("mapped geometry differs: %d shards %d partners %d pairs",
-					mapped.Shards(), mapped.Partners(), mapped.Candidates())
-			}
-			if mapped.Artifact() == nil || (mapped.Artifact().Quantized() != quantized) {
-				t.Fatal("mapped engine lost its artifact or quantized flag")
-			}
-			if quantized {
-				mapped.EnableQuantized()
-			}
-			label := "shards=" + strconv.Itoa(shards) + " quantized=" + strconv.FormatBool(quantized)
-			for qi, u := range queries {
-				n := 1 + qi%20
-				exclude := int32(qi%len(partners)) - 1
-				want, _, err := built.SearchInto(u, n, exclude, nil, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, _, err := mapped.SearchInto(u, n, exclude, nil, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertBitIdentical(t, label, want, got)
-			}
-			exclude := make([]int32, len(queries))
-			for i := range exclude {
-				exclude[i] = int32(i % len(partners))
-			}
-			wantB, _, err := built.SearchBatch(queries, 7, exclude)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotB, _, err := mapped.SearchBatch(queries, 7, exclude)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range wantB {
-				assertBitIdentical(t, label+" batch", wantB[i], gotB[i])
-			}
+			assertBitIdentical(t, label, want, got)
+		}
+		exclude := make([]int32, len(queries))
+		for i := range exclude {
+			exclude[i] = int32(i % len(partners))
+		}
+		wantB, _, err := built.SearchBatch(queries, 7, exclude)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotB, _, err := mapped.SearchBatch(queries, 7, exclude)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range wantB {
+			assertBitIdentical(t, label+" batch", wantB[i], gotB[i])
 		}
 	}
 }

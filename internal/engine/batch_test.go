@@ -44,42 +44,6 @@ func TestSearchBatchBitIdenticalToSearch(t *testing.T) {
 	}
 }
 
-// TestSearchBatchQuantizedMatchesQuantizedSearch checks the quantized
-// batched fan-out against per-user quantized SearchInto calls — both route
-// through the int8 mirrors with exact re-ranking, so they must agree
-// bit for bit.
-func TestSearchBatchQuantizedMatchesQuantizedSearch(t *testing.T) {
-	src := rng.New(612)
-	events := randomVecs(src, 40, 10)
-	partners := randomVecs(src, 50, 10)
-	for _, shards := range []int{1, 3} {
-		e, err := Build(events, partners, Config{Shards: shards, TopKEvents: 15, Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.EnableQuantized()
-		if !e.Quantized() {
-			t.Fatal("Quantized() false after EnableQuantized")
-		}
-		users := randomVecs(src, 6, 10)
-		exclude := make([]int32, len(users))
-		for j := range exclude {
-			exclude[j] = int32(j)
-		}
-		res, _, err := e.SearchBatch(users, 7, exclude)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range users {
-			want, _, err := e.SearchInto(users[j], 7, exclude[j], nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertBitIdentical(t, "quantized batch vs single", want, res[j])
-		}
-	}
-}
-
 // TestSearchBatchStatsMatchSingles checks the batch path's stats
 // against the same users queried one at a time: the access counts are
 // the per-user sums, the candidate count is the engine's, and every

@@ -27,13 +27,12 @@ type Config struct {
 // one fan-out: a shared event-affinity panel, one TopNBatch call per
 // shard over all of the query's lanes, and a canonical merge per lane. A
 // single query is a batch of one. Queries are safe for concurrent use;
-// building and EnableQuantized are not.
+// building is not.
 type Engine struct {
 	k         int
 	nPartners int
 	pairs     int
 	shards    []shard
-	quantized bool
 	// affSet computes the shared event-affinity panel. It belongs to
 	// shard 0, whose event rows are bit-identical copies of every other
 	// shard's (events are replicated across shards).
@@ -145,22 +144,6 @@ func (e *Engine) addShard(sh shard) {
 	e.shards = append(e.shards, sh)
 }
 
-// EnableQuantized packs every shard's int8 candidate mirrors and routes
-// all subsequent queries through the quantized search path (approximate
-// int8 affinity passes, exact re-rank; see ta.PackQuantized). Event rows
-// are replicated bit-identically across shards, so the quantized event
-// panel stays shard-invariant exactly like the exact one. Not safe
-// concurrently with queries; call it right after Build, before serving.
-func (e *Engine) EnableQuantized() {
-	for _, sh := range e.shards {
-		sh.set.PackQuantized()
-	}
-	e.quantized = true
-}
-
-// Quantized reports whether queries route through the int8 path.
-func (e *Engine) Quantized() bool { return e.quantized }
-
 // NewDelta creates the live-ingestion tier for this engine: a delta
 // over every partner, pruned to topK pairs per arriving event. A
 // one-shard engine shares its packed partner rows with the delta; with
@@ -184,15 +167,12 @@ func (e *Engine) NewDelta(topK int) (*ta.Delta, error) {
 // the shard-local partner space. The original engine keeps answering
 // queries while the fold runs — the copy-on-write compaction. The view's
 // partners are global IDs. workers bounds each shard's index-build
-// parallelism. The fold inherits this engine's query mode: a quantized
-// engine folds into a quantized engine, its new shards re-packing their
-// int8 mirrors over the extended event list.
+// parallelism.
 func (e *Engine) Fold(v ta.DeltaView, workers int) (*Engine, error) {
 	if len(v.Pairs) != len(v.Cross) {
 		return nil, fmt.Errorf("engine: fold pair/cross length mismatch: %d vs %d", len(v.Pairs), len(v.Cross))
 	}
 	ne := newEngine(e.k, e.nPartners)
-	ne.quantized = e.quantized
 	for _, sh := range e.shards {
 		sv := ta.DeltaView{Events: v.Events}
 		for j, p := range v.Pairs {
@@ -202,9 +182,6 @@ func (e *Engine) Fold(v ta.DeltaView, workers int) (*Engine, error) {
 			}
 		}
 		set, idx := ta.FoldDelta(sh.set, sv, workers)
-		if ne.quantized {
-			set.PackQuantized()
-		}
 		ne.addShard(shard{set: set, idx: idx, lo: sh.lo, hi: sh.hi})
 	}
 	return ne, nil
@@ -294,7 +271,7 @@ func (e *Engine) SearchIntoPred(userVec []float32, n int, exclude int32, pred ta
 	fs := e.pool.Get().(*fanoutScratch)
 	defer e.pool.Put(fs)
 	fs.user[0], fs.excl[0] = userVec, exclude
-	fs.q = ta.BatchQuery{Users: fs.user[:], N: n, Pred: pred, Quantized: e.quantized}
+	fs.q = ta.BatchQuery{Users: fs.user[:], N: n, Pred: pred}
 	fs.exclude = fs.excl[:]
 	out, stats := e.search(fs, start, dst[:0], nil, shardStats)
 	return out, stats, nil
@@ -321,7 +298,7 @@ func (e *Engine) SearchBatch(users [][]float32, n int, exclude []int32) ([][]ta.
 	}
 	fs := e.pool.Get().(*fanoutScratch)
 	defer e.pool.Put(fs)
-	fs.q = ta.BatchQuery{Users: users, N: n, Quantized: e.quantized}
+	fs.q = ta.BatchQuery{Users: users, N: n}
 	fs.exclude = exclude
 	outs := make([][]ta.Result, len(users))
 	_, stats := e.search(fs, start, make([]ta.Result, 0, len(users)*n), outs, nil)
@@ -353,10 +330,9 @@ func (e *Engine) check(n int, pred ta.EventPredicate, users ...[]float32) error 
 func (e *Engine) search(fs *fanoutScratch, start time.Time, dst []ta.Result, outs [][]ta.Result, shardStats []ShardStats) ([]ta.Result, Stats) {
 	var stats Stats
 	// The per-event affinities are shard-invariant (every shard
-	// replicates the event rows, and the int8 mirrors derive from them),
-	// so one panel serves all shards.
+	// replicates the event rows), so one panel serves all shards.
 	t0 := time.Now()
-	fs.q.EventAff = e.affSet.EventAffinityPanel(fs.q.Users, e.quantized, &fs.prepass)
+	fs.q.EventAff = e.affSet.EventAffinityPanel(fs.q.Users, &fs.prepass)
 	stats.Prepass = time.Since(t0)
 
 	ns := len(e.shards)

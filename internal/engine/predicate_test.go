@@ -98,44 +98,6 @@ func TestShardedPredicateNilBitIdentical(t *testing.T) {
 	}
 }
 
-// TestShardedPredicateQuantized checks the constrained int8 fan-out:
-// every result respects the predicate on every shard count, and a nil
-// predicate is bit-identical to the unconstrained quantized search.
-func TestShardedPredicateQuantized(t *testing.T) {
-	src := rng.New(8300)
-	events := randomVecs(src, 40, 8)
-	partners := randomVecs(src, 30, 8)
-	for _, shards := range []int{1, 4} {
-		e, err := Build(events, partners, Config{Shards: shards, TopKEvents: 0, Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.EnableQuantized()
-		pred := randomPred(src, 40, 0.3)
-		for trial := 0; trial < 8; trial++ {
-			u := randomVecs(src, 1, 8)[0]
-			want, _, err := e.SearchInto(u, 10, -1, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _, err := e.SearchIntoPred(u, 10, -1, nil, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertBitIdentical(t, "nil predicate vs quantized Search", want, got)
-			res, _, err := e.SearchIntoPred(u, 10, -1, pred, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range res {
-				if !pred[r.Event] {
-					t.Fatalf("shards=%d trial=%d: quantized result event %d violates predicate", shards, trial, r.Event)
-				}
-			}
-		}
-	}
-}
-
 // TestSearchPredValidation pins the predicate shape check at the engine
 // boundary.
 func TestSearchPredValidation(t *testing.T) {

@@ -16,8 +16,7 @@ import (
 
 // This file implements the zero-copy index artifact: the *built* joint
 // index — packed candidate rows, the per-partner FastIndex grouping and
-// bounds, the int8-quantized mirrors, and the engine's shard partition
-// table — serialized into one versioned, CRC'd, page-aligned sidecar
+// bounds, and the engine's shard partition table — serialized into one versioned, CRC'd, page-aligned sidecar
 // file. Opening an artifact maps the file (mmap on unix, a heap read
 // elsewhere) and aliases every slice of every CandidateSet/FastIndex
 // directly onto the mapped pages, so loading a built index costs a map
@@ -31,7 +30,7 @@ import (
 //	[8:12)   format version
 //	[12:16)  native byte-order marker 0x01020304
 //	[16:24)  build fingerprint (see Fingerprint)
-//	[24:28)  flags (bit 0: quantized sections present)
+//	[24:28)  flags (none defined; any set bit reads as stale)
 //	[28:32)  embedding dimension K
 //	[32:36)  segment (shard) count
 //	[36:40)  global partner count
@@ -43,9 +42,8 @@ import (
 // A segment directory follows: per segment its partner range [lo, hi),
 // event and pair counts, then per section a file offset and CRC32.
 // Sections are page-aligned and ordered eventData, partnerData, pairs,
-// cross, order, partnerStart, maxCross, and — when the quantized flag
-// is set — eventQ, partnerQ, eventScale, partnerScale; their byte
-// lengths are derived from the counts, never read from the file.
+// cross, order, partnerStart, maxCross; their byte lengths are derived
+// from the counts, never read from the file.
 
 const (
 	artifactMagic      = "EBSNIDX1"
@@ -54,10 +52,7 @@ const (
 	artifactAlign      = 4096 // section alignment: one page, mmap-friendly
 	artifactEndianMark = 0x01020304
 
-	artifactFlagQuantized = 1 << 0
-
-	exactSections = 7 // eventData partnerData pairs cross order partnerStart maxCross
-	quantSections = 4 // eventQ partnerQ eventScale partnerScale
+	artifactSections = 7 // eventData partnerData pairs cross order partnerStart maxCross
 
 	maxArtifactSegments = 1 << 16
 	maxArtifactDim      = 1 << 20
@@ -127,7 +122,6 @@ type Segment struct {
 type Artifact struct {
 	k           int
 	nPartners   int
-	quantized   bool
 	fingerprint uint64
 	segments    []Segment
 	m           *mapping
@@ -138,10 +132,6 @@ func (a *Artifact) K() int { return a.k }
 
 // Partners returns the global partner count the segments partition.
 func (a *Artifact) Partners() int { return a.nPartners }
-
-// Quantized reports whether the artifact carries the int8-quantized
-// candidate mirrors (its sets then answer Quantized() true).
-func (a *Artifact) Quantized() bool { return a.quantized }
 
 // Fingerprint returns the build fingerprint stored in the artifact.
 func (a *Artifact) Fingerprint() uint64 { return a.fingerprint }
@@ -189,8 +179,7 @@ func Fingerprint(params []uint64, rowSets ...[][]float32) uint64 {
 // WriteArtifact serializes the built index segments into an artifact at
 // path, atomically (temp file + fsync + rename, like the model
 // snapshots): a crash mid-write never corrupts a previous artifact.
-// The segments must partition [0, nPartners) contiguously; quantized
-// sections are written only when every segment's set carries them. The
+// The segments must partition [0, nPartners) contiguously. The
 // fingerprint should come from Fingerprint over the build inputs —
 // OpenArtifact refuses the file as stale unless the caller presents the
 // same value.
@@ -201,7 +190,6 @@ func WriteArtifact(path string, fingerprint uint64, k, nPartners int, segs []Seg
 	if len(segs) == 0 || len(segs) > maxArtifactSegments {
 		return fmt.Errorf("ta: artifact needs 1..%d segments, got %d", maxArtifactSegments, len(segs))
 	}
-	quantized := true
 	var lo int32
 	for i, s := range segs {
 		if s.Set == nil || s.Idx == nil || s.Idx.set != s.Set {
@@ -221,20 +209,10 @@ func WriteArtifact(path string, fingerprint uint64, k, nPartners int, segs []Seg
 			return fmt.Errorf("ta: artifact segment %d: inconsistent index geometry", i)
 		}
 		s.Set.Pack()
-		if !s.Set.quantized {
-			quantized = false
-		}
 		lo = s.Hi
 	}
 	if int(lo) != nPartners {
 		return fmt.Errorf("ta: artifact segments cover %d partners, want %d", lo, nPartners)
-	}
-
-	nsec := exactSections
-	flags := uint32(0)
-	if quantized {
-		nsec += quantSections
-		flags |= artifactFlagQuantized
 	}
 
 	// Lay out the directory and the page-aligned sections.
@@ -242,7 +220,7 @@ func WriteArtifact(path string, fingerprint uint64, k, nPartners int, segs []Seg
 		off  uint64
 		data []byte
 	}
-	recSize := 16 + nsec*12
+	recSize := 16 + artifactSections*12
 	dir := make([]byte, 0, len(segs)*recSize)
 	var sections []section
 	pos := uint64(artifactHeaderLen + len(segs)*recSize)
@@ -251,7 +229,7 @@ func WriteArtifact(path string, fingerprint uint64, k, nPartners int, segs []Seg
 		dir = binary.BigEndian.AppendUint32(dir, uint32(s.Hi))
 		dir = binary.BigEndian.AppendUint32(dir, uint32(len(s.Set.Events)))
 		dir = binary.BigEndian.AppendUint32(dir, uint32(len(s.Set.Pairs)))
-		for _, b := range s.sectionViews(quantized) {
+		for _, b := range s.sectionViews() {
 			pos = (pos + artifactAlign - 1) &^ (artifactAlign - 1)
 			dir = binary.BigEndian.AppendUint64(dir, pos)
 			dir = binary.BigEndian.AppendUint32(dir, crc32.ChecksumIEEE(b))
@@ -266,7 +244,6 @@ func WriteArtifact(path string, fingerprint uint64, k, nPartners int, segs []Seg
 	binary.BigEndian.PutUint32(hdr[8:], artifactVersion)
 	binary.NativeEndian.PutUint32(hdr[12:], artifactEndianMark)
 	binary.BigEndian.PutUint64(hdr[16:], fingerprint)
-	binary.BigEndian.PutUint32(hdr[24:], flags)
 	binary.BigEndian.PutUint32(hdr[28:], uint32(k))
 	binary.BigEndian.PutUint32(hdr[32:], uint32(len(segs)))
 	binary.BigEndian.PutUint32(hdr[36:], uint32(nPartners))
@@ -332,8 +309,8 @@ func WriteArtifact(path string, fingerprint uint64, k, nPartners int, segs []Seg
 }
 
 // sectionViews returns the segment's section byte views in file order.
-func (s Segment) sectionViews(quantized bool) [][]byte {
-	views := [][]byte{
+func (s Segment) sectionViews() [][]byte {
+	return [][]byte{
 		f32Bytes(s.Set.eventData),
 		f32Bytes(s.Set.partnerData),
 		candBytes(s.Set.Pairs),
@@ -342,14 +319,6 @@ func (s Segment) sectionViews(quantized bool) [][]byte {
 		i32Bytes(s.Idx.partnerStart),
 		f32Bytes(s.Idx.maxCross),
 	}
-	if quantized {
-		views = append(views,
-			i8Bytes(s.Set.eventQ),
-			i8Bytes(s.Set.partnerQ),
-			f32Bytes(s.Set.eventScale),
-			f32Bytes(s.Set.partnerScale))
-	}
-	return views
 }
 
 // OpenArtifact opens the artifact at path zero-copy: the file is mapped
@@ -419,22 +388,16 @@ func decodeArtifact(m *mapping, want uint64) (*Artifact, error) {
 	if fp != want {
 		return nil, fmt.Errorf("fingerprint %016x, current build inputs give %016x: %w", fp, want, ErrArtifactStale)
 	}
-	flags := binary.BigEndian.Uint32(b[24:])
-	if flags&^uint32(artifactFlagQuantized) != 0 {
+	if flags := binary.BigEndian.Uint32(b[24:]); flags != 0 {
 		return nil, fmt.Errorf("unknown flags %#x: %w", flags, ErrArtifactStale)
 	}
-	quantized := flags&artifactFlagQuantized != 0
 	k := int(binary.BigEndian.Uint32(b[28:]))
 	nseg := int(binary.BigEndian.Uint32(b[32:]))
 	nPartners := int(binary.BigEndian.Uint32(b[36:]))
 	if k < 1 || k > maxArtifactDim || nseg < 1 || nseg > maxArtifactSegments || nPartners < nseg {
 		return nil, fmt.Errorf("impossible geometry (k=%d segments=%d partners=%d): %w", k, nseg, nPartners, ErrArtifactCorrupt)
 	}
-	nsec := exactSections
-	if quantized {
-		nsec += quantSections
-	}
-	recSize := 16 + nsec*12
+	recSize := 16 + artifactSections*12
 	dirEnd := artifactHeaderLen + nseg*recSize
 	if dirEnd > len(b) {
 		return nil, fmt.Errorf("truncated directory: %w", ErrArtifactCorrupt)
@@ -444,7 +407,7 @@ func decodeArtifact(m *mapping, want uint64) (*Artifact, error) {
 		return nil, fmt.Errorf("directory checksum mismatch: %w", ErrArtifactCorrupt)
 	}
 
-	a := &Artifact{k: k, nPartners: nPartners, quantized: quantized, fingerprint: fp, m: m}
+	a := &Artifact{k: k, nPartners: nPartners, fingerprint: fp, m: m}
 	prevHi := int64(0)
 	for si := 0; si < nseg; si++ {
 		rec := dir[si*recSize : (si+1)*recSize]
@@ -457,9 +420,6 @@ func decodeArtifact(m *mapping, want uint64) (*Artifact, error) {
 		}
 		nsp := hi - lo
 		sizes := []int64{ne * int64(k) * 4, nsp * int64(k) * 4, np * 8, np * 4, np * 4, (nsp + 1) * 4, nsp * 4}
-		if quantized {
-			sizes = append(sizes, ne*int64(k), nsp*int64(k), ne*4, nsp*4)
-		}
 		secs := make([][]byte, len(sizes))
 		for j, sz := range sizes {
 			off := int64(binary.BigEndian.Uint64(rec[16+j*12:]))
@@ -508,15 +468,7 @@ func decodeArtifact(m *mapping, want uint64) (*Artifact, error) {
 			Cross:       cross,
 			eventData:   eventData,
 			partnerData: partnerData,
-			mapped:      true,
 			owner:       a,
-		}
-		if quantized {
-			set.eventQ = bytesI8(secs[7])
-			set.partnerQ = bytesI8(secs[8])
-			set.eventScale = bytesF32(secs[9])
-			set.partnerScale = bytesF32(secs[10])
-			set.quantized = true
 		}
 		idx := &FastIndex{set: set, order: order, partnerStart: partnerStart, maxCross: maxCross}
 		a.segments = append(a.segments, Segment{Lo: int32(lo), Hi: int32(hi), Set: set, Idx: idx})
@@ -560,14 +512,6 @@ func i32Bytes(s []int32) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*4)
 }
 
-// i8Bytes returns the raw bytes of an int8 slice (nil for empty).
-func i8Bytes(s []int8) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s))
-}
-
 // candBytes returns the raw bytes of a Candidate slice (nil for empty).
 func candBytes(s []Candidate) []byte {
 	if len(s) == 0 {
@@ -590,14 +534,6 @@ func bytesI32(b []byte) []int32 {
 		return nil
 	}
 	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4)
-}
-
-// bytesI8 views raw bytes as int8s (nil for empty).
-func bytesI8(b []byte) []int8 {
-	if len(b) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*int8)(unsafe.Pointer(&b[0])), len(b))
 }
 
 // bytesCand views raw bytes as Candidates (nil for empty).

@@ -1,7 +1,9 @@
 package ta
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -33,12 +35,9 @@ func buildTieSet(t testing.TB, seed uint64, nEvents, nPartners, k, topK int) (*C
 
 // writeTieArtifact writes buildTieSet's single-segment artifact and
 // returns its path, fingerprint, and the original set/index.
-func writeTieArtifact(t testing.TB, dir string, quantized bool) (string, uint64, *CandidateSet, *FastIndex) {
+func writeTieArtifact(t testing.TB, dir string) (string, uint64, *CandidateSet, *FastIndex) {
 	t.Helper()
 	set, idx := buildTieSet(t, 42, 60, 35, 8, 9)
-	if quantized {
-		set.PackQuantized()
-	}
 	fp := Fingerprint([]uint64{uint64(set.K), uint64(len(set.Events)), uint64(len(set.Partners))},
 		set.Events, set.Partners)
 	path := filepath.Join(dir, "index.art")
@@ -51,7 +50,7 @@ func writeTieArtifact(t testing.TB, dir string, quantized bool) (string, uint64,
 
 // queryBits runs a tie-heavy query workload against an index and
 // returns the exact result stream (pairs + score bit patterns).
-func queryBits(t testing.TB, idx *FastIndex, quantized bool, seed uint64) []uint64 {
+func queryBits(t testing.TB, idx *FastIndex, seed uint64) []uint64 {
 	t.Helper()
 	src := rng.New(seed)
 	sc := GetScratch()
@@ -60,12 +59,7 @@ func queryBits(t testing.TB, idx *FastIndex, quantized bool, seed uint64) []uint
 	for trial := 0; trial < 40; trial++ {
 		u := randomVecs(src, 1, idx.set.K, true)[0]
 		for _, n := range []int{1, 5, 17} {
-			var res []Result
-			if quantized {
-				res, _ = idx.TopNExcludingQuantizedScratch(u, n, int32(trial%7), sc)
-			} else {
-				res, _ = idx.TopNExcludingScratch(u, n, int32(trial%7), sc)
-			}
+			res, _ := idx.TopNExcludingScratch(u, n, int32(trial%7), sc)
 			for _, r := range res {
 				out = append(out, uint64(r.Event)<<40|uint64(r.Partner)<<8)
 				out = append(out, uint64(math.Float32bits(r.Score)))
@@ -76,44 +70,39 @@ func queryBits(t testing.TB, idx *FastIndex, quantized bool, seed uint64) []uint
 }
 
 func TestArtifactRoundTripBitIdentical(t *testing.T) {
-	for _, quantized := range []bool{false, true} {
-		path, fp, set, idx := writeTieArtifact(t, t.TempDir(), quantized)
-		art, err := OpenArtifact(path, fp)
-		if err != nil {
-			t.Fatal(err)
+	path, fp, set, idx := writeTieArtifact(t, t.TempDir())
+	art, err := OpenArtifact(path, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer art.Close()
+	segs := art.Segments()
+	if len(segs) != 1 {
+		t.Fatalf("got %d segments", len(segs))
+	}
+	m := segs[0]
+	if len(m.Set.Events) != len(set.Events) || len(m.Set.Partners) != len(set.Partners) ||
+		len(m.Set.Pairs) != len(set.Pairs) {
+		t.Fatal("mapped geometry differs")
+	}
+	for i, p := range set.Pairs {
+		if m.Set.Pairs[i] != p {
+			t.Fatalf("pair %d differs", i)
 		}
-		defer art.Close()
-		if art.Quantized() != quantized {
-			t.Fatalf("quantized=%v, artifact says %v", quantized, art.Quantized())
+	}
+	for i, c := range set.Cross {
+		if math.Float32bits(m.Set.Cross[i]) != math.Float32bits(c) {
+			t.Fatalf("cross %d differs", i)
 		}
-		segs := art.Segments()
-		if len(segs) != 1 {
-			t.Fatalf("got %d segments", len(segs))
-		}
-		m := segs[0]
-		if len(m.Set.Events) != len(set.Events) || len(m.Set.Partners) != len(set.Partners) ||
-			len(m.Set.Pairs) != len(set.Pairs) {
-			t.Fatal("mapped geometry differs")
-		}
-		for i, p := range set.Pairs {
-			if m.Set.Pairs[i] != p {
-				t.Fatalf("pair %d differs", i)
-			}
-		}
-		for i, c := range set.Cross {
-			if math.Float32bits(m.Set.Cross[i]) != math.Float32bits(c) {
-				t.Fatalf("cross %d differs", i)
-			}
-		}
-		want := queryBits(t, idx, quantized, 99)
-		got := queryBits(t, m.Idx, quantized, 99)
-		if len(want) != len(got) {
-			t.Fatalf("result stream length %d vs %d", len(got), len(want))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("quantized=%v: result stream diverges at %d", quantized, i)
-			}
+	}
+	want := queryBits(t, idx, 99)
+	got := queryBits(t, m.Idx, 99)
+	if len(want) != len(got) {
+		t.Fatalf("result stream length %d vs %d", len(got), len(want))
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("result stream diverges at %d", i)
 		}
 	}
 }
@@ -123,7 +112,7 @@ func TestArtifactRoundTripBitIdentical(t *testing.T) {
 // fallback produces — and checks it yields the same index as the
 // mmap-backed open.
 func TestArtifactHeapDecodeMatchesMapped(t *testing.T) {
-	path, fp, _, idx := writeTieArtifact(t, t.TempDir(), true)
+	path, fp, _, idx := writeTieArtifact(t, t.TempDir())
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -132,8 +121,8 @@ func TestArtifactHeapDecodeMatchesMapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := queryBits(t, idx, true, 7)
-	got := queryBits(t, art.Segments()[0].Idx, true, 7)
+	want := queryBits(t, idx, 7)
+	got := queryBits(t, art.Segments()[0].Idx, 7)
 	for i := range want {
 		if want[i] != got[i] {
 			t.Fatalf("heap decode diverges at %d", i)
@@ -143,7 +132,7 @@ func TestArtifactHeapDecodeMatchesMapped(t *testing.T) {
 
 func TestArtifactCorruptionTable(t *testing.T) {
 	dir := t.TempDir()
-	path, fp, _, _ := writeTieArtifact(t, dir, true)
+	path, fp, _, _ := writeTieArtifact(t, dir)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -162,6 +151,9 @@ func TestArtifactCorruptionTable(t *testing.T) {
 		{"directory bit flip", func(b []byte) []byte { b[artifactHeaderLen+3] ^= 1; return b }, ErrArtifactCorrupt, fp},
 		{"payload bit flip", func(b []byte) []byte { b[len(b)-1] ^= 1; return b }, ErrArtifactCorrupt, fp},
 		{"fingerprint mismatch", func(b []byte) []byte { return b }, ErrArtifactStale, fp + 1},
+		// Bit 0 once marked int8 sections; every flag is unknown now, so
+		// such a file is stale even with a valid header checksum.
+		{"legacy flag", func(b []byte) []byte { return setArtifactFlags(b, 1) }, ErrArtifactStale, fp},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -185,27 +177,35 @@ func TestArtifactCorruptionTable(t *testing.T) {
 	})
 }
 
-// TestArtifactMappedPackQuantizedNoop checks that re-quantizing a
-// mapped set is a no-op: the mirrors already alias the artifact pages
-// and must not be rewritten in place.
+// setArtifactFlags overwrites an artifact's flags word and recomputes
+// the header checksum, so only the flags are wrong.
+func setArtifactFlags(b []byte, flags uint32) []byte {
+	binary.BigEndian.PutUint32(b[24:], flags)
+	binary.BigEndian.PutUint32(b[52:], crc32.ChecksumIEEE(b[:52]))
+	return b
+}
+
+// TestArtifactMappedPackQuantizedNoop checks that PackQuantized — Pack,
+// kept for the benchmark harness — leaves a mapped set's rows on the
+// artifact's pages instead of copying them into the heap.
 func TestArtifactMappedPackQuantizedNoop(t *testing.T) {
-	path, fp, _, _ := writeTieArtifact(t, t.TempDir(), true)
+	path, fp, _, _ := writeTieArtifact(t, t.TempDir())
 	art, err := OpenArtifact(path, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer art.Close()
 	set := art.Segments()[0].Set
-	beforeQ := &set.eventQ[0]
-	beforeS := &set.eventScale[0]
+	beforeE, beforeP := &set.eventData[0], &set.partnerData[0]
 	set.PackQuantized()
-	if &set.eventQ[0] != beforeQ || &set.eventScale[0] != beforeS {
-		t.Fatal("PackQuantized rewrote a mapped set's mirrors")
+	if &set.eventData[0] != beforeE || &set.partnerData[0] != beforeP ||
+		&set.Events[0][0] != beforeE || &set.Partners[0][0] != beforeP {
+		t.Fatal("PackQuantized moved a mapped set's rows off the artifact pages")
 	}
 }
 
 func TestArtifactMappedBytesAccounting(t *testing.T) {
-	path, fp, _, _ := writeTieArtifact(t, t.TempDir(), false)
+	path, fp, _, _ := writeTieArtifact(t, t.TempDir())
 	before := MappedBytes()
 	art, err := OpenArtifact(path, fp)
 	if err != nil {

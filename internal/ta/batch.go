@@ -9,8 +9,8 @@ import (
 
 // Every top-n query is a TopNBatch: a batch shares the expensive part of
 // the search — the affinity passes over the packed event and partner
-// rows — across its b users via the matrix-panel kernels
-// (vecmath.DotPanel and its int8 twin), and a single query is a batch of
+// rows — across its b users via the matrix-panel kernel
+// (vecmath.DotPanel), and a single query is a batch of
 // one, whose one-lane panel is DotBatch. The threshold walk runs per
 // lane: it is inherently data-dependent. Its fixed cost is one linear
 // fill of the partner bounds; the rest scales with the bounds it pops, a
@@ -38,9 +38,6 @@ type BatchQuery struct {
 	// sharded engine computes it once and shares it across shards).
 	// Nil means compute it here.
 	EventAff []float32
-	// Quantized routes the search through the int8 mirrors with exact
-	// re-ranking; the set must have been packed with PackQuantized.
-	Quantized bool
 	// Pred optionally restricts every query in the batch to
 	// predicate-allowed events (the batch shares one predicate — callers
 	// with per-user predicates issue single queries instead; see the
@@ -50,8 +47,8 @@ type BatchQuery struct {
 }
 
 // packQueries copies the user vectors into the scratch's contiguous
-// b×K panel, quantizing each row as well when quantized is set.
-func (c *CandidateSet) packQueries(users [][]float32, quantized bool, sc *Scratch) {
+// b×K panel.
+func (c *CandidateSet) packQueries(users [][]float32, sc *Scratch) {
 	b, k := len(users), c.K
 	sc.qs = resizeF32(sc.qs, b*k)
 	for j, u := range users {
@@ -60,45 +57,28 @@ func (c *CandidateSet) packQueries(users [][]float32, quantized bool, sc *Scratc
 		}
 		copy(sc.qs[j*k:(j+1)*k], u)
 	}
-	if quantized {
-		sc.q8 = resizeSlice(sc.q8, b*k)
-		sc.qscale = resizeF32(sc.qscale, b)
-		for j := range users {
-			sc.qscale[j] = vecmath.QuantizeRow(sc.qs[j*k:(j+1)*k], sc.q8[j*k:(j+1)*k])
-		}
-	}
 }
 
 // panel fills dst (grown as needed) with the b×rows affinity panel of
-// the packed queries against one side of the space, user-major: over
-// the packed float32 rows, or — quantized — reconstructed from the
-// widening int8 panel and the per-row scales.
-func (c *CandidateSet) panel(nb int, partners, quantized bool, dst []float32, sc *Scratch) []float32 {
-	rows, data, q8, scale := c.side(partners)
+// the packed queries against one side of the space's packed rows,
+// user-major.
+func (c *CandidateSet) panel(nb int, partners bool, dst []float32, sc *Scratch) []float32 {
+	rows, data := c.side(partners)
 	dst = resizeF32(dst, nb*rows)
-	if !quantized {
-		vecmath.DotPanel(sc.qs, nb, data, c.K, dst)
-		return dst
-	}
-	sc.i32 = resizeSlice(sc.i32, nb*rows)
-	vecmath.DotPanelI8(sc.q8, nb, q8, c.K, sc.i32)
-	for j := 0; j < nb; j++ {
-		scaleWidened(sc.qscale[j], scale, sc.i32[j*rows:(j+1)*rows], dst[j*rows:(j+1)*rows])
-	}
+	vecmath.DotPanel(sc.qs, nb, data, c.K, dst)
 	return dst
 }
 
 // EventAffinityPanel computes the b×|X| event-affinity panel for the
 // batch: row j holds Users[j]·Events[x] for every event, produced by
-// the same kernels as TopNBatch's internal pass so handing the panel
+// the same kernel as TopNBatch's internal pass so handing the panel
 // back in via BatchQuery.EventAff is bit-identical to recomputing it.
 // The sharded engine calls this once per query — a single query is a
 // one-lane panel — on its affinity set and shares the panel across
 // shards. The returned slice aliases sc.
-func (c *CandidateSet) EventAffinityPanel(users [][]float32, quantized bool, sc *Scratch) []float32 {
-	c.checkQuery(nil, quantized)
-	c.packQueries(users, quantized, sc)
-	sc.aff = c.panel(len(users), eventSide, quantized, sc.aff, sc)
+func (c *CandidateSet) EventAffinityPanel(users [][]float32, sc *Scratch) []float32 {
+	c.packQueries(users, sc)
+	sc.aff = c.panel(len(users), eventSide, sc.aff, sc)
 	return sc.aff
 }
 
@@ -117,7 +97,7 @@ func (f *FastIndex) TopNBatch(q BatchQuery, sc *Scratch) ([][]Result, []SearchSt
 	if q.Exclude != nil && len(q.Exclude) != nb {
 		panic(fmt.Sprintf("ta: batch has %d users but %d excludes", nb, len(q.Exclude)))
 	}
-	set.checkQuery(q.Pred, q.Quantized)
+	set.checkPred(q.Pred)
 	sc.res = resizeSlice(sc.res, nb)
 	sc.stats = resizeSlice(sc.stats, nb)
 	if nb == 0 {
@@ -125,19 +105,18 @@ func (f *FastIndex) TopNBatch(q BatchQuery, sc *Scratch) ([][]Result, []SearchSt
 	}
 
 	passes := time.Now()
-	nx, nu, k := len(set.Events), len(set.Partners), set.K
+	nx, nu := len(set.Events), len(set.Partners)
 	aff := q.EventAff
 	if aff == nil {
-		aff = set.EventAffinityPanel(q.Users, q.Quantized, sc)
+		aff = set.EventAffinityPanel(q.Users, sc)
 	} else {
 		if len(aff) != nb*nx {
 			panic(fmt.Sprintf("ta: event-affinity panel has %d entries, want %d", len(aff), nb*nx))
 		}
-		// Still pack (and quantize) the queries: the partner pass and
-		// the quantized re-rank need them.
-		set.packQueries(q.Users, q.Quantized, sc)
+		// Still pack the queries: the partner pass needs them.
+		set.packQueries(q.Users, sc)
 	}
-	sc.bp = set.panel(nb, partnerSide, q.Quantized, sc.bp, sc)
+	sc.bp = set.panel(nb, partnerSide, sc.bp, sc)
 	share := time.Since(passes) / time.Duration(nb)
 
 	nc := len(set.Pairs)
@@ -152,8 +131,8 @@ func (f *FastIndex) TopNBatch(q BatchQuery, sc *Scratch) ([][]Result, []SearchSt
 			if q.Exclude != nil {
 				exclude = q.Exclude[j]
 			}
-			res = f.walk(sc.qs[j*k:(j+1)*k], aff[j*nx:(j+1)*nx], sc.bp[j*nu:(j+1)*nu],
-				n, exclude, q.Pred, q.Quantized, sc, &stats, sc.out[j*n:j*n:j*n+n])
+			res = f.walk(aff[j*nx:(j+1)*nx], sc.bp[j*nu:(j+1)*nu],
+				n, exclude, q.Pred, sc, &stats, sc.out[j*n:j*n:j*n+n])
 		}
 		stats.Elapsed = share + time.Since(start)
 		sc.res[j] = res

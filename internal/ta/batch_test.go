@@ -112,27 +112,22 @@ func TestTopNBatchPrecomputedAff(t *testing.T) {
 	affBsc := GetScratch()
 	defer PutScratch(affBsc)
 
-	for _, quantized := range []bool{false, true} {
-		if quantized {
-			cs.PackQuantized()
-		}
-		users := randomVecs(src, 7, k, true)
-		res, _ := f.TopNBatch(BatchQuery{Users: users, N: 8, Quantized: quantized}, bsc)
-		want := make([][]Result, len(res))
-		for j := range res {
-			want[j] = append([]Result(nil), res[j]...)
-		}
-		aff := cs.EventAffinityPanel(users, quantized, affBsc)
-		res2, _ := f.TopNBatch(BatchQuery{Users: users, N: 8, EventAff: aff, Quantized: quantized}, bsc)
-		for j := range want {
-			resultsBitIdentical(t, want[j], res2[j])
-		}
+	users := randomVecs(src, 7, k, true)
+	res, _ := f.TopNBatch(BatchQuery{Users: users, N: 8}, bsc)
+	want := make([][]Result, len(res))
+	for j := range res {
+		want[j] = append([]Result(nil), res[j]...)
+	}
+	aff := cs.EventAffinityPanel(users, affBsc)
+	res2, _ := f.TopNBatch(BatchQuery{Users: users, N: 8, EventAff: aff}, bsc)
+	for j := range want {
+		resultsBitIdentical(t, want[j], res2[j])
 	}
 }
 
-// TestQuantizedMatchesBatchQuantized checks the single-query quantized
-// path and the batched quantized path agree bit for bit — both route
-// through the same approximate walk and exact re-rank.
+// TestQuantizedMatchesBatchQuantized checks that
+// TopNExcludingQuantizedScratch, kept for the benchmark harness, answers
+// bit for bit like a lane of the batched path: every query is exact.
 func TestQuantizedMatchesBatchQuantized(t *testing.T) {
 	src := rng.New(520)
 	k := 12
@@ -154,108 +149,16 @@ func TestQuantizedMatchesBatchQuantized(t *testing.T) {
 	for j := range exclude {
 		exclude[j] = int32(src.Intn(len(partners)+2)) - 1
 	}
-	res, _ := f.TopNBatch(BatchQuery{Users: users, N: 7, Exclude: exclude, Quantized: true}, bsc)
+	res, _ := f.TopNBatch(BatchQuery{Users: users, N: 7, Exclude: exclude}, bsc)
 	for j := range users {
 		want, _ := f.TopNExcludingQuantizedScratch(users[j], 7, exclude[j], sc)
 		resultsBitIdentical(t, want, res[j])
 	}
 }
 
-// TestQuantizedSurvivorScoresExact checks that every result the
-// quantized path returns carries the exact float32 score the exact path
-// assigns the same pair — the re-rank must leave no approximate scores
-// in the output.
-func TestQuantizedSurvivorScoresExact(t *testing.T) {
-	src := rng.New(521)
-	k := 10
-	events := randomVecs(src, 60, k, true)
-	partners := randomVecs(src, 45, k, true)
-	cs, err := BuildCandidates(events, partners, BuildConfig{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs.PackQuantized()
-	f := NewFastIndex(cs)
-	sc := GetScratch()
-	defer PutScratch(sc)
-
-	for q := 0; q < 10; q++ {
-		userVec := randomVecs(src, 1, k, true)[0]
-		got, _ := f.TopNExcludingQuantizedScratch(userVec, 10, -1, sc)
-		exact := referenceTopNExcluding(f, userVec, len(cs.Pairs), -1)
-		byPair := make(map[[2]int32]float32, len(exact))
-		for _, r := range exact {
-			byPair[[2]int32{r.Event, r.Partner}] = r.Score
-		}
-		for i, r := range got {
-			want, ok := byPair[[2]int32{r.Event, r.Partner}]
-			if !ok {
-				t.Fatalf("result %d: pair (%d,%d) not in exact ranking", i, r.Event, r.Partner)
-			}
-			if math.Float32bits(want) != math.Float32bits(r.Score) {
-				t.Fatalf("result %d: score %v, exact path scores the pair %v", i, r.Score, want)
-			}
-		}
-	}
-}
-
-// quantRecallAt10 runs nq quantized queries against the index and
-// returns the fraction of exact top-10 pairs the quantized path
-// recovered.
-func quantRecallAt10(t *testing.T, f *FastIndex, src *rng.Source, k, nq int) float64 {
-	t.Helper()
-	sc := GetScratch()
-	defer PutScratch(sc)
-	const n = 10
-	hits, total := 0, 0
-	for q := 0; q < nq; q++ {
-		userVec := randomVecs(src, 1, k, true)[0]
-		want, _ := f.TopNExcludingScratch(userVec, n, -1, sc)
-		wantSet := make(map[[2]int32]bool, len(want))
-		for _, r := range want {
-			wantSet[[2]int32{r.Event, r.Partner}] = true
-		}
-		got, _ := f.TopNExcludingQuantizedScratch(userVec, n, -1, sc)
-		for _, r := range got {
-			if wantSet[[2]int32{r.Event, r.Partner}] {
-				hits++
-			}
-		}
-		total += len(want)
-	}
-	return float64(hits) / float64(total)
-}
-
-// TestQuantizedRecallGate is the CI quality gate for the int8 path:
-// recall@10 against the exact ranking must stay at or above 0.99 on a
-// serving-scale synthetic space. Deterministic (fixed seeds), so a
-// regression in the quantization scheme fails loudly rather than
-// shifting a flaky threshold.
-func TestQuantizedRecallGate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("serving-scale space; skipped in -short")
-	}
-	src := rng.New(522)
-	const k = 60
-	events := randomVecs(src, 800, k, true)
-	partners := randomVecs(src, 1200, k, true)
-	cs, err := BuildCandidates(events, partners, BuildConfig{TopKEvents: 50, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs.PackQuantized()
-	f := NewFastIndex(cs)
-
-	recall := quantRecallAt10(t, f, src, k, 200)
-	t.Logf("quantized recall@10 = %.4f over 200 queries, %d pairs", recall, len(cs.Pairs))
-	if recall < 0.99 {
-		t.Fatalf("quantized recall@10 = %.4f, gate requires >= 0.99", recall)
-	}
-}
-
 // TestTopNBatchSteadyStateAllocs checks that a warmed Scratch makes
-// every query on it allocation-free: batches, exact and quantized; the
-// three positional one-lane spellings; and a live query, whose
+// every query on it allocation-free: a batch; the three positional
+// one-lane spellings; and a live query, whose
 // Delta.MergeTopN runs on the scratch its base lane just used.
 func TestTopNBatchSteadyStateAllocs(t *testing.T) {
 	src := rng.New(523)
@@ -266,19 +169,15 @@ func TestTopNBatchSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs.PackQuantized()
 	f := NewFastIndex(cs)
 	bsc := GetScratch()
 	defer PutScratch(bsc)
 	users := randomVecs(src, 8, k, true)
 
-	for _, quantized := range []bool{false, true} {
-		q := BatchQuery{Users: users, N: 10, Quantized: quantized}
-		f.TopNBatch(q, bsc) // warm the buffers
-		allocs := testing.AllocsPerRun(50, func() { f.TopNBatch(q, bsc) })
-		if allocs != 0 {
-			t.Errorf("quantized=%v: %v allocs per warmed batch, want 0", quantized, allocs)
-		}
+	q := BatchQuery{Users: users, N: 10}
+	f.TopNBatch(q, bsc) // warm the buffers
+	if allocs := testing.AllocsPerRun(50, func() { f.TopNBatch(q, bsc) }); allocs != 0 {
+		t.Errorf("%v allocs per warmed batch, want 0", allocs)
 	}
 
 	pred := stridePred(len(events), 3)
@@ -309,7 +208,7 @@ func TestTopNBatchSteadyStateAllocs(t *testing.T) {
 }
 
 // BenchmarkTopNBatch measures per-user cost of the batched path across
-// batch widths, exact and quantized, on the standard benchmark space; b=1
+// batch widths on the standard benchmark space; b=1
 // is the degenerate batch for comparison against BenchmarkTopNExcluding.
 // The "serving" cases run the exact path at the benchmark city's shape —
 // 600 events × 11 890 partners at K=60 with top-30 (5%) pruning, top 10 —
@@ -320,7 +219,6 @@ func TestTopNBatchSteadyStateAllocs(t *testing.T) {
 func BenchmarkTopNBatch(b *testing.B) {
 	cs := benchSet(b)
 	f := NewFastIndex(cs)
-	cs.PackQuantized()
 	src := rng.New(95)
 	queries := randomVecs(src, 256, 60, true)
 	serving, err := BuildCandidates(randomVecs(src, 600, 60, true), randomVecs(src, 11890, 60, true),
@@ -330,12 +228,12 @@ func BenchmarkTopNBatch(b *testing.B) {
 	}
 	fs := NewFastIndex(serving)
 
-	run := func(name string, f *FastIndex, nb int, quantized bool) {
+	run := func(name string, f *FastIndex, nb int) {
 		b.Run(name+"/b="+strconv.Itoa(nb), func(b *testing.B) {
 			bsc := GetScratch()
 			defer PutScratch(bsc)
 			users := make([][]float32, nb)
-			q := BatchQuery{Users: users, N: 10, Quantized: quantized}
+			q := BatchQuery{Users: users, N: 10}
 			fill := func(i int) {
 				for j := range users {
 					users[j] = queries[(i*nb+j)%len(queries)]
@@ -357,33 +255,10 @@ func BenchmarkTopNBatch(b *testing.B) {
 			b.ReportMetric(float64(pops)/float64(b.N*nb), "pops/user")
 		})
 	}
-	for _, quantized := range []bool{false, true} {
-		mode := "exact"
-		if quantized {
-			mode = "quantized"
-		}
-		for _, nb := range []int{1, 4, 8, 16} {
-			run(mode, f, nb, quantized)
-		}
+	for _, nb := range []int{1, 4, 8, 16} {
+		run("exact", f, nb)
 	}
 	for _, nb := range []int{1, 16} {
-		run("serving/exact", fs, nb, false)
-	}
-}
-
-// BenchmarkTopNQuantized measures the single-query quantized path.
-func BenchmarkTopNQuantized(b *testing.B) {
-	cs := benchSet(b)
-	cs.PackQuantized()
-	f := NewFastIndex(cs)
-	src := rng.New(96)
-	queries := randomVecs(src, 256, 60, true)
-	sc := GetScratch()
-	defer PutScratch(sc)
-	f.TopNExcludingQuantizedScratch(queries[0], 10, -1, sc)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.TopNExcludingQuantizedScratch(queries[i%len(queries)], 10, -1, sc)
+		run("serving/exact", fs, nb)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"ebsn/internal/rng"
-	"ebsn/internal/vecmath"
 )
 
 // TestBoundQueuePopsCanonically drains boundQueues across block-boundary
@@ -76,15 +75,14 @@ func TestBoundQueuePopsCanonically(t *testing.T) {
 
 // referenceWalk is a lane with the bound queue replaced by a full
 // canonical sort of every bound (sortedBounds) and the same strict stop:
-// it scores partners in that order until the weakest of the keep
-// survivors beats the next bound, re-scores the survivors exactly when
-// the query is quantized, and returns the canonical top n with the
-// access counts and the partners popped, in order.
+// it scores partners in that order until the weakest of the top n beats
+// the next bound, and returns the canonical top n with the access counts
+// and the partners popped, in order.
 func referenceWalk(f *FastIndex, q Query) ([]Result, SearchStats, []int32) {
 	set := f.set
 	stats := SearchStats{Candidates: len(set.Pairs)}
-	a := set.affinities(q.Vec, eventSide, q.Quantized)
-	b := set.affinities(q.Vec, partnerSide, q.Quantized)
+	a := set.affinities(q.Vec, eventSide)
+	b := set.affinities(q.Vec, partnerSide)
 	var amax float32
 	allowed := false
 	for x, v := range a {
@@ -96,10 +94,6 @@ func referenceWalk(f *FastIndex, q Query) ([]Result, SearchStats, []int32) {
 		return nil, stats, nil
 	}
 	n := min(q.N, len(set.Pairs))
-	keep := n
-	if q.Quantized {
-		keep = min(n*quantOverfetch, len(set.Pairs))
-	}
 	canonical := func(x, y Result) int {
 		switch {
 		case x.Outranks(y):
@@ -109,10 +103,10 @@ func referenceWalk(f *FastIndex, q Query) ([]Result, SearchStats, []int32) {
 		}
 		return 0
 	}
-	var surv []cand // canonical order, best first
+	var res []Result // canonical order, best first
 	var popped []int32
 	for _, top := range sortedBounds(f, b, amax) {
-		if len(surv) == keep && surv[keep-1].r.Score > top.bound {
+		if len(res) == n && res[n-1].Score > top.bound {
 			break
 		}
 		popped = append(popped, top.u)
@@ -128,28 +122,20 @@ func referenceWalk(f *FastIndex, q Query) ([]Result, SearchStats, []int32) {
 				continue
 			}
 			stats.RandomAccesses++
-			c := cand{i, Result{x, u, a[x] + b[u] + set.Cross[i]}}
-			at, _ := slices.BinarySearchFunc(surv, c, func(e, c cand) int { return canonical(e.r, c.r) })
-			surv = slices.Insert(surv, at, c)
-			if len(surv) > keep {
-				surv = surv[:keep]
+			r := Result{x, u, a[x] + b[u] + set.Cross[i]}
+			at, _ := slices.BinarySearchFunc(res, r, canonical)
+			res = slices.Insert(res, at, r)
+			if len(res) > n {
+				res = res[:n]
 			}
 		}
 	}
-	res := make([]Result, len(surv))
-	for j, c := range surv {
-		res[j] = c.r
-		if q.Quantized {
-			res[j].Score = vecmath.Dot(q.Vec, set.Events[c.r.Event]) + vecmath.Dot(q.Vec, set.Partners[c.r.Partner]) + set.Cross[c.i]
-		}
-	}
-	slices.SortFunc(res, canonical)
-	return res[:min(n, len(res))], stats, popped
+	return res, stats, popped
 }
 
 // TestSearchMatchesReferenceWalk checks Search against referenceWalk on
 // the tie fixtures — in results and in both access counts — under
-// Pred ∈ {nil, ~25%} × {exact, quantized} × Exclude ∈ {none, the first
+// Pred ∈ {nil, ~25%} × Exclude ∈ {none, the first
 // partner the unexcluded walk pops}. Equal counts mean the queue pops
 // exactly the canonical prefix the full sort yields, ties included.
 func TestSearchMatchesReferenceWalk(t *testing.T) {
@@ -170,7 +156,6 @@ func TestSearchMatchesReferenceWalk(t *testing.T) {
 	defer PutScratch(sc)
 	for _, fx := range fixtures {
 		set := fx.set
-		set.PackQuantized()
 		f := NewFastIndex(set)
 		quarter := randomPred(src, len(set.Events), 0.25)
 		users := randomVecs(src, 12, set.K, true)
@@ -178,27 +163,25 @@ func TestSearchMatchesReferenceWalk(t *testing.T) {
 			name string
 			pred EventPredicate
 		}{{"nil", nil}, {"quarter", quarter}} {
-			for _, quantized := range []bool{false, true} {
-				for j, u := range users {
-					n := 1 + j%10
-					q := Query{Vec: u, N: n, Exclude: -1, Pred: pr.pred, Quantized: quantized}
-					_, _, popped := referenceWalk(f, q)
-					excludes := []int32{-1}
-					if len(popped) > 0 {
-						excludes = append(excludes, popped[0])
+			for j, u := range users {
+				n := 1 + j%10
+				q := Query{Vec: u, N: n, Exclude: -1, Pred: pr.pred}
+				_, _, popped := referenceWalk(f, q)
+				excludes := []int32{-1}
+				if len(popped) > 0 {
+					excludes = append(excludes, popped[0])
+				}
+				for _, ex := range excludes {
+					q.Exclude = ex
+					row := fmt.Sprintf("%s/pred=%s/q=%d/exclude=%d", fx.name, pr.name, j, ex)
+					want, wantStats, _ := referenceWalk(f, q)
+					got, gotStats := f.Search(q, sc)
+					if !sameResults(want, got) {
+						t.Fatalf("%s: got %v, reference %v", row, got, want)
 					}
-					for _, ex := range excludes {
-						q.Exclude = ex
-						row := fmt.Sprintf("%s/pred=%s/quantized=%v/q=%d/exclude=%d", fx.name, pr.name, quantized, j, ex)
-						want, wantStats, _ := referenceWalk(f, q)
-						got, gotStats := f.Search(q, sc)
-						if !sameResults(want, got) {
-							t.Fatalf("%s: got %v, reference %v", row, got, want)
-						}
-						if gotStats.SortedAccesses != wantStats.SortedAccesses || gotStats.RandomAccesses != wantStats.RandomAccesses {
-							t.Fatalf("%s: sorted/random accesses %d/%d, reference %d/%d", row,
-								gotStats.SortedAccesses, gotStats.RandomAccesses, wantStats.SortedAccesses, wantStats.RandomAccesses)
-						}
+					if gotStats.SortedAccesses != wantStats.SortedAccesses || gotStats.RandomAccesses != wantStats.RandomAccesses {
+						t.Fatalf("%s: sorted/random accesses %d/%d, reference %d/%d", row,
+							gotStats.SortedAccesses, gotStats.RandomAccesses, wantStats.SortedAccesses, wantStats.RandomAccesses)
 					}
 				}
 			}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"ebsn/internal/par"
-	"ebsn/internal/vecmath"
 )
 
 // FastIndex is the production top-n engine for the transformed space.
@@ -33,7 +32,7 @@ import (
 // each pop rescans one block and sifts a heap of block bests, so a query
 // pays for the partners it consumes, not for ordering all |U|. On the
 // benchmark city (11 890 partners) the stop fires after 7.8 pops on
-// average, with p99 ≤ 65 across the exact, constrained and quantized
+// average, with p99 ≤ 45 across the unconstrained and constrained
 // walks. This is the threshold-algorithm contract of Fagin's TA (sorted
 // access by bound, cheap random access, early termination, exact
 // results), specialized to the pair structure. Even a full scan costs
@@ -154,28 +153,30 @@ func NewFastIndexWorkers(set *CandidateSet, workers int) *FastIndex {
 // lane answers one query as a one-lane TopNBatch. Its user row and
 // exclude are loaded into sc, so a warm call allocates nothing; the
 // results alias sc.
-func (f *FastIndex) lane(userVec []float32, n int, exclude int32, pred EventPredicate, quantized bool, sc *Scratch) ([]Result, SearchStats) {
+func (f *FastIndex) lane(userVec []float32, n int, exclude int32, pred EventPredicate, sc *Scratch) ([]Result, SearchStats) {
 	sc.user[0], sc.excl[0] = userVec, exclude
-	res, stats := f.TopNBatch(BatchQuery{Users: sc.user[:], N: n, Exclude: sc.excl[:], Pred: pred, Quantized: quantized}, sc)
+	res, stats := f.TopNBatch(BatchQuery{Users: sc.user[:], N: n, Exclude: sc.excl[:], Pred: pred}, sc)
 	sc.user[0] = nil
 	return res[0], stats[0]
 }
 
-// TopNExcludingScratch is the exact unconstrained lane. It and the two
-// names below remain only because the benchmark harness names them; new
-// callers run TopNBatch.
+// TopNExcludingScratch is the unconstrained lane. It and the two names
+// below remain only because the benchmark harness names them (ROADMAP
+// 1e); new callers run TopNBatch.
 func (f *FastIndex) TopNExcludingScratch(userVec []float32, n int, exclude int32, sc *Scratch) ([]Result, SearchStats) {
-	return f.lane(userVec, n, exclude, nil, false, sc)
+	return f.lane(userVec, n, exclude, nil, sc)
 }
 
-// TopNExcludingPredScratch is the exact lane under a predicate.
+// TopNExcludingPredScratch is the lane under a predicate.
 func (f *FastIndex) TopNExcludingPredScratch(userVec []float32, n int, exclude int32, pred EventPredicate, sc *Scratch) ([]Result, SearchStats) {
-	return f.lane(userVec, n, exclude, pred, false, sc)
+	return f.lane(userVec, n, exclude, pred, sc)
 }
 
-// TopNExcludingQuantizedScratch is the unconstrained quantized lane.
+// TopNExcludingQuantizedScratch is TopNExcludingScratch: every query is
+// exact. It remains only because the benchmark harness names it
+// (ROADMAP 1e).
 func (f *FastIndex) TopNExcludingQuantizedScratch(userVec []float32, n int, exclude int32, sc *Scratch) ([]Result, SearchStats) {
-	return f.lane(userVec, n, exclude, nil, true, sc)
+	return f.TopNExcludingScratch(userVec, n, exclude, sc)
 }
 
 // SearchStats reports how much work one query did — the instrument
@@ -212,12 +213,8 @@ func (s SearchStats) AccessFraction() float64 {
 // pred, when non-nil, is pushed into the walk: amax ranges over allowed
 // events only — so every partner bound is at most its unconstrained
 // value and the stop fires no later than it would with the slack bound —
-// and disallowed pairs are skipped without materializing a score. With
-// quantized set, a and b are approximate: the walk keeps n·quantOverfetch
-// survivors under them and vec re-scores those against the float32 rows,
-// in the exact walk's operand order, so a survivor's final score is
-// bit-identical to what the exact walk assigns the same pair.
-func (f *FastIndex) walk(vec, a, b []float32, n int, exclude int32, pred EventPredicate, quantized bool, sc *Scratch, stats *SearchStats, dst []Result) []Result {
+// and disallowed pairs are skipped without materializing a score.
+func (f *FastIndex) walk(a, b []float32, n int, exclude int32, pred EventPredicate, sc *Scratch, stats *SearchStats, dst []Result) []Result {
 	set := f.set
 	h := &sc.results
 	*h = (*h)[:0]
@@ -231,15 +228,9 @@ func (f *FastIndex) walk(vec, a, b []float32, n int, exclude int32, pred EventPr
 	if !allowed {
 		return h.drainDescending(dst) // predicate allows no events
 	}
-	keep := n
-	if quantized {
-		keep = min(n*quantOverfetch, len(set.Pairs))
-	}
 
 	q := &sc.queue
 	q.fill(b, amax, f.maxCross)
-	surv := &sc.cands
-	*surv = (*surv)[:0]
 	for {
 		top := q.top()
 		if top.bound == negInf {
@@ -252,8 +243,8 @@ func (f *FastIndex) walk(vec, a, b []float32, n int, exclude int32, pred EventPr
 		// amax and maxCross simultaneously — rare enough that the extra
 		// partner scans are noise, and exactness under ties is what the
 		// sharded engine's merge depends on.
-		if len(*surv) == keep && (*surv)[0].r.Score > top.bound {
-			break // no remaining partner can beat the current survivors
+		if len(*h) == n && (*h)[0].Score > top.bound {
+			break // no remaining partner can beat the current top n
 		}
 		u := q.pop().u
 		stats.SortedAccesses++
@@ -268,75 +259,15 @@ func (f *FastIndex) walk(vec, a, b []float32, n int, exclude int32, pred EventPr
 				continue // filtered before scoring: no random access
 			}
 			stats.RandomAccesses++
-			c := cand{i, Result{x, u, a[x] + bu + set.Cross[i]}}
-			if len(*surv) < keep {
-				surv.push(c)
-			} else if c.r.Outranks((*surv)[0].r) {
-				surv.replaceMin(c)
+			r := Result{x, u, a[x] + bu + set.Cross[i]}
+			if len(*h) < n {
+				h.push(r)
+			} else if r.Outranks((*h)[0]) {
+				h.replaceMin(r)
 			}
 		}
 	}
-
-	for _, c := range *surv {
-		r := c.r
-		if quantized {
-			r.Score = vecmath.Dot(vec, set.Events[r.Event]) + vecmath.Dot(vec, set.Partners[r.Partner]) + set.Cross[c.i]
-		}
-		if len(*h) < n {
-			h.push(r)
-		} else if r.Outranks((*h)[0]) {
-			h.replaceMin(r)
-		}
-	}
 	return h.drainDescending(dst)
-}
-
-// cand is one walk survivor: the canonical-order key under the walk's
-// (exact or approximate) score plus the pair index the exact re-rank
-// needs.
-type cand struct {
-	i int32
-	r Result
-}
-
-// candHeap is a min-heap of survivors in the canonical order of their
-// walk scores, mirroring resultHeap.
-type candHeap []cand
-
-// push adds c, sifting up.
-func (h *candHeap) push(c cand) {
-	*h = append(*h, c)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !s[p].r.Outranks(s[i].r) {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
-}
-
-// replaceMin overwrites the root with c and sifts down.
-func (h candHeap) replaceMin(c cand) {
-	h[0] = c
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(h) && h[m].r.Outranks(h[l].r) {
-			m = l
-		}
-		if r < len(h) && h[m].r.Outranks(h[r].r) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
 }
 
 // negInf is the bound of a partner with no pairs and of a popped one.

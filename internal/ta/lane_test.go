@@ -9,19 +9,18 @@ import (
 // Query, Search and TopN are the tests' single-query spellings. Each
 // runs one lane (a one-lane TopNBatch), the path every query takes.
 type Query struct {
-	Vec       []float32
-	N         int
-	Exclude   int32 // negative excludes no one
-	Pred      EventPredicate
-	Quantized bool
+	Vec     []float32
+	N       int
+	Exclude int32 // negative excludes no one
+	Pred    EventPredicate
 }
 
 // Search answers q as one lane; the results alias sc.
 func (f *FastIndex) Search(q Query, sc *Scratch) ([]Result, SearchStats) {
-	return f.lane(q.Vec, q.N, q.Exclude, q.Pred, q.Quantized, sc)
+	return f.lane(q.Vec, q.N, q.Exclude, q.Pred, sc)
 }
 
-// TopN is the exact unconstrained lane with no partner excluded, in a
+// TopN is the unconstrained lane with no partner excluded, in a
 // freshly allocated slice.
 func (f *FastIndex) TopN(userVec []float32, n int) ([]Result, SearchStats) {
 	sc := GetScratch()
@@ -31,20 +30,11 @@ func (f *FastIndex) TopN(userVec []float32, n int) ([]Result, SearchStats) {
 }
 
 // affinities is the reference walks' affinity pass: userVec·row for
-// every row of one side of the space, from the single-vector kernels
-// (DotBatch, or the widening int8 DotBatchI8 and the per-row scales)
-// rather than the panel kernels a lane runs.
-func (c *CandidateSet) affinities(userVec []float32, partners, quantized bool) []float32 {
-	rows, data, q8, scale := c.side(partners)
+// every row of one side of the space, from the single-vector kernel
+// DotBatch rather than the panel kernel a lane runs.
+func (c *CandidateSet) affinities(userVec []float32, partners bool) []float32 {
+	rows, data := c.side(partners)
 	dst := make([]float32, rows)
-	if !quantized {
-		vecmath.DotBatch(userVec, data, c.K, dst)
-		return dst
-	}
-	uq := make([]int8, c.K)
-	qscale := vecmath.QuantizeRow(userVec, uq)
-	wide := make([]int32, rows)
-	vecmath.DotBatchI8(uq, q8, c.K, wide)
-	scaleWidened(qscale, scale, wide, dst)
+	vecmath.DotBatch(userVec, data, c.K, dst)
 	return dst
 }

@@ -44,14 +44,10 @@ func (p EventPredicate) Selectivity() float64 {
 	return float64(allowed) / float64(len(p))
 }
 
-// checkQuery panics on the two shape errors a caller can make: a non-nil
-// predicate that does not cover the set's events, and a quantized query
-// on a set without int8 mirrors.
-func (c *CandidateSet) checkQuery(pred EventPredicate, quantized bool) {
+// checkPred panics on a non-nil predicate that does not cover the set's
+// events.
+func (c *CandidateSet) checkPred(pred EventPredicate) {
 	if pred != nil && len(pred) != len(c.Events) {
 		panic(fmt.Sprintf("ta: predicate has %d entries, want %d events", len(pred), len(c.Events)))
-	}
-	if quantized && !c.quantized {
-		panic("ta: quantized query on a set without PackQuantized")
 	}
 }

@@ -211,36 +211,6 @@ func TestNilPredicateBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPredicateQuantized covers the int8 path: a nil predicate is
-// bit-identical to the unconstrained quantized query, every constrained
-// result respects the predicate, and the exact re-rank keeps the
-// constrained results bit-compatible with the exact constrained path on
-// the pairs both return (the survivor cut is the only divergence, as in
-// the unconstrained quantized contract).
-func TestPredicateQuantized(t *testing.T) {
-	cs := buildSmallSet(t, 55, 40, 25, 8, 0, true)
-	cs.PackQuantized()
-	f := NewFastIndex(cs)
-	src := rng.New(56)
-	sc := GetScratch()
-	defer PutScratch(sc)
-	for trial := 0; trial < 10; trial++ {
-		u := randomVecs(src, 1, 8, true)[0]
-		pred := randomPred(src, 40, 0.3)
-		plain, _ := f.TopNExcludingQuantizedScratch(u, 10, -1, sc)
-		want := append([]Result(nil), plain...)
-		gotNil, _ := f.Search(Query{Vec: u, N: 10, Exclude: -1, Quantized: true}, sc)
-		resultsBitIdentical(t, want, gotNil)
-
-		got, _ := f.Search(Query{Vec: u, N: 10, Exclude: -1, Pred: pred, Quantized: true}, sc)
-		for _, r := range got {
-			if !pred[r.Event] {
-				t.Fatalf("trial=%d: quantized result event %d violates predicate", trial, r.Event)
-			}
-		}
-	}
-}
-
 // TestPredicateBatch checks the batched predicate path: one shared
 // predicate across the batch must return, per user, exactly the bits of
 // the sequential constrained query.

@@ -13,21 +13,15 @@ import "sync"
 // returned by queries that take a Scratch alias its buffers and are
 // valid only until the Scratch's next use.
 type Scratch struct {
-	// Panel state: the packed b×K query panel, its quantized mirror and
-	// per-query scales, the event (b×|X|) and partner (b×|U|) affinity
-	// panels, and the widening dot results of the quantized panels.
-	qs     []float32
-	q8     []int8
-	qscale []float32
-	aff    []float32
-	bp     []float32
-	i32    []int32
+	// Panel state: the packed b×K query panel and the event (b×|X|) and
+	// partner (b×|U|) affinity panels.
+	qs  []float32
+	aff []float32
+	bp  []float32
 
 	// Walk state, reused across a batch's lanes: the partner bounds in
-	// canonical pop order, the walk's survivor heap, and the top-n heap
-	// it is drained through.
+	// canonical pop order and the top-n heap.
 	queue   boundQueue
-	cands   candHeap
 	results resultHeap
 
 	// Delta scan state (Delta.MergeTopN): u·x per delta event and u·u'

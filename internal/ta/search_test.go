@@ -79,14 +79,13 @@ func sameResults(a, b []Result) bool {
 
 // TestSearchQueryTable crosses every Query field with every way a query
 // can ride the walk: Pred ∈ {nil, all-true, ~25% selective,
-// none-allowed} × Quantized × {single Search, a lane of a 1/3/16-wide
-// TopNBatch with the event panel computed or precomputed}, over a random
-// pruned set and the three tie constructions (the last one folded, so
-// its delta pairs sit out of order in the pair list). All lanes answering
-// one query must be == on (event, partner, score bits). Exact lanes must
-// also equal the filter-then-rank oracle (BruteForceTopN, filtered) bit
-// for bit; nil and all-true must coincide. Quantized lanes must keep
-// recall@10 ≥ 0.99 against the exact answer.
+// none-allowed} × {single Search, a lane of a 1/3/16-wide TopNBatch with
+// the event panel computed or precomputed}, over a random pruned set and
+// the three tie constructions (the last one folded, so its delta pairs
+// sit out of order in the pair list). All lanes answering one query must
+// be == on (event, partner, score bits) and equal the filter-then-rank
+// oracle (BruteForceTopN, filtered) bit for bit; nil and all-true must
+// coincide.
 func TestSearchQueryTable(t *testing.T) {
 	src := rng.New(2024)
 	folded := tieTwoTier(t, src, 5)
@@ -110,7 +109,6 @@ func TestSearchQueryTable(t *testing.T) {
 	for _, fx := range fixtures {
 		set := fx.set
 		f := NewFastIndex(set)
-		set.PackQuantized()
 		nx, k := len(set.Events), set.K
 		allTrue := make(EventPredicate, nx)
 		quarter := make(EventPredicate, nx)
@@ -130,74 +128,57 @@ func TestSearchQueryTable(t *testing.T) {
 		for j := range exclude {
 			exclude[j] = int32(src.Intn(len(set.Partners)+2)) - 1
 		}
-		exactNil := make([][]Result, nq) // the "nil" row's exact answers
+		exactNil := make([][]Result, nq) // the "nil" row's answers
 		for _, pr := range preds {
-			var hits, total int
-			exact := make([][]Result, nq)
-			for _, quantized := range []bool{false, true} {
-				row := fmt.Sprintf("%s/pred=%s/quantized=%v", fx.name, pr.name, quantized)
-				// Lane 0 of every query: the plain single Search.
-				ref := make([][]Result, nq)
-				for j, u := range users {
-					res, stats := f.Search(Query{Vec: u, N: n, Exclude: exclude[j], Pred: pr.pred, Quantized: quantized}, sc)
-					ref[j] = slices.Clone(res)
-					if stats.RandomAccesses > stats.Candidates {
-						t.Fatalf("%s q=%d: %d random accesses over %d candidates", row, j, stats.RandomAccesses, stats.Candidates)
-					}
+			row := fmt.Sprintf("%s/pred=%s", fx.name, pr.name)
+			// Lane 0 of every query: the plain single Search.
+			ref := make([][]Result, nq)
+			for j, u := range users {
+				res, stats := f.Search(Query{Vec: u, N: n, Exclude: exclude[j], Pred: pr.pred}, sc)
+				ref[j] = slices.Clone(res)
+				if stats.RandomAccesses > stats.Candidates {
+					t.Fatalf("%s q=%d: %d random accesses over %d candidates", row, j, stats.RandomAccesses, stats.Candidates)
 				}
-				for _, width := range []int{1, 3, 16} {
-					for lo := 0; lo+width <= nq; lo += width {
-						bq := BatchQuery{Users: users[lo : lo+width], N: n, Exclude: exclude[lo : lo+width], Pred: pr.pred, Quantized: quantized}
-						for _, pre := range []bool{false, true} {
-							if pre {
-								bq.EventAff = set.EventAffinityPanel(bq.Users, quantized, pbsc)
+			}
+			for _, width := range []int{1, 3, 16} {
+				for lo := 0; lo+width <= nq; lo += width {
+					bq := BatchQuery{Users: users[lo : lo+width], N: n, Exclude: exclude[lo : lo+width], Pred: pr.pred}
+					for _, pre := range []bool{false, true} {
+						if pre {
+							bq.EventAff = set.EventAffinityPanel(bq.Users, pbsc)
+						}
+						res, _ := f.TopNBatch(bq, bsc)
+						for j := range res {
+							if !sameResults(ref[lo+j], res[j]) {
+								t.Fatalf("%s q=%d: lane %d of a %d-wide batch (precomputed=%v) diverges:\n got %v\nwant %v",
+									row, lo+j, j, width, pre, res[j], ref[lo+j])
 							}
-							res, _ := f.TopNBatch(bq, bsc)
-							for j := range res {
-								if !sameResults(ref[lo+j], res[j]) {
-									t.Fatalf("%s q=%d: lane %d of a %d-wide batch (precomputed=%v) diverges:\n got %v\nwant %v",
-										row, lo+j, j, width, pre, res[j], ref[lo+j])
-								}
-							}
-						}
-					}
-				}
-
-				for j, u := range users {
-					for _, r := range ref[j] {
-						if (pr.pred != nil && !pr.pred[r.Event]) || r.Partner == exclude[j] {
-							t.Fatalf("%s q=%d: result %+v violates the predicate or the exclusion", row, j, r)
-						}
-					}
-					if quantized {
-						for _, r := range ref[j] {
-							if slices.ContainsFunc(exact[j], func(e Result) bool { return e == r }) {
-								hits++
-							}
-						}
-						total += len(exact[j])
-						continue
-					}
-					exact[j] = ref[j]
-					if want := filterThenRankOracle(set, u, n, exclude[j], pr.pred); !sameResults(want, ref[j]) {
-						t.Fatalf("%s q=%d: got %v, oracle %v", row, j, ref[j], want)
-					}
-					switch pr.name {
-					case "nil":
-						exactNil[j] = ref[j]
-					case "all-true":
-						if !sameResults(exactNil[j], ref[j]) {
-							t.Fatalf("%s q=%d: all-true predicate diverges from nil", row, j)
-						}
-					case "none":
-						if len(ref[j]) != 0 {
-							t.Fatalf("%s q=%d: none-allowed predicate returned %v", row, j, ref[j])
 						}
 					}
 				}
 			}
-			if total > 0 && float64(hits) < 0.99*float64(total) {
-				t.Errorf("%s/pred=%s: quantized recall@%d = %d/%d, want ≥ 0.99", fx.name, pr.name, n, hits, total)
+
+			for j, u := range users {
+				for _, r := range ref[j] {
+					if (pr.pred != nil && !pr.pred[r.Event]) || r.Partner == exclude[j] {
+						t.Fatalf("%s q=%d: result %+v violates the predicate or the exclusion", row, j, r)
+					}
+				}
+				if want := filterThenRankOracle(set, u, n, exclude[j], pr.pred); !sameResults(want, ref[j]) {
+					t.Fatalf("%s q=%d: got %v, oracle %v", row, j, ref[j], want)
+				}
+				switch pr.name {
+				case "nil":
+					exactNil[j] = ref[j]
+				case "all-true":
+					if !sameResults(exactNil[j], ref[j]) {
+						t.Fatalf("%s q=%d: all-true predicate diverges from nil", row, j)
+					}
+				case "none":
+					if len(ref[j]) != 0 {
+						t.Fatalf("%s q=%d: none-allowed predicate returned %v", row, j, ref[j])
+					}
+				}
 			}
 		}
 	}

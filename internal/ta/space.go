@@ -39,24 +39,12 @@ type CandidateSet struct {
 	eventData   []float32
 	partnerData []float32
 
-	// int8-quantized mirrors of the packed rows with per-row scales
-	// (see PackQuantized). Present only after PackQuantized; the exact
-	// float32 rows are always kept — the quantized query path re-ranks
-	// its survivors against them.
-	eventQ       []int8
-	partnerQ     []int8
-	eventScale   []float32
-	partnerScale []float32
-	quantized    bool
-
-	// Artifact backing (see artifact.go). mapped marks a set decoded
-	// from an open artifact: its packed (and, when quantized, int8)
-	// storage aliases the artifact's pages and must not be rewritten in
-	// place. owner pins that artifact, so a mapped set kept alive by a
-	// delta or a folded engine keeps its pages mapped even after every
-	// other reference to the artifact is gone.
-	mapped bool
-	owner  *Artifact
+	// owner pins the artifact a set was decoded from (see artifact.go):
+	// its packed storage aliases the artifact's pages, so a mapped set
+	// kept alive by a delta or a folded engine keeps its pages mapped
+	// even after every other reference to the artifact is gone. Pack
+	// leaves such storage untouched, since the rows already alias it.
+	owner *Artifact
 }
 
 // Pack (re)builds the contiguous row-major backing arrays and re-aliases
@@ -85,37 +73,9 @@ func packRows(rows [][]float32, k int, prev []float32) []float32 {
 	return data
 }
 
-// PackQuantized builds the int8-quantized mirrors of the packed rows:
-// each event and partner row is quantized symmetrically with its own
-// scale (vecmath.QuantizeRow), so row i reconstructs as
-// scale[i]·float32(q[i*K+j]). The mirrors sit beside the float32 rows,
-// which stay resident for the exact re-rank, and Pairs and Cross are not
-// quantized: the mode adds a quarter of the row storage, it saves none.
-// Calls Pack first, so it subsumes it; like Pack it must not run
-// concurrently with queries.
-func (c *CandidateSet) PackQuantized() {
-	if c.mapped && c.quantized {
-		// Artifact-decoded mirrors are already current, and recomputing
-		// them would store into the mapped (copy-on-write) pages.
-		return
-	}
-	c.Pack()
-	k := c.K
-	c.eventQ = resizeSlice(c.eventQ, len(c.Events)*k)
-	c.eventScale = resizeF32(c.eventScale, len(c.Events))
-	for i := range c.Events {
-		c.eventScale[i] = vecmath.QuantizeRow(c.eventData[i*k:(i+1)*k], c.eventQ[i*k:(i+1)*k])
-	}
-	c.partnerQ = resizeSlice(c.partnerQ, len(c.Partners)*k)
-	c.partnerScale = resizeF32(c.partnerScale, len(c.Partners))
-	for i := range c.Partners {
-		c.partnerScale[i] = vecmath.QuantizeRow(c.partnerData[i*k:(i+1)*k], c.partnerQ[i*k:(i+1)*k])
-	}
-	c.quantized = true
-}
-
-// Quantized reports whether PackQuantized has built the int8 mirrors.
-func (c *CandidateSet) Quantized() bool { return c.quantized }
+// PackQuantized is Pack. It remains only because the benchmark harness
+// names it (ROADMAP 1e).
+func (c *CandidateSet) PackQuantized() { c.Pack() }
 
 // Dims returns the transformed-space dimensionality 2K+1.
 func (c *CandidateSet) Dims() int { return 2*c.K + 1 }
@@ -126,13 +86,12 @@ const (
 	partnerSide = true
 )
 
-// side returns one side of the space: its row count, packed float32
-// rows, int8 mirrors and per-row scales.
-func (c *CandidateSet) side(partners bool) (rows int, data []float32, q8 []int8, scale []float32) {
+// side returns one side of the space: its row count and packed rows.
+func (c *CandidateSet) side(partners bool) (rows int, data []float32) {
 	if partners {
-		return len(c.Partners), c.partnerData, c.partnerQ, c.partnerScale
+		return len(c.Partners), c.partnerData
 	}
-	return len(c.Events), c.eventData, c.eventQ, c.eventScale
+	return len(c.Events), c.eventData
 }
 
 // Point materializes the transformed point of pair i (mostly for tests).
@@ -157,8 +116,8 @@ func QueryPoint(userVec []float32) []float32 {
 
 // Score computes the pair's joint score for the given user vector using
 // the untransformed identity u·x + u'·x + u·u', summed as (u·x + u·u') +
-// cross — the order the walk, the quantized re-rank and the delta use, so
-// every path and BruteForceTopN agree bit for bit. By construction it
+// cross — the order the walk and the delta use, so every path and
+// BruteForceTopN agree bit for bit. By construction it
 // equals the transformed inner product q_u·p up to rounding (verified by
 // property test). After Pack the row slices alias the contiguous backing
 // arrays, so this reads packed memory.

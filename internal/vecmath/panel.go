@@ -1,10 +1,8 @@
 package vecmath
 
-// Matrix-panel and int8 widening kernels for the batched / quantized
-// query path. DotPanel generalizes DotBatch from one query row to a
-// panel of B query rows sharing one pass over the packed candidate
-// block; the int8 variants score quantized candidate rows with a
-// widening int8×int8→int32 multiply, exact in integer arithmetic.
+// Matrix-panel kernel for the batched query path. DotPanel generalizes
+// DotBatch from one query row to a panel of B query rows sharing one
+// pass over the packed candidate block.
 //
 // On amd64 the 4-query micro-kernels are SSE2 assembly: dotUnrolled's
 // four independent accumulators are exactly the four lanes of a packed
@@ -120,6 +118,9 @@ func dotPanel4(q0, q1, q2, q3, d []float32) (r0, r1, r2, r3 float32) {
 	return r0, r1, r2, r3
 }
 
+// QuantizeRow and DotBatchI8 remain only because the benchmark harness
+// names them (ROADMAP 1e); no query path runs them.
+
 // QuantizeRow quantizes src into dst with a symmetric per-row scale
 // (round-half-away-from-zero, clamped to [-127, 127]) and returns the
 // scale s = maxabs(src)/127, so src[i] ≈ s·float32(dst[i]). An all-zero
@@ -162,19 +163,11 @@ func QuantizeRow(src []float32, dst []int8) float32 {
 	return scale
 }
 
-// DotI8 returns the widening int8×int8→int32 inner product of a and b.
-// Integer accumulation is exact for any association, so the unrolled
-// form equals the scalar loop bit-for-bit; the sum cannot overflow
-// int32 below ~133k dimensions. Panics on length mismatch like Dot.
-func DotI8(a, b []int8) int32 {
-	if len(a) != len(b) {
-		panic("vecmath: DotI8 length mismatch")
-	}
-	return dotI8Unrolled(a, b)
-}
-
-// dotI8Unrolled is the shared kernel behind DotI8 and DotBatchI8.
-// Callers guarantee len(a) == len(b).
+// dotI8Unrolled is the widening int8×int8→int32 inner product of a and
+// b behind DotBatchI8. Integer accumulation is exact for any
+// association, so the unrolled form equals the scalar loop bit for bit;
+// the sum cannot overflow int32 below ~133k dimensions. Callers
+// guarantee len(a) == len(b).
 func dotI8Unrolled(a, b []int8) int32 {
 	n4 := len(a) &^ 3
 	var s0, s1, s2, s3 int32
@@ -193,10 +186,9 @@ func dotI8Unrolled(a, b []int8) int32 {
 	return s
 }
 
-// DotBatchI8 computes out[r] = DotI8(q, data[r*k:(r+1)*k]) for every
-// row r of a packed row-major int8 matrix — the quantized counterpart
-// of DotBatch, streaming candidate rows at a quarter of the float32
-// memory traffic. k == 0 zeroes out. Panics on size mismatches.
+// DotBatchI8 computes the widening int8 inner product of q with every
+// row r of a packed row-major int8 matrix, out[r] = Σ q[i]·data[r*k+i]
+// in int32. k == 0 zeroes out. Panics on size mismatches.
 func DotBatchI8(q, data []int8, k int, out []int32) {
 	if k < 0 || len(q) != k {
 		panic("vecmath: DotBatchI8 query length mismatch")
@@ -210,56 +202,5 @@ func DotBatchI8(q, data []int8, k int, out []int32) {
 	}
 	for r := range out {
 		out[r] = dotI8Unrolled(q, data[r*k:r*k+k:r*k+k])
-	}
-}
-
-// DotPanelI8 computes out[q*rows+r] = DotI8(qs[q*k:(q+1)*k],
-// data[r*k:(r+1)*k]) for b packed int8 query rows against every row of
-// a packed int8 candidate block — the quantized counterpart of
-// DotPanel, streaming the block once per group of four queries, with
-// DotPanel's tail: two or three leftover queries ride the 4-query
-// kernel, one takes DotBatchI8. On amd64 the micro-kernel widens with
-// PMADDWD, eight elements per step. k == 0 zeroes out. Panics on size
-// mismatches.
-func DotPanelI8(qs []int8, b int, data []int8, k int, out []int32) {
-	if b < 0 || k < 0 || len(qs) != b*k {
-		panic("vecmath: DotPanelI8 query panel size mismatch")
-	}
-	if k == 0 {
-		clear(out)
-		return
-	}
-	if len(data)%k != 0 {
-		panic("vecmath: DotPanelI8 data size mismatch")
-	}
-	rows := len(data) / k
-	if len(out) != b*rows {
-		panic("vecmath: DotPanelI8 output size mismatch")
-	}
-	if rows == 0 {
-		return
-	}
-	qrow := func(j int) []int8 { j = min(j, b-1); return qs[j*k : (j+1)*k : (j+1)*k] }
-	orow := func(j int) []int32 { j = min(j, b-1); return out[j*rows : (j+1)*rows : (j+1)*rows] }
-	q := 0
-	for ; b-q >= 2; q += 4 {
-		panelRowsI8(qrow(q), qrow(q+1), qrow(q+2), qrow(q+3), data, k,
-			orow(q), orow(q+1), orow(q+2), orow(q+3))
-	}
-	if q < b {
-		DotBatchI8(qrow(q), data, k, orow(q))
-	}
-}
-
-// panelRowsI8Go is the portable int8 4-query micro-kernel; integer
-// accumulation is exact in any order, so it needs no ordering
-// discipline — just the same outputs as four DotBatchI8 calls.
-func panelRowsI8Go(q0, q1, q2, q3, data []int8, k int, o0, o1, o2, o3 []int32) {
-	for r := range o0 {
-		d := data[r*k : r*k+k : r*k+k]
-		o0[r] = dotI8Unrolled(q0, d)
-		o1[r] = dotI8Unrolled(q1, d)
-		o2[r] = dotI8Unrolled(q2, d)
-		o3[r] = dotI8Unrolled(q3, d)
 	}
 }

@@ -136,123 +136,3 @@ remdone:
 
 done:
 	RET
-
-// func dotPanelRowsI8(q0, q1, q2, q3 *int8, k int, data *int8, rows int, o0, o1, o2, o3 *int32)
-//
-// int8 panel: widen 8 candidate bytes to int16 once (PUNPCKLBW+PSRAW),
-// then one PMADDWL per query accumulates 8 widening products into 4
-// int32 lanes. Integer arithmetic is exact in any association, so no
-// ordering discipline is needed — only that the lane sums cannot
-// overflow, which holds for k well beyond any embedding dimension.
-TEXT ·dotPanelRowsI8(SB), NOSPLIT, $0-88
-	MOVQ q0+0(FP), R8
-	MOVQ q1+8(FP), R9
-	MOVQ q2+16(FP), R10
-	MOVQ q3+24(FP), R11
-	MOVQ k+32(FP), CX
-	MOVQ data+40(FP), SI
-	MOVQ rows+48(FP), DI
-	MOVQ o0+56(FP), R12
-	MOVQ o1+64(FP), R13
-	MOVQ o2+72(FP), R14
-	MOVQ o3+80(FP), R15
-
-i8rowloop:
-	TESTQ DI, DI
-	JZ    i8done
-	PXOR  X0, X0
-	PXOR  X1, X1
-	PXOR  X2, X2
-	PXOR  X3, X3
-	XORQ  AX, AX
-	MOVQ  CX, BX
-	ANDQ  $-8, BX          // n8 = k &^ 7 (BX is reused by the tail loop)
-	TESTQ BX, BX
-	JZ    i8vecdone
-
-i8vec:
-	MOVQ      (SI)(AX*1), X4
-	PUNPCKLBW X4, X4
-	PSRAW     $8, X4       // 8 sign-extended candidate words
-	MOVQ      (R8)(AX*1), X5
-	PUNPCKLBW X5, X5
-	PSRAW     $8, X5
-	PMADDWL   X4, X5
-	PADDD     X5, X0
-	MOVQ      (R9)(AX*1), X5
-	PUNPCKLBW X5, X5
-	PSRAW     $8, X5
-	PMADDWL   X4, X5
-	PADDD     X5, X1
-	MOVQ      (R10)(AX*1), X5
-	PUNPCKLBW X5, X5
-	PSRAW     $8, X5
-	PMADDWL   X4, X5
-	PADDD     X5, X2
-	MOVQ      (R11)(AX*1), X5
-	PUNPCKLBW X5, X5
-	PSRAW     $8, X5
-	PMADDWL   X4, X5
-	PADDD     X5, X3
-	ADDQ      $8, AX
-	CMPQ      AX, BX
-	JL        i8vec
-
-i8vecdone:
-	CMPQ AX, CX
-	JGE  i8reduce
-
-i8rem:
-	MOVBQSX (SI)(AX*1), DX
-	MOVBQSX (R8)(AX*1), BX
-	IMULQ   DX, BX
-	MOVL    BX, X5
-	PADDD   X5, X0
-	MOVBQSX (R9)(AX*1), BX
-	IMULQ   DX, BX
-	MOVL    BX, X5
-	PADDD   X5, X1
-	MOVBQSX (R10)(AX*1), BX
-	IMULQ   DX, BX
-	MOVL    BX, X5
-	PADDD   X5, X2
-	MOVBQSX (R11)(AX*1), BX
-	IMULQ   DX, BX
-	MOVL    BX, X5
-	PADDD   X5, X3
-	INCQ    AX
-	CMPQ    AX, CX
-	JL      i8rem
-
-i8reduce:
-	PSHUFD $0x4E, X0, X5   // [s2,s3,s0,s1]
-	PADDD  X5, X0
-	PSHUFD $0x55, X0, X5   // lane1 everywhere
-	PADDD  X5, X0
-	PSHUFD $0x4E, X1, X5
-	PADDD  X5, X1
-	PSHUFD $0x55, X1, X5
-	PADDD  X5, X1
-	PSHUFD $0x4E, X2, X5
-	PADDD  X5, X2
-	PSHUFD $0x55, X2, X5
-	PADDD  X5, X2
-	PSHUFD $0x4E, X3, X5
-	PADDD  X5, X3
-	PSHUFD $0x55, X3, X5
-	PADDD  X5, X3
-
-	MOVL X0, (R12)
-	MOVL X1, (R13)
-	MOVL X2, (R14)
-	MOVL X3, (R15)
-	ADDQ $4, R12
-	ADDQ $4, R13
-	ADDQ $4, R14
-	ADDQ $4, R15
-	ADDQ CX, SI            // next candidate row
-	DECQ DI
-	JMP  i8rowloop
-
-i8done:
-	RET

@@ -8,8 +8,3 @@ package vecmath
 func panelRows4(q0, q1, q2, q3, data []float32, k int, o0, o1, o2, o3 []float32) {
 	panelRows4Go(q0, q1, q2, q3, data, k, o0, o1, o2, o3)
 }
-
-// panelRowsI8 falls back to the portable int8 micro-kernel.
-func panelRowsI8(q0, q1, q2, q3, data []int8, k int, o0, o1, o2, o3 []int32) {
-	panelRowsI8Go(q0, q1, q2, q3, data, k, o0, o1, o2, o3)
-}

@@ -70,11 +70,8 @@ func TestDotPanelPanicsOnMismatch(t *testing.T) {
 		{"panel", func() { DotPanel(make([]float32, 7), 2, make([]float32, 8), 4, make([]float32, 4)) }},
 		{"data", func() { DotPanel(make([]float32, 8), 2, make([]float32, 9), 4, make([]float32, 4)) }},
 		{"out", func() { DotPanel(make([]float32, 8), 2, make([]float32, 8), 4, make([]float32, 3)) }},
-		{"panelI8", func() { DotPanelI8(make([]int8, 7), 2, make([]int8, 8), 4, make([]int32, 4)) }},
-		{"dataI8", func() { DotPanelI8(make([]int8, 8), 2, make([]int8, 9), 4, make([]int32, 4)) }},
-		{"outI8", func() { DotPanelI8(make([]int8, 8), 2, make([]int8, 8), 4, make([]int32, 3)) }},
 		{"batchI8", func() { DotBatchI8(make([]int8, 3), make([]int8, 8), 4, make([]int32, 2)) }},
-		{"dotI8", func() { DotI8(make([]int8, 3), make([]int8, 4)) }},
+		{"batchI8out", func() { DotBatchI8(make([]int8, 4), make([]int8, 8), 4, make([]int32, 3)) }},
 		{"quantize", func() { QuantizeRow(make([]float32, 3), make([]int8, 4)) }},
 	} {
 		func() {
@@ -88,47 +85,25 @@ func TestDotPanelPanicsOnMismatch(t *testing.T) {
 	}
 }
 
-// TestDotI8MatchesScalarAllRemainders checks the widening int8 kernel
-// against the scalar int32 reference — integer accumulation is exact,
-// so the comparison is ==.
+// TestDotI8MatchesScalarAllRemainders checks DotBatchI8's widening int8
+// kernel against the scalar int32 reference for every k remainder
+// 0..67 and ragged row counts — integer accumulation is exact, so the
+// comparison is ==.
 func TestDotI8MatchesScalarAllRemainders(t *testing.T) {
 	r := rand.New(rand.NewSource(62))
-	for n := 0; n <= 67; n++ {
-		for trial := 0; trial < 8; trial++ {
-			a := randQuantSlice(r, n)
-			b := randQuantSlice(r, n)
-			if got, want := DotI8(a, b), dotI8Scalar(a, b); got != want {
-				t.Fatalf("n=%d trial=%d: DotI8=%d scalar=%d", n, trial, got, want)
-			}
-		}
-	}
-}
-
-// TestDotPanelI8MatchesScalar checks the int8 panel and batch kernels
-// cell-by-cell against the scalar reference across ragged shapes.
-func TestDotPanelI8MatchesScalar(t *testing.T) {
-	r := rand.New(rand.NewSource(63))
-	for k := 1; k <= 67; k++ {
-		for _, b := range []int{1, 3, 4, 6, 8, 9} {
+	for k := 0; k <= 67; k++ {
+		for trial := 0; trial < 4; trial++ {
 			rows := 1 + r.Intn(9)
-			qs := randQuantSlice(r, b*k)
+			q := randQuantSlice(r, k)
 			data := randQuantSlice(r, rows*k)
-			out := make([]int32, b*rows)
-			DotPanelI8(qs, b, data, k, out)
-			batchOut := make([]int32, rows)
-			for q := 0; q < b; q++ {
-				qv := qs[q*k : (q+1)*k]
-				DotBatchI8(qv, data, k, batchOut)
-				for row := 0; row < rows; row++ {
-					want := dotI8Scalar(qv, data[row*k:(row+1)*k])
-					if out[q*rows+row] != want {
-						t.Fatalf("k=%d b=%d q=%d row=%d: DotPanelI8=%d scalar=%d",
-							k, b, q, row, out[q*rows+row], want)
-					}
-					if batchOut[row] != want {
-						t.Fatalf("k=%d b=%d q=%d row=%d: DotBatchI8=%d scalar=%d",
-							k, b, q, row, batchOut[row], want)
-					}
+			out := make([]int32, rows)
+			for i := range out {
+				out[i] = -1 // k == 0 must zero the output
+			}
+			DotBatchI8(q, data, k, out)
+			for row := range out {
+				if want := dotI8Scalar(q, data[row*k:(row+1)*k]); out[row] != want {
+					t.Fatalf("k=%d trial=%d row=%d: DotBatchI8=%d scalar=%d", k, trial, row, out[row], want)
 				}
 			}
 		}
@@ -168,8 +143,8 @@ func TestQuantizeRowRoundTrip(t *testing.T) {
 }
 
 // TestPanelMicroKernelMatchesPortable compares the dispatched 4-query
-// micro-kernels (SSE2 assembly on amd64) cell-for-cell against the
-// portable Go implementations across ragged k and row counts. The
+// micro-kernel (SSE2 assembly on amd64) cell-for-cell against the
+// portable Go implementation across ragged k and row counts. The
 // float comparison is bit-exact — the assembly must preserve
 // dotUnrolled's accumulation order, not merely approximate it.
 func TestPanelMicroKernelMatchesPortable(t *testing.T) {
@@ -190,23 +165,6 @@ func TestPanelMicroKernelMatchesPortable(t *testing.T) {
 			for row := 0; row < rows; row++ {
 				if got[j][row] != want[j][row] {
 					t.Fatalf("k=%d q=%d row=%d: kernel=%v portable=%v", k, j, row, got[j][row], want[j][row])
-				}
-			}
-		}
-		i0, i1, i2, i3 := randQuantSlice(r, k), randQuantSlice(r, k), randQuantSlice(r, k), randQuantSlice(r, k)
-		idata := randQuantSlice(r, rows*k)
-		igot := make([][]int32, 4)
-		iwant := make([][]int32, 4)
-		for j := range igot {
-			igot[j] = make([]int32, rows)
-			iwant[j] = make([]int32, rows)
-		}
-		panelRowsI8(i0, i1, i2, i3, idata, k, igot[0], igot[1], igot[2], igot[3])
-		panelRowsI8Go(i0, i1, i2, i3, idata, k, iwant[0], iwant[1], iwant[2], iwant[3])
-		for j := 0; j < 4; j++ {
-			for row := 0; row < rows; row++ {
-				if igot[j][row] != iwant[j][row] {
-					t.Fatalf("int8 k=%d q=%d row=%d: kernel=%d portable=%d", k, j, row, igot[j][row], iwant[j][row])
 				}
 			}
 		}
@@ -235,26 +193,3 @@ func BenchmarkDotPanel(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkDotPanelI8 is the quantized counterpart of BenchmarkDotPanel:
-// same shape, a quarter of the candidate memory traffic.
-func BenchmarkDotPanelI8(b *testing.B) {
-	r := rand.New(rand.NewSource(66))
-	const rows = 4096
-	const k = 60
-	for _, nq := range []int{1, 4, 8} {
-		qs := randQuantSlice(r, nq*k)
-		data := randQuantSlice(r, rows*k)
-		out := make([]int32, nq*rows)
-		b.Run(benchName("b", nq), func(b *testing.B) {
-			b.SetBytes(int64(k * rows * (nq + 1)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				DotPanelI8(qs, nq, data, k, out)
-			}
-			sinkI32 = out[0]
-		})
-	}
-}
-
-var sinkI32 int32

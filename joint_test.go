@@ -112,76 +112,6 @@ func TestQueriesNeverDiscardLiveState(t *testing.T) {
 	}
 }
 
-// TestQuantizedQueriesReportEngineState is the regression test for the
-// stale quantized flag: QuantizedQueries reports the prepared engine's
-// mode, so re-preparing — by build or from an artifact — after
-// EnableQuantizedQueries yields exact answers and false, and a
-// compaction fork inherits the mode of the engine it folds.
-func TestQuantizedQueriesReportEngineState(t *testing.T) {
-	base := batchRecommender(t)
-	exact := cloneRecommender(t, base)
-	if err := exact.PrepareJointSharded(10, 1); err != nil {
-		t.Fatal(err)
-	}
-	art := filepath.Join(t.TempDir(), "index.art")
-	if err := exact.SaveIndexArtifact(art); err != nil {
-		t.Fatal(err)
-	}
-
-	rec := cloneRecommender(t, base)
-	if err := rec.EnableQuantizedQueries(); err == nil {
-		t.Fatal("EnableQuantizedQueries succeeded with no engine prepared")
-	}
-	reprepare := map[string]func() error{
-		"PrepareJoint":             func() error { return rec.PrepareJoint(10) },
-		"PrepareJointSharded":      func() error { return rec.PrepareJointSharded(10, 3) },
-		"PrepareJointFromArtifact": func() error { return rec.PrepareJointFromArtifact(art, 10, 1) },
-	}
-	for name, prepare := range reprepare {
-		if err := rec.PrepareJointSharded(10, 2); err != nil {
-			t.Fatal(err)
-		}
-		if err := rec.EnableQuantizedQueries(); err != nil {
-			t.Fatal(err)
-		}
-		if !rec.QuantizedQueries() {
-			t.Fatalf("%s: QuantizedQueries false after enable", name)
-		}
-		ingestClones(t, rec, 2)
-		if err := rec.CompactLiveEvents(); err != nil {
-			t.Fatal(err)
-		}
-		if !rec.taLiveEngine.Quantized() {
-			t.Fatalf("%s: compaction fork of a quantized engine is exact", name)
-		}
-
-		if err := prepare(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if rec.QuantizedQueries() {
-			t.Fatalf("%s after EnableQuantizedQueries: QuantizedQueries still true over an exact engine", name)
-		}
-		for u := int32(0); u < 8; u++ {
-			want, err := exact.TopEventPartners(u, 6)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := rec.TopEventPartners(u, 6)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pairsBitIdentical(t, name+": re-prepared vs exact", want, got)
-		}
-		ingestClones(t, rec, 2)
-		if err := rec.CompactLiveEvents(); err != nil {
-			t.Fatal(err)
-		}
-		if rec.taLiveEngine.Quantized() {
-			t.Fatalf("%s: compaction fork of an exact engine is quantized", name)
-		}
-	}
-}
-
 // TestJointAnswersAcrossHolders pins the one-holder contract at the
 // facade: whatever engine holds the index — 1 or 4 shards, built in
 // memory or mapped from an artifact — TopEventPartners, its constrained

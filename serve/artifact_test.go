@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -60,7 +62,7 @@ func corruptInPlace(t *testing.T, path string) {
 // mapped-bytes gauge and the Go runtime telemetry.
 func TestWarmArtifactFallbackThenMap(t *testing.T) {
 	artPath := filepath.Join(t.TempDir(), "index.art")
-	cfg := Config{ArtifactPath: artPath, Quantized: true}
+	cfg := Config{ArtifactPath: artPath}
 
 	s1 := warmServer(t, cfg)
 	srv1 := httptest.NewServer(s1)
@@ -121,6 +123,61 @@ func TestWarmCorruptArtifactFallsBack(t *testing.T) {
 	s2 := warmServer(t, cfg)
 	if loads, _, _ := artifactCounters(t, s2); loads != 1 {
 		t.Fatalf("warm after heal: %v artifact loads, want 1", loads)
+	}
+}
+
+// TestWarmLegacyFlaggedArtifactRebuildsOnce covers the upgrade path for
+// artifacts whose flags word has bit 0 set (it once marked int8 mirror
+// sections): the flag is unknown now, so the file is stale even with a
+// valid header checksum. Warm falls back to one rebuild and rewrites the
+// file, and the next Warm maps the rewrite.
+func TestWarmLegacyFlaggedArtifactRebuildsOnce(t *testing.T) {
+	artPath := filepath.Join(t.TempDir(), "index.art")
+	cfg := Config{ArtifactPath: artPath}
+	warmServer(t, cfg) // writes a current artifact
+	raw, err := os.ReadFile(artPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Header layout (internal/ta/artifact.go): flags at [24:28), the
+	// header CRC over [0:52) at [52:56).
+	binary.BigEndian.PutUint32(raw[24:], 1)
+	binary.BigEndian.PutUint32(raw[52:], crc32.ChecksumIEEE(raw[:52]))
+	if err := os.WriteFile(artPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s1 := warmServer(t, cfg)
+	if loads, fallbacks, saves := artifactCounters(t, s1); loads != 0 || fallbacks != 1 || saves != 1 {
+		t.Fatalf("warm over a flagged artifact = (%v loads, %v fallbacks, %v saves), want (0, 1, 1)", loads, fallbacks, saves)
+	}
+	s2 := warmServer(t, cfg)
+	if loads, fallbacks, saves := artifactCounters(t, s2); loads != 1 || fallbacks != 0 || saves != 0 {
+		t.Fatalf("warm over the rewrite = (%v loads, %v fallbacks, %v saves), want (1, 0, 0)", loads, fallbacks, saves)
+	}
+}
+
+// TestDefaultPruneKIsTheDaemonDefault pins the one default-pruning rule:
+// a default-config server prunes to Recommender.DefaultPruneK, and an
+// artifact built with that pruning — as ebsn-train builds it — is mapped
+// by a default-config server instead of being rebuilt.
+func TestDefaultPruneKIsTheDaemonDefault(t *testing.T) {
+	rec := testRecommender(t)
+	s := warmServer(t, Config{})
+	if got, want := scrape(t, s)[`ebsn_serve_prune_k`], float64(rec.DefaultPruneK()); got != want {
+		t.Fatalf("ebsn_serve_prune_k = %v, DefaultPruneK = %v", got, want)
+	}
+
+	artPath := filepath.Join(t.TempDir(), "index.art")
+	if err := rec.PrepareJointSharded(rec.DefaultPruneK(), 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.SaveIndexArtifact(artPath); err != nil {
+		t.Fatal(err)
+	}
+	s2 := warmServer(t, Config{ArtifactPath: artPath})
+	if loads, fallbacks, _ := artifactCounters(t, s2); loads != 1 || fallbacks != 0 {
+		t.Fatalf("default-config warm over a DefaultPruneK artifact = (%v loads, %v fallbacks), want (1, 0)", loads, fallbacks)
 	}
 }
 

@@ -10,8 +10,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"ebsn"
 )
 
 func postBatch(t *testing.T, srv *httptest.Server, path string, body any) (*http.Response, *BatchRankingResponse) {
@@ -317,48 +315,44 @@ func TestCoalescedConcurrentWithCompactionAndReload(t *testing.T) {
 	wg.Wait()
 }
 
-// TestQuantizedServer exercises the Config.Quantized wiring end to end
-// on a throwaway model (tiny budget — only the routing matters): Warm
-// enables the int8 mirrors, single and batched answers agree bit for
-// bit, and the quantized gauge is exposed.
+// TestQuantizedServer pins Config.Quantized, which remains only for the
+// benchmark harness: it is ignored, so a server with it set answers
+// single and batched /v1/partners byte for byte like an exact server.
+// Each server reloads its own recommender, so neither shares the
+// other's engine.
 func TestQuantizedServer(t *testing.T) {
-	rec, err := ebsn.New(ebsn.Config{City: ebsn.CityTiny, Seed: 11, Threads: 4, TrainSteps: 5_000})
+	exact := httptest.NewServer(privateServer(t, Config{Shards: 2}))
+	defer exact.Close()
+	quant := httptest.NewServer(privateServer(t, Config{Quantized: true, Shards: 2}))
+	defer quant.Close()
+
+	for u := 0; u < 8; u++ {
+		path := fmt.Sprintf("/v1/partners?user=%d&n=5", u)
+		if got, want := getBody(t, quant, path), getBody(t, exact, path); got != want {
+			t.Fatalf("%s: Quantized server %s, exact server %s", path, got, want)
+		}
+	}
+	body, err := json.Marshal(BatchQueryRequest{Users: []int32{1, 2, 3}, N: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(rec, Config{Quantized: true, Shards: 2})
-	if err := s.Warm(); err != nil {
-		t.Fatal(err)
+	post := func(srv *httptest.Server) string {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/v1/partners", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /v1/partners = %d: %s", resp.StatusCode, buf.String())
+		}
+		return buf.String()
 	}
-	if !rec.QuantizedQueries() {
-		t.Fatal("Warm did not enable quantized queries")
-	}
-	srv := httptest.NewServer(s)
-	defer srv.Close()
-
-	var single RankingResponse
-	if resp := getJSON(t, srv, "/v1/partners?user=1&n=5", &single); resp.StatusCode != http.StatusOK {
-		t.Fatalf("quantized /v1/partners = %d", resp.StatusCode)
-	}
-	if len(single.Pairs) == 0 {
-		t.Fatal("quantized query returned no pairs")
-	}
-	resp, batch := postBatch(t, srv, "/v1/partners", BatchQueryRequest{Users: []int32{1, 2}, N: 5})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("quantized POST batch = %d", resp.StatusCode)
-	}
-	samePairs(t, "quantized batch vs single", single.Pairs, batch.Results[0].Pairs)
-
-	expo, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer expo.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(expo.Body); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "ebsn_serve_quantized 1") {
-		t.Fatal("exposition missing ebsn_serve_quantized 1")
+	if got, want := post(quant), post(exact); got != want {
+		t.Fatalf("batched /v1/partners: Quantized server %s, exact server %s", got, want)
 	}
 }

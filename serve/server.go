@@ -33,12 +33,8 @@ type Config struct {
 	// fan each /v1/partners query out to per-shard TA searches running
 	// concurrently; answers are bit-identical for every setting.
 	Shards int
-	// Quantized routes joint queries through int8-quantized row
-	// mirrors (EnableQuantizedQueries) with approximate rankings
-	// (recall@10 ≥ 0.99 against exact). The mirrors are extra memory
-	// beside the float32 rows, which the exact re-rank still reads, and
-	// the mode measured slower than exact wherever it was timed. Off by
-	// default; see OPERATIONS.md.
+	// Quantized is ignored; every query is exact. It remains only
+	// because the benchmark harness names it (ROADMAP 1e).
 	Quantized bool
 	// DefaultN is the result count when ?n= is absent (default 10).
 	DefaultN int
@@ -338,16 +334,6 @@ func (s *Server) registerStateMetrics() {
 	reg.GaugeFunc("ebsn_serve_prune_k",
 		"Per-partner candidate pruning applied by PrepareJoint (0 = full space).",
 		func() float64 { return float64(s.pruneK.Load()) })
-	reg.GaugeFunc("ebsn_serve_quantized",
-		"1 while joint queries route through int8-quantized candidate mirrors.",
-		func() float64 {
-			s.mu.RLock()
-			defer s.mu.RUnlock()
-			if s.rec.QuantizedQueries() {
-				return 1
-			}
-			return 0
-		})
 	reg.GaugeFunc("ebsn_serve_engine_shards",
 		"Partner-range shards of the scatter-gather engine (0 until Warm).",
 		func() float64 {
@@ -467,9 +453,8 @@ func (s *Server) Warm() error {
 // is set it first tries to map the zero-copy artifact there, and only
 // on failure (missing, corrupt, or stale file) falls back to a full
 // PrepareJointSharded rebuild — after which it rewrites the artifact so
-// the next start maps instantly. Both paths end by enabling quantized
-// routing when configured. Loads, fallbacks, and saves all land in
-// /metrics.
+// the next start maps instantly. Loads, fallbacks, and saves all land
+// in /metrics.
 func (s *Server) prepareIndex(rec *ebsn.Recommender, pk int) error {
 	mapped := false
 	if s.cfg.ArtifactPath != "" {
@@ -492,13 +477,7 @@ func (s *Server) prepareIndex(rec *ebsn.Recommender, pk int) error {
 			return err
 		}
 	}
-	if s.cfg.Quantized {
-		if err := rec.EnableQuantizedQueries(); err != nil {
-			return err
-		}
-	}
-	// Rewrite the artifact after a rebuild (quantized mirrors included,
-	// hence after EnableQuantizedQueries). Best-effort: serving is
+	// Rewrite the artifact after a rebuild. Best-effort: serving is
 	// already healthy, so a failed write only costs the next start a
 	// rebuild.
 	if s.cfg.ArtifactPath != "" && !mapped {
@@ -518,19 +497,17 @@ func (s *Server) prepareIndex(rec *ebsn.Recommender, pk int) error {
 
 // resolvePruneK maps Config.PruneK onto a PrepareJoint argument: < 0
 // keeps the full candidate space, 0 applies the paper's
-// 5%-of-test-events heuristic, > 0 is used as-is.
+// 5%-of-test-events heuristic (Recommender.DefaultPruneK), > 0 is used
+// as-is.
 func (s *Server) resolvePruneK(rec *ebsn.Recommender) int {
-	pruneK := s.cfg.PruneK
-	switch {
+	switch pruneK := s.cfg.PruneK; {
 	case pruneK < 0:
 		return 0 // PrepareJoint(0) keeps the full space
 	case pruneK == 0:
-		pruneK = len(rec.Split().TestEvents) / 20
-		if pruneK < 1 {
-			pruneK = 1
-		}
+		return rec.DefaultPruneK()
+	default:
+		return pruneK
 	}
-	return pruneK
 }
 
 // Reload loads the snapshot at path (Config.SnapshotPath when empty),
@@ -1133,10 +1110,10 @@ func (s *Server) queryPartners(rec *ebsn.Recommender, q *getQuery, sp *obs.Span)
 	// spans and /metrics.
 	if !q.c.IsZero() {
 		pairs, es, err := rec.TopEventPartnersConstrainedStats(int32(q.user), q.n, q.c)
-		return s.pairsAnswer(rec, q, sp, pairs, es.Agg, &es, err)
+		return s.pairsAnswer(rec, q, sp, pairs, es, err)
 	}
 	pairs, es, err := rec.TopEventPartnersShardedStats(int32(q.user), q.n)
-	return s.pairsAnswer(rec, q, sp, pairs, es.Agg, &es, err)
+	return s.pairsAnswer(rec, q, sp, pairs, es, err)
 }
 
 func (s *Server) handlePartnersLive(w http.ResponseWriter, r *http.Request) {
@@ -1145,34 +1122,32 @@ func (s *Server) handlePartnersLive(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) queryPartnersLive(rec *ebsn.Recommender, q *getQuery, sp *obs.Span) (any, error) {
 	sp.Stage("ta_search")
-	pairs, stats, err := rec.TopEventPartnersLiveStats(int32(q.user), q.n)
-	return s.pairsAnswer(rec, q, sp, pairs, stats, nil, err)
+	pairs, es, err := rec.TopEventPartnersLiveStats(int32(q.user), q.n)
+	return s.pairsAnswer(rec, q, sp, pairs, es, err)
 }
 
 // pairsAnswer records a finished joint search on the metrics panel and
 // the span and renders its pairs.
 func (s *Server) pairsAnswer(rec *ebsn.Recommender, q *getQuery, sp *obs.Span, pairs []ebsn.PairRecommendation,
-	stats ebsn.SearchStats, estats *ebsn.EngineStats, err error) (any, error) {
+	es ebsn.EngineStats, err error) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.metrics.RecordTA(stats)
-	sp.SetAttr("ta_sorted", int64(stats.SortedAccesses))
-	sp.SetAttr("ta_random", int64(stats.RandomAccesses))
-	sp.SetAttr("ta_candidates", int64(stats.Candidates))
+	s.metrics.RecordTA(es.Agg)
+	s.metrics.RecordEngine(es)
+	sp.SetAttr("ta_sorted", int64(es.Agg.SortedAccesses))
+	sp.SetAttr("ta_random", int64(es.Agg.RandomAccesses))
+	sp.SetAttr("ta_candidates", int64(es.Agg.Candidates))
 	sp.SetAttr("prune_k", s.pruneK.Load())
-	if estats != nil {
-		// Scatter-gather decomposition: one explicit-duration stage per
-		// shard (they ran concurrently, so wall-clock stage boundaries
-		// cannot measure them) plus the fan-out attrs. Spans cap at
-		// eight stages; shard stages beyond the cap are dropped and
-		// counted in the span's truncated field.
-		s.metrics.RecordEngine(*estats)
-		sp.SetAttr("shards", int64(len(estats.Shards)))
-		sp.SetAttr("critical_path_us", int64(estats.CriticalPath/time.Microsecond))
-		for _, ss := range estats.Shards {
-			sp.StageDur("shard"+strconv.Itoa(ss.Shard), ss.Wall)
-		}
+	// Scatter-gather decomposition: one explicit-duration stage per shard
+	// (they ran concurrently, so wall-clock stage boundaries cannot
+	// measure them) plus the fan-out attrs. Spans cap at eight stages;
+	// shard stages beyond the cap are dropped and counted in the span's
+	// truncated field.
+	sp.SetAttr("shards", int64(len(es.Shards)))
+	sp.SetAttr("critical_path_us", int64(es.CriticalPath/time.Microsecond))
+	for _, ss := range es.Shards {
+		sp.StageDur("shard"+strconv.Itoa(ss.Shard), ss.Wall)
 	}
 	sp.Stage("encode")
 	return encodePairs(rec.Dataset(), int32(q.user), q.n, pairs), nil

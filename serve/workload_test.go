@@ -185,6 +185,35 @@ func TestConstrainedMissCountsInShardMetrics(t *testing.T) {
 	}
 }
 
+// TestLiveMissCountsInShardMetrics: a /v1/partners/live miss runs an
+// engine fan-out, so it moves the shard metrics like a plain miss —
+// both before anything is ingested (the plain joint path) and after
+// (the base fan-out plus the delta scan).
+func TestLiveMissCountsInShardMetrics(t *testing.T) {
+	s := privateServer(t, Config{})
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+
+	liveMiss := func(stage string) {
+		t.Helper()
+		before := scrape(t, s)
+		if resp := getJSON(t, srv, "/v1/partners/live?user=3&n=5", nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: /v1/partners/live = %d", stage, resp.StatusCode)
+		}
+		after := scrape(t, s)
+		for _, key := range []string{`ebsn_serve_shard_fanout_total`, `ebsn_serve_shard_searches_total{shard="0"}`} {
+			if d := after[key] - before[key]; d != 1 {
+				t.Errorf("%s: %s moved by %v on one live miss, want 1", stage, key, d)
+			}
+		}
+	}
+	liveMiss("before ingest")
+	if resp, _ := postIngest(t, srv, IngestRequest{Events: templateBatch(t, 1)}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest = %d", resp.StatusCode)
+	}
+	liveMiss("after ingest") // the ingest bumped the generation: a miss again
+}
+
 func postJSONBody(t *testing.T, srv *httptest.Server, path string, body any, out any) *http.Response {
 	t.Helper()
 	buf, err := json.Marshal(body)

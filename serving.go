@@ -85,15 +85,15 @@ func (r *Recommender) TopEventPartnersLive(user int32, n int) ([]PairRecommendat
 	return out, err
 }
 
-// TopEventPartnersLiveStats is TopEventPartnersLive plus the TA work
-// counters for the query.
-func (r *Recommender) TopEventPartnersLiveStats(user int32, n int) ([]PairRecommendation, SearchStats, error) {
+// TopEventPartnersLiveStats is TopEventPartnersLive plus the
+// scatter-gather stats of the base tier's fan-out; Agg also counts the
+// delta scan's work.
+func (r *Recommender) TopEventPartnersLiveStats(user int32, n int) ([]PairRecommendation, EngineStats, error) {
 	if r.taDelta == nil { // nothing ingested yet
-		out, es, err := r.jointSearch(user, n, nil)
-		return out, es.Agg, err
+		return r.jointSearch(user, n, nil)
 	}
 	if err := r.checkUsers(n, user); err != nil {
-		return nil, SearchStats{}, err
+		return nil, EngineStats{}, err
 	}
 	// Two-tier query: exact top-n over the live base (the compacted fold
 	// when one was installed, else the plain engine), overlaid with an
@@ -103,12 +103,11 @@ func (r *Recommender) TopEventPartnersLiveStats(user int32, n int) ([]PairRecomm
 	eng := r.liveEngine()
 	base, es, err := eng.SearchInto(userVec, n, user, nil, nil)
 	if err != nil {
-		return nil, SearchStats{}, err
+		return nil, EngineStats{}, err
 	}
-	stats := es.Agg
 	sc := ta.GetScratch()
 	defer ta.PutScratch(sc)
-	res := r.taDelta.MergeTopN(base, eng.NumEvents(), userVec, n, user, sc, &stats)
+	res := r.taDelta.MergeTopN(base, eng.NumEvents(), userVec, n, user, sc, &es.Agg)
 
 	testN := len(r.split.TestEvents)
 	out := make([]PairRecommendation, 0, len(res))
@@ -130,7 +129,7 @@ func (r *Recommender) TopEventPartnersLiveStats(user int32, n int) ([]PairRecomm
 		}
 		out = append(out, PairRecommendation{Event: event, Partner: rr.Partner, Score: rr.Score})
 	}
-	return out, stats, nil
+	return out, es, nil
 }
 
 // liveEngine returns the engine the live path fans out over: the
@@ -152,8 +151,7 @@ type Compaction struct {
 	delta   *ta.Delta
 	view    ta.DeltaView
 	workers int
-	// base is the live engine being forked; folded is Run's result. The
-	// fold inherits base's query mode (exact or quantized).
+	// base is the live engine being forked; folded is Run's result.
 	base, folded *engine.Engine
 }
 
