@@ -36,11 +36,11 @@ func TestIndexArtifactFacadeRoundTrip(t *testing.T) {
 		t.Fatalf("MappedIndexBytes = %d after mapping an artifact", got)
 	}
 	for u := int32(0); u < 25; u++ {
-		want, err := rec.TopEventPartnersSharded(u, 8)
+		want, err := recommendOne(rec, u, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := rec2.TopEventPartnersSharded(u, 8)
+		got, err := recommendOne(rec2, u, 8)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -80,7 +80,7 @@ func TestTopEventPartnersBatchMatchesSingle(t *testing.T) {
 		t.Fatal(err)
 	}
 	users := []int32{0, 1, 2, 3, 4, 5, 6}
-	batch, stats, err := rec.TopEventPartnersBatchStats(users, 8)
+	batch, stats, err := rec.Recommend(users, 8, Constraint{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestTopEventPartnersBatchMatchesSingle(t *testing.T) {
 		t.Fatalf("stats cover %d shards, want 3", len(stats.Shards))
 	}
 	for i, u := range users {
-		single, err := rec.TopEventPartnersSharded(u, 8)
+		single, err := recommendOne(rec, u, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,16 +101,16 @@ func TestTopEventPartnersBatchMatchesSingle(t *testing.T) {
 
 func TestTopEventPartnersBatchValidation(t *testing.T) {
 	rec := batchRecommender(t)
-	if _, _, err := rec.TopEventPartnersBatchStats([]int32{0}, 0); err == nil {
+	if _, _, err := rec.Recommend([]int32{0}, 0, Constraint{}); err == nil {
 		t.Error("n=0 accepted")
 	}
-	if _, _, err := rec.TopEventPartnersBatchStats([]int32{-1}, 3); err == nil {
+	if _, _, err := rec.Recommend([]int32{-1}, 3, Constraint{}); err == nil {
 		t.Error("negative user accepted")
 	}
-	if _, _, err := rec.TopEventPartnersBatchStats([]int32{int32(rec.Dataset().NumUsers)}, 3); err == nil {
+	if _, _, err := rec.Recommend([]int32{int32(rec.Dataset().NumUsers)}, 3, Constraint{}); err == nil {
 		t.Error("out-of-range user accepted")
 	}
-	if out, _, err := rec.TopEventPartnersBatchStats(nil, 3); err != nil || len(out) != 0 {
+	if out, _, err := rec.Recommend(nil, 3, Constraint{}); err != nil || len(out) != 0 {
 		t.Error("empty batch should be a no-op")
 	}
 }

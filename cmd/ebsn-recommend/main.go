@@ -55,10 +55,11 @@ func main() {
 			fatal(err)
 		}
 	}
-	pairs, err := rec.TopEventPartners(u, *n)
+	lanes, _, err := rec.Recommend([]int32{u}, *n, ebsn.Constraint{})
 	if err != nil {
 		fatal(err)
 	}
+	pairs := lanes[0]
 	fmt.Printf("\ntop-%d event-partner pairs:\n", *n)
 	for i, p := range pairs {
 		ev := d.Events[p.Event]

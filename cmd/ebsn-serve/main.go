@@ -45,33 +45,18 @@ import (
 
 func main() {
 	var (
-		city        = flag.String("city", "tiny", "synthetic dataset scale: tiny small beijing shanghai (ignored with -model)")
-		variant     = flag.String("variant", "gem-a", "model family: gem-a gem-p pte")
-		seed        = flag.Uint64("seed", 1, "generator and training seed")
-		steps       = flag.Int64("steps", 0, "training budget N (0 = scale default)")
-		threads     = flag.Int("threads", 4, "training and index-build threads")
-		model       = flag.String("model", "", "load a trained model directory (ebsn-train output) instead of training")
-		addr        = flag.String("addr", ":8080", "listen address")
-		cache       = flag.Int("cache", 4096, "result cache capacity in entries (0 = default, negative disables)")
-		cacheTTL    = flag.Duration("cachettl", time.Minute, "result cache TTL")
-		feedTTL     = flag.Duration("feed-ttl", 30*time.Second, "max staleness of a cached /v1/feed answer (negative = bounded only by -cachettl)")
-		maxInflight = flag.Int("maxinflight", 256, "concurrent requests before load shedding with 503")
-		timeout     = flag.Duration("timeout", 5*time.Second, "per-request handler timeout")
-		drain       = flag.Duration("drain", 10*time.Second, "connection-drain budget on shutdown")
-		pruneK      = flag.Int("prunek", 0, "TA candidate pruning per partner (0 = 5% heuristic, negative = full space)")
-		shards      = flag.Int("shards", 1, "partner-range shards of the scatter-gather query engine (results identical for any value)")
-		maxBatch    = flag.Int("max-batch", 64, "max users per batched POST query; larger requests get 400")
-		coalesceWin = flag.Duration("coalesce-window", 200*time.Microsecond, "micro-batching window for single-user partner queries (0 disables coalescing)")
-		coalesceCap = flag.Int("coalesce-batch", 16, "max single-user queries folded into one coalesced dispatch")
-		autoCompact = flag.Int("auto-compact", 0, "background-compact the live delta once this many events are pending (0 = only on POST /v1/compact)")
-		snapshot    = flag.String("snapshot", "", "model snapshot file for SIGHUP / POST /v1/reload (default <model>/model.gob)")
-		artifact    = flag.String("artifact", "", "zero-copy index artifact: map it on start/reload instead of rebuilding, rewrite it after fallback rebuilds (default <model>/index.art)")
-		quiet       = flag.Bool("quiet", false, "disable the per-request access log")
-		trace       = flag.Bool("trace", false, "enable request-scoped tracing (slow-query ring at /v1/debug/slowlog)")
-		slowQuery   = flag.Duration("slow-query", 100*time.Millisecond, "traced-request duration that lands in the slowlog")
-		slowlogSize = flag.Int("slowlog-size", 128, "slow-query ring capacity")
-		debugAddr   = flag.String("debug-addr", "", "net/http/pprof listener address (e.g. localhost:6060; empty disables)")
+		city      = flag.String("city", "tiny", "synthetic dataset scale: tiny small beijing shanghai (ignored with -model)")
+		variant   = flag.String("variant", "gem-a", "model family: gem-a gem-p pte")
+		seed      = flag.Uint64("seed", 1, "generator and training seed")
+		steps     = flag.Int64("steps", 0, "training budget N (0 = scale default)")
+		threads   = flag.Int("threads", 4, "training and index-build threads")
+		model     = flag.String("model", "", "load a trained model directory (ebsn-train output) instead of training")
+		addr      = flag.String("addr", ":8080", "listen address")
+		quiet     = flag.Bool("quiet", false, "disable the per-request access log")
+		debugAddr = flag.String("debug-addr", "", "net/http/pprof listener address (e.g. localhost:6060; empty disables)")
 	)
+	scfg := serve.DefaultConfig()
+	configFlags(flag.CommandLine, &scfg)
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "ebsn-serve: ", log.LstdFlags)
@@ -100,34 +85,14 @@ func main() {
 	}
 	logger.Printf("model ready in %.1fs: %s", time.Since(t0).Seconds(), rec.Dataset().Stats())
 
-	if *snapshot == "" && *model != "" {
-		*snapshot = filepath.Join(*model, "model.gob")
+	if scfg.SnapshotPath == "" && *model != "" {
+		scfg.SnapshotPath = filepath.Join(*model, "model.gob")
 	}
-	if *artifact == "" && *model != "" {
-		*artifact = filepath.Join(*model, "index.art")
+	if scfg.ArtifactPath == "" && *model != "" {
+		scfg.ArtifactPath = filepath.Join(*model, "index.art")
 	}
-
-	s := serve.New(rec, serve.Config{
-		PruneK:             *pruneK,
-		Shards:             *shards,
-		MaxBatch:           *maxBatch,
-		CoalesceWindow:     *coalesceWin,
-		CoalesceBatch:      *coalesceCap,
-		AutoCompactEvents:  *autoCompact,
-		SnapshotPath:       *snapshot,
-		ArtifactPath:       *artifact,
-		CacheCapacity:      *cache,
-		CacheTTL:           *cacheTTL,
-		FeedTTL:            *feedTTL,
-		MaxInFlight:        *maxInflight,
-		RequestTimeout:     *timeout,
-		DrainTimeout:       *drain,
-		Logger:             logger,
-		AccessLog:          !*quiet,
-		TraceEnabled:       *trace,
-		SlowQueryThreshold: *slowQuery,
-		SlowLogSize:        *slowlogSize,
-	})
+	scfg.Logger, scfg.AccessLog = logger, !*quiet
+	s := serve.New(rec, scfg)
 
 	if *debugAddr != "" {
 		obs.ServeDebug(*debugAddr, func(err error) { logger.Printf("pprof listener: %v", err) })
@@ -158,7 +123,7 @@ func main() {
 	go func() { errc <- s.ListenAndServe(ctx, *addr) }()
 
 	t0 = time.Now()
-	logger.Printf("listening on %s, building TA index (%d shard(s))...", *addr, *shards)
+	logger.Printf("listening on %s, building TA index (%d shard(s))...", *addr, scfg.Shards)
 	if err := s.Warm(); err != nil {
 		fatal(err)
 	}
@@ -172,6 +137,29 @@ func main() {
 		fatal(err)
 	}
 	logger.Println("shutdown complete")
+}
+
+// configFlags binds the flags that set serve.Config fields on fs, each
+// defaulting to the field's value in *c — serve.DefaultConfig() in the
+// daemon, so the flag defaults and the library defaults are one table.
+func configFlags(fs *flag.FlagSet, c *serve.Config) {
+	fs.IntVar(&c.CacheCapacity, "cache", c.CacheCapacity, "result cache capacity in entries (0 = default, negative disables)")
+	fs.DurationVar(&c.CacheTTL, "cachettl", c.CacheTTL, "result cache TTL")
+	fs.DurationVar(&c.FeedTTL, "feed-ttl", c.FeedTTL, "max staleness of a cached /v1/feed answer (negative = bounded only by -cachettl)")
+	fs.IntVar(&c.MaxInFlight, "maxinflight", c.MaxInFlight, "concurrent requests before load shedding with 503")
+	fs.DurationVar(&c.RequestTimeout, "timeout", c.RequestTimeout, "per-request handler timeout")
+	fs.DurationVar(&c.DrainTimeout, "drain", c.DrainTimeout, "connection-drain budget on shutdown")
+	fs.IntVar(&c.PruneK, "prunek", c.PruneK, "TA candidate pruning per partner (0 = 5% heuristic, negative = full space)")
+	fs.IntVar(&c.Shards, "shards", c.Shards, "partner-range shards of the scatter-gather query engine (results identical for any value)")
+	fs.IntVar(&c.MaxBatch, "max-batch", c.MaxBatch, "max users per batched POST query; larger requests get 400")
+	fs.DurationVar(&c.CoalesceWindow, "coalesce-window", c.CoalesceWindow, "micro-batching window for single-user partner queries (0 disables coalescing)")
+	fs.IntVar(&c.CoalesceBatch, "coalesce-batch", c.CoalesceBatch, "max single-user queries folded into one coalesced dispatch")
+	fs.IntVar(&c.AutoCompactEvents, "auto-compact", c.AutoCompactEvents, "background-compact the live delta once this many events are pending (0 = only on POST /v1/compact)")
+	fs.StringVar(&c.SnapshotPath, "snapshot", c.SnapshotPath, "model snapshot file for SIGHUP / POST /v1/reload (default <model>/model.gob)")
+	fs.StringVar(&c.ArtifactPath, "artifact", c.ArtifactPath, "zero-copy index artifact: map it on start/reload instead of rebuilding, rewrite it after fallback rebuilds (default <model>/index.art)")
+	fs.BoolVar(&c.TraceEnabled, "trace", c.TraceEnabled, "enable request-scoped tracing (slow-query ring at /v1/debug/slowlog)")
+	fs.DurationVar(&c.SlowQueryThreshold, "slow-query", c.SlowQueryThreshold, "traced-request duration that lands in the slowlog")
+	fs.IntVar(&c.SlowLogSize, "slowlog-size", c.SlowLogSize, "slow-query ring capacity")
 }
 
 func fatal(err error) {

@@ -12,8 +12,8 @@
 //
 //	rec, err := ebsn.New(ebsn.Config{City: ebsn.CityTiny, Seed: 1})
 //	...
-//	events := rec.TopEvents(user, 10)
-//	pairs, _ := rec.TopEventPartners(user, 10)
+//	events, _ := rec.TopEvents(user, 10)
+//	pairs, _, _ := rec.Recommend([]int32{user}, 10, ebsn.Constraint{})
 package ebsn
 
 import (
@@ -240,7 +240,7 @@ type PairRecommendation struct {
 // query.
 //
 // Concurrency: query methods (the TopEvents family, GroupTopEvents,
-// Feed, TopEventPartners, Explain, the evaluation methods) are safe to
+// Feed, Recommend, Explain, the evaluation methods) are safe to
 // call from multiple goroutines once the structures they use exist: the
 // event rows pack under a sync.Once, and with a joint engine prepared no
 // query method writes the Recommender. Methods that build state lazily
@@ -310,6 +310,29 @@ func Build(d *ebsnet.Dataset, cfg Config) (*Recommender, error) {
 // ModelSnapshot with Model().RestoreSnapshot.
 func Assemble(d *ebsnet.Dataset, cfg Config) (*Recommender, error) {
 	cfg.fill()
+	return assemble(d, cfg, func(graphs *ebsnet.Graphs) core.Config {
+		steps := cfg.TrainSteps
+		if steps == 0 {
+			total := 0
+			for _, g := range graphs.All() {
+				total += g.NumEdges()
+			}
+			steps = int64(total) * 25
+		}
+		mc := cfg.Variant.preset()
+		mc.K = cfg.K
+		mc.Seed = cfg.Seed
+		mc.Threads = cfg.Threads
+		mc.TotalSteps = steps
+		return mc
+	})
+}
+
+// assemble is the pipeline Assemble and Open share: filter d by
+// cfg.MinEventsPerUser, split it chronologically, build the five
+// relation graphs, and construct a model over them from the config
+// modelConfig derives from the graphs. cfg must be filled.
+func assemble(d *ebsnet.Dataset, cfg Config, modelConfig func(*ebsnet.Graphs) core.Config) (*Recommender, error) {
 	filtered, err := d.FilterMinEvents(cfg.MinEventsPerUser)
 	if err != nil {
 		return nil, err
@@ -325,21 +348,7 @@ func Assemble(d *ebsnet.Dataset, cfg Config) (*Recommender, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	steps := cfg.TrainSteps
-	if steps == 0 {
-		total := 0
-		for _, g := range graphs.All() {
-			total += g.NumEdges()
-		}
-		steps = int64(total) * 25
-	}
-	mc := cfg.Variant.preset()
-	mc.K = cfg.K
-	mc.Seed = cfg.Seed
-	mc.Threads = cfg.Threads
-	mc.TotalSteps = steps
-	model, err := core.NewModel(graphs, mc)
+	model, err := core.NewModel(graphs, modelConfig(graphs))
 	if err != nil {
 		return nil, err
 	}
@@ -375,8 +384,8 @@ func (r *Recommender) jointVectors() (events, partners [][]float32) {
 // PrepareJoint builds the transformed candidate space and TA index for
 // joint event-partner recommendation, pruning to each partner's top
 // pruneK test events (0 keeps the full space) — a one-shard
-// PrepareJointSharded. It is called implicitly by TopEventPartners but
-// exposed so services can pay the build cost at startup.
+// PrepareJointSharded. It is called implicitly by Recommend but exposed
+// so services can pay the build cost at startup.
 func (r *Recommender) PrepareJoint(pruneK int) error { return r.PrepareJointSharded(pruneK, 1) }
 
 // PrepareJointSharded builds the scatter-gather engine over the joint
@@ -433,45 +442,72 @@ func (r *Recommender) EngineShards() int {
 	return r.taEngine.Shards()
 }
 
-// TopEventPartners returns the top-n event-partner pairs for the user via
-// the TA index over the transformed space. Event IDs in the result are
-// dataset event IDs; partners are user IDs.
-func (r *Recommender) TopEventPartners(user int32, n int) ([]PairRecommendation, error) {
-	out, _, err := r.jointSearch(user, n, nil)
-	return out, err
-}
-
-// TopEventPartnersSharded is TopEventPartners under its older name: every
-// joint query is answered by the engine, and results are bit-identical
-// for every shard count (the engine's exactness property test pins
-// this).
-func (r *Recommender) TopEventPartnersSharded(user int32, n int) ([]PairRecommendation, error) {
-	return r.TopEventPartners(user, n)
-}
-
-// TopEventPartnersShardedStats is TopEventPartners plus the
-// scatter-gather decomposition: aggregated TA counters, the per-shard
-// breakdown, and the prepass/merge/critical-path timings a serving
-// layer renders as span stages and shard metrics.
-func (r *Recommender) TopEventPartnersShardedStats(user int32, n int) ([]PairRecommendation, EngineStats, error) {
-	return r.jointSearch(user, n, nil)
-}
-
-// jointSearch answers one joint query from the base engine (building the
-// default one when none is prepared), restricted to pred-allowed events
-// when pred is non-nil.
-func (r *Recommender) jointSearch(user int32, n int, pred EventPredicate) ([]PairRecommendation, EngineStats, error) {
-	if err := r.checkUsers(n, user); err != nil {
+// Recommend answers the joint event-partner query for every user in one
+// fan-out over the base engine (building the default one when none is
+// prepared): lane j holds users[j]'s top-n (event, partner) pairs among
+// the events c allows, with the user never their own partner. The zero
+// Constraint allows every event. The constraint is compiled once and
+// pushed into the TA threshold walk (not post-filtered; see DESIGN.md
+// §3.10), so every lane is the exact constrained top n, and lane j is
+// bit-identical to users[j] asked alone — same pairs, same score bits,
+// same tie order. Event IDs are dataset event IDs; partners are user
+// IDs. EngineStats carries the TA work counters summed over the lanes
+// and the engine's shards, plus the per-shard breakdown. Events ingested
+// live (IngestColdEvent) carry no dataset metadata to evaluate a
+// constraint against and are not candidates here; TopEventPartnersLive
+// serves them.
+func (r *Recommender) Recommend(users []int32, n int, c Constraint) ([][]PairRecommendation, EngineStats, error) {
+	if err := r.checkUsers(n, users...); err != nil {
 		return nil, EngineStats{}, err
+	}
+	if len(users) == 0 {
+		return nil, EngineStats{}, nil
 	}
 	if err := r.ensureEngine(); err != nil {
 		return nil, EngineStats{}, err
 	}
-	res, stats, err := r.taEngine.SearchIntoPred(r.model.UserVec(user), n, user, pred, nil, nil)
+	pred, _ := r.CompileConstraint(c)
+	vecs := make([][]float32, len(users))
+	for j, u := range users {
+		vecs[j] = r.model.UserVec(u)
+	}
+	// Deliberately the base engine, never liveEngine(): a compacted live
+	// tier holds folded live events past the test-event range, which the
+	// predicate (compiled over split.TestEvents) cannot cover. Each lane
+	// excludes its own user, so users doubles as the exclude list.
+	lanes := make([][]ta.Result, len(users))
+	res, stats, err := r.taEngine.Search(vecs, users, n, pred, nil, lanes, nil)
 	if err != nil {
 		return nil, stats, err
 	}
-	return r.basePairs(res), stats, nil
+	pairs := r.basePairs(res)
+	out := make([][]PairRecommendation, len(users))
+	for j, l := range lanes {
+		out[j], pairs = pairs[:len(l):len(l)], pairs[len(l):]
+	}
+	return out, stats, nil
+}
+
+// firstLane unwraps a one-user Recommend.
+func firstLane(out [][]PairRecommendation, es EngineStats, err error) ([]PairRecommendation, EngineStats, error) {
+	if err != nil {
+		return nil, es, err
+	}
+	return out[0], es, nil
+}
+
+// TopEventPartnersSharded is Recommend for one unconstrained user. It
+// remains only because the benchmark harness names it (ROADMAP 1e).
+func (r *Recommender) TopEventPartnersSharded(user int32, n int) ([]PairRecommendation, error) {
+	out, _, err := firstLane(r.Recommend([]int32{user}, n, Constraint{}))
+	return out, err
+}
+
+// TopEventPartnersShardedStats is Recommend for one unconstrained user,
+// stats included. It remains only because the benchmark harness names it
+// (ROADMAP 1e).
+func (r *Recommender) TopEventPartnersShardedStats(user int32, n int) ([]PairRecommendation, EngineStats, error) {
+	return firstLane(r.Recommend([]int32{user}, n, Constraint{}))
 }
 
 // basePairs converts base-tier results — event indices into the test
@@ -544,28 +580,15 @@ func Open(dir string, cfg Config) (*Recommender, error) {
 	if err != nil {
 		return nil, err
 	}
-	filtered, err := d.FilterMinEvents(cfg.MinEventsPerUser)
+	cfg.K = snap.Cfg.K
+	r, err := assemble(d, cfg, func(*ebsnet.Graphs) core.Config { return snap.Cfg })
 	if err != nil {
 		return nil, err
 	}
-	split, err := ebsnet.ChronologicalSplit(filtered, ebsnet.DefaultSplitConfig())
-	if err != nil {
+	if err := r.model.RestoreSnapshot(snap); err != nil {
 		return nil, err
 	}
-	graphs, err := ebsnet.BuildGraphs(filtered, split, ebsnet.DefaultGraphsConfig())
-	if err != nil {
-		return nil, err
-	}
-	mc := snap.Cfg
-	model, err := core.NewModel(graphs, mc)
-	if err != nil {
-		return nil, err
-	}
-	if err := model.RestoreSnapshot(snap); err != nil {
-		return nil, err
-	}
-	cfg.K = mc.K
-	return &Recommender{cfg: cfg, dataset: filtered, split: split, graphs: graphs, model: model, events: new(eventRows)}, nil
+	return r, nil
 }
 
 // EvalResult is an Accuracy@n evaluation outcome.

@@ -110,7 +110,7 @@ func TestWithSnapshotSwapsEmbeddings(t *testing.T) {
 	if err := next.PrepareJoint(5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := next.TopEventPartners(3, 5); err != nil {
+	if _, err := recommendOne(next, 3, 5); err != nil {
 		t.Fatal(err)
 	}
 }

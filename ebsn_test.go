@@ -26,6 +26,12 @@ func tinyRecommender(t testing.TB) *Recommender {
 	return rec
 }
 
+// recommendOne is one user's unconstrained Recommend.
+func recommendOne(rec *Recommender, user int32, n int) ([]PairRecommendation, error) {
+	out, _, err := firstLane(rec.Recommend([]int32{user}, n, Constraint{}))
+	return out, err
+}
+
 func TestParseCityAndVariant(t *testing.T) {
 	for _, name := range []string{"tiny", "small", "beijing", "shanghai"} {
 		c, err := ParseCity(name)
@@ -109,7 +115,7 @@ func TestTopEvents(t *testing.T) {
 
 func TestTopEventPartners(t *testing.T) {
 	rec := tinyRecommender(t)
-	pairs, err := rec.TopEventPartners(2, 5)
+	pairs, err := recommendOne(rec, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +133,7 @@ func TestTopEventPartners(t *testing.T) {
 			t.Errorf("pair %d on non-test event %d", i, p.Event)
 		}
 	}
-	if _, err := rec.TopEventPartners(-1, 5); err == nil {
+	if _, err := recommendOne(rec, -1, 5); err == nil {
 		t.Error("negative user accepted")
 	}
 }
@@ -137,14 +143,14 @@ func TestPrepareJointFullVsPruned(t *testing.T) {
 	if err := rec.PrepareJoint(0); err != nil {
 		t.Fatal(err)
 	}
-	full, err := rec.TopEventPartners(3, 10)
+	full, err := recommendOne(rec, 3, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := rec.PrepareJoint(len(rec.Split().TestEvents)); err != nil {
 		t.Fatal(err)
 	}
-	alsoFull, err := rec.TopEventPartners(3, 10)
+	alsoFull, err := recommendOne(rec, 3, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,10 +56,11 @@ func main() {
 
 	// Show one user's final recommendations from the last pruned space.
 	u := users[0]
-	pairs, err := rec.TopEventPartners(u, 5)
+	lanes, _, err := rec.Recommend([]int32{u}, 5, ebsn.Constraint{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	pairs := lanes[0]
 	fmt.Printf("\nuser %d's event-partner recommendations:\n", u)
 	for i, p := range pairs {
 		rel := "new person"
@@ -89,12 +90,12 @@ func timeQueries(rec *ebsn.Recommender, users []int32) (time.Duration, map[int32
 	results := make(map[int32]map[[2]int32]bool, len(users))
 	start := time.Now()
 	for _, u := range users {
-		pairs, err := rec.TopEventPartners(u, 10)
+		lanes, _, err := rec.Recommend([]int32{u}, 10, ebsn.Constraint{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		set := make(map[[2]int32]bool, len(pairs))
-		for _, p := range pairs {
+		set := make(map[[2]int32]bool, len(lanes[0]))
+		for _, p := range lanes[0] {
 			set[[2]int32{p.Event, p.Partner}] = true
 		}
 		results[u] = set

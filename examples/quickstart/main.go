@@ -56,10 +56,11 @@ func main() {
 
 	// The paper's contribution: recommend who to go with, jointly with
 	// what to attend, via the TA index over the transformed space.
-	pairs, err := rec.TopEventPartners(user, 5)
+	lanes, _, err := rec.Recommend([]int32{user}, 5, ebsn.Constraint{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	pairs := lanes[0]
 	fmt.Println("\ntop 5 event-partner pairs:")
 	for i, p := range pairs {
 		rel := "new person"

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"sort"
 	"testing"
 
 	"ebsn/internal/datagen"
@@ -192,7 +193,9 @@ func TestPERColdEventDiffusionUsesOnlyContextPaths(t *testing.T) {
 
 func TestPERFactorizationApproximatesDiffusion(t *testing.T) {
 	// The factorized content-path score should correlate with the raw
-	// diffusion values — the bottleneck blurs, it must not destroy.
+	// diffusion values — the bottleneck blurs, it must not destroy. The
+	// sampled edges are split at the bottom and top thirds of their raw
+	// values, so both buckets are populated on every fixture.
 	d, s, g := testEnv(t)
 	cfg := DefaultPERConfig()
 	cfg.FactorSteps = 400000
@@ -201,25 +204,48 @@ func TestPERFactorizationApproximatesDiffusion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hi, lo float64
-	nHi, nLo := 0, 0
+	type sample struct{ raw, est float64 }
+	var samples []sample
 	for i := 0; i < g.UserEvent.NumEdges(); i += 3 {
 		e := g.UserEvent.Edge(i)
-		raw := p.diffusion(pathUXCX, e.A, e.B)
-		est := float64(p.pathScore(pathUXCX, e.A, e.B))
-		if raw > 0.2 {
-			hi += est
-			nHi++
-		} else if raw < 0.05 {
-			lo += est
-			nLo++
-		}
+		samples = append(samples, sample{float64(p.diffusion(pathUXCX, e.A, e.B)), float64(p.pathScore(pathUXCX, e.A, e.B))})
 	}
-	if nHi == 0 || nLo == 0 {
-		t.Skip("diffusion values too uniform in tiny fixture")
+	if len(samples) < 30 {
+		t.Fatalf("only %d sampled edges", len(samples))
 	}
-	if hi/float64(nHi) <= lo/float64(nLo) {
-		t.Errorf("factorized scores do not track diffusion: hi %.4f <= lo %.4f", hi/float64(nHi), lo/float64(nLo))
+	sort.Slice(samples, func(i, j int) bool { return samples[i].raw < samples[j].raw })
+	third := len(samples) / 3
+	var lo, hi float64
+	for i := 0; i < third; i++ {
+		lo += samples[i].est
+		hi += samples[len(samples)-1-i].est
+	}
+	if samples[third-1].raw >= samples[len(samples)-third].raw {
+		t.Fatalf("raw diffusion is flat across the middle third (%.4f)", samples[third-1].raw)
+	}
+	t.Logf("mean factorized score: bottom third %.4f, top third %.4f", lo/float64(third), hi/float64(third))
+	if hi <= lo {
+		t.Errorf("factorized scores do not track diffusion: top third %.4f <= bottom third %.4f", hi/float64(third), lo/float64(third))
+	}
+}
+
+// TestPERSameSeedSameWeights builds PER twice from one config and seed:
+// the learned path weights must be bit-identical.
+func TestPERSameSeedSameWeights(t *testing.T) {
+	d, s, g := testEnv(t)
+	cfg := DefaultPERConfig()
+	cfg.FactorSteps = 400000
+	cfg.Steps = 1000
+	a, err := NewPER(d, s, g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewPER(d, s, g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wa, wb := a.Weights(), b.Weights(); wa != wb {
+		t.Errorf("same seed, different weights:\n%v\n%v", wa, wb)
 	}
 }
 

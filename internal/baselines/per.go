@@ -3,6 +3,7 @@ package baselines
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ebsn/internal/ebsnet"
 	"ebsn/internal/graph"
@@ -130,9 +131,16 @@ func (p *PER) buildProfiles() {
 			for k := range slot {
 				slot[k] *= inv
 			}
+			// Sum in word order: a float32 sum over map order would
+			// change its last bits from run to run.
+			keys := make([]int32, 0, len(word))
+			for w := range word {
+				keys = append(keys, w)
+			}
+			slices.Sort(keys)
 			var norm float32
-			for _, v := range word {
-				norm += v * v
+			for _, w := range keys {
+				norm += word[w] * word[w]
 			}
 			if norm > 0 {
 				s := 1 / float32(math.Sqrt(float64(norm)))

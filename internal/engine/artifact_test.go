@@ -142,10 +142,10 @@ func TestArtifactEngineFold(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineSearchIntoMapped is the mapped-path alloc gate: the
-// steady-state single-query hot path over an artifact-mapped engine
-// must stay 0 allocs/op, exactly like the built engine's gate.
-func BenchmarkEngineSearchIntoMapped(b *testing.B) {
+// BenchmarkEngineSearchMapped is the mapped-path alloc gate: the
+// steady-state one-lane Search over an artifact-mapped engine must stay
+// 0 allocs/op, exactly like BenchmarkEngineSearch.
+func BenchmarkEngineSearchMapped(b *testing.B) {
 	for _, shards := range []int{1, 4} {
 		b.Run("shards="+strconv.Itoa(shards), func(b *testing.B) {
 			built, queries := benchEngine(b, shards)
@@ -155,21 +155,7 @@ func BenchmarkEngineSearchIntoMapped(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer e.Artifact().Close()
-			out := make([]ta.Result, 0, 10)
-			ss := make([]ShardStats, shards)
-			for i := 0; i < 4; i++ { // warm the pooled fan-out scratch
-				if out, _, err = e.SearchInto(queries[i], 10, int32(i), out, ss); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out, _, err = e.SearchInto(queries[i%len(queries)], 10, int32(i)%4000, out, ss)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchSearch(b, e, queries)
 		})
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"testing"
 
 	"ebsn/internal/rng"
@@ -192,6 +193,65 @@ func TestSearchIntoSteadyStateAllocs(t *testing.T) {
 		}
 		if allocs > limit {
 			t.Errorf("shards=%d: %v allocs per warmed SearchInto, want <= %v", shards, allocs, limit)
+		}
+	}
+}
+
+// TestSearchLanesMatchOneLane checks that a many-lane, constrained Search
+// answers every lane exactly as that lane asked alone, at shards {1, 4}
+// and under no, 25% and 10% predicates. The lanes mix the exclusion
+// shapes a caller sends: none (-1), the lane's own partner row, and the
+// same user (and exclude) in two lanes.
+func TestSearchLanesMatchOneLane(t *testing.T) {
+	src := rng.New(616)
+	events := randomVecs(src, 40, 8)
+	partners := randomVecs(src, 50, 8)
+	for _, shards := range []int{1, 4} {
+		e, err := Build(events, partners, Config{Shards: shards, TopKEvents: 10, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sel := range []float64{-1, 0.25, 0.10} {
+			var pred ta.EventPredicate
+			if sel >= 0 {
+				pred = randomPred(src, len(events), sel)
+			}
+			// Lanes 0-1 exclude no one, 2-3 exclude their own row, 4 and
+			// 5 are one user twice, and 6 repeats lane 2 exactly.
+			users := [][]float32{randomVecs(src, 1, 8)[0], partners[7], partners[3], partners[41], partners[12], partners[12], partners[3]}
+			exclude := []int32{-1, -1, 3, 41, 12, 12, 3}
+			for _, n := range []int{1, 6, 15} {
+				outs := make([][]ta.Result, len(users))
+				res, stats, err := e.Search(users, exclude, n, pred, nil, outs, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var total, sorted, random int
+				for j := range users {
+					want, st, err := e.Search(users[j:j+1], exclude[j:j+1], n, pred, nil, nil, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(outs[j]) != len(want) {
+						t.Fatalf("shards=%d sel=%v n=%d lane %d: %d results, alone %d", shards, sel, n, j, len(outs[j]), len(want))
+					}
+					for i := range want {
+						if outs[j][i] != want[i] || math.Float32bits(outs[j][i].Score) != math.Float32bits(want[i].Score) {
+							t.Fatalf("shards=%d sel=%v n=%d lane %d rank %d: %+v, alone %+v", shards, sel, n, j, i, outs[j][i], want[i])
+						}
+					}
+					total += len(want)
+					sorted += st.Agg.SortedAccesses
+					random += st.Agg.RandomAccesses
+				}
+				if len(res) != total {
+					t.Fatalf("shards=%d sel=%v n=%d: %d merged results, lanes sum to %d", shards, sel, n, len(res), total)
+				}
+				if stats.Agg.SortedAccesses != sorted || stats.Agg.RandomAccesses != random {
+					t.Errorf("shards=%d sel=%v n=%d: accesses %d/%d, lanes alone sum to %d/%d",
+						shards, sel, n, stats.Agg.SortedAccesses, stats.Agg.RandomAccesses, sorted, random)
+				}
+			}
 		}
 	}
 }

@@ -63,43 +63,53 @@ func BenchmarkEngineBringUp(b *testing.B) {
 	})
 }
 
-// BenchmarkEngineSearchInto measures the sharded single-query hot path
-// with caller-managed buffers. The allocs/op column is the regression
-// gate: steady state must report 0 allocs/op for every shard count (the
-// multi-shard fan-out reuses pre-built closures, pooled batch scratch and
-// the caller's result and stats buffers). critpath-ns/op is the mean
-// Stats.CriticalPath — prepass + slowest shard + merge — which is what a
-// host with a core per shard would see when wall ns/op cannot.
-func BenchmarkEngineSearchInto(b *testing.B) {
+// BenchmarkEngineSearch measures the one-lane Search that every facade
+// query and the live verb's base tier take, with caller-managed buffers.
+// The allocs/op column is the regression gate: steady state must report
+// 0 allocs/op for every shard count (the multi-shard fan-out reuses
+// pre-built closures, pooled batch scratch and the caller's result and
+// stats buffers). critpath-ns/op is the mean Stats.CriticalPath —
+// prepass + slowest shard + merge — which is what a host with a core per
+// shard would see when wall ns/op cannot.
+func BenchmarkEngineSearch(b *testing.B) {
 	for _, shards := range []int{1, 4} {
 		b.Run("shards="+strconv.Itoa(shards), func(b *testing.B) {
 			e, queries := benchEngine(b, shards)
-			out := make([]ta.Result, 0, 10)
-			ss := make([]ShardStats, shards)
-			var err error
-			for i := 0; i < 4; i++ { // warm the pooled fan-out scratch
-				if out, _, err = e.SearchInto(queries[i], 10, int32(i), out, ss); err != nil {
-					b.Fatal(err)
-				}
-			}
-			var st Stats
-			var critical time.Duration
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out, st, err = e.SearchInto(queries[i%len(queries)], 10, int32(i)%4000, out, ss)
-				if err != nil {
-					b.Fatal(err)
-				}
-				critical += st.CriticalPath
-			}
-			b.ReportMetric(float64(critical.Nanoseconds())/float64(b.N), "critpath-ns/op")
+			benchSearch(b, e, queries)
 		})
 	}
 }
 
-// BenchmarkEngineSearchBatch measures per-user cost of the batched
-// fan-out across batch widths.
+// benchSearch runs the steady-state one-lane Search loop of
+// BenchmarkEngineSearch{,Mapped} on a built or mapped engine.
+func benchSearch(b *testing.B, e *Engine, queries [][]float32) {
+	var lane [1][]float32
+	var excl [1]int32
+	var outs [1][]ta.Result
+	out := make([]ta.Result, 0, 10)
+	ss := make([]ShardStats, e.Shards())
+	search := func(i int) (st Stats) {
+		lane[0], excl[0] = queries[i%len(queries)], int32(i)%4000
+		var err error
+		if out, st, err = e.Search(lane[:], excl[:], 10, nil, out, outs[:], ss); err != nil {
+			b.Fatal(err)
+		}
+		return st
+	}
+	for i := 0; i < 4; i++ { // warm the pooled fan-out scratch
+		search(i)
+	}
+	var critical time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		critical += search(i).CriticalPath
+	}
+	b.ReportMetric(float64(critical.Nanoseconds())/float64(b.N), "critpath-ns/op")
+}
+
+// BenchmarkEngineSearchBatch measures per-user cost of a many-lane
+// Search across batch widths.
 func BenchmarkEngineSearchBatch(b *testing.B) {
 	for _, shards := range []int{1, 4} {
 		e, queries := benchEngine(b, shards)
@@ -114,7 +124,7 @@ func BenchmarkEngineSearchBatch(b *testing.B) {
 						users[j] = queries[(i*nb+j)%len(queries)]
 						exclude[j] = int32((i*nb + j) % 4000)
 					}
-					if _, _, err := e.SearchBatch(users, 10, exclude); err != nil {
+					if _, _, err := e.Search(users, exclude, 10, nil, nil, nil, nil); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -23,10 +23,11 @@
 // # One fan-out
 //
 // Every query is a set of lanes, and a single query is a batch of one.
-// SearchInto, SearchIntoPred and SearchBatch all run the same four
-// steps: one shared event-affinity panel, one ta.FastIndex.TopNBatch
-// call per shard over all lanes, one stats sum, and one canonical merge
-// per lane. A lane's panel row is bit-identical to a lone DotBatch and
+// Engine.Search is the one entry; it runs four steps: one shared
+// event-affinity panel, one ta.FastIndex.TopNBatch call per shard over
+// all lanes, one stats sum, and one canonical merge per lane. SearchInto
+// and SearchBatch are one-line calls of it, kept for the benchmark
+// harness. A lane's panel row is bit-identical to a lone DotBatch and
 // every lane runs the same walk, so a query's answer does not depend on
 // the batch it rides in. Shards are in-process
 // structs sharing memory with the engine; there is no RPC-shaped seam,

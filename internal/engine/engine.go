@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -57,12 +58,13 @@ type fanoutScratch struct {
 	heads   []int
 
 	// The query the closures read: q.Exclude stays nil, since each shard
-	// translates the global exclude into its own IDs. A single query's
-	// lane lives in user and excl, so loading it allocates nothing.
+	// translates the global excludes into its own IDs. Search copies the
+	// caller's lane headers into users and excl, so the pool never keeps
+	// a caller slice.
 	q       ta.BatchQuery
-	exclude []int32
-	user    [1][]float32
-	excl    [1]int32
+	exclude []int32 // excl, or nil when no lane excludes anyone
+	users   [][]float32
+	excl    []int32
 }
 
 // newFanout builds a scratch with one closure per shard. The pool calls
@@ -248,86 +250,48 @@ type Stats struct {
 	CriticalPath time.Duration
 }
 
-// SearchInto answers the exact top-n for userVec with one partner
-// excluded (< 0 excludes no one) as a one-lane fan-out. Results are
-// appended to dst[:0] and Stats.Shards reuses shardStats when its
-// capacity suffices (both are grown — and thus allocated — only when
-// too small; nil buffers are fine). With warmed buffers a steady-state
-// query allocates nothing.
-func (e *Engine) SearchInto(userVec []float32, n int, exclude int32, dst []ta.Result, shardStats []ShardStats) ([]ta.Result, Stats, error) {
-	return e.SearchIntoPred(userVec, n, exclude, nil, dst, shardStats)
-}
-
-// SearchIntoPred is SearchInto restricted to predicate-allowed events:
-// the predicate is shipped to every shard (events are replicated, so it
-// is shard-invariant) and pushed into each shard's threshold walk. Each
-// shard's constrained answer is exact, so the canonical merge is exact
-// too. A nil predicate is bit-identical to SearchInto.
-func (e *Engine) SearchIntoPred(userVec []float32, n int, exclude int32, pred ta.EventPredicate, dst []ta.Result, shardStats []ShardStats) ([]ta.Result, Stats, error) {
+// Search is the one query entry: the exact top-n of every lane — lane j
+// scores users[j] and excludes partner exclude[j] (< 0 excludes no one;
+// a nil exclude excludes no one in any lane) — over the events pred
+// allows (nil allows all), with one fan-out. It computes the shared
+// event-affinity panel, runs each shard's TopNBatch over all lanes
+// (concurrently when there are several shards), sums the stats, and
+// merges each lane's per-shard answers in canonical order onto dst[:0],
+// lane after lane. When outs is non-nil it must have one entry per lane,
+// and outs[j] receives lane j's slice of the returned results. The
+// predicate is shipped to every shard (events are replicated, so it is
+// shard-invariant) and pushed into each shard's threshold walk; each
+// shard's answer is exact, so the merge is too. A lane's answer does not
+// depend on the lanes beside it: same pairs, same score bits, same tie
+// order as the lane asked alone.
+//
+// Stats.Shards reuses shardStats when its capacity suffices. dst and
+// shardStats are grown — and thus allocated — only when too small (nil
+// buffers are fine), so with warmed buffers a steady-state query
+// allocates nothing.
+func (e *Engine) Search(users [][]float32, exclude []int32, n int, pred ta.EventPredicate,
+	dst []ta.Result, outs [][]ta.Result, shardStats []ShardStats) ([]ta.Result, Stats, error) {
 	start := time.Now()
-	if err := e.check(n, pred, userVec); err != nil {
-		return nil, Stats{}, err
-	}
-	fs := e.pool.Get().(*fanoutScratch)
-	defer e.pool.Put(fs)
-	fs.user[0], fs.excl[0] = userVec, exclude
-	fs.q = ta.BatchQuery{Users: fs.user[:], N: n, Pred: pred}
-	fs.exclude = fs.excl[:]
-	out, stats := e.search(fs, start, dst[:0], nil, shardStats)
-	return out, stats, nil
-}
-
-// SearchBatch answers the top-n for every user vector with one fan-out.
-// Results are indexed like users; exclude may be nil (no exclusions) or
-// one global partner ID per user. Every lane is bit-identical to the
-// same query through SearchInto — same pairs, same score bits, same tie
-// order — which is what lets the serving layer coalesce concurrent
-// requests into batches transparently. The returned slices share one
-// freshly allocated backing array owned by the caller, and Stats.Shards
-// aliases nothing pooled.
-func (e *Engine) SearchBatch(users [][]float32, n int, exclude []int32) ([][]ta.Result, Stats, error) {
-	start := time.Now()
-	if err := e.check(n, nil, users...); err != nil {
+	if err := e.check(n, pred, users...); err != nil {
 		return nil, Stats{}, err
 	}
 	if exclude != nil && len(exclude) != len(users) {
-		return nil, Stats{}, fmt.Errorf("engine: batch has %d users but %d excludes", len(users), len(exclude))
+		return nil, Stats{}, fmt.Errorf("engine: %d lanes but %d excludes", len(users), len(exclude))
 	}
+	dst = slices.Grow(dst[:0], len(users)*min(n, e.pairs))
 	if len(users) == 0 {
-		return nil, Stats{}, nil
+		return dst, Stats{}, nil
 	}
 	fs := e.pool.Get().(*fanoutScratch)
 	defer e.pool.Put(fs)
-	fs.q = ta.BatchQuery{Users: users, N: n}
-	fs.exclude = exclude
-	outs := make([][]ta.Result, len(users))
-	_, stats := e.search(fs, start, make([]ta.Result, 0, len(users)*n), outs, nil)
-	return outs, stats, nil
-}
+	fs.users = append(fs.users[:0], users...)
+	fs.exclude = nil
+	if exclude != nil {
+		fs.excl = append(fs.excl[:0], exclude...)
+		fs.exclude = fs.excl
+	}
+	fs.q = ta.BatchQuery{Users: fs.users, N: n, Pred: pred}
 
-// check validates a query at the engine boundary.
-func (e *Engine) check(n int, pred ta.EventPredicate, users ...[]float32) error {
-	if n <= 0 {
-		return fmt.Errorf("engine: n must be positive, got %d", n)
-	}
-	for j, u := range users {
-		if len(u) != e.k {
-			return fmt.Errorf("engine: user %d vector length %d, want %d", j, len(u), e.k)
-		}
-	}
-	if pred != nil && len(pred) != e.NumEvents() {
-		return fmt.Errorf("engine: predicate has %d entries, want %d events", len(pred), e.NumEvents())
-	}
-	return nil
-}
-
-// search is the one fan-out behind every query. It computes the shared
-// event-affinity panel for the lanes loaded in fs, runs each shard's
-// TopNBatch over all of them (concurrently when there are several
-// shards), sums the stats, and merges each lane's per-shard answers in
-// canonical order onto dst; with outs non-nil, outs[j] receives lane j's
-// slice of dst. Stats.Shards reuses shardStats when it is large enough.
-func (e *Engine) search(fs *fanoutScratch, start time.Time, dst []ta.Result, outs [][]ta.Result, shardStats []ShardStats) ([]ta.Result, Stats) {
 	var stats Stats
 	// The per-event affinities are shard-invariant (every shard
 	// replicates the event rows), so one panel serves all shards.
@@ -369,24 +333,59 @@ func (e *Engine) search(fs *fanoutScratch, start time.Time, dst []ta.Result, out
 	}
 
 	m0 := time.Now()
-	for j := range fs.q.Users {
+	for j := range users {
 		for i := range fs.runs {
 			fs.lists[i], fs.heads[i] = fs.runs[i].res[j], 0
 		}
 		lo := len(dst)
-		dst = mergeCanonical(fs.lists, fs.heads, fs.q.N, dst)
+		dst = mergeCanonical(fs.lists, fs.heads, n, dst)
 		if outs != nil {
 			outs[j] = dst[lo:len(dst):len(dst)]
 		}
 	}
 	stats.Merge = time.Since(m0)
 	// Retain no caller data in the pool.
-	fs.q, fs.exclude, fs.user[0] = ta.BatchQuery{}, nil, nil
+	clear(fs.users)
+	fs.q = ta.BatchQuery{}
 
 	stats.Agg.Elapsed += stats.Prepass + stats.Merge
 	stats.Wall = time.Since(start)
 	stats.CriticalPath = stats.Prepass + maxWall + stats.Merge
-	return dst, stats
+	return dst, stats, nil
+}
+
+// SearchInto is a one-lane Search. It remains only because the benchmark
+// harness names it (ROADMAP 1e).
+func (e *Engine) SearchInto(userVec []float32, n int, exclude int32, dst []ta.Result, shardStats []ShardStats) ([]ta.Result, Stats, error) {
+	return e.Search([][]float32{userVec}, []int32{exclude}, n, nil, dst, nil, shardStats)
+}
+
+// SearchBatch is an unconstrained Search whose lanes land in a fresh
+// slice each. It remains only because the benchmark harness names it
+// (ROADMAP 1e).
+func (e *Engine) SearchBatch(users [][]float32, n int, exclude []int32) ([][]ta.Result, Stats, error) {
+	var outs [][]ta.Result
+	if len(users) > 0 {
+		outs = make([][]ta.Result, len(users))
+	}
+	_, stats, err := e.Search(users, exclude, n, nil, nil, outs, nil)
+	return outs, stats, err
+}
+
+// check validates a query at the engine boundary.
+func (e *Engine) check(n int, pred ta.EventPredicate, users ...[]float32) error {
+	if n <= 0 {
+		return fmt.Errorf("engine: n must be positive, got %d", n)
+	}
+	for j, u := range users {
+		if len(u) != e.k {
+			return fmt.Errorf("engine: user %d vector length %d, want %d", j, len(u), e.k)
+		}
+	}
+	if pred != nil && len(pred) != e.NumEvents() {
+		return fmt.Errorf("engine: predicate has %d entries, want %d events", len(pred), e.NumEvents())
+	}
+	return nil
 }
 
 // mergeCanonical merges per-shard canonical top-n lists into the global

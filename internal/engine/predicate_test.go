@@ -56,7 +56,7 @@ func TestShardedPredicateBitIdenticalToOracle(t *testing.T) {
 					for _, n := range []int{1, 5, 12} {
 						for _, exclude := range []int32{-1, int32(src.Uint64() % uint64(sh.nu))} {
 							want, _ := monoSearch(mono, u, n, exclude, pred)
-							got, stats, err := e.SearchIntoPred(u, n, exclude, pred, nil, nil)
+							got, stats, err := e.Search([][]float32{u}, []int32{exclude}, n, pred, nil, nil, nil)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -72,8 +72,9 @@ func TestShardedPredicateBitIdenticalToOracle(t *testing.T) {
 	}
 }
 
-// TestShardedPredicateNilBitIdentical pins that a nil predicate through
-// SearchIntoPred takes the exact unconstrained path: same bits as SearchInto.
+// TestShardedPredicateNilBitIdentical pins that a nil predicate and a nil
+// exclude through Search take the exact unconstrained path: same bits as
+// SearchInto excluding no one.
 func TestShardedPredicateNilBitIdentical(t *testing.T) {
 	src := rng.New(8200)
 	events := randomVecs(src, 30, 8)
@@ -89,7 +90,7 @@ func TestShardedPredicateNilBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := e.SearchIntoPred(u, 8, -1, nil, nil, nil)
+			got, _, err := e.Search([][]float32{u}, nil, 8, nil, nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,7 +110,7 @@ func TestSearchPredValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := randomVecs(src, 1, 4)[0]
-	if _, _, err := e.SearchIntoPred(u, 3, -1, make(ta.EventPredicate, 7), nil, nil); err == nil {
+	if _, _, err := e.Search([][]float32{u}, nil, 3, make(ta.EventPredicate, 7), nil, nil, nil); err == nil {
 		t.Fatal("short predicate accepted")
 	}
 }

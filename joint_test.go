@@ -61,7 +61,7 @@ func TestQueriesNeverDiscardLiveState(t *testing.T) {
 			for u := w; u < nu; u += 4 {
 				var err error
 				if w%2 == 0 {
-					_, err = rec.TopEventPartners(u, 10)
+					_, err = recommendOne(rec, u, 10)
 				} else {
 					_, _, err = rec.TopEventPartnersShardedStats(u, 10)
 				}
@@ -69,7 +69,7 @@ func TestQueriesNeverDiscardLiveState(t *testing.T) {
 					_, _, err = rec.TopEventPartnersConstrainedStats(u, 10, window)
 				}
 				if err == nil {
-					_, _, err = rec.TopEventPartnersBatchStats([]int32{u, (u + 1) % nu}, 10)
+					_, _, err = rec.Recommend([]int32{u, (u + 1) % nu}, 10, Constraint{})
 				}
 				// The event rankers pack the clone's test-event rows on
 				// first use, racing here across the four workers.
@@ -114,8 +114,8 @@ func TestQueriesNeverDiscardLiveState(t *testing.T) {
 
 // TestJointAnswersAcrossHolders pins the one-holder contract at the
 // facade: whatever engine holds the index — 1 or 4 shards, built in
-// memory or mapped from an artifact — TopEventPartners, its constrained
-// and batched forms, and the live query before ingest, after ingest and
+// memory or mapped from an artifact — one user's Recommend, its
+// constrained and many-user forms, and the live query before ingest, after ingest and
 // after CompactLiveEvents return bit-identical results.
 func TestJointAnswersAcrossHolders(t *testing.T) {
 	base := tinyRecommender(t)
@@ -136,12 +136,12 @@ func TestJointAnswersAcrossHolders(t *testing.T) {
 				out[fmt.Sprintf("live %s user %d", stage, u)] = pairs
 			}
 		}
-		batch, _, err := rec.TopEventPartnersBatchStats(users, n)
+		batch, _, err := rec.Recommend(users, n, Constraint{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, u := range users {
-			plain, err := rec.TopEventPartners(u, n)
+			plain, err := recommendOne(rec, u, n)
 			if err != nil {
 				t.Fatal(err)
 			}

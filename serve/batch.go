@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"ebsn"
@@ -13,13 +12,13 @@ import (
 
 // BatchQueryRequest is the body of the batched query endpoints
 // (POST /v1/events and POST /v1/partners): one ranking per user, all
-// answered by a single engine traversal. N falls back to Config.DefaultN
+// answered by a single engine traversal. N falls back to defaultN
 // when omitted.
 type BatchQueryRequest struct {
 	// Users are the user IDs to rank for, at most Config.MaxBatch of
 	// them; larger batches are rejected with 400.
 	Users []int32 `json:"users"`
-	// N is the per-user result count (Config.DefaultN when 0).
+	// N is the per-user result count (defaultN when 0).
 	N int `json:"n,omitempty"`
 }
 
@@ -52,10 +51,10 @@ func (s *Server) validateBatch(rec *ebsn.Recommender, req *BatchQueryRequest) (i
 	}
 	n := req.N
 	if n == 0 {
-		n = s.cfg.DefaultN
+		n = defaultN
 	}
-	if n < 0 || n > s.cfg.MaxN {
-		return 0, fmt.Errorf("invalid n (1 ≤ n ≤ %d)", s.cfg.MaxN)
+	if n < 0 || n > maxN {
+		return 0, fmt.Errorf("invalid n (1 ≤ n ≤ %d)", maxN)
 	}
 	return n, nil
 }
@@ -152,22 +151,14 @@ func (s *Server) handlePartnersBatch(w http.ResponseWriter, r *http.Request) {
 	sp.SetAttr("batch", int64(len(req.Users)))
 	sp.SetAttr("n", int64(n))
 	sp.Stage("ta_search")
-	batch, bs, err := rec.TopEventPartnersBatchStats(req.Users, n)
+	batch, es, err := rec.Recommend(req.Users, n, ebsn.Constraint{})
 	if err != nil {
 		s.mu.RUnlock()
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	s.metrics.RecordTA(bs.Agg)
-	if len(bs.Shards) > 0 {
-		s.metrics.RecordEngine(bs)
-	}
+	s.recordJoint(sp, es)
 	s.metrics.RecordBatch(len(req.Users))
-	sp.SetAttr("ta_candidates", int64(bs.Agg.Candidates))
-	sp.SetAttr("shards", int64(len(bs.Shards)))
-	for _, ss := range bs.Shards {
-		sp.StageDur("shard"+strconv.Itoa(ss.Shard), ss.Wall)
-	}
 	sp.Stage("encode")
 	d := rec.Dataset()
 	resp := &BatchRankingResponse{N: n, Results: make([]RankingResponse, len(batch))}

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ebsn"
 )
 
 func postBatch(t *testing.T, srv *httptest.Server, path string, body any) (*http.Response, *BatchRankingResponse) {
@@ -82,7 +84,7 @@ func TestBatchEndpointsMatchSingle(t *testing.T) {
 		}
 	}
 
-	// Omitted n falls back to DefaultN.
+	// Omitted n falls back to defaultN.
 	if _, b := postBatch(t, srv, "/v1/partners", BatchQueryRequest{Users: []int32{2}}); b.N != 10 {
 		t.Fatalf("default batch n = %d, want 10", b.N)
 	}
@@ -166,10 +168,11 @@ func TestCoalescedPartnersMatchSingle(t *testing.T) {
 	wg.Wait()
 
 	for u := 0; u < nb; u++ {
-		want, err := rec.TopEventPartnersSharded(int32(u), 6)
+		lanes, _, err := rec.Recommend([]int32{int32(u)}, 6, ebsn.Constraint{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := lanes[0]
 		got := responses[u].Pairs
 		if len(got) != len(want) {
 			t.Fatalf("user %d: %d vs %d pairs", u, len(got), len(want))

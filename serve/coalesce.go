@@ -151,24 +151,21 @@ func (c *coalescer) run(units []coalesceUnit, outs []coalesceOut) {
 	if len(users) == 0 {
 		return
 	}
-	batch, bs, err := rec.TopEventPartnersBatchStats(users, nmax)
+	batch, es, err := rec.Recommend(users, nmax, ebsn.Constraint{})
 	if err != nil {
 		for _, i := range idx {
 			outs[i] = coalesceOut{status: http.StatusInternalServerError, errMsg: err.Error()}
 		}
 		return
 	}
-	s.metrics.RecordTA(bs.Agg)
-	if len(bs.Shards) > 0 {
-		s.metrics.RecordEngine(bs)
-	}
+	s.recordJoint(nil, es)
 	s.metrics.RecordCoalesced(len(users))
 	d := rec.Dataset()
 	for k, i := range idx {
 		u := units[i]
 		outs[i] = coalesceOut{
 			status: http.StatusOK, resp: encodePairs(d, u.user, u.n, batch[k]),
-			stats: bs.Agg, shards: len(bs.Shards), batch: len(users),
+			stats: es.Agg, shards: len(es.Shards), batch: len(users),
 		}
 	}
 }

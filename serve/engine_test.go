@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"ebsn"
 )
 
 // TestShardedServerMatchesMonolithic warms a multi-shard server and
@@ -37,10 +39,11 @@ func TestShardedServerMatchesMonolithic(t *testing.T) {
 		if r := getJSON(t, srv, "/v1/partners?user="+strconv.Itoa(int(user))+"&n=7", &resp); r.StatusCode != 200 {
 			t.Fatalf("/v1/partners user %d = %d", user, r.StatusCode)
 		}
-		want, err := ref.TopEventPartners(user, 7)
+		lanes, _, err := ref.Recommend([]int32{user}, 7, ebsn.Constraint{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := lanes[0]
 		if len(resp.Pairs) != len(want) {
 			t.Fatalf("user %d: %d pairs, want %d", user, len(resp.Pairs), len(want))
 		}

@@ -193,7 +193,7 @@ func TestBadRequests(t *testing.T) {
 		"/v1/events?user=-1",      // negative user
 		"/v1/events?user=999999",  // out of range
 		"/v1/events?user=3&n=0",   // bad n
-		"/v1/events?user=3&n=101", // n over MaxN
+		"/v1/events?user=3&n=101", // n over maxN
 		"/v1/events?user=abc",     // non-numeric
 		"/v1/partners?user=",      // empty user
 		"/v1/explain?user=1",      // missing partner/event
@@ -670,5 +670,22 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	if _, err := http.Get(url + "/healthz"); err == nil {
 		t.Fatal("listener still accepting after shutdown")
+	}
+}
+
+// TestFillTakesDefaultConfig pins the one default table: a zero Config
+// fills to DefaultConfig with coalescing left off, and set fields stay.
+func TestFillTakesDefaultConfig(t *testing.T) {
+	var c Config
+	c.fill()
+	want := DefaultConfig()
+	want.CoalesceWindow = 0
+	if c != want {
+		t.Errorf("zero Config fills to %+v, want %+v", c, want)
+	}
+	c = Config{Shards: -3, CacheCapacity: -1, CacheTTL: time.Second}
+	c.fill()
+	if c.Shards != 1 || c.CacheCapacity != -1 || c.CacheTTL != time.Second {
+		t.Errorf("fill moved a set field: %+v", c)
 	}
 }

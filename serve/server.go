@@ -21,8 +21,17 @@ import (
 	"ebsn/internal/text"
 )
 
+// The result count when ?n= is absent, and the cap on ?n= (and on a
+// feed's ?m=).
+const (
+	defaultN = 10
+	maxN     = 100
+)
+
 // Config tunes the server. The zero value is serviceable: every field
-// has a production-shaped default.
+// has a production-shaped default (DefaultConfig), and New fills the
+// zero fields from it — apart from CoalesceWindow, whose zero turns
+// coalescing off.
 type Config struct {
 	// PruneK is the per-partner candidate pruning for PrepareJoint:
 	// 0 keeps the paper's 5%-of-test-events heuristic, < 0 keeps the
@@ -36,17 +45,14 @@ type Config struct {
 	// Quantized is ignored; every query is exact. It remains only
 	// because the benchmark harness names it (ROADMAP 1e).
 	Quantized bool
-	// DefaultN is the result count when ?n= is absent (default 10).
-	DefaultN int
-	// MaxN caps ?n= (default 100).
-	MaxN int
 	// MaxBatch caps the users of one batched POST query (default 64);
 	// larger batches are rejected 400 and counted in /metrics.
 	MaxBatch int
 	// CoalesceWindow enables the micro-batching admission layer when
 	// positive: cache-missing single-user GET /v1/partners requests are
-	// held up to this long and dispatched as one engine batch. 0 (the
-	// default) disables coalescing; the daemon flags it on at 200µs.
+	// held up to this long and dispatched as one engine batch. 0
+	// disables coalescing; DefaultConfig, and so the daemon, turns it
+	// on at 200µs.
 	CoalesceWindow time.Duration
 	// CoalesceBatch caps one coalesced dispatch (default 16); the
 	// arrival that fills the batch dispatches it without waiting out
@@ -102,48 +108,51 @@ type Config struct {
 	SlowLogSize int
 }
 
+// DefaultConfig is the daemon's configuration: the value of every field
+// ebsn-serve does not set from a flag, and every flag's default.
+func DefaultConfig() Config {
+	return Config{
+		Shards:             1,
+		MaxBatch:           64,
+		CoalesceWindow:     200 * time.Microsecond,
+		CoalesceBatch:      16,
+		CacheCapacity:      4096,
+		CacheShards:        8,
+		CacheTTL:           time.Minute,
+		FeedTTL:            30 * time.Second,
+		MaxInFlight:        256,
+		RequestTimeout:     5 * time.Second,
+		DrainTimeout:       10 * time.Second,
+		SlowQueryThreshold: 100 * time.Millisecond,
+		SlowLogSize:        128,
+	}
+}
+
+// fill replaces every zero field but CoalesceWindow with its
+// DefaultConfig value, and a Shards below 1 with 1.
 func (c *Config) fill() {
+	d := DefaultConfig()
 	if c.Shards < 1 {
-		c.Shards = 1
+		c.Shards = d.Shards
 	}
-	if c.DefaultN == 0 {
-		c.DefaultN = 10
-	}
-	if c.MaxN == 0 {
-		c.MaxN = 100
-	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 64
-	}
-	if c.CoalesceBatch == 0 {
-		c.CoalesceBatch = 16
-	}
-	if c.CacheCapacity == 0 {
-		c.CacheCapacity = 4096
-	}
-	if c.CacheShards == 0 {
-		c.CacheShards = 8
-	}
-	if c.CacheTTL == 0 {
-		c.CacheTTL = time.Minute
-	}
-	if c.FeedTTL == 0 {
-		c.FeedTTL = 30 * time.Second
-	}
-	if c.MaxInFlight == 0 {
-		c.MaxInFlight = 256
-	}
-	if c.RequestTimeout == 0 {
-		c.RequestTimeout = 5 * time.Second
-	}
-	if c.DrainTimeout == 0 {
-		c.DrainTimeout = 10 * time.Second
-	}
-	if c.SlowQueryThreshold == 0 {
-		c.SlowQueryThreshold = 100 * time.Millisecond
-	}
-	if c.SlowLogSize == 0 {
-		c.SlowLogSize = 128
+	orDefault(&c.MaxBatch, d.MaxBatch)
+	orDefault(&c.CoalesceBatch, d.CoalesceBatch)
+	orDefault(&c.CacheCapacity, d.CacheCapacity)
+	orDefault(&c.CacheShards, d.CacheShards)
+	orDefault(&c.CacheTTL, d.CacheTTL)
+	orDefault(&c.FeedTTL, d.FeedTTL)
+	orDefault(&c.MaxInFlight, d.MaxInFlight)
+	orDefault(&c.RequestTimeout, d.RequestTimeout)
+	orDefault(&c.DrainTimeout, d.DrainTimeout)
+	orDefault(&c.SlowQueryThreshold, d.SlowQueryThreshold)
+	orDefault(&c.SlowLogSize, d.SlowLogSize)
+}
+
+// orDefault sets *v to def when *v is zero.
+func orDefault[T comparable](v *T, def T) {
+	var zero T
+	if *v == zero {
+		*v = def
 	}
 }
 
@@ -754,8 +763,8 @@ func (s *Server) api(name string, h http.HandlerFunc) http.HandlerFunc {
 type getQuery struct {
 	ep       string
 	user     int // -1: absent or not a non-negative integer
-	n        int // -1: outside [1, MaxN]
-	m        int // feeds only; -1: outside [1, MaxN]
+	n        int // -1: outside [1, maxN]
+	m        int // feeds only; -1: outside [1, maxN]
 	c        ebsn.Constraint
 	coalesce bool   // answer a miss through the coalescer, not query
 	key      string // "" when a value above is invalid: no lookup, no Put
@@ -788,9 +797,9 @@ func (s *Server) newQuery(ep string, vals url.Values, c ebsn.Constraint, feed bo
 	if u, err := strconv.Atoi(vals.Get("user")); err == nil && u >= 0 {
 		q.user = u
 	}
-	q.n = boundedParam(vals, "n", s.cfg.DefaultN, s.cfg.MaxN)
+	q.n = boundedParam(vals, "n", defaultN, maxN)
 	if feed {
-		q.m = boundedParam(vals, "m", min(defaultFeedPartners, s.cfg.MaxN), s.cfg.MaxN)
+		q.m = boundedParam(vals, "m", defaultFeedPartners, maxN)
 	}
 	if q.user < 0 || q.n < 0 || q.m < 0 {
 		return q
@@ -825,9 +834,9 @@ func (s *Server) check(q *getQuery, numUsers int) error {
 	case q.user < 0 || q.user >= numUsers:
 		return fmt.Errorf("invalid or missing user parameter (0 ≤ user < %d)", numUsers)
 	case q.n < 0:
-		return fmt.Errorf("invalid n parameter (1 ≤ n ≤ %d)", s.cfg.MaxN)
+		return fmt.Errorf("invalid n parameter (1 ≤ n ≤ %d)", maxN)
 	case q.m < 0:
-		return fmt.Errorf("invalid m parameter (1 ≤ m ≤ %d)", s.cfg.MaxN)
+		return fmt.Errorf("invalid m parameter (1 ≤ m ≤ %d)", maxN)
 	}
 	return nil
 }
@@ -1106,14 +1115,13 @@ func (s *Server) handlePartners(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) queryPartners(rec *ebsn.Recommender, q *getQuery, sp *obs.Span) (any, error) {
 	sp.Stage("ta_search")
-	// The scatter-gather stats carry the per-shard decomposition to
-	// spans and /metrics.
-	if !q.c.IsZero() {
-		pairs, es, err := rec.TopEventPartnersConstrainedStats(int32(q.user), q.n, q.c)
-		return s.pairsAnswer(rec, q, sp, pairs, es, err)
+	lanes, es, err := rec.Recommend([]int32{int32(q.user)}, q.n, q.c)
+	if err != nil {
+		return nil, err
 	}
-	pairs, es, err := rec.TopEventPartnersShardedStats(int32(q.user), q.n)
-	return s.pairsAnswer(rec, q, sp, pairs, es, err)
+	s.recordJoint(sp, es)
+	sp.Stage("encode")
+	return encodePairs(rec.Dataset(), int32(q.user), q.n, lanes[0]), nil
 }
 
 func (s *Server) handlePartnersLive(w http.ResponseWriter, r *http.Request) {
@@ -1123,34 +1131,34 @@ func (s *Server) handlePartnersLive(w http.ResponseWriter, r *http.Request) {
 func (s *Server) queryPartnersLive(rec *ebsn.Recommender, q *getQuery, sp *obs.Span) (any, error) {
 	sp.Stage("ta_search")
 	pairs, es, err := rec.TopEventPartnersLiveStats(int32(q.user), q.n)
-	return s.pairsAnswer(rec, q, sp, pairs, es, err)
-}
-
-// pairsAnswer records a finished joint search on the metrics panel and
-// the span and renders its pairs.
-func (s *Server) pairsAnswer(rec *ebsn.Recommender, q *getQuery, sp *obs.Span, pairs []ebsn.PairRecommendation,
-	es ebsn.EngineStats, err error) (any, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.recordJoint(sp, es)
+	sp.Stage("encode")
+	return encodePairs(rec.Dataset(), int32(q.user), q.n, pairs), nil
+}
+
+// recordJoint records one finished joint fan-out — a GET, a batch POST
+// or a coalesced dispatch — on the metrics panel (the TA counters and the
+// shard metrics) and on the span: the access counts, the fan-out attrs
+// and one explicit-duration stage per shard (they ran concurrently, so
+// wall-clock stage boundaries cannot measure them). Spans cap at eight
+// stages; shard stages beyond the cap are dropped and counted in the
+// span's truncated field. A coalesced dispatch answers many requests, so
+// it passes a nil span.
+func (s *Server) recordJoint(sp *obs.Span, es ebsn.EngineStats) {
 	s.metrics.RecordTA(es.Agg)
 	s.metrics.RecordEngine(es)
 	sp.SetAttr("ta_sorted", int64(es.Agg.SortedAccesses))
 	sp.SetAttr("ta_random", int64(es.Agg.RandomAccesses))
 	sp.SetAttr("ta_candidates", int64(es.Agg.Candidates))
 	sp.SetAttr("prune_k", s.pruneK.Load())
-	// Scatter-gather decomposition: one explicit-duration stage per shard
-	// (they ran concurrently, so wall-clock stage boundaries cannot
-	// measure them) plus the fan-out attrs. Spans cap at eight stages;
-	// shard stages beyond the cap are dropped and counted in the span's
-	// truncated field.
 	sp.SetAttr("shards", int64(len(es.Shards)))
 	sp.SetAttr("critical_path_us", int64(es.CriticalPath/time.Microsecond))
 	for _, ss := range es.Shards {
 		sp.StageDur("shard"+strconv.Itoa(ss.Shard), ss.Wall)
 	}
-	sp.Stage("encode")
-	return encodePairs(rec.Dataset(), int32(q.user), q.n, pairs), nil
 }
 
 func parseID(vals url.Values, key string, limit int) (int32, error) {

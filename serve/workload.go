@@ -62,7 +62,7 @@ func eventResults(d *ebsn.Dataset, recs []ebsn.Recommendation) []EventResult {
 type GroupEventsRequest struct {
 	// Members are the group's user IDs (at most Config.MaxBatch).
 	Members []int32 `json:"members"`
-	// N is the result count (Config.DefaultN when 0).
+	// N is the result count (defaultN when 0).
 	N int `json:"n,omitempty"`
 	// Strategy is "mean" (default) or "least-misery".
 	Strategy string `json:"strategy,omitempty"`
@@ -108,10 +108,10 @@ func (s *Server) handleGroupEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	n := req.N
 	if n == 0 {
-		n = s.cfg.DefaultN
+		n = defaultN
 	}
-	if n < 0 || n > s.cfg.MaxN {
-		writeError(w, http.StatusBadRequest, "invalid n (1 ≤ n ≤ "+strconv.Itoa(s.cfg.MaxN)+")")
+	if n < 0 || n > maxN {
+		writeError(w, http.StatusBadRequest, "invalid n (1 ≤ n ≤ "+strconv.Itoa(maxN)+")")
 		return
 	}
 	if len(req.Members) == 0 {

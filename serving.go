@@ -77,8 +77,8 @@ func (r *Recommender) IngestColdEvents(events []ColdEvent) ([]LiveEventID, error
 	return ids, foldErr
 }
 
-// TopEventPartnersLive is TopEventPartners over the base index plus every
-// event ingested since. Live events surface with negative Event IDs (see
+// TopEventPartnersLive is one user's unconstrained Recommend over the
+// base index plus every event ingested since. Live events surface with negative Event IDs (see
 // LiveEventID); dataset events keep their usual IDs.
 func (r *Recommender) TopEventPartnersLive(user int32, n int) ([]PairRecommendation, error) {
 	out, _, err := r.TopEventPartnersLiveStats(user, n)
@@ -90,7 +90,7 @@ func (r *Recommender) TopEventPartnersLive(user int32, n int) ([]PairRecommendat
 // delta scan's work.
 func (r *Recommender) TopEventPartnersLiveStats(user int32, n int) ([]PairRecommendation, EngineStats, error) {
 	if r.taDelta == nil { // nothing ingested yet
-		return r.jointSearch(user, n, nil)
+		return firstLane(r.Recommend([]int32{user}, n, Constraint{}))
 	}
 	if err := r.checkUsers(n, user); err != nil {
 		return nil, EngineStats{}, err
@@ -101,7 +101,7 @@ func (r *Recommender) TopEventPartnersLiveStats(user int32, n int) ([]PairRecomm
 	// scratch and are converted before it is released.
 	userVec := r.model.UserVec(user)
 	eng := r.liveEngine()
-	base, es, err := eng.SearchInto(userVec, n, user, nil, nil)
+	base, es, err := eng.Search([][]float32{userVec}, []int32{user}, n, nil, nil, nil, nil)
 	if err != nil {
 		return nil, EngineStats{}, err
 	}

@@ -41,7 +41,7 @@ func TestIngestColdEventSurfacesInLiveResults(t *testing.T) {
 	d := rec.Dataset()
 
 	// Without ingestion, live results must equal the static path.
-	static, err := rec.TopEventPartners(1, 5)
+	static, err := recommendOne(rec, 1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

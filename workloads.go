@@ -60,22 +60,10 @@ func (r *Recommender) CompileConstraint(c Constraint) (EventPredicate, int) {
 	return workload.Compile(c, r.dataset, r.split.TestEvents)
 }
 
-// TopEventPartnersConstrainedStats is TopEventPartners restricted to
-// events satisfying the constraint, plus the scatter-gather stats (TA
-// work counters aggregated over the engine's shards, and the per-shard
-// breakdown). The predicate is pushed into the TA
-// threshold walk (not post-filtered; see DESIGN.md §3.10), so the result
-// is the exact constrained top n. Constrained queries answer over the
-// base index only: events ingested live (IngestColdEvent) carry no
-// dataset metadata to evaluate the constraint against and are not
-// candidates here.
+// TopEventPartnersConstrainedStats is Recommend for one user. It remains
+// only because the benchmark harness names it (ROADMAP 1e).
 func (r *Recommender) TopEventPartnersConstrainedStats(user int32, n int, c Constraint) ([]PairRecommendation, EngineStats, error) {
-	// Deliberately jointSearch's base engine, never liveEngine(): a
-	// compacted live tier holds folded live events past the test-event
-	// range, which the predicate (compiled over split.TestEvents) cannot
-	// cover.
-	pred, _ := r.CompileConstraint(c)
-	return r.jointSearch(user, n, pred)
+	return firstLane(r.Recommend([]int32{user}, n, c))
 }
 
 // Feed assembles the user's "for you" feed: the top-n cold events (its

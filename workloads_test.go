@@ -1,6 +1,7 @@
 package ebsn
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -93,7 +94,7 @@ func TestTopEventPartnersConstrainedStats(t *testing.T) {
 	// candidate space (n clamps to the pair count), post-filtered. At
 	// full depth, filter-then-rank and rank-then-filter agree.
 	nAll := len(rec.Split().TestEvents) * rec.Dataset().NumUsers
-	full, err := rec.TopEventPartners(2, nAll)
+	full, err := recommendOne(rec, 2, nAll)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,6 +135,40 @@ func TestTopEventPartnersConstrainedStats(t *testing.T) {
 	}
 	if _, _, err := rec.TopEventPartnersConstrainedStats(2, 0, c); err == nil {
 		t.Error("n=0 accepted")
+	}
+}
+
+// TestRecommendLanesMatchConstrainedSingles checks a many-user,
+// constrained Recommend lane by lane against the one-user answers: same
+// pairs, same score bits, same order — a repeated user included — and
+// that an empty user list is an empty answer, not an error.
+func TestRecommendLanesMatchConstrainedSingles(t *testing.T) {
+	rec := tinyRecommender(t)
+	for _, c := range []Constraint{{}, testWindow(t, rec)} {
+		users := []int32{4, 0, 7, 4, 11}
+		lanes, stats, err := rec.Recommend(users, 6, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(lanes) != len(users) {
+			t.Fatalf("%d lanes for %d users", len(lanes), len(users))
+		}
+		var sorted int
+		for j, u := range users {
+			single, st, err := rec.TopEventPartnersConstrainedStats(u, 6, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pairsBitIdentical(t, fmt.Sprintf("lane %d (user %d)", j, u), single, lanes[j])
+			sorted += st.Agg.SortedAccesses
+		}
+		if stats.Agg.SortedAccesses != sorted {
+			t.Errorf("Recommend sorted accesses %d, one-user calls sum to %d", stats.Agg.SortedAccesses, sorted)
+		}
+		out, _, err := rec.Recommend(nil, 6, c)
+		if err != nil || len(out) != 0 {
+			t.Errorf("Recommend(nil) = %v, %v; want an empty answer and no error", out, err)
+		}
 	}
 }
 
