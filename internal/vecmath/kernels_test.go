@@ -113,18 +113,24 @@ func BenchmarkDot(b *testing.B) {
 	}
 }
 
+// BenchmarkDotBatch scores one query against a packed candidate block.
+// Besides the 4096-row blocks, k = 60 × rows 600 and 11 890 are the
+// event and partner passes of one bench-12k query lane. CI greps its
+// output for "0 allocs/op".
 func BenchmarkDotBatch(b *testing.B) {
 	r := rand.New(rand.NewSource(45))
-	const rows = 4096
-	for _, k := range []int{16, 60} {
+	for _, c := range []struct{ k, rows int }{{16, 4096}, {60, 4096}, {60, 600}, {60, 11890}} {
+		k, rows := c.k, c.rows
 		q := randSlice(r, k)
 		data := randSlice(r, rows*k)
 		out := make([]float32, rows)
-		b.Run(benchName("k", k), func(b *testing.B) {
+		b.Run(benchName("k", k)+"/"+benchName("rows", rows), func(b *testing.B) {
 			b.SetBytes(int64(8 * k * rows))
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				DotBatch(q, data, k, out)
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 			sinkF32 = out[0]
 		})
 	}

@@ -4,14 +4,17 @@ package vecmath
 // DotBatch from one query row to a panel of B query rows sharing one
 // pass over the packed candidate block.
 //
-// On amd64 the 4-query micro-kernels are SSE2 assembly: dotUnrolled's
-// four independent accumulators are exactly the four lanes of a packed
-// MULPS/ADDPS pipeline (identical per-lane IEEE rounding), and the
-// final (s0+s1)+(s2+s3) reduction is performed with scalar ADDSS in
-// that exact order, so the vectorized panel is bit-identical to
-// repeated Dot calls. Every other architecture runs the pure-Go
-// micro-kernel with the same accumulation order; the property tests
-// compare the two cell-for-cell on amd64.
+// On amd64 both micro-kernels are SSE2 assembly: the 4-query panel
+// kernel (four queries against one candidate row per step) and
+// DotBatch's one-query kernel (one query against four candidate rows
+// per step). dotUnrolled's four independent accumulators are exactly
+// the four lanes of a packed MULPS/ADDPS pipeline (identical per-lane
+// IEEE rounding), and the final (s0+s1)+(s2+s3) reduction is performed
+// with scalar ADDSS in that exact order before the k mod 4 tail is
+// added in index order, so both kernels are bit-identical to repeated
+// Dot calls. Every other architecture runs the pure-Go kernels with the
+// same accumulation order; the property tests compare the two
+// cell-for-cell on amd64.
 
 // DotPanel computes out[q*rows+r] = Dot(qs[q*k:(q+1)*k], data[r*k:(r+1)*k])
 // for b packed query rows against every row r of a packed row-major
@@ -22,11 +25,12 @@ package vecmath
 // of two or three queries also rides the 4-query kernel, repeating its
 // last query into that query's own output row (the repeat writes the
 // same value to the same cell); a single leftover query takes DotBatch,
-// which streams the block just as fast. Each (q, r) accumulation
-// follows dotUnrolled's exact order, so the output is bit-identical to
-// b independent DotBatch calls — the batched-vs-sequential equivalence
-// tests in internal/ta rely on that. k == 0 zeroes out. Panics on size
-// mismatches for the same reason Dot does.
+// whose one-query kernel scores four candidate rows per step. Each
+// (q, r) accumulation follows dotUnrolled's exact order, so the output
+// is bit-identical to b independent DotBatch calls — the
+// batched-vs-sequential equivalence tests in internal/ta rely on that.
+// k == 0 zeroes out. Panics on size mismatches for the same reason Dot
+// does.
 func DotPanel(qs []float32, b int, data []float32, k int, out []float32) {
 	if b < 0 || k < 0 || len(qs) != b*k {
 		panic("vecmath: DotPanel query panel size mismatch")

@@ -1,6 +1,7 @@
 package vecmath
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -169,6 +170,128 @@ func TestPanelMicroKernelMatchesPortable(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sameBits reports whether two kernel outputs are the same float32 bit
+// pattern. Two NaNs count as equal: which payload an operation with
+// two NaN operands propagates depends on operand order, not rounding.
+func sameBits(a, b float32) bool {
+	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
+}
+
+// specialSlice returns n values mixing normal draws with the IEEE edge
+// cases a packed lane must round exactly like its scalar twin: ±0,
+// subnormals, ±Inf, NaN and magnitudes whose products overflow to Inf.
+func specialSlice(r *rand.Rand, n int) []float32 {
+	specials := []float32{
+		0, float32(math.Copysign(0, -1)),
+		math.Float32frombits(1), -math.Float32frombits(0x007fffff), math.SmallestNonzeroFloat32 * 3,
+		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+		3e38, -2e38, 1e-20, -1e-25,
+	}
+	v := make([]float32, n)
+	for i := range v {
+		if r.Intn(3) == 0 {
+			v[i] = specials[r.Intn(len(specials))]
+		} else {
+			v[i] = float32(r.NormFloat64() * math.Pow(10, float64(r.Intn(7)-3)))
+		}
+	}
+	return v
+}
+
+// offsetCopy copies v into a fresh buffer starting off floats in, so the
+// kernel's loads see every 16-byte misalignment.
+func offsetCopy(v []float32, off int) []float32 {
+	buf := make([]float32, off+len(v)+3)
+	return append(buf[:off], v...)[off : off+len(v) : off+len(v)]
+}
+
+// checkDotBatch runs the dispatched one-query kernel on q against data
+// and requires every cell to match both the portable kernel and Dot bit
+// for bit, and the cell past the output to stay untouched.
+func checkDotBatch(t *testing.T, q, data []float32, k int, desc string) {
+	t.Helper()
+	rows := len(data) / k
+	got := make([]float32, rows+1)
+	for i := range got {
+		got[i] = -7 // sentinel: every cell must be written, none past the end
+	}
+	want := make([]float32, rows)
+	batchRows(q, data, k, got[:rows])
+	batchRowsGo(q, data, k, want)
+	for row := range want {
+		if !sameBits(got[row], want[row]) {
+			t.Fatalf("%s k=%d rows=%d row=%d: kernel=%v (%#x) portable=%v (%#x)", desc, k, rows, row,
+				got[row], math.Float32bits(got[row]), want[row], math.Float32bits(want[row]))
+		}
+		if d := Dot(q, data[row*k:(row+1)*k]); !sameBits(got[row], d) {
+			t.Fatalf("%s k=%d rows=%d row=%d: kernel=%v not bit-identical to Dot=%v", desc, k, rows, row, got[row], d)
+		}
+	}
+	if got[rows] != -7 {
+		t.Fatalf("%s k=%d rows=%d: kernel wrote past the output (%v)", desc, k, rows, got[rows])
+	}
+}
+
+// TestDotBatchKernelMatchesPortable compares DotBatch's dispatched
+// one-query kernel (SSE2 assembly on amd64) cell-for-cell against the
+// portable loop for k 1..67 and rows 0..13 (every rows mod 4, so the
+// rows the assembly leaves to dotUnrolled are covered), with the query
+// and the rows starting 0–3 floats into their buffers, on normal draws
+// and on IEEE edge cases.
+func TestDotBatchKernelMatchesPortable(t *testing.T) {
+	r := rand.New(rand.NewSource(68))
+	for k := 1; k <= 67; k++ {
+		for rows := 0; rows <= 13; rows++ {
+			for qOff := 0; qOff < 4; qOff++ {
+				for dOff := 0; dOff < 4; dOff++ {
+					checkDotBatch(t, offsetCopy(randSlice(r, k), qOff),
+						offsetCopy(randSlice(r, rows*k), dOff), k, "normal")
+					checkDotBatch(t, offsetCopy(specialSlice(r, k), qOff),
+						offsetCopy(specialSlice(r, rows*k), dOff), k, "special")
+				}
+			}
+		}
+	}
+}
+
+// FuzzDotBatch feeds arbitrary float32 bit patterns through DotBatch's
+// kernel: raw is read as little-endian floats and cycled to fill a
+// k-float query and a rows×k block, each placed off floats into its
+// buffer. Its seed corpus runs under plain go test.
+func FuzzDotBatch(f *testing.F) {
+	le := func(vs ...float32) []byte {
+		b := make([]byte, 0, 4*len(vs))
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
+		}
+		return b
+	}
+	f.Add(uint8(60), uint8(5), uint8(1), le(1.5, -2.25, 0.125, 3))
+	f.Add(uint8(7), uint8(13), uint8(3), le(3e38, 2e38, -1e-20, 1))
+	f.Add(uint8(3), uint8(4), uint8(2), le(float32(math.Inf(1)), 0, float32(math.Copysign(0, -1)), 2))
+	f.Add(uint8(17), uint8(9), uint8(0), le(math.Float32frombits(1), -math.Float32frombits(0x007fffff), 1e-38, -0.5))
+	f.Add(uint8(64), uint8(8), uint8(1), le(float32(math.NaN()), 1, float32(math.Inf(-1)), 1e30, 1e30))
+	f.Fuzz(func(t *testing.T, kb, rb, off uint8, raw []byte) {
+		if len(raw) < 4 {
+			return
+		}
+		vals := make([]float32, len(raw)/4)
+		for i := range vals {
+			vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+		k, rows := 1+int(kb)%67, int(rb)%14
+		q := make([]float32, k)
+		data := make([]float32, rows*k)
+		for i := range q {
+			q[i] = vals[i%len(vals)]
+		}
+		for i := range data {
+			data[i] = vals[(k+i)%len(vals)]
+		}
+		checkDotBatch(t, offsetCopy(q, int(off)%4), offsetCopy(data, int(off/4)%4), k, "fuzz")
+	})
 }
 
 // BenchmarkDotPanel streams a 4096-row candidate block for panels of

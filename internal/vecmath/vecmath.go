@@ -45,6 +45,9 @@ func dotUnrolled(a, b []float32) float32 {
 // a packed row-major matrix. One call replaces len(out) Dot calls over
 // pointer-chased [][]float32 rows with a single pass over contiguous
 // memory — the layout the TA query hot path streams on every cache miss.
+// On amd64 an SSE2 kernel scores four rows per step, loading each query
+// chunk once for the four; it keeps dotUnrolled's accumulation order, so
+// every output is still bit-identical to Dot (see panel.go).
 // k == 0 zeroes out. Panics on size mismatches for the same reason Dot
 // does.
 func DotBatch(q, data []float32, k int, out []float32) {
@@ -58,6 +61,14 @@ func DotBatch(q, data []float32, k int, out []float32) {
 	if len(out)*k != len(data) {
 		panic("vecmath: DotBatch size mismatch")
 	}
+	batchRows(q, data, k, out)
+}
+
+// batchRowsGo is the portable one-query kernel behind DotBatch. The
+// amd64 build replaces it with the SSE2 version behind batchRows; this
+// form stays compiled on every architecture and is the reference the
+// asm is property-tested against.
+func batchRowsGo(q, data []float32, k int, out []float32) {
 	for r := range out {
 		out[r] = dotUnrolled(q, data[r*k:r*k+k:r*k+k])
 	}
