@@ -476,7 +476,7 @@ func (r *Recommender) Recommend(users []int32, n int, c Constraint) ([][]PairRec
 	// predicate (compiled over split.TestEvents) cannot cover. Each lane
 	// excludes its own user, so users doubles as the exclude list.
 	lanes := make([][]ta.Result, len(users))
-	res, stats, err := r.taEngine.Search(vecs, users, n, pred, nil, lanes, nil)
+	res, stats, err := r.taEngine.Search(vecs, users, n, pred, nil, nil, lanes, nil)
 	if err != nil {
 		return nil, stats, err
 	}

@@ -222,13 +222,13 @@ func TestSearchLanesMatchOneLane(t *testing.T) {
 			exclude := []int32{-1, -1, 3, 41, 12, 12, 3}
 			for _, n := range []int{1, 6, 15} {
 				outs := make([][]ta.Result, len(users))
-				res, stats, err := e.Search(users, exclude, n, pred, nil, outs, nil)
+				res, stats, err := e.Search(users, exclude, n, pred, nil, nil, outs, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				var total, sorted, random int
 				for j := range users {
-					want, st, err := e.Search(users[j:j+1], exclude[j:j+1], n, pred, nil, nil, nil)
+					want, st, err := e.Search(users[j:j+1], exclude[j:j+1], n, pred, nil, nil, nil, nil)
 					if err != nil {
 						t.Fatal(err)
 					}

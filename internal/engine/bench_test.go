@@ -91,7 +91,7 @@ func benchSearch(b *testing.B, e *Engine, queries [][]float32) {
 	search := func(i int) (st Stats) {
 		lane[0], excl[0] = queries[i%len(queries)], int32(i)%4000
 		var err error
-		if out, st, err = e.Search(lane[:], excl[:], 10, nil, out, outs[:], ss); err != nil {
+		if out, st, err = e.Search(lane[:], excl[:], 10, nil, nil, out, outs[:], ss); err != nil {
 			b.Fatal(err)
 		}
 		return st
@@ -106,6 +106,53 @@ func benchSearch(b *testing.B, e *Engine, queries [][]float32) {
 		critical += search(i).CriticalPath
 	}
 	b.ReportMetric(float64(critical.Nanoseconds())/float64(b.N), "critpath-ns/op")
+}
+
+// BenchmarkEngineSearchLive measures a live query: a one-lane, one-shard
+// Search whose lane scans a warm delta after its walk, at the live-churn
+// shape — 11 890 partners at K=60, a 600-event base pruned to top 30
+// (5%), and a full delta of 128 events × top-30 partners (3 840 pairs).
+// Each query is a partner's own row excluding that partner, as a serving
+// query is a model user's row excluding the user. The allocs/op column
+// is the CI gate (0 with warm buffers); random/op is the mean count of
+// pairs scored, base walk and delta scan together.
+func BenchmarkEngineSearchLive(b *testing.B) {
+	src := rng.New(97)
+	partners := randomVecs(src, 11890, 60)
+	e, err := Build(randomVecs(src, 600, 60), partners, Config{Shards: 1, TopKEvents: 30, Workers: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := e.NewDelta(30)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := d.AddEvents(randomVecs(src, 128, 60)); err != nil {
+		b.Fatal(err)
+	}
+	var lane [1][]float32
+	var excl [1]int32
+	var outs [1][]ta.Result
+	out := make([]ta.Result, 0, 10)
+	ss := make([]ShardStats, 1)
+	search := func(i int) (st Stats) {
+		u := (i * 7919) % len(partners)
+		lane[0], excl[0] = partners[u], int32(u)
+		if out, st, err = e.Search(lane[:], excl[:], 10, nil, d, out, outs[:], ss); err != nil {
+			b.Fatal(err)
+		}
+		return st
+	}
+	for i := 0; i < 4; i++ { // warm the pooled fan-out scratch
+		search(i)
+	}
+	random := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		random += search(i).Agg.RandomAccesses
+	}
+	b.ReportMetric(float64(random)/float64(b.N), "random/op")
 }
 
 // BenchmarkEngineSearchBatch measures per-user cost of a many-lane
@@ -124,7 +171,7 @@ func BenchmarkEngineSearchBatch(b *testing.B) {
 						users[j] = queries[(i*nb+j)%len(queries)]
 						exclude[j] = int32((i*nb + j) % 4000)
 					}
-					if _, _, err := e.Search(users, exclude, 10, nil, nil, nil, nil); err != nil {
+					if _, _, err := e.Search(users, exclude, 10, nil, nil, nil, nil, nil); err != nil {
 						b.Fatal(err)
 					}
 				}

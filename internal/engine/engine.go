@@ -24,10 +24,10 @@ type Config struct {
 }
 
 // Engine is the scatter-gather query front: it owns N partner-range
-// shards and answers every query — single, constrained or batched — with
-// one fan-out: a shared event-affinity panel, one TopNBatch call per
-// shard over all of the query's lanes, and a canonical merge per lane. A
-// single query is a batch of one. Queries are safe for concurrent use;
+// shards and answers every query — single, constrained, batched or live
+// — with one fan-out: a shared event-affinity panel, one TopNBatch call
+// per shard over all of the query's lanes, and a canonical merge per
+// lane. A single query is a batch of one. Queries are safe for concurrent use;
 // building is not.
 type Engine struct {
 	k         int
@@ -253,8 +253,9 @@ type Stats struct {
 // Search is the one query entry: the exact top-n of every lane — lane j
 // scores users[j] and excludes partner exclude[j] (< 0 excludes no one;
 // a nil exclude excludes no one in any lane) — over the events pred
-// allows (nil allows all), with one fan-out. It computes the shared
-// event-affinity panel, runs each shard's TopNBatch over all lanes
+// allows (nil allows all), plus the live delta's pairs when delta is
+// non-nil, with one fan-out. It computes the shared event-affinity
+// panel, runs each shard's TopNBatch over all lanes
 // (concurrently when there are several shards), sums the stats, and
 // merges each lane's per-shard answers in canonical order onto dst[:0],
 // lane after lane. When outs is non-nil it must have one entry per lane,
@@ -265,11 +266,20 @@ type Stats struct {
 // depend on the lanes beside it: same pairs, same score bits, same tie
 // order as the lane asked alone.
 //
+// With a delta, each shard's lanes scan the delta pairs whose partner
+// the shard owns after their walks (ta.BatchQuery.Delta), reading the
+// partner affinities at partner − lo, the translation excludes get. A
+// delta event at position i comes back as event NumEvents()+i, the
+// index a Fold gives it. The predicate covers only the engine's events,
+// so a query passing both a predicate and a delta is an error; the
+// delta must have the engine's dimension and global partner IDs (see
+// NewDelta), and the caller serializes Search with the delta's writes.
+//
 // Stats.Shards reuses shardStats when its capacity suffices. dst and
 // shardStats are grown — and thus allocated — only when too small (nil
 // buffers are fine), so with warmed buffers a steady-state query
 // allocates nothing.
-func (e *Engine) Search(users [][]float32, exclude []int32, n int, pred ta.EventPredicate,
+func (e *Engine) Search(users [][]float32, exclude []int32, n int, pred ta.EventPredicate, delta *ta.Delta,
 	dst []ta.Result, outs [][]ta.Result, shardStats []ShardStats) ([]ta.Result, Stats, error) {
 	start := time.Now()
 	if err := e.check(n, pred, users...); err != nil {
@@ -278,7 +288,17 @@ func (e *Engine) Search(users [][]float32, exclude []int32, n int, pred ta.Event
 	if exclude != nil && len(exclude) != len(users) {
 		return nil, Stats{}, fmt.Errorf("engine: %d lanes but %d excludes", len(users), len(exclude))
 	}
-	dst = slices.Grow(dst[:0], len(users)*min(n, e.pairs))
+	pairs := e.pairs
+	if delta != nil {
+		if pred != nil {
+			return nil, Stats{}, fmt.Errorf("engine: a query cannot carry both a predicate and a delta")
+		}
+		if delta.K() != e.k {
+			return nil, Stats{}, fmt.Errorf("engine: delta dimension %d, want %d", delta.K(), e.k)
+		}
+		pairs += delta.PairCount()
+	}
+	dst = slices.Grow(dst[:0], len(users)*min(n, pairs))
 	if len(users) == 0 {
 		return dst, Stats{}, nil
 	}
@@ -290,7 +310,7 @@ func (e *Engine) Search(users [][]float32, exclude []int32, n int, pred ta.Event
 		fs.excl = append(fs.excl[:0], exclude...)
 		fs.exclude = fs.excl
 	}
-	fs.q = ta.BatchQuery{Users: fs.users, N: n, Pred: pred}
+	fs.q = ta.BatchQuery{Users: fs.users, N: n, Pred: pred, Delta: delta}
 
 	var stats Stats
 	// The per-event affinities are shard-invariant (every shard
@@ -357,7 +377,7 @@ func (e *Engine) Search(users [][]float32, exclude []int32, n int, pred ta.Event
 // SearchInto is a one-lane Search. It remains only because the benchmark
 // harness names it (ROADMAP 1e).
 func (e *Engine) SearchInto(userVec []float32, n int, exclude int32, dst []ta.Result, shardStats []ShardStats) ([]ta.Result, Stats, error) {
-	return e.Search([][]float32{userVec}, []int32{exclude}, n, nil, dst, nil, shardStats)
+	return e.Search([][]float32{userVec}, []int32{exclude}, n, nil, nil, dst, nil, shardStats)
 }
 
 // SearchBatch is an unconstrained Search whose lanes land in a fresh
@@ -368,7 +388,7 @@ func (e *Engine) SearchBatch(users [][]float32, n int, exclude []int32) ([][]ta.
 	if len(users) > 0 {
 		outs = make([][]ta.Result, len(users))
 	}
-	_, stats, err := e.Search(users, exclude, n, nil, nil, outs, nil)
+	_, stats, err := e.Search(users, exclude, n, nil, nil, nil, outs, nil)
 	return outs, stats, err
 }
 

@@ -56,7 +56,7 @@ func TestShardedPredicateBitIdenticalToOracle(t *testing.T) {
 					for _, n := range []int{1, 5, 12} {
 						for _, exclude := range []int32{-1, int32(src.Uint64() % uint64(sh.nu))} {
 							want, _ := monoSearch(mono, u, n, exclude, pred)
-							got, stats, err := e.Search([][]float32{u}, []int32{exclude}, n, pred, nil, nil, nil)
+							got, stats, err := e.Search([][]float32{u}, []int32{exclude}, n, pred, nil, nil, nil, nil)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -90,7 +90,7 @@ func TestShardedPredicateNilBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := e.Search([][]float32{u}, nil, 8, nil, nil, nil, nil)
+			got, _, err := e.Search([][]float32{u}, nil, 8, nil, nil, nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +110,7 @@ func TestSearchPredValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := randomVecs(src, 1, 4)[0]
-	if _, _, err := e.Search([][]float32{u}, nil, 3, make(ta.EventPredicate, 7), nil, nil, nil); err == nil {
+	if _, _, err := e.Search([][]float32{u}, nil, 3, make(ta.EventPredicate, 7), nil, nil, nil, nil); err == nil {
 		t.Fatal("short predicate accepted")
 	}
 }

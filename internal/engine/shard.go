@@ -27,12 +27,13 @@ type shardRun struct {
 }
 
 // search answers every lane of q on the shard with one partner-panel
-// pass, translating the global exclusions into local IDs on the way in
-// and the results' partners back to global IDs, in place, on the way
-// out. A constant offset preserves the canonical order, which breaks
-// score ties by ascending partner.
+// pass, translating the global exclusions and the delta's partners into
+// local IDs on the way in and the results' partners back to global IDs,
+// in place, on the way out. A constant offset preserves the canonical
+// order, which breaks score ties by ascending partner.
 func (s *shard) search(q ta.BatchQuery, exclude []int32, r *shardRun) {
 	s0 := time.Now()
+	q.DeltaLo = s.lo
 	if exclude != nil {
 		r.excl = resize(r.excl, len(exclude))
 		for j, g := range exclude {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"ebsn/internal/rng"
@@ -222,5 +223,48 @@ func TestArtifactMappedBytesAccounting(t *testing.T) {
 	}
 	if got := MappedBytes(); got != before {
 		t.Fatalf("MappedBytes %d after close, want %d", got, before)
+	}
+}
+
+// TestFoldDeltaSharesPartnerStorage checks that a fold reuses the base's
+// packed partner rows instead of copying them — every row of the folded
+// set aliases the base's storage — for a built base and for a mapped
+// one, and that the folded set takes the base's artifact pin, so a
+// mapped base's pages stay mapped while the fold serves. Its answers
+// stay those of a fold of a built base.
+func TestFoldDeltaSharesPartnerStorage(t *testing.T) {
+	path, fp, built, _ := writeTieArtifact(t, t.TempDir())
+	art, err := OpenArtifact(path, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer art.Close()
+	src := rng.New(43)
+	arrivals := randomVecs(src, 5, built.K, true)
+	var answers [][]uint64
+	for _, base := range []*CandidateSet{built, art.Segments()[0].Set} {
+		d := NewDeltaForSet(base, 9)
+		if err := d.AddEvents(arrivals); err != nil {
+			t.Fatal(err)
+		}
+		folded, idx := FoldDelta(base, d.View(), 2)
+		if &folded.partnerData[0] != &base.partnerData[0] || len(folded.partnerData) != len(base.partnerData) {
+			t.Fatal("folded set copied the base's packed partner rows")
+		}
+		for u := range base.Partners {
+			if &folded.Partners[u][0] != &base.Partners[u][0] {
+				t.Fatalf("folded partner row %d does not alias the base's", u)
+			}
+		}
+		if folded.owner != base.owner {
+			t.Fatalf("folded set pins %p, base pins %p", folded.owner, base.owner)
+		}
+		answers = append(answers, queryBits(t, idx, 44))
+	}
+	if art.Segments()[0].Set.owner != art {
+		t.Fatal("mapped base does not pin its artifact")
+	}
+	if !slices.Equal(answers[0], answers[1]) {
+		t.Fatal("folds of the built and the mapped base answer differently")
 	}
 }

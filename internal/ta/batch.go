@@ -48,6 +48,19 @@ type BatchQuery struct {
 	// serving coalescer, which never folds constrained requests). Nil
 	// means unrestricted and is bit-identical to the unconstrained batch.
 	Pred EventPredicate
+	// Delta optionally adds the live tier: each lane scans the delta's
+	// pairs after its walk and before it drains its heap, reusing the
+	// lane's partner affinities and skipping the partners whose bound
+	// cannot beat its n-th score, so a lane returns the exact top n of
+	// the index plus the delta. A delta event at position i comes back
+	// as event len(Events)+i, the index a fold gives it. The predicate
+	// covers only the index's events, so a batch may not carry both.
+	Delta *Delta
+	// DeltaLo is the delta partner ID of this index's partner 0: a lane
+	// scans only the delta pairs whose partner lies in [DeltaLo,
+	// DeltaLo+|U|), renumbered into the index's partner space. A sharded
+	// engine sets it to the shard's first global partner.
+	DeltaLo int32
 }
 
 // packQueries copies the user vectors into the scratch's contiguous
@@ -90,11 +103,12 @@ func (c *CandidateSet) EventAffinityPanel(users [][]float32, sc *Scratch) []floa
 // panel pass per side of the space and one walk per lane, so every lane
 // is bit-identical to the same query issued as a batch of one. Each lane
 // returns the top n pairs in canonical order (Result.Outranks), fewer
-// when fewer non-excluded, predicate-allowed pairs exist. Results and
-// stats are per-user, indexed like q.Users; both alias sc and are valid
-// only until its next use. Per-user SearchStats
-// count that user's walk, and Elapsed adds a 1/b share of the panel
-// passes, so the lanes' Elapsed sums to the call's time in the index.
+// when fewer non-excluded, predicate-allowed pairs exist, the delta's
+// included when q.Delta is set. Results and stats are per-user, indexed
+// like q.Users; both alias sc and are valid only until its next use.
+// Per-user SearchStats count that user's walk and delta scan, and
+// Elapsed adds a 1/b share of the panel passes, so the lanes' Elapsed
+// sums to the call's time in the index.
 func (f *FastIndex) TopNBatch(q BatchQuery, sc *Scratch) ([][]Result, []SearchStats) {
 	set := f.set
 	nb := len(q.Users)
@@ -102,6 +116,9 @@ func (f *FastIndex) TopNBatch(q BatchQuery, sc *Scratch) ([][]Result, []SearchSt
 		panic(fmt.Sprintf("ta: batch has %d users but %d excludes", nb, len(q.Exclude)))
 	}
 	set.checkPred(q.Pred)
+	if q.Delta != nil && (q.Pred != nil || q.Delta.k != set.K) {
+		panic("ta: a batch's delta needs no predicate and the index's dimension")
+	}
 	sc.res = resizeSlice(sc.res, nb)
 	sc.stats = resizeSlice(sc.stats, nb)
 	if nb == 0 {
@@ -124,7 +141,11 @@ func (f *FastIndex) TopNBatch(q BatchQuery, sc *Scratch) ([][]Result, []SearchSt
 	share := time.Since(passes) / time.Duration(nb)
 
 	nc := len(set.Pairs)
-	n := max(min(q.N, nc), 0)
+	maxN := nc
+	if q.Delta != nil {
+		maxN += q.Delta.PairCount()
+	}
+	n := max(min(q.N, maxN), 0)
 	sc.out = resizeSlice(sc.out, nb*n)
 	for j := 0; j < nb; j++ {
 		start := time.Now()
@@ -135,8 +156,12 @@ func (f *FastIndex) TopNBatch(q BatchQuery, sc *Scratch) ([][]Result, []SearchSt
 			if q.Exclude != nil {
 				exclude = q.Exclude[j]
 			}
-			res = f.walk(aff[j*nx:(j+1)*nx], sc.bp[j*nu:(j+1)*nu],
-				n, exclude, q.Pred, sc, &stats, sc.out[j*n:j*n:j*n+n])
+			b := sc.bp[j*nu : (j+1)*nu]
+			f.walk(aff[j*nx:(j+1)*nx], b, n, exclude, q.Pred, sc, &stats)
+			if q.Delta != nil {
+				q.Delta.scan(sc.qs[j*set.K:(j+1)*set.K], b, q.DeltaLo, nx, n, exclude, sc, &stats)
+			}
+			res = sc.results.drainDescending(sc.out[j*n : j*n : j*n+n])
 		}
 		stats.Elapsed = share + time.Since(start)
 		sc.res[j] = res

@@ -158,8 +158,8 @@ func TestQuantizedMatchesBatchQuantized(t *testing.T) {
 
 // TestTopNBatchSteadyStateAllocs checks that a warmed Scratch makes
 // every query on it allocation-free: a batch; the three positional
-// one-lane spellings; and a live query, whose
-// Delta.MergeTopN runs on the scratch its base lane just used.
+// one-lane spellings; and a live batch, whose lanes scan a delta on the
+// same scratch.
 func TestTopNBatchSteadyStateAllocs(t *testing.T) {
 	src := rng.New(523)
 	const k = 16
@@ -185,7 +185,6 @@ func TestTopNBatchSteadyStateAllocs(t *testing.T) {
 	if err := d.AddEvents(randomVecs(src, 6, k, true)); err != nil {
 		t.Fatal(err)
 	}
-	var stats SearchStats
 	for _, c := range []struct {
 		name string
 		run  func(i int)
@@ -193,9 +192,9 @@ func TestTopNBatchSteadyStateAllocs(t *testing.T) {
 		{"TopNExcludingScratch", func(i int) { f.TopNExcludingScratch(users[i%8], 10, int32(i), bsc) }},
 		{"TopNExcludingPredScratch", func(i int) { f.TopNExcludingPredScratch(users[i%8], 10, int32(i), pred, bsc) }},
 		{"TopNExcludingQuantizedScratch", func(i int) { f.TopNExcludingQuantizedScratch(users[i%8], 10, int32(i), bsc) }},
-		{"TopNBatch+MergeTopN", func(i int) {
-			res, _ := f.TopNBatch(BatchQuery{Users: users, N: 10}, bsc)
-			d.MergeTopN(res[i%8], len(cs.Events), users[i%8], 10, -1, bsc, &stats)
+		{"TopNBatch+Delta", func(i int) {
+			excl := [8]int32{int32(i % 80)}
+			f.TopNBatch(BatchQuery{Users: users, N: 10, Exclude: excl[:], Delta: d}, bsc)
 		}},
 	} {
 		c.run(0) // warm the buffers

@@ -2,7 +2,6 @@ package ta
 
 import (
 	"runtime"
-	"slices"
 	"strconv"
 	"testing"
 
@@ -167,55 +166,4 @@ func BenchmarkDeltaAddEvents(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*n), "us/event")
 		})
 	}
-}
-
-// BenchmarkDeltaMergeTopN times one live query's delta scan at the
-// live-churn shape: 11 890 partners at K=60, a 600-event base pruned to
-// 5% per partner, and a full delta of 128 events × top-30 partners
-// (3 840 pairs), merged into a top-10 base answer with a warm scratch
-// and the querying user excluded. A few hundred partners get 4× the
-// norm of the rest, so that — as in the benchmark city, where 272–311
-// distinct partners cover a full delta — most events keep the same
-// popular partners; distinct/op reports how many the delta holds.
-func BenchmarkDeltaMergeTopN(b *testing.B) {
-	const popular = 300
-	src := rng.New(97)
-	partners := randomVecs(src, 11890, 60, true)
-	for _, v := range partners[:popular] {
-		for f := range v {
-			v[f] *= 4
-		}
-	}
-	cs, err := BuildCandidates(randomVecs(src, 600, 60, true), partners, BuildConfig{TopKEvents: 30, Workers: runtime.GOMAXPROCS(0)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	f := NewFastIndex(cs)
-	d := NewDeltaForSet(cs, 30)
-	if err := d.AddEvents(randomVecs(src, 128, 60, true)); err != nil {
-		b.Fatal(err)
-	}
-	distinct := map[int32]bool{}
-	for _, p := range d.View().Pairs {
-		distinct[p.Partner] = true
-	}
-
-	// Base answers are computed up front: only the merge is timed.
-	queries := randomVecs(src, 64, 60, true)
-	bases := make([][]Result, len(queries))
-	sc := GetScratch()
-	defer PutScratch(sc)
-	for i, u := range queries {
-		res, _ := f.Search(Query{Vec: u, N: 10, Exclude: int32(i)}, sc)
-		bases[i] = slices.Clone(res)
-	}
-	var stats SearchStats
-	d.MergeTopN(bases[0], len(cs.Events), queries[0], 10, 0, sc, &stats) // warm the buffers
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := i % len(queries)
-		d.MergeTopN(bases[q], len(cs.Events), queries[q], 10, int32(q), sc, &stats)
-	}
-	b.ReportMetric(float64(len(distinct)), "distinct/op")
 }

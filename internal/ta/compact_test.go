@@ -12,8 +12,8 @@ import (
 )
 
 // TestDynamicMergeMatchesOracleWithTies is the live-path property test:
-// the two-tier answer (main-index TA search merged with the exhaustive
-// delta scan) must be bit-identical — pairs, tie order, and score bits —
+// the two-tier answer (a lane whose walk over the main index is followed
+// by its delta scan) must be bit-identical — pairs, tie order, and score bits —
 // to a brute-force scan of the folded candidate set, under deliberately
 // constructed exact ties (duplicated event vectors inside the delta and
 // across the delta/main boundary).
@@ -26,10 +26,9 @@ func TestDynamicMergeMatchesOracleWithTies(t *testing.T) {
 		cs := dyn.set
 
 		// The oracle ranks the folded space; FoldDelta appends delta
-		// events at baseEvents+i, the same effective index MergeTopN
-		// ranks them under.
+		// events at baseEvents+i, the same effective index the lane's
+		// delta scan ranks them under.
 		folded, _ := FoldDelta(cs, dyn.delta.View(), 2)
-		baseEvents := len(cs.Events)
 
 		for q := 0; q < 25; q++ {
 			userVec := randomVecs(src, 1, 6, true)[0]
@@ -41,13 +40,9 @@ func TestDynamicMergeMatchesOracleWithTies(t *testing.T) {
 				t.Fatalf("topK=%d q=%d: %d results, want %d", topK, q, len(got), len(want))
 			}
 			for i := range want {
-				eff := got[i].Event
-				if got[i].FromDelta {
-					eff += int32(baseEvents)
-				}
-				if eff != want[i].Event || got[i].Partner != want[i].Partner {
+				if got[i].Event != want[i].Event || got[i].Partner != want[i].Partner {
 					t.Fatalf("topK=%d q=%d rank %d: got pair (%d,%d) delta=%v, want (%d,%d)",
-						topK, q, i, eff, got[i].Partner, got[i].FromDelta, want[i].Event, want[i].Partner)
+						topK, q, i, got[i].Event, got[i].Partner, dyn.fromDelta(got[i]), want[i].Event, want[i].Partner)
 				}
 				if math.Float32bits(got[i].Score) != math.Float32bits(want[i].Score) {
 					t.Fatalf("topK=%d q=%d rank %d score bits: got %v, want %v",
@@ -247,14 +242,16 @@ func TestDynamicConcurrentIngestQueryCompact(t *testing.T) {
 	}
 }
 
-// TestDeltaMergeStateMatchesOracle covers the state the bounded merge
-// keeps beside the pairs — per-event affinities, the distinct-partner
-// list and each pair's slot in it — across the delta's lifecycle: every
-// answer must be bit-identical to a brute-force scan of the folded
-// candidate set, with effective event indices. Duplicated event vectors
-// put exact ties at the n-th boundary, where a merge that compared by
-// score alone would keep the wrong pair. Each merge also starts from
-// zero stats and must account the whole delta scan, its time included.
+// TestDeltaMergeStateMatchesOracle covers the state the lane's delta
+// scan keeps beside the pairs — the distinct-partner list, each pair's
+// slot in it and each slot's largest cross term — across the delta's
+// lifecycle: every answer must be bit-identical to a brute-force scan of
+// the folded candidate set, with effective event indices. Duplicated
+// event vectors put exact ties at the n-th boundary, where a scan that
+// compared by score alone would keep the wrong pair. Each lane's stats
+// must be the base-only lane's plus the delta scan: the same sorted
+// accesses, the delta's pairs as candidates, at most one random access
+// per non-excluded delta pair, and the time included.
 func TestDeltaMergeStateMatchesOracle(t *testing.T) {
 	type state struct {
 		name     string
@@ -339,27 +336,21 @@ func TestDeltaMergeStateMatchesOracle(t *testing.T) {
 	defer PutScratch(sc)
 	for _, st := range states {
 		folded, _ := FoldDelta(st.dyn.set, st.dyn.delta.View(), 2)
-		baseEvents := int32(len(st.dyn.set.Events))
 		for q := 0; q < 6; q++ {
 			userVec := randomVecs(src, 1, 6, true)[0]
 			for _, n := range []int{1, 7, 15, len(folded.Pairs) + 5} {
 				for _, exclude := range st.excludes {
-					base, _ := st.dyn.idx.Search(Query{Vec: userVec, N: n, Exclude: exclude}, sc)
-					var stats SearchStats
-					got := st.dyn.delta.MergeTopN(base, int(baseEvents), userVec, n, exclude, sc, &stats)
+					_, base := st.dyn.idx.Search(Query{Vec: userVec, N: n, Exclude: exclude}, sc)
+					got, stats := st.dyn.TopNExcluding(userVec, n, exclude, sc)
 					want := filterThenRankOracle(folded, userVec, n, exclude, nil)
 					if len(got) != len(want) {
 						t.Fatalf("%s q=%d n=%d exclude=%d: %d results, want %d", st.name, q, n, exclude, len(got), len(want))
 					}
 					for i := range want {
-						eff := got[i].Event
-						if got[i].FromDelta {
-							eff += baseEvents
-						}
-						if eff != want[i].Event || got[i].Partner != want[i].Partner ||
+						if got[i].Event != want[i].Event || got[i].Partner != want[i].Partner ||
 							math.Float32bits(got[i].Score) != math.Float32bits(want[i].Score) {
 							t.Fatalf("%s q=%d n=%d exclude=%d rank %d: got (%d,%d) %v delta=%v, want (%d,%d) %v",
-								st.name, q, n, exclude, i, eff, got[i].Partner, got[i].Score, got[i].FromDelta,
+								st.name, q, n, exclude, i, got[i].Event, got[i].Partner, got[i].Score, st.dyn.fromDelta(got[i]),
 								want[i].Event, want[i].Partner, want[i].Score)
 						}
 					}
@@ -369,9 +360,11 @@ func TestDeltaMergeStateMatchesOracle(t *testing.T) {
 							scanned++
 						}
 					}
-					if stats.RandomAccesses != scanned || stats.Candidates != st.dyn.delta.PairCount() || stats.Elapsed <= 0 {
-						t.Fatalf("%s n=%d exclude=%d: stats %+v, want %d random accesses, %d candidates, positive elapsed",
-							st.name, n, exclude, stats, scanned, st.dyn.delta.PairCount())
+					scored := stats.RandomAccesses - base.RandomAccesses
+					if stats.SortedAccesses != base.SortedAccesses || scored < 0 || scored > scanned ||
+						stats.Candidates != base.Candidates+st.dyn.delta.PairCount() || stats.Elapsed <= 0 {
+						t.Fatalf("%s n=%d exclude=%d: stats %+v against base-only %+v, want the base's sorted accesses, at most %d more random accesses, %d more candidates, positive elapsed",
+							st.name, n, exclude, stats, base, scanned, st.dyn.delta.PairCount())
 					}
 				}
 			}

@@ -3,7 +3,6 @@ package ta
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"ebsn/internal/isort"
 	"ebsn/internal/vecmath"
@@ -12,24 +11,24 @@ import (
 // Delta is the small mutable tier of the two-tier (LSM-flavored) index:
 // events that arrive after the packed main index was built accumulate
 // here, pruned to their topK partner pairs exactly as the offline build
-// prunes, and every query scans the delta exhaustively (it is small by
-// construction — compaction folds it into a fresh main index before it
-// grows). The scan costs one dot product per delta event and one per
-// distinct delta partner, then one add and one compare per pair (see
-// MergeTopN). A Delta only ever appends to its event/pair arrays, so a
-// DeltaView captured at any point stays valid while later arrivals land;
-// Advance (called when a compaction of that view is installed) is the
-// one operation that rewrites the arrays and must be serialized with
-// both AddEvent and queries by the caller.
+// prunes, and every query lane scans the delta after its walk (it is
+// small by construction — compaction folds it into a fresh main index
+// before it grows). The scan costs one dot product per delta event; the
+// partner affinities come from the lane's own partner pass, and a pair
+// costs one bound check, plus one add and one compare when the bound
+// lets it through (see BatchQuery.Delta). A Delta only ever appends to
+// its event/pair arrays, so a DeltaView captured at any point stays
+// valid while later arrivals land; Advance (called when a compaction of
+// that view is installed) is the one operation that rewrites the arrays
+// and must be serialized with both AddEvent and queries by the caller.
 type Delta struct {
 	k    int
 	topK int
 
-	// Partner rows and their packed row-major mirror, shared by every
-	// event that arrives: pruning scores and cross terms stream the
-	// packed array (vecmath.DotBatch), query-time partner affinities
-	// read the rows.
-	partners    [][]float32
+	// The partner count and the partners' packed row-major rows, which
+	// every arriving event's pruning scores and cross terms stream
+	// (vecmath.DotPanel).
+	np          int
 	partnerData []float32
 
 	// Appended state. pairs[i].Event indexes events; pairs are grouped
@@ -38,12 +37,13 @@ type Delta struct {
 	pairs  []Candidate
 	cross  []float32
 
-	// The pairs' distinct partners in first-appearance order, and each
-	// pair's slot in that list: a query computes u·u' once per slot.
-	// slotOf maps a partner to its slot + 1 (0 = absent); only the
-	// writers read it.
+	// The pairs' distinct partners in first-appearance order, each
+	// pair's slot in that list, and each slot's largest cross term — the
+	// per-partner bound a query's scan skips pairs under. slotOf maps a
+	// partner to its slot + 1 (0 = absent); only the writers read it.
 	distinct []int32
 	pairSlot []int32
+	slotMax  []float32
 	slotOf   []int32
 
 	folded int // events dropped by Advance since creation
@@ -58,23 +58,21 @@ func NewDelta(partners [][]float32, topK int) (*Delta, error) {
 		return nil, fmt.Errorf("ta: empty partner set")
 	}
 	k := len(partners[0])
-	rows := make([][]float32, len(partners))
-	copy(rows, partners)
-	d := &Delta{k: k, topK: topK, partners: rows, slotOf: make([]int32, len(rows))}
-	for _, v := range rows {
+	for _, v := range partners {
 		if len(v) != k {
 			return nil, fmt.Errorf("ta: partner vector length %d, want %d", len(v), k)
 		}
 	}
-	d.partnerData = packRows(rows, k, nil)
-	return d, nil
+	data := slices.Concat(partners...) // packed row-major
+	return &Delta{k: k, topK: topK, np: len(partners), partnerData: data, slotOf: make([]int32, len(partners))}, nil
 }
 
 // NewDeltaForSet builds a delta sharing the set's partner rows and
 // packed storage (no copy). The set must already be packed — any index
 // constructor packs it.
 func NewDeltaForSet(set *CandidateSet, topK int) *Delta {
-	return &Delta{k: set.K, topK: topK, partners: set.Partners, partnerData: set.partnerData, slotOf: make([]int32, len(set.Partners))}
+	np := len(set.Partners)
+	return &Delta{k: set.K, topK: topK, np: np, partnerData: set.partnerData, slotOf: make([]int32, np)}
 }
 
 // K returns the embedding dimension arriving vectors must match.
@@ -84,8 +82,8 @@ func (d *Delta) K() int { return d.k }
 func (d *Delta) Events() int { return len(d.events) }
 
 // PairCount returns the number of unindexed candidate pairs — the
-// compaction queue depth, and the pairs every query scans at one add
-// and one compare each.
+// compaction queue depth, and the pairs every query lane checks against
+// their partner bounds.
 func (d *Delta) PairCount() int { return len(d.pairs) }
 
 // Folded returns how many delta events Advance has dropped since the
@@ -116,7 +114,7 @@ func (d *Delta) AddEvents(vecs [][]float32) error {
 			return fmt.Errorf("ta: event vector length %d, want %d", len(v), d.k)
 		}
 	}
-	np := len(d.partners)
+	np := d.np
 	scores := make([]float32, min(len(vecs), addPanelEvents)*np)
 	ids := make([]int32, np)
 	for lo := 0; lo < len(vecs); lo += addPanelEvents {
@@ -139,13 +137,17 @@ func (d *Delta) AddEvents(vecs [][]float32) error {
 }
 
 // addPair appends one candidate pair with its cross term, giving its
-// partner a slot in the distinct list on first appearance.
+// partner a slot in the distinct list on first appearance and raising
+// the slot's largest cross term.
 func (d *Delta) addPair(event, partner int32, cross float32) {
 	slot := d.slotOf[partner]
 	if slot == 0 {
 		d.distinct = append(d.distinct, partner)
+		d.slotMax = append(d.slotMax, cross)
 		slot = int32(len(d.distinct))
 		d.slotOf[partner] = slot
+	} else if cross > d.slotMax[slot-1] {
+		d.slotMax[slot-1] = cross
 	}
 	d.pairs = append(d.pairs, Candidate{Event: event, Partner: partner})
 	d.cross = append(d.cross, cross)
@@ -160,7 +162,7 @@ func (d *Delta) addPair(event, partner int32, cross float32) {
 // partners make the cut, as it always has. ids is scratch of one entry
 // per partner, overwritten; the result aliases it.
 func (d *Delta) partnerIndices(scores []float32, ids []int32) []int32 {
-	n := len(d.partners)
+	n := d.np
 	if d.topK <= 0 || d.topK >= n {
 		for i := range ids {
 			ids[i] = int32(i)
@@ -206,11 +208,11 @@ func (d *Delta) View() DeltaView {
 
 // Advance drops the view's prefix — just folded into a new main index —
 // keeping only events that arrived after the view was captured, with
-// their pair Event indices rebased and the distinct-partner list rebuilt
-// from the residual pairs. Residuals are copied into fresh arrays so
-// in-flight readers of the old ones are unaffected. The view must have
-// been captured from this delta; the caller serializes Advance with
-// AddEvent and queries.
+// their pair Event indices rebased and the distinct-partner list and its
+// cross-term bounds rebuilt from the residual pairs. Residuals are
+// copied into fresh arrays so in-flight readers of the old ones are
+// unaffected. The view must have been captured from this delta; the
+// caller serializes Advance with AddEvent and queries.
 func (d *Delta) Advance(v DeltaView) {
 	ke, kp := len(v.Events), len(v.Pairs)
 	d.events = append(make([][]float32, 0, len(d.events)-ke), d.events[ke:]...)
@@ -221,106 +223,88 @@ func (d *Delta) Advance(v DeltaView) {
 	d.pairs = make([]Candidate, 0, len(rest))
 	d.cross = make([]float32, 0, len(rest))
 	d.pairSlot = make([]int32, 0, len(rest))
-	d.distinct = nil
+	d.distinct, d.slotMax = nil, nil
 	for i, p := range rest {
 		d.addPair(p.Event-int32(ke), p.Partner, restCross[i])
 	}
 	d.folded += ke
 }
 
-// DynamicResult tags a Result with whether the event came from the delta
-// (its Event index then refers to arrival order, not the base set).
-type DynamicResult struct {
-	Result
-	FromDelta bool
-}
-
-// MergeTopN merges base — an exact top-n over some main index, in
-// canonical order — with an exhaustive scan of the delta, returning the
-// overall top n (nothing when n ≤ 0). baseEvents is the main index's
-// event count: a delta event's effective index in the canonical (score
-// desc, partner asc, event asc) order is baseEvents + its delta position,
-// which is exactly the index it will hold after compaction — so
-// rankings, including tie breaks, are bit-consistent before and after a
-// fold. Results alias sc's buffers; stats accumulates the delta-scan
-// work and time.
+// scan is a lane's delta tier: after the lane's walk over the base has
+// left the base's exact top n in sc.results, it offers the heap every
+// delta pair whose partner lies in [lo, lo+len(b)) and is not exclude,
+// so the heap ends holding the top n of base ∪ delta. user is the
+// lane's query vector and b its partner affinities from the lane's own
+// partner pass, indexed by partner − lo; results name partners the same
+// way. A delta event at position i comes back as event nx+i, the index
+// it gets once a fold appends it to an nx-event base, so rankings — tie
+// breaks included — are the same before and after a fold.
 //
-// The scan computes u·x once per delta event and u·u' once per distinct
-// delta partner, then costs one add and one compare per pair: the result
-// starts as base and a pair is inserted, by shifting, only when it
-// outranks the current n-th entry. Every key is unique — distinct
-// (event, partner) pairs, delta events numbered past the base — so this
-// bounded selection equals a stable sort of base plus every delta pair,
-// truncated to n.
-func (d *Delta) MergeTopN(base []Result, baseEvents int, userVec []float32, n int, exclude int32, sc *Scratch, stats *SearchStats) []DynamicResult {
-	if n <= 0 {
-		return sc.dout[:0]
+// a(x) = user·x is one vecmath.Dot per delta event, the bits the folded
+// index's event pass gives it, and a pair scores (a(x) + b(u')) + cross,
+// the walk's operand order, so a delta pair's score is bit-identical to
+// the one the folded index will assign it. A pair is skipped unscored
+// when the heap is full and its weakest entry scores strictly more than
+// the pair's partner bound (amax + b(u')) + maxCross(u'), where amax is
+// the largest a(x) and maxCross(u') the largest cross term over the
+// partner's delta pairs. Float addition is monotone, so the bound is at
+// least every one of the partner's pair scores; the strict test is the
+// walk's own stop rule, so a pair that ties the n-th score still reaches
+// Outranks. stats counts the pairs in range as Candidates and the
+// scored ones as RandomAccesses.
+func (d *Delta) scan(user, b []float32, lo int32, nx, n int, exclude int32, sc *Scratch, stats *SearchStats) {
+	if len(d.pairs) == 0 {
+		return
 	}
-	start := time.Now()
 	a := resizeF32(sc.deltaA, len(d.events))
+	amax := negInf
 	for x, vec := range d.events {
-		a[x] = vecmath.Dot(userVec, vec)
+		a[x] = vecmath.Dot(user, vec)
+		if a[x] > amax {
+			amax = a[x]
+		}
 	}
-	b := resizeF32(sc.deltaB, len(d.distinct))
-	for slot, u := range d.distinct {
-		b[slot] = vecmath.Dot(userVec, d.partners[u])
-	}
-	sc.deltaA, sc.deltaB = a, b
+	sc.deltaA = a
 
-	// Delta entries carry their effective event index until the end, so
-	// Outranks compares every entry by its canonical key.
-	be := int32(baseEvents)
-	out := sc.dout[:0]
-	for _, r := range base[:min(len(base), n)] {
-		out = append(out, DynamicResult{Result: r})
-	}
-	for i, pair := range d.pairs {
-		if pair.Partner == exclude {
+	h := &sc.results
+	nu := uint32(len(b))
+	for i, p := range d.pairs {
+		u := p.Partner - lo
+		if uint32(u) >= nu {
+			continue // another shard's partner
+		}
+		stats.Candidates++
+		if u == exclude {
 			continue
 		}
+		bu := b[u]
+		if len(*h) == n && (*h)[0].Score > (amax+bu)+d.slotMax[d.pairSlot[i]] {
+			continue // cannot beat the current top n
+		}
 		stats.RandomAccesses++
-		// Operand order matters: the FastIndex scores a pair as
-		// (event·u + partner·u) + cross, and float addition is not
-		// associative — summing in the same order keeps a delta pair's
-		// score bit-identical to what the folded index will assign it.
-		r := Result{Event: pair.Event + be, Partner: pair.Partner, Score: a[pair.Event] + b[d.pairSlot[i]] + d.cross[i]}
-		if len(out) == n {
-			if !r.Outranks(out[n-1].Result) {
-				continue
-			}
-			out = out[:n-1]
-		}
-		j := len(out)
-		out = append(out, DynamicResult{})
-		for ; j > 0 && r.Outranks(out[j-1].Result); j-- {
-			out[j] = out[j-1]
-		}
-		out[j] = DynamicResult{Result: r, FromDelta: true}
-	}
-	for i := range out {
-		if out[i].FromDelta {
-			out[i].Event -= be
+		r := Result{int32(nx) + p.Event, u, a[p.Event] + bu + d.cross[i]}
+		if len(*h) < n {
+			h.push(r)
+		} else if r.Outranks((*h)[0]) {
+			h.replaceMin(r)
 		}
 	}
-	stats.Candidates += len(d.pairs)
-	stats.Elapsed += time.Since(start)
-	sc.dout = out
-	return out
 }
 
 // FoldDelta builds a fresh candidate set and index covering base plus
-// the delta view, without mutating either: event and partner row headers
-// are copied into new containers before the index build re-aliases them
-// into new packed storage, so queries over base (and appends to the
-// delta past the view) proceed concurrently while the fold runs. Delta
-// events are appended after the base events in arrival order — a delta
-// event at position i lands at index len(base.Events)+i, the same
-// effective index MergeTopN ranks it under — and their pairs keep the
+// the delta view, without mutating either, so queries over base (and
+// appends to the delta past the view) proceed concurrently while the
+// fold runs. Event rows are copied into new packed storage with the
+// delta events appended after the base events in arrival order — a
+// delta event at position i lands at index len(base.Events)+i, the same
+// index a lane's delta scan ranks it under — and their pairs keep the
 // cross terms computed at arrival, so answers are bit-identical before
-// and after a fold. The view's partner IDs index base.Partners (the
-// sharded engine hands each shard its own slice of the view). workers
-// bounds the index-build parallelism (0 = GOMAXPROCS, the
-// NewFastIndexWorkers default).
+// and after a fold. The partner rows do not change, so the folded set
+// shares the base's packed partner storage and its artifact pin: a
+// mapped base's pages stay mapped while the fold serves. The view's
+// partner IDs index base.Partners (the sharded engine hands each shard
+// its own slice of the view). workers bounds the index-build
+// parallelism (0 = GOMAXPROCS, the NewFastIndexWorkers default).
 func FoldDelta(base *CandidateSet, v DeltaView, workers int) (*CandidateSet, *FastIndex) {
 	nb := len(base.Events)
 	pairs := make([]Candidate, len(base.Pairs), len(base.Pairs)+len(v.Pairs))
@@ -329,11 +313,13 @@ func FoldDelta(base *CandidateSet, v DeltaView, workers int) (*CandidateSet, *Fa
 		pairs = append(pairs, Candidate{Event: p.Event + int32(nb), Partner: p.Partner})
 	}
 	set := &CandidateSet{
-		K:        base.K,
-		Events:   slices.Concat(base.Events, v.Events),
-		Partners: slices.Clone(base.Partners),
-		Pairs:    pairs,
-		Cross:    slices.Concat(base.Cross, v.Cross),
+		K:           base.K,
+		Events:      slices.Concat(base.Events, v.Events),
+		Partners:    base.Partners,
+		Pairs:       pairs,
+		Cross:       slices.Concat(base.Cross, v.Cross),
+		partnerData: base.partnerData,
+		owner:       base.owner,
 	}
 	return set, NewFastIndexWorkers(set, workers)
 }

@@ -9,12 +9,14 @@
 //
 // [BuildCandidates] materializes the transformed space as a
 // [CandidateSet]; [NewFastIndex] constructs the static index over it, a
-// [Delta] collects live-ingested events beside one ([Delta.MergeTopN]
-// overlays it on a base answer) and [FoldDelta] folds it in. Every query
-// is a lane of one [FastIndex.TopNBatch] — a single query is a batch of
-// one — and reports its work in [SearchStats]: partner bounds popped,
-// pairs scored, and wall-clock time inside the index, which the serve
-// layer exports as Prometheus metrics and span attrs.
+// [Delta] collects live-ingested events beside one and [FoldDelta]
+// folds it in. Every query is a lane of one [FastIndex.TopNBatch] — a
+// single query is a batch of one — whose walk, given a
+// [BatchQuery.Delta], is followed by a scan of the delta's pairs under a
+// per-partner bound, so the lane answers over both tiers. A lane reports
+// its work in [SearchStats]: partner bounds popped, pairs scored, and
+// wall-clock time inside the index, which the serve layer exports as
+// Prometheus metrics and span attrs.
 //
 // The query path is allocation-free at steady state: every per-query
 // buffer lives in one [Scratch] type, pooled by [GetScratch], and the

@@ -11,8 +11,8 @@ import (
 
 // twoTier is the live-serving composition under test, built from the
 // package's own primitives the way the facade composes them over an
-// engine: a main index, the delta beside it, Search + MergeTopN to
-// answer, FoldDelta + Advance to compact.
+// engine: a main index, the delta beside it, a lane that scans the delta
+// to answer, FoldDelta + Advance to compact.
 type twoTier struct {
 	set   *CandidateSet
 	idx   *FastIndex
@@ -28,20 +28,23 @@ func (d *twoTier) AddEvent(vec []float32) error { return d.delta.AddEvent(vec) }
 func (d *twoTier) DeltaSize() int               { return d.delta.PairCount() }
 func (d *twoTier) NumEvents() int               { return len(d.set.Events) + d.delta.Events() }
 
-// TopNExcluding answers over both tiers; the results alias sc.
-func (d *twoTier) TopNExcluding(userVec []float32, n int, exclude int32, sc *Scratch) ([]DynamicResult, SearchStats) {
-	base, stats := d.idx.Search(Query{Vec: userVec, N: n, Exclude: exclude}, sc)
-	merged := d.delta.MergeTopN(base, len(d.set.Events), userVec, n, exclude, sc, &stats)
-	return merged, stats
+// TopNExcluding answers over both tiers with one lane; delta events
+// come back numbered len(set.Events)+position. The results alias sc.
+func (d *twoTier) TopNExcluding(userVec []float32, n int, exclude int32, sc *Scratch) ([]Result, SearchStats) {
+	return d.idx.Search(Query{Vec: userVec, N: n, Exclude: exclude, Delta: d.delta}, sc)
 }
 
 // TopN is TopNExcluding with no exclusion, in a caller-owned slice.
-func (d *twoTier) TopN(userVec []float32, n int) ([]DynamicResult, SearchStats) {
+func (d *twoTier) TopN(userVec []float32, n int) ([]Result, SearchStats) {
 	sc := GetScratch()
 	defer PutScratch(sc)
 	res, stats := d.TopNExcluding(userVec, n, -1, sc)
-	return append([]DynamicResult(nil), res...), stats
+	return slices.Clone(res), stats
 }
+
+// fromDelta reports whether r names a delta event rather than a main
+// tier one.
+func (d *twoTier) fromDelta(r Result) bool { return int(r.Event) >= len(d.set.Events) }
 
 // Rebuild folds the whole delta into a fresh main tier.
 func (d *twoTier) Rebuild() {
@@ -67,10 +70,10 @@ func TestDynamicMatchesStaticBeforeAdds(t *testing.T) {
 		t.Fatalf("result counts differ: %d vs %d", len(static), len(dynamic))
 	}
 	for i := range static {
-		if static[i] != dynamic[i].Result {
-			t.Fatalf("rank %d: %+v vs %+v", i, static[i], dynamic[i].Result)
+		if static[i] != dynamic[i] {
+			t.Fatalf("rank %d: %+v vs %+v", i, static[i], dynamic[i])
 		}
-		if dynamic[i].FromDelta {
+		if dyn.fromDelta(dynamic[i]) {
 			t.Fatal("phantom delta result")
 		}
 	}
@@ -94,7 +97,7 @@ func TestDynamicAddEventSurfacesInResults(t *testing.T) {
 		t.Fatalf("delta size %d, want 15", dyn.DeltaSize())
 	}
 	res, stats := dyn.TopN(u, 3)
-	if !res[0].FromDelta {
+	if !dyn.fromDelta(res[0]) {
 		t.Fatal("dominant delta event not ranked first")
 	}
 	if stats.Candidates != len(cs.Pairs)+15 {
@@ -168,7 +171,7 @@ func TestDynamicRebuildFoldsDelta(t *testing.T) {
 		if before[i].Score != after[i].Score {
 			t.Fatalf("rank %d score changed across rebuild: %v vs %v", i, before[i].Score, after[i].Score)
 		}
-		if after[i].FromDelta {
+		if dyn.fromDelta(after[i]) {
 			t.Fatal("rebuilt result still tagged as delta")
 		}
 	}
@@ -286,6 +289,48 @@ func TestAddEventsMatchesSequential(t *testing.T) {
 		}
 		if bat.Events() != before {
 			t.Fatalf("rejected batch added %d events", bat.Events()-before)
+		}
+	}
+}
+
+// TestDeltaScanAdmitsTieAtBound pins the delta scan's skip test to the
+// walk's strict rule. In integer-valued K=2 vectors (exact arithmetic)
+// partners 0 and 2 are twins, and partner 0 has no base pairs. The base's
+// best pair (event 0, partner 2) scores 3 for u = (1, 0). The one delta
+// event copies event 0, so its pair with partner 0 scores 3 too, and so
+// does partner 0's bound: the pair ties the n-th score exactly, and its
+// smaller partner ID must win the tie. A scan that skipped a partner
+// whose bound merely equals the weakest retained score would answer
+// (0, 2).
+func TestDeltaScanAdmitsTieAtBound(t *testing.T) {
+	cs := &CandidateSet{
+		K:        2,
+		Events:   [][]float32{{1, 0}, {0, 1}},
+		Partners: [][]float32{{1, 0}, {0, 1}, {1, 0}},
+	}
+	for u := int32(1); u <= 2; u++ {
+		for x := int32(0); x < 2; x++ {
+			cs.Pairs = append(cs.Pairs, Candidate{Event: x, Partner: u})
+			cs.Cross = append(cs.Cross, vecmath.Dot(cs.Events[x], cs.Partners[u]))
+		}
+	}
+	dyn := newTwoTier(cs, 0)
+	if err := dyn.AddEvent([]float32{1, 0}); err != nil {
+		t.Fatal(err)
+	}
+	u := []float32{1, 0}
+	if base, _ := dyn.idx.TopN(u, 1); len(base) != 1 || base[0] != (Result{0, 2, 3}) {
+		t.Fatalf("base top 1 = %+v, want event 0 with partner 2 at 3", base)
+	}
+	got, _ := dyn.TopN(u, 1)
+	if want := (Result{2, 0, 3}); len(got) != 1 || got[0] != want {
+		t.Fatalf("live top 1 = %+v, want the tied delta pair %+v", got, want)
+	}
+	folded, _ := FoldDelta(cs, dyn.delta.View(), 1)
+	for _, n := range []int{1, 2, 3, 9} {
+		got, _ := dyn.TopN(u, n)
+		if want := filterThenRankOracle(folded, u, n, -1, nil); !sameResults(got, want) {
+			t.Fatalf("n=%d: got %+v, want %+v", n, got, want)
 		}
 	}
 }

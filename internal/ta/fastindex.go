@@ -207,17 +207,17 @@ func (s SearchStats) AccessFraction() float64 {
 }
 
 // walk runs the threshold walk over precomputed affinities — a[x] per
-// event, b[u] per partner — and drains the top n into dst in canonical
-// order; stats accumulates the access counts. It is the core of every
-// TopNBatch lane: DotPanel gives every lane the accumulation order of a
-// lone DotBatch, so a lane's results do not depend on the batch width,
-// bit for bit, ties included.
+// event, b[u] per partner — leaving the exact top n in sc.results for
+// the caller to drain; stats accumulates the access counts. It is the
+// core of every TopNBatch lane: DotPanel gives every lane the
+// accumulation order of a lone DotBatch, so a lane's results do not
+// depend on the batch width, bit for bit, ties included.
 //
 // pred, when non-nil, is pushed into the walk: amax ranges over allowed
 // events only — so every partner bound is at most its unconstrained
 // value and the stop fires no later than it would with the slack bound —
 // and disallowed pairs are skipped without materializing a score.
-func (f *FastIndex) walk(a, b []float32, n int, exclude int32, pred EventPredicate, sc *Scratch, stats *SearchStats, dst []Result) []Result {
+func (f *FastIndex) walk(a, b []float32, n int, exclude int32, pred EventPredicate, sc *Scratch, stats *SearchStats) {
 	set := f.set
 	h := &sc.results
 	*h = (*h)[:0]
@@ -229,7 +229,7 @@ func (f *FastIndex) walk(a, b []float32, n int, exclude int32, pred EventPredica
 		}
 	}
 	if !allowed {
-		return h.drainDescending(dst) // predicate allows no events
+		return // predicate allows no events
 	}
 
 	q := &sc.queue
@@ -270,7 +270,6 @@ func (f *FastIndex) walk(a, b []float32, n int, exclude int32, pred EventPredica
 			}
 		}
 	}
-	return h.drainDescending(dst)
 }
 
 // negInf is the bound of a partner with no pairs and of a popped one.

@@ -13,11 +13,16 @@ type Query struct {
 	N       int
 	Exclude int32 // negative excludes no one
 	Pred    EventPredicate
+	Delta   *Delta
 }
 
 // Search answers q as one lane; the results alias sc.
 func (f *FastIndex) Search(q Query, sc *Scratch) ([]Result, SearchStats) {
-	return f.lane(q.Vec, q.N, q.Exclude, q.Pred, sc)
+	if q.Delta == nil {
+		return f.lane(q.Vec, q.N, q.Exclude, q.Pred, sc)
+	}
+	res, stats := f.TopNBatch(BatchQuery{Users: [][]float32{q.Vec}, N: q.N, Exclude: []int32{q.Exclude}, Delta: q.Delta}, sc)
+	return res[0], stats[0]
 }
 
 // TopN is the unconstrained lane with no partner excluded, in a

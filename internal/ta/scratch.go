@@ -4,9 +4,9 @@ import "sync"
 
 // Scratch owns every per-query buffer of the TA hot paths: the packed
 // query panel and affinity panels of TopNBatch, the walk's partner-bound
-// queue and heaps, the delta scan's affinities, and the result slices
-// TopNBatch and Delta.MergeTopN return. A warmed Scratch makes
-// steady-state queries allocation-free.
+// queue and heaps, the delta scan's event affinities, and the result
+// slices TopNBatch returns. A warmed Scratch makes steady-state queries
+// allocation-free.
 //
 // A Scratch is not safe for concurrent use; take one per query from
 // GetScratch (a sync.Pool) and return it with PutScratch. Results
@@ -24,17 +24,14 @@ type Scratch struct {
 	queue   boundQueue
 	results resultHeap
 
-	// Delta scan state (Delta.MergeTopN): u·x per delta event and u·u'
-	// per distinct delta partner.
+	// Delta scan state (BatchQuery.Delta): u·x per delta event.
 	deltaA []float32
-	deltaB []float32
 
-	// Outputs: the backing array of every lane's results, the per-lane
-	// views and stats, and the merged live results.
+	// Outputs: the backing array of every lane's results and the
+	// per-lane views and stats.
 	out   []Result
 	res   [][]Result
 	stats []SearchStats
-	dout  []DynamicResult
 
 	// A one-lane query's user row and exclude (see lane), held here so
 	// loading the lane allocates nothing.

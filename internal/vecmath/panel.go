@@ -22,10 +22,13 @@ package vecmath
 // once per group of four queries instead of once per query, and the
 // shared candidate row amortizes its loads across the four queries —
 // that is where batched scoring gets its throughput win. A final group
-// of two or three queries also rides the 4-query kernel, repeating its
-// last query into that query's own output row (the repeat writes the
-// same value to the same cell); a single leftover query takes DotBatch,
-// whose one-query kernel scores four candidate rows per step. Each
+// of three queries also rides the 4-query kernel, repeating its last
+// query into that query's own output row (the repeat writes the same
+// value to the same cell). One or two leftover queries each take a
+// DotBatch pass, whose one-query kernel scores four candidate rows per
+// step: at k = 60 one such pass costs about a third of a padded 4-query
+// pass, so two passes beat the padded kernel and three would about tie
+// it. Each
 // (q, r) accumulation follows dotUnrolled's exact order, so the output
 // is bit-identical to b independent DotBatch calls — the
 // batched-vs-sequential equivalence tests in internal/ta rely on that.
@@ -52,11 +55,11 @@ func DotPanel(qs []float32, b int, data []float32, k int, out []float32) {
 	qrow := func(j int) []float32 { j = min(j, b-1); return qs[j*k : (j+1)*k : (j+1)*k] }
 	orow := func(j int) []float32 { j = min(j, b-1); return out[j*rows : (j+1)*rows : (j+1)*rows] }
 	q := 0
-	for ; b-q >= 2; q += 4 {
+	for ; b-q >= 3; q += 4 {
 		panelRows4(qrow(q), qrow(q+1), qrow(q+2), qrow(q+3), data, k,
 			orow(q), orow(q+1), orow(q+2), orow(q+3))
 	}
-	if q < b {
+	for ; q < b; q++ {
 		DotBatch(qrow(q), data, k, orow(q))
 	}
 }

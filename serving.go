@@ -86,8 +86,7 @@ func (r *Recommender) TopEventPartnersLive(user int32, n int) ([]PairRecommendat
 }
 
 // TopEventPartnersLiveStats is TopEventPartnersLive plus the
-// scatter-gather stats of the base tier's fan-out; Agg also counts the
-// delta scan's work.
+// scatter-gather stats of its fan-out, the delta scan's work included.
 func (r *Recommender) TopEventPartnersLiveStats(user int32, n int) ([]PairRecommendation, EngineStats, error) {
 	if r.taDelta == nil { // nothing ingested yet
 		return firstLane(r.Recommend([]int32{user}, n, Constraint{}))
@@ -95,39 +94,24 @@ func (r *Recommender) TopEventPartnersLiveStats(user int32, n int) ([]PairRecomm
 	if err := r.checkUsers(n, user); err != nil {
 		return nil, EngineStats{}, err
 	}
-	// Two-tier query: exact top-n over the live base (the compacted fold
-	// when one was installed, else the plain engine), overlaid with an
-	// exhaustive scan of the delta. The merged results alias the pooled
-	// scratch and are converted before it is released.
-	userVec := r.model.UserVec(user)
-	eng := r.liveEngine()
-	base, es, err := eng.Search([][]float32{userVec}, []int32{user}, n, nil, nil, nil, nil)
+	// One fan-out over the live base — the compacted fold when one was
+	// installed, else the plain engine — whose lanes also scan the delta.
+	res, es, err := r.liveEngine().Search([][]float32{r.model.UserVec(user)}, []int32{user}, n, nil, r.taDelta, nil, nil, nil)
 	if err != nil {
 		return nil, EngineStats{}, err
 	}
-	sc := ta.GetScratch()
-	defer ta.PutScratch(sc)
-	res := r.taDelta.MergeTopN(base, eng.NumEvents(), userVec, n, user, sc, &es.Agg)
-
-	testN := len(r.split.TestEvents)
-	out := make([]PairRecommendation, 0, len(res))
-	for _, rr := range res {
-		var event int32
-		switch {
-		case rr.FromDelta:
-			// Delta events are numbered by arrival within the current
-			// delta; compacted events shift the numbering, so offset by
-			// how many were already folded into the base.
-			compacted := r.liveEvents - r.taDelta.Events()
-			event = -int32(compacted) - (rr.Event + 1)
-		case int(rr.Event) >= testN:
-			// A previously compacted live event: positions past the
-			// original test events map back to arrival order.
-			event = -(rr.Event - int32(testN) + 1)
-		default:
+	// Indices past the test events are live events: the folded ones in
+	// the live base, then the delta's, in arrival order. Events ingested
+	// into a delta that a re-prepare dropped come before them all.
+	testN := int32(len(r.split.TestEvents))
+	dropped := int32(r.liveEvents - r.taDelta.Folded() - r.taDelta.Events())
+	out := make([]PairRecommendation, len(res))
+	for i, rr := range res {
+		event := -dropped - (rr.Event - testN + 1)
+		if rr.Event < testN {
 			event = r.split.TestEvents[rr.Event]
 		}
-		out = append(out, PairRecommendation{Event: event, Partner: rr.Partner, Score: rr.Score})
+		out[i] = PairRecommendation{Event: event, Partner: rr.Partner, Score: rr.Score}
 	}
 	return out, es, nil
 }
@@ -225,8 +209,8 @@ func (r *Recommender) PendingLiveEvents() int {
 }
 
 // PendingLivePairs returns the candidate pairs in the delta tier: every
-// live query scans them all, at one add and one compare per pair, until
-// the next compaction.
+// live query checks each of them against its partner bound, and scores
+// those the bound lets through, until the next compaction.
 func (r *Recommender) PendingLivePairs() int {
 	if r.taDelta == nil {
 		return 0

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"ebsn/internal/ta"
 )
 
 func TestTopEventsBatchMatchesSingle(t *testing.T) {
@@ -214,6 +216,145 @@ func TestLiveIngestLifecycle(t *testing.T) {
 	}
 	if len(seen) == 0 {
 		t.Error("no live event surfaced in any top-10 list")
+	}
+}
+
+// TestLiveIDsSurviveRePrepare checks the live IDs a re-prepare leaves
+// behind: PrepareJoint drops the live tiers, but IDs keep counting, so
+// the events ingested afterwards must surface under their own IDs both
+// from the delta and once compacted.
+func TestLiveIDsSurviveRePrepare(t *testing.T) {
+	rec := cloneRecommender(t, tinyRecommender(t))
+	pruneK := rec.DefaultPruneK()
+	if err := rec.PrepareJoint(pruneK); err != nil {
+		t.Fatal(err)
+	}
+	ingestClones(t, rec, 2) // IDs -1, -2, then dropped
+	if err := rec.PrepareJoint(pruneK); err != nil {
+		t.Fatal(err)
+	}
+	ingestClones(t, rec, 3) // IDs -3, -4, -5
+	for _, stage := range []string{"in the delta", "compacted"} {
+		seen := map[int32]bool{}
+		for u := int32(0); int(u) < rec.Dataset().NumUsers; u++ {
+			pairs, err := rec.TopEventPartnersLive(u, 40)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range pairs {
+				if p.Event < 0 {
+					seen[p.Event] = true
+				}
+			}
+		}
+		for id := range seen {
+			if id > -3 || id < -5 {
+				t.Fatalf("%s: live ID %d surfaced; the live events are -3, -4 and -5", stage, id)
+			}
+		}
+		if len(seen) == 0 {
+			t.Fatalf("%s: no live event surfaced", stage)
+		}
+		if err := rec.CompactLiveEvents(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestLiveAnswersMatchBruteForce checks the live verb end to end on the
+// trained tiny city. For every user — after an ingest, after the
+// compaction that folds it, and after a second ingest of the same
+// events (exact ties across the fold) — at 1 and 3 shards and n ∈
+// {1, 10, 40}, the answer must equal brute force over the base plus
+// every live event, with == on pairs, live IDs and score bits. Its walk
+// must pop exactly the partner bounds the base-only walk pops, and its
+// delta scan may score no more pairs than the delta holds.
+func TestLiveAnswersMatchBruteForce(t *testing.T) {
+	base := tinyRecommender(t)
+	for _, shards := range []int{1, 3} {
+		rec := cloneRecommender(t, base)
+		pruneK := rec.DefaultPruneK()
+		if err := rec.PrepareJointSharded(pruneK, shards); err != nil {
+			t.Fatal(err)
+		}
+		events, partners := rec.jointVectors()
+		folded, err := ta.BuildCandidates(events, partners, ta.BuildConfig{TopKEvents: pruneK, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		testN := int32(len(rec.Split().TestEvents))
+		check := func(stage string) {
+			t.Helper()
+			view := rec.taDelta.View()
+			oracle, _ := ta.FoldDelta(folded, view, 2)
+			live := 0
+			for u := int32(0); int(u) < rec.Dataset().NumUsers; u++ {
+				uv := rec.model.UserVec(u)
+				ranked := oracle.BruteForceTopN(uv, len(oracle.Pairs))
+				deltaPairs := 0
+				for _, p := range view.Pairs {
+					if p.Partner != u {
+						deltaPairs++
+					}
+				}
+				for _, n := range []int{1, 10, 40} {
+					var want []PairRecommendation
+					for _, r := range ranked {
+						if len(want) == n {
+							break
+						}
+						if r.Partner == u {
+							continue
+						}
+						event := -(r.Event - testN + 1)
+						if r.Event < testN {
+							event = rec.Split().TestEvents[r.Event]
+						}
+						want = append(want, PairRecommendation{Event: event, Partner: r.Partner, Score: r.Score})
+						if event < 0 {
+							live++
+						}
+					}
+					got, es, err := rec.TopEventPartnersLiveStats(u, n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(got) != len(want) {
+						t.Fatalf("shards=%d %s user %d n=%d: %d results, want %d", shards, stage, u, n, len(got), len(want))
+					}
+					for i := range want {
+						if got[i].Event != want[i].Event || got[i].Partner != want[i].Partner ||
+							math.Float32bits(got[i].Score) != math.Float32bits(want[i].Score) {
+							t.Fatalf("shards=%d %s user %d n=%d rank %d: got %+v, want %+v", shards, stage, u, n, i, got[i], want[i])
+						}
+					}
+					_, baseOnly, err := rec.liveEngine().Search([][]float32{uv}, []int32{u}, n, nil, nil, nil, nil, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					scored := es.Agg.RandomAccesses - baseOnly.Agg.RandomAccesses
+					if es.Agg.SortedAccesses != baseOnly.Agg.SortedAccesses || scored < 0 || scored > deltaPairs {
+						t.Fatalf("shards=%d %s user %d n=%d: %d sorted, %d random accesses; the base-only walk makes %d and %d, and %d delta pairs are scannable",
+							shards, stage, u, n, es.Agg.SortedAccesses, es.Agg.RandomAccesses,
+							baseOnly.Agg.SortedAccesses, baseOnly.Agg.RandomAccesses, deltaPairs)
+					}
+				}
+			}
+			if live == 0 {
+				t.Fatalf("shards=%d %s: no live event reaches any answer", shards, stage)
+			}
+		}
+
+		ingestClones(t, rec, 6)
+		check("after ingest")
+		view := rec.taDelta.View()
+		if err := rec.CompactLiveEvents(); err != nil {
+			t.Fatal(err)
+		}
+		folded, _ = ta.FoldDelta(folded, view, 2)
+		check("after compaction")
+		ingestClones(t, rec, 6)
+		check("after more ingest")
 	}
 }
 
