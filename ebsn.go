@@ -272,12 +272,15 @@ type Recommender struct {
 	fold *foldIn
 
 	// Live-ingestion state (serving.go): the mutable delta tier absorbing
-	// ingested events, and the engine it overlays once a compaction has
-	// forked a private fold — until then taEngine itself, which is never
-	// mutated.
+	// ingested events, and the engine it overlays and every joint query
+	// searches: taEngine itself, which is never mutated, until a
+	// compaction forks a private fold.
 	taDelta      *ta.Delta
 	taLiveEngine *engine.Engine
-	liveEvents   int
+	// live holds every ingested event's venue and start (no words),
+	// indexed by live ID − 1; IDs keep counting across a re-prepare, so
+	// it outlives the tiers. Behind a pointer, as events is.
+	live *[]ColdEvent
 }
 
 // New generates a synthetic city per cfg and runs the full pipeline.
@@ -352,7 +355,7 @@ func assemble(d *ebsnet.Dataset, cfg Config, modelConfig func(*ebsnet.Graphs) co
 	if err != nil {
 		return nil, err
 	}
-	return &Recommender{cfg: cfg, dataset: filtered, split: split, graphs: graphs, model: model, events: new(eventRows)}, nil
+	return &Recommender{cfg: cfg, dataset: filtered, split: split, graphs: graphs, model: model, events: new(eventRows), live: new([]ColdEvent)}, nil
 }
 
 // Dataset returns the filtered dataset the recommender was built on.
@@ -390,10 +393,10 @@ func (r *Recommender) PrepareJoint(pruneK int) error { return r.PrepareJointShar
 
 // PrepareJointSharded builds the scatter-gather engine over the joint
 // candidate space with the given partner-range shard count (values < 1
-// mean 1). The engine answers every joint query — plain, batched,
-// constrained, and the base tier of live ones. Re-preparing replaces the
-// engine wholesale, and the live-ingestion tiers are dropped, so callers
-// re-ingest (or compact before re-preparing).
+// mean 1). The engine answers every joint query — plain, batched and
+// constrained — until a compaction forks a fold of it. Re-preparing
+// replaces the engine wholesale, and the live-ingestion tiers are
+// dropped, so callers re-ingest (or compact before re-preparing).
 func (r *Recommender) PrepareJointSharded(pruneK, shards int) error {
 	events, partners := r.jointVectors()
 	eng, err := engine.Build(events, partners, engine.Config{
@@ -412,7 +415,7 @@ func (r *Recommender) PrepareJointSharded(pruneK, shards int) error {
 // previous engine carried.
 func (r *Recommender) installEngine(eng *engine.Engine, pruneK int) {
 	r.taEngine, r.taPruneK = eng, pruneK
-	r.taDelta, r.taLiveEngine = nil, nil
+	r.taDelta, r.taLiveEngine = nil, eng
 }
 
 // DefaultPruneK is the default per-partner candidate pruning: 5% of the
@@ -443,19 +446,18 @@ func (r *Recommender) EngineShards() int {
 }
 
 // Recommend answers the joint event-partner query for every user in one
-// fan-out over the base engine (building the default one when none is
-// prepared): lane j holds users[j]'s top-n (event, partner) pairs among
-// the events c allows, with the user never their own partner. The zero
+// fan-out over the live engine and its delta (building the default
+// engine when none is prepared): lane j holds users[j]'s top-n (event,
+// partner) pairs among the events c allows — the test events and every
+// event ingested since the engine was prepared, which carries its
+// negative LiveEventID — with the user never their own partner. The zero
 // Constraint allows every event. The constraint is compiled once and
-// pushed into the TA threshold walk (not post-filtered; see DESIGN.md
-// §3.10), so every lane is the exact constrained top n, and lane j is
-// bit-identical to users[j] asked alone — same pairs, same score bits,
-// same tie order. Event IDs are dataset event IDs; partners are user
-// IDs. EngineStats carries the TA work counters summed over the lanes
-// and the engine's shards, plus the per-shard breakdown. Events ingested
-// live (IngestColdEvent) carry no dataset metadata to evaluate a
-// constraint against and are not candidates here; TopEventPartnersLive
-// serves them.
+// pushed into the TA threshold walk and the delta scan (not
+// post-filtered; see DESIGN.md §3.10), so every lane is the exact
+// constrained top n, and lane j is bit-identical to users[j] asked alone
+// — same pairs, same score bits, same tie order. EngineStats carries the
+// TA work counters summed over the lanes and the engine's shards, plus
+// the per-shard breakdown.
 func (r *Recommender) Recommend(users []int32, n int, c Constraint) ([][]PairRecommendation, EngineStats, error) {
 	if err := r.checkUsers(n, users...); err != nil {
 		return nil, EngineStats{}, err
@@ -466,21 +468,18 @@ func (r *Recommender) Recommend(users []int32, n int, c Constraint) ([][]PairRec
 	if err := r.ensureEngine(); err != nil {
 		return nil, EngineStats{}, err
 	}
-	pred, _ := r.CompileConstraint(c)
 	vecs := make([][]float32, len(users))
 	for j, u := range users {
 		vecs[j] = r.model.UserVec(u)
 	}
-	// Deliberately the base engine, never liveEngine(): a compacted live
-	// tier holds folded live events past the test-event range, which the
-	// predicate (compiled over split.TestEvents) cannot cover. Each lane
-	// excludes its own user, so users doubles as the exclude list.
+	// Each lane excludes its own user, so users doubles as the exclude
+	// list.
 	lanes := make([][]ta.Result, len(users))
-	res, stats, err := r.taEngine.Search(vecs, users, n, pred, nil, nil, lanes, nil)
+	res, stats, err := r.taLiveEngine.Search(vecs, users, n, r.jointPredicate(c), r.taDelta, nil, lanes, nil)
 	if err != nil {
 		return nil, stats, err
 	}
-	pairs := r.basePairs(res)
+	pairs := r.jointPairs(res)
 	out := make([][]PairRecommendation, len(users))
 	for j, l := range lanes {
 		out[j], pairs = pairs[:len(l):len(l)], pairs[len(l):]
@@ -508,16 +507,6 @@ func (r *Recommender) TopEventPartnersSharded(user int32, n int) ([]PairRecommen
 // (ROADMAP 1e).
 func (r *Recommender) TopEventPartnersShardedStats(user int32, n int) ([]PairRecommendation, EngineStats, error) {
 	return firstLane(r.Recommend([]int32{user}, n, Constraint{}))
-}
-
-// basePairs converts base-tier results — event indices into the test
-// events — to dataset IDs.
-func (r *Recommender) basePairs(res []ta.Result) []PairRecommendation {
-	out := make([]PairRecommendation, len(res))
-	for i, rr := range res {
-		out[i] = PairRecommendation{Event: r.split.TestEvents[rr.Event], Partner: rr.Partner, Score: rr.Score}
-	}
-	return out
 }
 
 // LoadDatasetCSV imports a dataset directory written by SaveDatasetCSV.
@@ -560,7 +549,7 @@ func (r *Recommender) WithSnapshot(snap *ModelSnapshot) (*Recommender, error) {
 	}
 	cfg := r.cfg
 	cfg.K = snap.Cfg.K
-	return &Recommender{cfg: cfg, dataset: r.dataset, split: r.split, graphs: r.graphs, model: model, events: new(eventRows)}, nil
+	return &Recommender{cfg: cfg, dataset: r.dataset, split: r.split, graphs: r.graphs, model: model, events: new(eventRows), live: new([]ColdEvent)}, nil
 }
 
 // GenerateDataset synthesizes a city dataset without building a pipeline.

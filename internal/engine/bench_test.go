@@ -108,49 +108,60 @@ func benchSearch(b *testing.B, e *Engine, queries [][]float32) {
 	b.ReportMetric(float64(critical.Nanoseconds())/float64(b.N), "critpath-ns/op")
 }
 
-// BenchmarkEngineSearchLive measures a live query: a one-lane, one-shard
-// Search whose lane scans a warm delta after its walk, at the live-churn
-// shape — 11 890 partners at K=60, a 600-event base pruned to top 30
-// (5%), and a full delta of 128 events × top-30 partners (3 840 pairs).
-// Each query is a partner's own row excluding that partner, as a serving
-// query is a model user's row excluding the user. The allocs/op column
-// is the CI gate (0 with warm buffers); random/op is the mean count of
-// pairs scored, base walk and delta scan together.
-func BenchmarkEngineSearchLive(b *testing.B) {
+// liveLane builds a one-shard engine over nPartners partners and
+// nEvents events at K=60, pruned to top 30 per partner, with a delta of
+// deltaEvents events × top-30 partners, and returns its live query: a
+// one-lane Search, under pred (nil allows all; otherwise it covers the
+// base events and then the delta's), of the i-th partner's own row
+// excluding that partner, as a serving query is a model user's row
+// excluding the user. The caller buffers are warmed, so a steady-state
+// call allocates nothing.
+func liveLane(tb testing.TB, nPartners, nEvents, deltaEvents int) func(i int, pred ta.EventPredicate) Stats {
 	src := rng.New(97)
-	partners := randomVecs(src, 11890, 60)
-	e, err := Build(randomVecs(src, 600, 60), partners, Config{Shards: 1, TopKEvents: 30, Workers: 4})
+	partners := randomVecs(src, nPartners, 60)
+	e, err := Build(randomVecs(src, nEvents, 60), partners, Config{Shards: 1, TopKEvents: 30, Workers: 4})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	d, err := e.NewDelta(30)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	if err := d.AddEvents(randomVecs(src, 128, 60)); err != nil {
-		b.Fatal(err)
+	if err := d.AddEvents(randomVecs(src, deltaEvents, 60)); err != nil {
+		tb.Fatal(err)
 	}
 	var lane [1][]float32
 	var excl [1]int32
 	var outs [1][]ta.Result
 	out := make([]ta.Result, 0, 10)
 	ss := make([]ShardStats, 1)
-	search := func(i int) (st Stats) {
+	search := func(i int, pred ta.EventPredicate) (st Stats) {
 		u := (i * 7919) % len(partners)
 		lane[0], excl[0] = partners[u], int32(u)
-		if out, st, err = e.Search(lane[:], excl[:], 10, nil, d, out, outs[:], ss); err != nil {
-			b.Fatal(err)
+		if out, st, err = e.Search(lane[:], excl[:], 10, pred, d, out, outs[:], ss); err != nil {
+			tb.Fatal(err)
 		}
 		return st
 	}
 	for i := 0; i < 4; i++ { // warm the pooled fan-out scratch
-		search(i)
+		search(i, nil)
 	}
+	return search
+}
+
+// BenchmarkEngineSearchLive measures a live query (liveLane) at the
+// live-churn shape: 11 890 partners, a 600-event base pruned to top 30
+// (5%), and a full delta of 128 events × top-30 partners (3 840 pairs).
+// The allocs/op column is the CI gate (0 with warm buffers), and
+// TestLiveSearchSteadyStateAllocs its tier-1 twin; random/op is the mean
+// count of pairs scored, base walk and delta scan together.
+func BenchmarkEngineSearchLive(b *testing.B) {
+	search := liveLane(b, 11890, 600, 128)
 	random := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		random += search(i).Agg.RandomAccesses
+		random += search(i, nil).Agg.RandomAccesses
 	}
 	b.ReportMetric(float64(random)/float64(b.N), "random/op")
 }

@@ -29,9 +29,10 @@
 // and SearchBatch are one-line calls of it, kept for the benchmark
 // harness. A lane's panel row is bit-identical to a lone DotBatch and
 // every lane runs the same walk, so a query's answer does not depend on
-// the batch it rides in. A live query passes the delta to Search, and
-// each shard's lanes scan the delta pairs of the partners it owns after
-// their walks, so the same argument makes the live answer exact too.
+// the batch it rides in. A query over the live tier passes the delta to
+// Search (with a predicate, if any, covering the delta's events too),
+// and each shard's lanes scan the delta pairs of the partners it owns
+// after their walks, so the same argument makes that answer exact too.
 // Shards are in-process structs sharing memory with the engine; there is
 // no RPC-shaped seam, and moving shards out of process would need a
 // design of its own.

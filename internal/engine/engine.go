@@ -270,10 +270,11 @@ type Stats struct {
 // the shard owns after their walks (ta.BatchQuery.Delta), reading the
 // partner affinities at partner − lo, the translation excludes get. A
 // delta event at position i comes back as event NumEvents()+i, the
-// index a Fold gives it. The predicate covers only the engine's events,
-// so a query passing both a predicate and a delta is an error; the
-// delta must have the engine's dimension and global partner IDs (see
-// NewDelta), and the caller serializes Search with the delta's writes.
+// index a Fold gives it, and a predicate covers it at the same index:
+// beside a delta, the predicate's length must be NumEvents() +
+// delta.Events(). The delta must have the engine's dimension and global
+// partner IDs (see NewDelta), and the caller serializes Search with the
+// delta's writes.
 //
 // Stats.Shards reuses shardStats when its capacity suffices. dst and
 // shardStats are grown — and thus allocated — only when too small (nil
@@ -282,7 +283,7 @@ type Stats struct {
 func (e *Engine) Search(users [][]float32, exclude []int32, n int, pred ta.EventPredicate, delta *ta.Delta,
 	dst []ta.Result, outs [][]ta.Result, shardStats []ShardStats) ([]ta.Result, Stats, error) {
 	start := time.Now()
-	if err := e.check(n, pred, users...); err != nil {
+	if err := e.check(n, pred, delta, users...); err != nil {
 		return nil, Stats{}, err
 	}
 	if exclude != nil && len(exclude) != len(users) {
@@ -290,12 +291,6 @@ func (e *Engine) Search(users [][]float32, exclude []int32, n int, pred ta.Event
 	}
 	pairs := e.pairs
 	if delta != nil {
-		if pred != nil {
-			return nil, Stats{}, fmt.Errorf("engine: a query cannot carry both a predicate and a delta")
-		}
-		if delta.K() != e.k {
-			return nil, Stats{}, fmt.Errorf("engine: delta dimension %d, want %d", delta.K(), e.k)
-		}
 		pairs += delta.PairCount()
 	}
 	dst = slices.Grow(dst[:0], len(users)*min(n, pairs))
@@ -393,7 +388,7 @@ func (e *Engine) SearchBatch(users [][]float32, n int, exclude []int32) ([][]ta.
 }
 
 // check validates a query at the engine boundary.
-func (e *Engine) check(n int, pred ta.EventPredicate, users ...[]float32) error {
+func (e *Engine) check(n int, pred ta.EventPredicate, delta *ta.Delta, users ...[]float32) error {
 	if n <= 0 {
 		return fmt.Errorf("engine: n must be positive, got %d", n)
 	}
@@ -402,8 +397,15 @@ func (e *Engine) check(n int, pred ta.EventPredicate, users ...[]float32) error 
 			return fmt.Errorf("engine: user %d vector length %d, want %d", j, len(u), e.k)
 		}
 	}
-	if pred != nil && len(pred) != e.NumEvents() {
-		return fmt.Errorf("engine: predicate has %d entries, want %d events", len(pred), e.NumEvents())
+	events := e.NumEvents()
+	if delta != nil {
+		if delta.K() != e.k {
+			return fmt.Errorf("engine: delta dimension %d, want %d", delta.K(), e.k)
+		}
+		events += delta.Events()
+	}
+	if pred != nil && len(pred) != events {
+		return fmt.Errorf("engine: predicate has %d entries, want %d events", len(pred), events)
 	}
 	return nil
 }

@@ -47,14 +47,15 @@ type BatchQuery struct {
 	// with per-user predicates issue single queries instead; see the
 	// serving coalescer, which never folds constrained requests). Nil
 	// means unrestricted and is bit-identical to the unconstrained batch.
+	// With a Delta, entry len(Events)+i covers delta event i, so the
+	// length is len(Events) + Delta.Events().
 	Pred EventPredicate
 	// Delta optionally adds the live tier: each lane scans the delta's
 	// pairs after its walk and before it drains its heap, reusing the
 	// lane's partner affinities and skipping the partners whose bound
 	// cannot beat its n-th score, so a lane returns the exact top n of
 	// the index plus the delta. A delta event at position i comes back
-	// as event len(Events)+i, the index a fold gives it. The predicate
-	// covers only the index's events, so a batch may not carry both.
+	// as event len(Events)+i, the index a fold gives it.
 	Delta *Delta
 	// DeltaLo is the delta partner ID of this index's partner 0: a lane
 	// scans only the delta pairs whose partner lies in [DeltaLo,
@@ -115,9 +116,15 @@ func (f *FastIndex) TopNBatch(q BatchQuery, sc *Scratch) ([][]Result, []SearchSt
 	if q.Exclude != nil && len(q.Exclude) != nb {
 		panic(fmt.Sprintf("ta: batch has %d users but %d excludes", nb, len(q.Exclude)))
 	}
-	set.checkPred(q.Pred)
-	if q.Delta != nil && (q.Pred != nil || q.Delta.k != set.K) {
-		panic("ta: a batch's delta needs no predicate and the index's dimension")
+	nd := 0
+	if q.Delta != nil {
+		if q.Delta.k != set.K {
+			panic(fmt.Sprintf("ta: delta dimension %d, want %d", q.Delta.k, set.K))
+		}
+		nd = q.Delta.Events()
+	}
+	if q.Pred != nil && len(q.Pred) != len(set.Events)+nd {
+		panic(fmt.Sprintf("ta: predicate has %d entries, want %d events", len(q.Pred), len(set.Events)+nd))
 	}
 	sc.res = resizeSlice(sc.res, nb)
 	sc.stats = resizeSlice(sc.stats, nb)
@@ -159,7 +166,7 @@ func (f *FastIndex) TopNBatch(q BatchQuery, sc *Scratch) ([][]Result, []SearchSt
 			b := sc.bp[j*nu : (j+1)*nu]
 			f.walk(aff[j*nx:(j+1)*nx], b, n, exclude, q.Pred, sc, &stats)
 			if q.Delta != nil {
-				q.Delta.scan(sc.qs[j*set.K:(j+1)*set.K], b, q.DeltaLo, nx, n, exclude, sc, &stats)
+				q.Delta.scan(sc.qs[j*set.K:(j+1)*set.K], b, q.DeltaLo, nx, n, exclude, q.Pred, sc, &stats)
 			}
 			res = sc.results.drainDescending(sc.out[j*n : j*n : j*n+n])
 		}

@@ -252,13 +252,19 @@ func (d *Delta) Advance(v DeltaView) {
 // walk's own stop rule, so a pair that ties the n-th score still reaches
 // Outranks. stats counts the pairs in range as Candidates and the
 // scored ones as RandomAccesses.
-func (d *Delta) scan(user, b []float32, lo int32, nx, n int, exclude int32, sc *Scratch, stats *SearchStats) {
+// pred, when non-nil, covers the nx base events, then the delta's: amax
+// ranges over the allowed delta events, and a refused pair is skipped
+// before its bound check, so it is never scored.
+func (d *Delta) scan(user, b []float32, lo int32, nx, n int, exclude int32, pred EventPredicate, sc *Scratch, stats *SearchStats) {
 	if len(d.pairs) == 0 {
 		return
 	}
 	a := resizeF32(sc.deltaA, len(d.events))
 	amax := negInf
 	for x, vec := range d.events {
+		if pred != nil && !pred[nx+x] {
+			continue // no pair of a refused event is scored
+		}
 		a[x] = vecmath.Dot(user, vec)
 		if a[x] > amax {
 			amax = a[x]
@@ -274,7 +280,7 @@ func (d *Delta) scan(user, b []float32, lo int32, nx, n int, exclude int32, sc *
 			continue // another shard's partner
 		}
 		stats.Candidates++
-		if u == exclude {
+		if u == exclude || pred != nil && !pred[nx+int(p.Event)] {
 			continue
 		}
 		bu := b[u]

@@ -334,3 +334,39 @@ func TestDeltaScanAdmitsTieAtBound(t *testing.T) {
 		}
 	}
 }
+
+// TestDeltaTieAtBoundUnderPredicate is a crafted tie at a delta slot's
+// bound under a predicate. All values are small integers, so every dot
+// product and sum is exact. The user is (1,0,0); the base has one event
+// E0 = (1,0,1) and partners p0 = (0,0,−1), p1 = (0,0,1), so its top 1
+// is (E0, p1) at 1 + 0 + 1 = 2. The delta's D0 = (2,0,0) is allowed and
+// D1 = (3,0,0), with the larger a(x), is refused. Partner p0's slot
+// bound is then (amax 2 + b 0) + maxCross 0 = 2, exactly the score of
+// (D0, p0), which outranks (E0, p1) on the partner tie-break, so the
+// pair must enter the answer: a ≥ skip test drops it. The tie exists
+// only because amax ranges over the allowed delta events; over every
+// delta event the bound would be 3.
+func TestDeltaTieAtBoundUnderPredicate(t *testing.T) {
+	set, err := BuildCandidates([][]float32{{1, 0, 1}}, [][]float32{{0, 0, -1}, {0, 0, 1}}, BuildConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tt := newTwoTier(set, 0)
+	if err := tt.delta.AddEvents([][]float32{{2, 0, 0}, {3, 0, 0}}); err != nil {
+		t.Fatal(err)
+	}
+	sc := GetScratch()
+	defer PutScratch(sc)
+	pred := EventPredicate{true, true, false} // E0, D0 allowed; D1 refused
+	res, stats := tt.idx.TopNBatch(BatchQuery{Users: [][]float32{{1, 0, 0}}, N: 1, Pred: pred, Delta: tt.delta}, sc)
+	want := Result{Event: 1, Partner: 0, Score: 2} // (D0, p0)
+	if len(res[0]) != 1 || res[0][0] != want {
+		t.Fatalf("top 1 = %+v, want [%+v]", res[0], want)
+	}
+	// The walk scores (E0, p1) and stops before p0, whose bound is 0;
+	// the scan scores (D0, p0) and (D0, p1), which ties p1's bound, and
+	// never a pair of the refused D1.
+	if stats[0].RandomAccesses != 3 {
+		t.Fatalf("%d random accesses, want 1 base + 2 allowed delta pairs", stats[0].RandomAccesses)
+	}
+}

@@ -1,7 +1,5 @@
 package ta
 
-import "fmt"
-
 // Constrained queries push an event filter *into* the threshold walk
 // instead of post-filtering its output. Post-filtering an exact top-n is
 // not exact: to guarantee n surviving results the caller must overfetch
@@ -23,7 +21,8 @@ import "fmt"
 // indices) may appear in results. A nil predicate means unrestricted; a
 // predicate allowing every event returns results bit-identical to nil —
 // same pairs, same score bits, same tie order. A non-nil predicate's
-// length must equal the candidate set's event count.
+// length must equal the candidate set's event count, plus the delta's
+// when the query carries one (BatchQuery.Pred).
 type EventPredicate []bool
 
 // Selectivity returns the allowed-event fraction in [0, 1]; a nil
@@ -42,12 +41,4 @@ func (p EventPredicate) Selectivity() float64 {
 		}
 	}
 	return float64(allowed) / float64(len(p))
-}
-
-// checkPred panics on a non-nil predicate that does not cover the set's
-// events.
-func (c *CandidateSet) checkPred(pred EventPredicate) {
-	if pred != nil && len(pred) != len(c.Events) {
-		panic(fmt.Sprintf("ta: predicate has %d entries, want %d events", len(pred), len(c.Events)))
-	}
 }

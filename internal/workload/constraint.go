@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -75,7 +76,9 @@ func Compile(c Constraint, d *ebsnet.Dataset, eventIDs []int32) (ta.EventPredica
 // ParseConstraint builds a Constraint from the serving layer's wire
 // parameters: from and until are RFC 3339 timestamps, within is
 // "lat,lng,radiusKm". Empty strings impose nothing; a from at or after
-// until is rejected (the window would be empty by construction).
+// until is rejected (the window would be empty by construction), and so
+// is a within whose latitude is outside [-90, 90], longitude outside
+// [-180, 180] or radius not positive and finite.
 func ParseConstraint(from, until, within string) (Constraint, error) {
 	var c Constraint
 	var err error
@@ -109,8 +112,13 @@ func ParseConstraint(from, until, within string) (Constraint, error) {
 		if err != nil {
 			return Constraint{}, fmt.Errorf("workload: bad within radius %q: %w", parts[2], err)
 		}
-		if radius <= 0 {
-			return Constraint{}, fmt.Errorf("workload: within radius must be positive, got %v", radius)
+		// Negated so that NaN, which would otherwise make a non-zero
+		// constraint allowing every event, fails too.
+		if !(lat >= -90 && lat <= 90 && lng >= -180 && lng <= 180) {
+			return Constraint{}, fmt.Errorf("workload: within center %v,%v is off the globe: want lat in [-90, 90], lng in [-180, 180]", lat, lng)
+		}
+		if !(radius > 0 && radius <= math.MaxFloat64) {
+			return Constraint{}, fmt.Errorf("workload: within radius must be positive and finite, got %v", radius)
 		}
 		c.Center = geo.Point{Lat: lat, Lng: lng}
 		c.RadiusKm = radius

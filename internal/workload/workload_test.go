@@ -162,6 +162,19 @@ func TestParseConstraint(t *testing.T) {
 	if _, err := ParseConstraint("", "", "1,2,-3"); err == nil {
 		t.Fatal("negative radius accepted")
 	}
+	// Each of these parses as three floats, and each must be refused:
+	// NaN and ±Inf anywhere, and coordinates off the globe.
+	for _, within := range []string{"NaN,0,5", "0,NaN,5", "0,0,NaN", "0,0,Inf", "Inf,0,5", "0,-Inf,5",
+		"91,500,5", "91,0,5", "-90.5,0,5", "0,180.5,5", "0,-181,5"} {
+		if c, err := ParseConstraint("", "", within); err == nil {
+			t.Errorf("within %q accepted as %+v", within, c)
+		}
+	}
+	for _, within := range []string{"90,180,1", "-90,-180,1e6"} {
+		if _, err := ParseConstraint("", "", within); err != nil {
+			t.Errorf("within %q refused: %v", within, err)
+		}
+	}
 	if _, err := ParseConstraint("2012-06-04T00:00:00Z", "2012-06-02T00:00:00Z", ""); err == nil {
 		t.Fatal("inverted window accepted")
 	}

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ebsn/internal/ta"
 )
 
 // cloneRecommender returns a recommender serving base's embeddings with
@@ -23,16 +25,119 @@ func cloneRecommender(t *testing.T, base *Recommender) *Recommender {
 
 // ingestClones ingests n live events cloned from the first n test
 // events, so their embeddings mirror real ones and can reach a top list.
+// Clone i starts on 2013-02-(1+i), after every tiny-city test event.
 func ingestClones(t *testing.T, rec *Recommender, n int) {
 	t.Helper()
-	d := rec.Dataset()
-	for i := 0; i < n; i++ {
-		e := d.Events[rec.Split().TestEvents[i]]
-		start := time.Date(2013, 2, 1+i, 19, 0, 0, 0, time.UTC)
-		if _, err := rec.IngestColdEvent(e.Words, e.Venue, start); err != nil {
+	for _, e := range clones(rec, n) {
+		if _, err := rec.IngestColdEvent(e.Words, e.Venue, e.Start); err != nil {
 			t.Fatal(err)
 		}
 	}
+}
+
+// clones returns the n events ingestClones ingests.
+func clones(rec *Recommender, n int) []ColdEvent {
+	out := make([]ColdEvent, n)
+	for i := range out {
+		e := rec.Dataset().Events[rec.Split().TestEvents[i]]
+		out[i] = ColdEvent{Words: e.Words, Venue: e.Venue, Start: time.Date(2013, 2, 1+i, 19, 0, 0, 0, time.UTC)}
+	}
+	return out
+}
+
+// liveWindow is a time window that allows the later three quarters of
+// the test events and the first three clones ingestClones ingests, so a
+// constrained answer can hold both.
+func liveWindow(t *testing.T, rec *Recommender) Constraint {
+	return Constraint{From: testWindow(t, rec).From, Until: time.Date(2013, 2, 4, 0, 0, 0, 0, time.UTC)}
+}
+
+// liveOracle is brute force over a recommender's whole joint candidate
+// space: the pruned base pairs plus every live event's pairs, which
+// ingest and compact move into it as they move them into the
+// recommender. It assumes no re-prepare drops live events.
+type liveOracle struct {
+	rec    *Recommender
+	live   []ColdEvent      // every event ingested, in ID order
+	folded *ta.CandidateSet // the base plus every compacted live event
+	set    *ta.CandidateSet // folded plus the pending delta
+}
+
+func newLiveOracle(t *testing.T, rec *Recommender, pruneK int) *liveOracle {
+	t.Helper()
+	events, partners := rec.jointVectors()
+	set, err := ta.BuildCandidates(events, partners, ta.BuildConfig{TopKEvents: pruneK, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &liveOracle{rec: rec, folded: set, set: set}
+}
+
+// ingest ingests n clones into the recommender and the oracle.
+func (o *liveOracle) ingest(t *testing.T, n int) {
+	t.Helper()
+	ingestClones(t, o.rec, n)
+	o.live = append(o.live, clones(o.rec, n)...)
+	o.set, _ = ta.FoldDelta(o.folded, o.rec.taDelta.View(), 2)
+}
+
+// compact compacts the recommender and folds the same view here.
+func (o *liveOracle) compact(t *testing.T) {
+	t.Helper()
+	view := o.rec.taDelta.View()
+	if err := o.rec.CompactLiveEvents(); err != nil {
+		t.Fatal(err)
+	}
+	o.folded, _ = ta.FoldDelta(o.folded, view, 2)
+	o.set = o.folded
+}
+
+// pred compiles c over the test events, then every live event.
+func (o *liveOracle) pred(c Constraint) EventPredicate {
+	pred, _ := o.rec.CompileConstraint(c)
+	for _, e := range o.live {
+		pred = append(pred, c.Allow(e.Start, o.rec.Dataset().Venues[e.Venue]))
+	}
+	return pred
+}
+
+// ranked is every candidate pair for user, in canonical order.
+func (o *liveOracle) ranked(user int32) []ta.Result {
+	return o.set.BruteForceTopN(o.rec.model.UserVec(user), len(o.set.Pairs))
+}
+
+// want is the exact top n of ranked (user's ranking) among the pairs
+// pred allows (nil allows all), the user never their own partner, with
+// dataset and live event IDs.
+func (o *liveOracle) want(ranked []ta.Result, user int32, n int, pred EventPredicate) []PairRecommendation {
+	testN := int32(len(o.rec.Split().TestEvents))
+	var out []PairRecommendation
+	for _, r := range ranked {
+		if len(out) == n {
+			break
+		}
+		if r.Partner == user || pred != nil && !pred[r.Event] {
+			continue
+		}
+		event := -(r.Event - testN + 1)
+		if r.Event < testN {
+			event = o.rec.Split().TestEvents[r.Event]
+		}
+		out = append(out, PairRecommendation{Event: event, Partner: r.Partner, Score: r.Score})
+	}
+	return out
+}
+
+// hasLive reports whether any pair names a live event.
+func hasLive(lanes ...[]PairRecommendation) bool {
+	for _, l := range lanes {
+		for _, p := range l {
+			if p.Event < 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // TestQueriesNeverDiscardLiveState is the regression test for the forked
@@ -115,11 +220,15 @@ func TestQueriesNeverDiscardLiveState(t *testing.T) {
 // TestJointAnswersAcrossHolders pins the one-holder contract at the
 // facade: whatever engine holds the index — 1 or 4 shards, built in
 // memory or mapped from an artifact — one user's Recommend, its
-// constrained and many-user forms, and the live query before ingest, after ingest and
-// after CompactLiveEvents return bit-identical results.
+// constrained and many-user forms, and the live query before ingest,
+// after ingest, after CompactLiveEvents and after a second ingest return
+// bit-identical results. Once events are ingested, the constrained and
+// many-user answers must hold live events and equal brute force over
+// the base and every live event.
 func TestJointAnswersAcrossHolders(t *testing.T) {
 	base := tinyRecommender(t)
 	window := testWindow(t, base)
+	lw := liveWindow(t, base)
 	dir := t.TempDir()
 	users := []int32{0, 1, 2, 3, 5, 8, 13}
 	const n, pruneK = 8, 6
@@ -127,6 +236,7 @@ func TestJointAnswersAcrossHolders(t *testing.T) {
 	// answers runs the whole query script against one configuration.
 	answers := func(rec *Recommender) map[string][]PairRecommendation {
 		out := map[string][]PairRecommendation{}
+		oracle := newLiveOracle(t, rec, pruneK)
 		record := func(stage string) {
 			for _, u := range users {
 				pairs, err := rec.TopEventPartnersLive(u, n)
@@ -134,6 +244,28 @@ func TestJointAnswersAcrossHolders(t *testing.T) {
 					t.Fatal(err)
 				}
 				out[fmt.Sprintf("live %s user %d", stage, u)] = pairs
+			}
+			if stage == "before ingest" {
+				return
+			}
+			batch, _, err := rec.Recommend(users, n, Constraint{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			constrained, _, err := rec.Recommend(users, n, lw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !hasLive(batch...) || !hasLive(constrained...) {
+				t.Fatalf("%s: a batch or constrained answer holds no live event", stage)
+			}
+			pred := oracle.pred(lw)
+			for j, u := range users {
+				ranked := oracle.ranked(u)
+				pairsBitIdentical(t, fmt.Sprintf("%s batch user %d vs brute force", stage, u), oracle.want(ranked, u, n, nil), batch[j])
+				pairsBitIdentical(t, fmt.Sprintf("%s constrained user %d vs brute force", stage, u), oracle.want(ranked, u, n, pred), constrained[j])
+				out[fmt.Sprintf("batch %s user %d", stage, u)] = batch[j]
+				out[fmt.Sprintf("constrained %s user %d", stage, u)] = constrained[j]
 			}
 		}
 		batch, _, err := rec.Recommend(users, n, Constraint{})
@@ -154,12 +286,12 @@ func TestJointAnswersAcrossHolders(t *testing.T) {
 			out[fmt.Sprintf("constrained user %d", u)] = constrained
 		}
 		record("before ingest")
-		ingestClones(t, rec, 3)
+		oracle.ingest(t, 5)
 		record("after ingest")
-		if err := rec.CompactLiveEvents(); err != nil {
-			t.Fatal(err)
-		}
+		oracle.compact(t)
 		record("after compaction")
+		oracle.ingest(t, 5)
+		record("after more ingest")
 		return out
 	}
 

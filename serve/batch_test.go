@@ -359,3 +359,57 @@ func TestQuantizedServer(t *testing.T) {
 		t.Fatalf("batched /v1/partners: Quantized server %s, exact server %s", got, want)
 	}
 }
+
+// TestJointEndpointsServeLiveEvents checks that every joint endpoint
+// answers over the live tier: after an ingest, GET /v1/partners with the
+// coalescer off and with the default window, a constrained GET and a
+// batch POST each return what Recommend returns, pair for pair, and
+// each of the four holds live IDs for some user.
+func TestJointEndpointsServeLiveEvents(t *testing.T) {
+	// The window allows the test events of the last two months and the
+	// first four ingested events, which start on 2013-03-01..04.
+	c := ebsn.Constraint{From: time.Date(2012, 11, 1, 0, 0, 0, 0, time.UTC), Until: time.Date(2013, 3, 5, 0, 0, 0, 0, time.UTC)}
+	users := []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
+	const n = 10
+	for _, window := range []time.Duration{0, DefaultConfig().CoalesceWindow} {
+		s := privateServer(t, Config{CoalesceWindow: window, CacheCapacity: -1})
+		srv := httptest.NewServer(s)
+		if resp, _ := postIngest(t, srv, IngestRequest{Events: templateBatch(t, 8)}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("ingest = %d", resp.StatusCode)
+		}
+		s.mu.RLock()
+		rec := s.rec
+		s.mu.RUnlock()
+		plain, _, err := rec.Recommend(users, n, ebsn.Constraint{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		constrained, _, err := rec.Recommend(users, n, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := map[string]bool{}
+		check := func(kind string, u int32, want []ebsn.PairRecommendation, got []PairResult) {
+			t.Helper()
+			samePairs(t, fmt.Sprintf("window=%v %s user %d", window, kind, u), encodePairs(rec.Dataset(), u, n, want).Pairs, got)
+			for _, p := range got {
+				live[kind] = live[kind] || p.Event < 0
+			}
+		}
+		_, batch := postBatch(t, srv, "/v1/partners", BatchQueryRequest{Users: users, N: n})
+		for j, u := range users {
+			var get, cget RankingResponse
+			getJSON(t, srv, fmt.Sprintf("/v1/partners?user=%d&n=%d", u, n), &get)
+			getJSON(t, srv, "/v1/partners?"+constraintQuery(c, u, n), &cget)
+			check("GET", u, plain[j], get.Pairs)
+			check("constrained GET", u, constrained[j], cget.Pairs)
+			check("batch POST", u, plain[j], batch.Results[j].Pairs)
+		}
+		srv.Close()
+		for _, kind := range []string{"GET", "constrained GET", "batch POST"} {
+			if !live[kind] {
+				t.Errorf("window=%v: no %s answer holds a live event", window, kind)
+			}
+		}
+	}
+}

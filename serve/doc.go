@@ -25,8 +25,8 @@
 // # Endpoints
 //
 //	GET  /v1/events?user=U&n=N        top-N cold events for user U
-//	GET  /v1/partners?user=U&n=N      top-N event-partner pairs (static index)
-//	GET  /v1/partners/live?user=U&n=N same, including live-ingested events
+//	GET  /v1/partners?user=U&n=N      top-N event-partner pairs, live-ingested events included
+//	GET  /v1/partners/live?user=U&n=N alias of the above that never coalesces
 //	GET  /v1/explain?user=U&partner=P&event=E   score decomposition (Eqn. 8)
 //	POST /v1/ingest                   fold a brand-new event into serving
 //	POST /v1/compact                  fold the live delta into the main index

@@ -225,6 +225,11 @@ func TestBadParameterBodies(t *testing.T) {
 		{"/v1/events?user=3&from=yesterday", constraintErr("yesterday", "", "")},
 		{"/v1/partners?user=3&until=soon", constraintErr("", "soon", "")},
 		{"/v1/partners?user=3&within=1,2", constraintErr("", "", "1,2")},
+		{"/v1/partners?user=3&within=NaN,0,5", constraintErr("", "", "NaN,0,5")},
+		{"/v1/partners?user=3&within=0,0,NaN", constraintErr("", "", "0,0,NaN")},
+		{"/v1/events?user=3&within=0,0,Inf", constraintErr("", "", "0,0,Inf")},
+		{"/v1/partners?user=3&within=91,500,5", constraintErr("", "", "91,500,5")},
+		{"/v1/events?user=3&within=0,-181,5", constraintErr("", "", "0,-181,5")},
 		{"/v1/events?user=abc&n=0&within=here", constraintErr("", "", "here")}, // constraints before all
 	} {
 		status, body := serveDirect(s, tc.path)

@@ -8,3 +8,6 @@ package serve
 // race runs exist to exercise the serving stack's synchronization, not
 // the trainer's convergence — a shorter budget covers the same paths.
 const testTrainSteps = 20_000
+
+// raceEnabled skips the allocation gates: the race runtime allocates.
+const raceEnabled = true

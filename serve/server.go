@@ -365,7 +365,7 @@ func (s *Server) registerStateMetrics() {
 			return float64(s.rec.PendingLiveEvents())
 		})
 	reg.GaugeFunc("ebsn_serve_delta_pairs",
-		"Candidate pairs in the mutable delta overlay scanned by every live query.",
+		"Candidate pairs in the mutable delta overlay scanned by every joint query.",
 		func() float64 {
 			s.mu.RLock()
 			defer s.mu.RUnlock()
@@ -1124,19 +1124,10 @@ func (s *Server) queryPartners(rec *ebsn.Recommender, q *getQuery, sp *obs.Span)
 	return encodePairs(rec.Dataset(), int32(q.user), q.n, lanes[0]), nil
 }
 
+// handlePartnersLive is GET /v1/partners/live, the harness's alias of the
+// unconstrained GET /v1/partners whose misses never coalesce.
 func (s *Server) handlePartnersLive(w http.ResponseWriter, r *http.Request) {
-	s.serveCached(w, r, s.newQuery(epPartnersLive, r.URL.Query(), ebsn.Constraint{}, false), (*Server).queryPartnersLive)
-}
-
-func (s *Server) queryPartnersLive(rec *ebsn.Recommender, q *getQuery, sp *obs.Span) (any, error) {
-	sp.Stage("ta_search")
-	pairs, es, err := rec.TopEventPartnersLiveStats(int32(q.user), q.n)
-	if err != nil {
-		return nil, err
-	}
-	s.recordJoint(sp, es)
-	sp.Stage("encode")
-	return encodePairs(rec.Dataset(), int32(q.user), q.n, pairs), nil
+	s.serveCached(w, r, s.newQuery(epPartnersLive, r.URL.Query(), ebsn.Constraint{}, false), (*Server).queryPartners)
 }
 
 // recordJoint records one finished joint fan-out — a GET, a batch POST

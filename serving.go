@@ -42,6 +42,8 @@ func (r *Recommender) IngestColdEvent(words []string, venue int32, start time.Ti
 // four events per pass (ta.Delta.AddEvents) instead of one pass per
 // event. Every event is folded in first; if one fails, the events
 // before it are still ingested, and their IDs come back with the error.
+// Each event's start and venue are kept, so a constraint can be
+// evaluated against it.
 func (r *Recommender) IngestColdEvents(events []ColdEvent) ([]LiveEventID, error) {
 	vecs := make([][]float32, 0, len(events))
 	var foldErr error
@@ -70,60 +72,56 @@ func (r *Recommender) IngestColdEvents(events []ColdEvent) ([]LiveEventID, error
 		return nil, err
 	}
 	ids := make([]LiveEventID, len(vecs))
-	for i := range ids {
-		r.liveEvents++
-		ids[i] = -int32(r.liveEvents)
+	for i, e := range events[:len(vecs)] {
+		*r.live = append(*r.live, ColdEvent{Venue: e.Venue, Start: e.Start})
+		ids[i] = -int32(len(*r.live))
 	}
 	return ids, foldErr
 }
 
-// TopEventPartnersLive is one user's unconstrained Recommend over the
-// base index plus every event ingested since. Live events surface with negative Event IDs (see
-// LiveEventID); dataset events keep their usual IDs.
+// TopEventPartnersLive is Recommend for one unconstrained user. It
+// remains only because the benchmark harness names it (ROADMAP 1e).
 func (r *Recommender) TopEventPartnersLive(user int32, n int) ([]PairRecommendation, error) {
-	out, _, err := r.TopEventPartnersLiveStats(user, n)
-	return out, err
+	return r.TopEventPartnersSharded(user, n)
 }
 
-// TopEventPartnersLiveStats is TopEventPartnersLive plus the
-// scatter-gather stats of its fan-out, the delta scan's work included.
-func (r *Recommender) TopEventPartnersLiveStats(user int32, n int) ([]PairRecommendation, EngineStats, error) {
-	if r.taDelta == nil { // nothing ingested yet
-		return firstLane(r.Recommend([]int32{user}, n, Constraint{}))
+// firstLive returns how many ingested events a re-prepare dropped; the
+// rest are candidates, in the index order of the live engine and delta.
+func (r *Recommender) firstLive() int {
+	n := len(*r.live)
+	if r.taDelta != nil {
+		n -= r.taDelta.Folded() + r.taDelta.Events()
 	}
-	if err := r.checkUsers(n, user); err != nil {
-		return nil, EngineStats{}, err
-	}
-	// One fan-out over the live base — the compacted fold when one was
-	// installed, else the plain engine — whose lanes also scan the delta.
-	res, es, err := r.liveEngine().Search([][]float32{r.model.UserVec(user)}, []int32{user}, n, nil, r.taDelta, nil, nil, nil)
-	if err != nil {
-		return nil, EngineStats{}, err
-	}
-	// Indices past the test events are live events: the folded ones in
-	// the live base, then the delta's, in arrival order. Events ingested
-	// into a delta that a re-prepare dropped come before them all.
+	return n
+}
+
+// jointPairs converts joint-query results to dataset IDs: test events
+// first, then the live candidates as negative LiveEventIDs.
+func (r *Recommender) jointPairs(res []ta.Result) []PairRecommendation {
 	testN := int32(len(r.split.TestEvents))
-	dropped := int32(r.liveEvents - r.taDelta.Folded() - r.taDelta.Events())
+	first := int32(r.firstLive())
 	out := make([]PairRecommendation, len(res))
 	for i, rr := range res {
-		event := -dropped - (rr.Event - testN + 1)
+		event := -first - (rr.Event - testN + 1)
 		if rr.Event < testN {
 			event = r.split.TestEvents[rr.Event]
 		}
 		out[i] = PairRecommendation{Event: event, Partner: rr.Partner, Score: rr.Score}
 	}
-	return out, es, nil
+	return out
 }
 
-// liveEngine returns the engine the live path fans out over: the
-// compacted fork when a compaction has installed one, else the plain
-// engine.
-func (r *Recommender) liveEngine() *engine.Engine {
-	if r.taLiveEngine != nil {
-		return r.taLiveEngine
+// jointPredicate compiles c over the test events (CompileConstraint),
+// then the live candidates by their start and venue; zero gives nil.
+func (r *Recommender) jointPredicate(c Constraint) EventPredicate {
+	pred, _ := r.CompileConstraint(c)
+	if pred == nil {
+		return nil
 	}
-	return r.taEngine
+	for _, e := range (*r.live)[r.firstLive():] {
+		pred = append(pred, c.Allow(e.Start, r.dataset.Venues[e.Venue]))
+	}
+	return pred
 }
 
 // Compaction is one in-flight background fold of the live delta into a
@@ -150,7 +148,7 @@ func (r *Recommender) BeginCompaction() *Compaction {
 	if r.taDelta == nil || r.taDelta.Events() == 0 {
 		return nil
 	}
-	return &Compaction{delta: r.taDelta, view: r.taDelta.View(), workers: r.cfg.Threads, base: r.liveEngine()}
+	return &Compaction{delta: r.taDelta, view: r.taDelta.View(), workers: r.cfg.Threads, base: r.taLiveEngine}
 }
 
 // Run builds the folded tier — the expensive step, run on any goroutine
@@ -197,7 +195,7 @@ func (r *Recommender) CompactLiveEvents() error {
 }
 
 // LiveEventCount returns how many events were ingested since training.
-func (r *Recommender) LiveEventCount() int { return r.liveEvents }
+func (r *Recommender) LiveEventCount() int { return len(*r.live) }
 
 // PendingLiveEvents returns how many ingested events still sit in the
 // mutable delta tier — the compaction queue depth.
@@ -209,8 +207,8 @@ func (r *Recommender) PendingLiveEvents() int {
 }
 
 // PendingLivePairs returns the candidate pairs in the delta tier: every
-// live query checks each of them against its partner bound, and scores
-// those the bound lets through, until the next compaction.
+// joint query checks each of them against its predicate and its partner
+// bound, and scores those they let through, until the next compaction.
 func (r *Recommender) PendingLivePairs() int {
 	if r.taDelta == nil {
 		return 0

@@ -1,10 +1,13 @@
 package ebsn
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
+	"ebsn/internal/rng"
 	"ebsn/internal/ta"
 )
 
@@ -261,99 +264,107 @@ func TestLiveIDsSurviveRePrepare(t *testing.T) {
 	}
 }
 
-// TestLiveAnswersMatchBruteForce checks the live verb end to end on the
-// trained tiny city. For every user — after an ingest, after the
-// compaction that folds it, and after a second ingest of the same
-// events (exact ties across the fold) — at 1 and 3 shards and n ∈
-// {1, 10, 40}, the answer must equal brute force over the base plus
-// every live event, with == on pairs, live IDs and score bits. Its walk
-// must pop exactly the partner bounds the base-only walk pops, and its
-// delta scan may score no more pairs than the delta holds.
+// TestLiveAnswersMatchBruteForce checks joint queries over the live
+// tier end to end on the trained tiny city. For every user — after an
+// ingest, after the compaction that folds it, and after a second ingest
+// of the same events (exact ties across the fold) — at 1 and 3 shards,
+// n ∈ {1, 10, 40}, and with no predicate, a time window (through
+// Recommend) and a random 10% of the events (through the live engine),
+// the answer must equal brute force over the base plus every live event,
+// with == on pairs, live IDs and score bits. Its walk must pop exactly
+// the partner bounds the base-only walk pops, and its delta scan may
+// score no more pairs than the delta holds allowed pairs.
 func TestLiveAnswersMatchBruteForce(t *testing.T) {
 	base := tinyRecommender(t)
+	lw := liveWindow(t, base)
+	src := rng.New(272)
 	for _, shards := range []int{1, 3} {
 		rec := cloneRecommender(t, base)
 		pruneK := rec.DefaultPruneK()
 		if err := rec.PrepareJointSharded(pruneK, shards); err != nil {
 			t.Fatal(err)
 		}
-		events, partners := rec.jointVectors()
-		folded, err := ta.BuildCandidates(events, partners, ta.BuildConfig{TopKEvents: pruneK, Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		testN := int32(len(rec.Split().TestEvents))
+		oracle := newLiveOracle(t, rec, pruneK)
 		check := func(stage string) {
 			t.Helper()
+			window := oracle.pred(lw)
+			// A 10% draw over ~40 events; redrawn until it allows a test
+			// event and a live one, so the row exercises both tiers.
+			testN := len(rec.Split().TestEvents)
+			random := make(EventPredicate, len(window))
+			for !slices.Contains(random[:testN], true) || !slices.Contains(random[testN:], true) {
+				for x := range random {
+					random[x] = src.Float64() < 0.1
+				}
+			}
 			view := rec.taDelta.View()
-			oracle, _ := ta.FoldDelta(folded, view, 2)
-			live := 0
+			nBase := rec.taLiveEngine.NumEvents()
+			live := map[string]int{}
 			for u := int32(0); int(u) < rec.Dataset().NumUsers; u++ {
 				uv := rec.model.UserVec(u)
-				ranked := oracle.BruteForceTopN(uv, len(oracle.Pairs))
-				deltaPairs := 0
-				for _, p := range view.Pairs {
-					if p.Partner != u {
-						deltaPairs++
-					}
-				}
-				for _, n := range []int{1, 10, 40} {
-					var want []PairRecommendation
-					for _, r := range ranked {
-						if len(want) == n {
-							break
-						}
-						if r.Partner == u {
-							continue
-						}
-						event := -(r.Event - testN + 1)
-						if r.Event < testN {
-							event = rec.Split().TestEvents[r.Event]
-						}
-						want = append(want, PairRecommendation{Event: event, Partner: r.Partner, Score: r.Score})
-						if event < 0 {
-							live++
+				ranked := oracle.ranked(u)
+				for _, pc := range []struct {
+					name string
+					pred EventPredicate
+				}{{"unconstrained", nil}, {"window", window}, {"random", random}} {
+					deltaPairs := 0
+					for _, p := range view.Pairs {
+						if p.Partner != u && (pc.pred == nil || pc.pred[nBase+int(p.Event)]) {
+							deltaPairs++
 						}
 					}
-					got, es, err := rec.TopEventPartnersLiveStats(u, n)
-					if err != nil {
-						t.Fatal(err)
+					var basePred EventPredicate
+					if pc.pred != nil {
+						basePred = pc.pred[:nBase]
 					}
-					if len(got) != len(want) {
-						t.Fatalf("shards=%d %s user %d n=%d: %d results, want %d", shards, stage, u, n, len(got), len(want))
-					}
-					for i := range want {
-						if got[i].Event != want[i].Event || got[i].Partner != want[i].Partner ||
-							math.Float32bits(got[i].Score) != math.Float32bits(want[i].Score) {
-							t.Fatalf("shards=%d %s user %d n=%d rank %d: got %+v, want %+v", shards, stage, u, n, i, got[i], want[i])
+					for _, n := range []int{1, 10, 40} {
+						label := fmt.Sprintf("shards=%d %s %s user %d n=%d", shards, stage, pc.name, u, n)
+						want := oracle.want(ranked, u, n, pc.pred)
+						var got []PairRecommendation
+						var es EngineStats
+						var err error
+						switch pc.name {
+						case "random":
+							var res []ta.Result
+							res, es, err = rec.taLiveEngine.Search([][]float32{uv}, []int32{u}, n, pc.pred, rec.taDelta, nil, nil, nil)
+							got = rec.jointPairs(res)
+						case "window":
+							got, es, err = firstLane(rec.Recommend([]int32{u}, n, lw))
+						default:
+							got, es, err = firstLane(rec.Recommend([]int32{u}, n, Constraint{}))
 						}
-					}
-					_, baseOnly, err := rec.liveEngine().Search([][]float32{uv}, []int32{u}, n, nil, nil, nil, nil, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					scored := es.Agg.RandomAccesses - baseOnly.Agg.RandomAccesses
-					if es.Agg.SortedAccesses != baseOnly.Agg.SortedAccesses || scored < 0 || scored > deltaPairs {
-						t.Fatalf("shards=%d %s user %d n=%d: %d sorted, %d random accesses; the base-only walk makes %d and %d, and %d delta pairs are scannable",
-							shards, stage, u, n, es.Agg.SortedAccesses, es.Agg.RandomAccesses,
-							baseOnly.Agg.SortedAccesses, baseOnly.Agg.RandomAccesses, deltaPairs)
+						if err != nil {
+							t.Fatal(err)
+						}
+						pairsBitIdentical(t, label, want, got)
+						if hasLive(got) {
+							live[pc.name]++
+						}
+						_, baseOnly, err := rec.taLiveEngine.Search([][]float32{uv}, []int32{u}, n, basePred, nil, nil, nil, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						scored := es.Agg.RandomAccesses - baseOnly.Agg.RandomAccesses
+						if es.Agg.SortedAccesses != baseOnly.Agg.SortedAccesses || scored < 0 || scored > deltaPairs {
+							t.Fatalf("%s: %d sorted, %d random accesses; the base-only walk makes %d and %d, and %d allowed delta pairs are scannable",
+								label, es.Agg.SortedAccesses, es.Agg.RandomAccesses,
+								baseOnly.Agg.SortedAccesses, baseOnly.Agg.RandomAccesses, deltaPairs)
+						}
 					}
 				}
 			}
-			if live == 0 {
-				t.Fatalf("shards=%d %s: no live event reaches any answer", shards, stage)
+			for _, name := range []string{"unconstrained", "window", "random"} {
+				if live[name] == 0 {
+					t.Fatalf("shards=%d %s %s: no live event reaches any answer", shards, stage, name)
+				}
 			}
 		}
 
-		ingestClones(t, rec, 6)
+		oracle.ingest(t, 6)
 		check("after ingest")
-		view := rec.taDelta.View()
-		if err := rec.CompactLiveEvents(); err != nil {
-			t.Fatal(err)
-		}
-		folded, _ = ta.FoldDelta(folded, view, 2)
+		oracle.compact(t)
 		check("after compaction")
-		ingestClones(t, rec, 6)
+		oracle.ingest(t, 6)
 		check("after more ingest")
 	}
 }

@@ -72,8 +72,8 @@ func (r *Recommender) TopEventPartnersConstrainedStats(user int32, n int, c Cons
 // product per partner with the combined query u+x, and the n combined
 // queries share one panel pass over the user rows (see
 // workload.JoinPartners); the querying user is excluded from every
-// partner list. Feeds cover the base candidate space only — live
-// ingested events surface through TopEventPartnersLive, not the feed.
+// partner list. Feeds cover the test events only — live ingested
+// events surface through Recommend, not the feed.
 func (r *Recommender) Feed(user int32, n, m int) ([]FeedItem, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("ebsn: m must be positive")
